@@ -1,11 +1,15 @@
-"""Shared numerical kernels: finite differences, quadrature, AGM.
+"""Shared numerical kernels: derivatives, quadrature, AGM.
 
-All derivative stencils on uniform grids are 4th-order accurate.  Closed
-curves use periodic wraparound; open curves fall back to one-sided Fornberg
-stencils at the boundary nodes.
+Curve samples are differentiated by ``diff_samples``: filtered Fourier
+symbols for closed curves, long local least-squares stencils for open ones.
+Only ``diff_uniform``, used to reparametrize raw point samples, applies
+4th-order stencils (periodic wraparound, or one-sided Fornberg stencils at
+open ends).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,9 +114,6 @@ def diff_spectral(y: np.ndarray, h: float, order: int, rel_floor: float = 1e-13)
     return np.fft.irfft(fh, n)
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=512)
 def _smooth_weights(window: int, degree: int, order: int) -> np.ndarray:
     """Local least-squares derivative weights on a Chebyshev basis.
@@ -153,6 +154,25 @@ def effective_window(n: int, window: int | None = None) -> int:
     return window
 
 
+def filter_window(rho: float, h: float) -> int:
+    """Odd smoothing window of 0.2 rho / h nodes, clipped to [101, 401].
+
+    rho is the distance to the nearest singularity; the bias grows like (window / rho)^(degree+1).
+    """
+    win = int(np.clip(0.2 * rho / h, 101, 401))
+    return win if win % 2 else win + 1
+
+
+def trusted_interior(n: int, closed: bool, window: int | None = None) -> slice:
+    """Nodes trusted by residual norms: all when closed, else all but the
+    one-sided zones of diff_smoothed (half its window, at least 3 nodes).
+    """
+    if closed:
+        return slice(None)
+    skip = max(3, effective_window(n, window) // 2)
+    return slice(skip, n - skip)
+
+
 def diff_smoothed(
     y: np.ndarray, h: float, order: int, window: int | None = None, degree: int = 10
 ) -> np.ndarray:
@@ -190,15 +210,10 @@ def diff_samples(
     return diff_smoothed(y, h, order, window=window)
 
 
-def trapz_periodic(vals: np.ndarray, h: float) -> float:
-    """Integral over one period of samples that exclude the wrap point."""
-    return float(h * np.sum(vals))
-
-
 def integrate_samples(vals: np.ndarray, h: float, periodic: bool = False) -> float:
     """Definite integral of uniform samples (periodic: spectral trapezoid)."""
     if periodic:
-        return trapz_periodic(vals, h)
+        return float(h * np.sum(vals))
     return float(cumulative_uniform(vals, h)[-1])
 
 

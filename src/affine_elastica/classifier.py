@@ -74,11 +74,6 @@ class CaseLabel:
     g2: float = 0.0
     g3: float = 0.0
 
-    @property
-    def c0_is_w2(self) -> bool:
-        """Whether the curvature branch shift c0 equals the imaginary half-period."""
-        return self.tag in (Case.A1, Case.A2, Case.A3)
-
     def to_json(self) -> str:
         payload = {
             "tag": self.tag.value,

@@ -370,7 +370,7 @@ def main(argv=None) -> int:
         if args.command == "scan-closure":
             return cmd_scan_closure(args)
         raise DomainError(f"unknown command {args.command}")
-    except (DomainError, ValueError) as ex:
+    except (DomainError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except SynthesisError as ex:

@@ -1,10 +1,10 @@
 """Equi-affine differential geometry of uniformly sampled planar curves.
 
 A curve enters as `CurveSamples`: uniform samples of s -> (x, y) where s is
-equi-affine arc-length, i.e. |gamma', gamma''| = 1.  Derivatives use
-4th-order centered stencils (periodic wraparound for closed curves,
-one-sided stencils at open ends; the three boundary nodes on each side are
-excluded from residual norms).  Quadrature is composite on the uniform grid,
+equi-affine arc-length, i.e. |gamma', gamma''| = 1.  Derivatives are
+spectral for closed curves and smoothed local-polynomial fits for open
+ones; on open curves, residual norms exclude half a filter window (at least
+three nodes) at each end.  Quadrature is composite on the uniform grid,
 with the spectrally accurate periodic trapezoid for closed curves.
 """
 
@@ -22,8 +22,8 @@ from ._numerics import (
     cumulative_uniform,
     diff_samples,
     diff_uniform,
-    effective_window,
     integrate_samples,
+    trusted_interior,
 )
 from .errors import InflectionPoint, NegativeCurvature, NotCritical, ZeroC
 
@@ -50,8 +50,6 @@ __all__ = [
 ]
 
 UNIMODULAR_TOL = 1e-6
-
-_BOUNDARY_SKIP = 3  # open-curve nodes excluded from residual norms per side
 
 
 @dataclass
@@ -100,15 +98,8 @@ class CurveSamples:
         return np.column_stack([self.x, self.y])
 
     def interior(self) -> slice:
-        """Nodes trusted by residual norms (all of them when closed).
-
-        Open curves exclude the one-sided zone of the derivative filter
-        (half its window, at least 3 nodes) on each side.
-        """
-        if self.closed:
-            return slice(None)
-        skip = max(_BOUNDARY_SKIP, effective_window(self.n, self.meta.get("fd_window")) // 2)
-        return slice(skip, self.n - skip)
+        """Nodes trusted by residual norms (all of them when closed)."""
+        return trusted_interior(self.n, self.closed, self.meta.get("fd_window"))
 
     def transformed(self, A: np.ndarray, b=(0.0, 0.0)) -> "CurveSamples":
         """Apply the affine map p -> A p + b to the samples (same grid)."""
@@ -456,10 +447,11 @@ def curve_from_csv(path_or_text, closed: bool = False, period: float | None = No
         with open(path_or_text) as f:
             text = f.read()
     rows = list(csv.reader(io.StringIO(text)))
-    header, data = rows[0], rows[1:]
-    if header != ["s", "x", "y"]:
+    if not rows or rows[0] != ["s", "x", "y"]:
         raise ValueError("expected header s,x,y")
-    arr = np.array(data, dtype=float)
+    if len(rows) < 2 or any(len(row) != 3 for row in rows[1:]):
+        raise ValueError("expected data rows of 3 columns after the header")
+    arr = np.array(rows[1:], dtype=float)
     return CurveSamples(arr[:, 0], arr[:, 1], arr[:, 2], closed=closed, period=period)
 
 
@@ -485,6 +477,8 @@ def curve_from_json(path_or_text) -> CurveSamples:
     else:
         with open(path_or_text) as f:
             payload = json.load(f)
+    if not isinstance(payload, dict) or not {"s", "x", "y", "closed", "period"} <= payload.keys():
+        raise ValueError("expected a JSON object with keys s, x, y, closed and period")
     return CurveSamples(
         np.array(payload["s"]),
         np.array(payload["x"]),

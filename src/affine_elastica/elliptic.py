@@ -14,13 +14,14 @@ they are safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._numerics import ellip_K
-from .errors import DegenerateDiscriminant, NearPole
+from .errors import DegenerateDiscriminant, DomainError, NearPole
 
 __all__ = [
     "Invariants",
@@ -55,6 +56,10 @@ class Invariants:
 
     g2: float
     g3: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
+            raise DomainError(f"invariants must be finite, got g2={self.g2}, g3={self.g3}")
 
     @property
     def discriminant(self) -> float:

@@ -16,8 +16,14 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from ._numerics import diff_samples, integrate_samples
-from .curvature import CurveSamples, frame_and_curvature, _kappa_derivs
+from ._numerics import (
+    cumulative_uniform,
+    diff_samples,
+    filter_window,
+    integrate_samples,
+    trusted_interior,
+)
+from .curvature import CurveSamples, _derivs, _kappa_derivs, frame_and_curvature, support_function
 from .errors import BlowUp, NonConvex
 
 __all__ = [
@@ -103,29 +109,26 @@ class ConstrainedSqrtResiduals:
     total_curv_residual: float
 
 
-def _require_convex(kappa: np.ndarray, sel) -> None:
+def _convex_kappa_F(c: CurveSamples, sel) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature and full-affine curvature; raises NonConvex unless kappa > 0 on sel."""
+    kappa, k1, _ = _kappa_derivs(c)
     if np.min(kappa[sel]) <= 0.0:
         raise NonConvex("operation requires strictly positive curvature")
+    return kappa, k1 / (2.0 * kappa**1.5)
 
 
 def full_affine_invariants(c: CurveSamples) -> FullAffineData:
     """Cumulative full-affine arc-length and pointwise full-affine curvature."""
-    kappa, k1, _ = _kappa_derivs(c)
-    _require_convex(kappa, slice(None))
-    from ._numerics import cumulative_uniform
-
+    kappa, kappa_F = _convex_kappa_F(c, slice(None))
     s_F = cumulative_uniform(np.sqrt(kappa), c.h)
-    kappa_F = k1 / (2.0 * kappa**1.5)
     return FullAffineData(s_F=s_F, kappa_F=kappa_F, closed=c.closed)
 
 
 def el_residual_sqrt(c: CurveSamples) -> float:
     """RMS of (kappa_F)''' + kappa (kappa_F)'; zero iff critical for full-affine length."""
-    kappa, k1, _ = _kappa_derivs(c)
     sel = c.interior()
-    _require_convex(kappa, sel)
+    kappa, kF = _convex_kappa_F(c, sel)
     win = c.meta.get("fd_window")
-    kF = k1 / (2.0 * kappa**1.5)
     kF1 = diff_samples(kF, c.h, 1, periodic=c.closed, window=win)
     kF3 = diff_samples(kF, c.h, 3, periodic=c.closed, window=win)
     res = kF3 + kappa * kF1
@@ -139,10 +142,8 @@ def linear_position_certificate(c: CurveSamples, w_rtol: float = 1e-4) -> Linear
     full-affine curvature (W-curve branch) or kappa_F is a non-zero linear
     function of position for a suitable origin.
     """
-    kappa, k1, _ = _kappa_derivs(c)
     sel = c.interior()
-    _require_convex(kappa, sel)
-    kF = k1 / (2.0 * kappa**1.5)
+    _, kF = _convex_kappa_F(c, sel)
     spread = float(np.std(kF[sel]))
     scale = max(float(np.max(np.abs(kF[sel]))), 1e-300)
     if spread < w_rtol * max(scale, 1.0):
@@ -178,14 +179,7 @@ def el_residual_full_affine_form(fd: FullAffineData, window: int | None = None) 
     d2 = diff_samples(kF, h, 2, periodic=fd.closed, window=window)
     d3 = diff_samples(kF, h, 3, periodic=fd.closed, window=window)
     res = d3 + 3.0 * kF * d2 + d1**2 + (2.0 * kF**2 + 1.0) * d1
-    n = len(kF)
-    if fd.closed:
-        sel = slice(None)
-    else:
-        from ._numerics import effective_window
-
-        skip = max(3, effective_window(n, window) // 2)
-        sel = slice(skip, n - skip)
+    sel = trusted_interior(len(kF), fd.closed, window)
     return float(np.sqrt(np.mean(res[sel] ** 2)))
 
 
@@ -256,9 +250,7 @@ def curve_from_full_affine_curvature(
     kmax = float(np.max(out[0]))
     kf_end = max(abs(float(kF(out[1, 0]))), abs(float(kF(out[1, -1]))), 1e-9)
     rho = min(1.0 / (kf_end * np.sqrt(kmax)), span / 3.0)
-    h = float(s[1] - s[0])
-    win = int(np.clip(0.2 * rho / h, 101, 401))
-    cs.meta["fd_window"] = win if win % 2 else win + 1
+    cs.meta["fd_window"] = filter_window(rho, float(s[1] - s[0]))
     return cs
 
 
@@ -275,13 +267,8 @@ def constrained_sqrt_residuals(c: CurveSamples) -> ConstrainedSqrtResiduals:
     residual is the rms misfit of kappa_F, and Q keeps the meaning it has
     in the differential form.
     """
-    from ._numerics import cumulative_uniform
-    from .curvature import support_function
-
-    kappa, k1, _ = _kappa_derivs(c)
     sel = c.interior()
-    _require_convex(kappa, sel)
-    kF = k1 / (2.0 * kappa**1.5)
+    kappa, kF = _convex_kappa_F(c, sel)
     rho = support_function(c).rho
     R_area = cumulative_uniform(rho, c.h)
     R_len = c.s - c.s[0]
@@ -377,10 +364,7 @@ def congruence_arclength(c: CurveSamples) -> float:
     signs = np.sign(vals[np.abs(vals) > 1e-9 * scale])
     if len(signs) and np.any(signs != signs[0]):
         raise NonConvex("congruence velocity changes causal character")
-    speed = np.sqrt(np.abs(vals))
-    if c.closed:
-        return integrate_samples(speed, c.h, periodic=True)
-    return integrate_samples(speed, c.h)
+    return integrate_samples(np.sqrt(np.abs(vals)), c.h, periodic=c.closed)
 
 
 def osculating_conic(c: CurveSamples, i: int) -> np.ndarray:
@@ -390,8 +374,6 @@ def osculating_conic(c: CurveSamples, i: int) -> np.ndarray:
     order; the null space of the jet-condition matrix determines it up to
     scale.
     """
-    from .curvature import _derivs
-
     d = _derivs(c, orders=(1, 2, 3, 4))
     g0 = np.array([c.x[i], c.y[i]])
     g1, g2, g3, g4 = (d[k][i] for k in (1, 2, 3, 4))

@@ -11,16 +11,23 @@ Degenerate families (D, E, F, G, ellipses) use their explicit closed forms.
 The closure condition for the bounded-oscillation family with positive
 minimum curvature is solved by bracketed root finding in the maximum
 curvature Q.
+
+Each case is defined in one place, its entry in the ``_FAMILIES`` table,
+which builds a ``FamilySpec`` from the label: the closed-form curvature,
+the default grid, the real poles, the distance to the nearest complex
+singularity, the coordinate route and the branch shift c0.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ._numerics import gl_cumulative
+from ._numerics import filter_window, gl_cumulative
 from .classifier import Branch, Case, CaseLabel, classify
 from .curvature import CurveSamples, frame_and_curvature
 from .elliptic import (
@@ -46,7 +53,6 @@ __all__ = [
     "LameSolutionParams",
     "ClosureSolution",
     "lame_parameter_c",
-    "lame_params",
     "lame_phi1",
     "lame_phi1_prime",
     "lame_phi2",
@@ -179,13 +185,6 @@ def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> com
             y = _root(lambda t: wp(complex(0.0, t), inv).real - v, eps_i, w2i)
             return complex(0.0, -y) if prefer_negative_imag else complex(0.0, y)
     raise NoSuchC(f"level {v:.6g} not matched by any canonical segment")
-
-
-def lame_params(inv: Invariants, c0: complex, s_grid) -> LameSolutionParams:
-    """Build LameSolutionParams with the canonical c for these invariants."""
-    prefer = abs(complex(c0).imag) > 0  # bounded-oscillation branch convention
-    c = lame_parameter_c(inv, prefer_negative_imag=prefer)
-    return LameSolutionParams(inv=inv, c=c, c0=complex(c0), s_grid=np.asarray(s_grid, float))
 
 
 def _mu(inv: Invariants, c: complex) -> complex:
@@ -360,111 +359,45 @@ def a3_nonperiodicity(Q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# synthesis
+# case families
 
 
-def analytic_kappa(label: CaseLabel, s: np.ndarray) -> np.ndarray:
-    """Closed-form curvature of the case family on the given grid."""
-    s = np.asarray(s, dtype=float)
-    tag = label.tag
-    inv = Invariants(label.g2, label.g3)
-    if tag in (Case.A1, Case.A2, Case.A3):
-        lat = half_periods(inv)
-        return -6.0 * wp(s - 1j * lat.w2_im, inv).real
-    if tag in (Case.B1, Case.B2, Case.B3, Case.C1, Case.C2, Case.C3, Case.C4, Case.C5, Case.F):
-        return -6.0 * wp(np.asarray(s, dtype=complex), inv).real
-    if tag in (Case.Da, Case.Dc):
-        E = label.params["E"]
-        b = np.sqrt(-1.5 * E)
-        t = 1.0 / np.tanh(b * s) if tag is Case.Da else np.tanh(b * s)
-        return 9.0 * E * t**2 - 6.0 * E
-    if tag is Case.E_case:
-        E = label.params["E"]
-        b = np.sqrt(1.5 * E)
-        return -9.0 * E * np.tan(b * s) ** 2 - 6.0 * E
-    if tag is Case.G:
-        return -6.0 / s**2
-    if tag is Case.Ellipse:
-        return np.full_like(s, 3.0 * label.params["E"])
-    raise ValueError(f"no closed-form curvature for {tag}")
+def _no_poles(s: np.ndarray) -> np.ndarray:
+    return np.array([])
 
 
-def default_grid(label: CaseLabel, n: int | None = None) -> np.ndarray:
-    """A sample grid that stays clear of curvature poles for this case."""
-    tag = label.tag
-    inv = Invariants(label.g2, label.g3)
-    if tag is Case.Ellipse:
-        kappa0 = 3.0 * label.params["E"]
-        period = 2.0 * np.pi / np.sqrt(kappa0)
-        return np.linspace(0.0, period, n or 4096, endpoint=False)
-    if tag is Case.G:
-        return np.linspace(0.7, 3.5, n or 4000)
-    if tag in (Case.Da, Case.Dc):
-        b = np.sqrt(-1.5 * label.params["E"])
-        if tag is Case.Da:
-            return np.linspace(1.2 / b, 5.0 / b, n or 4000)
-        return np.linspace(-2.5 / b, 2.5 / b, n or 4000)
-    if tag is Case.E_case:
-        b = np.sqrt(1.5 * label.params["E"])
-        lim = 0.5 * (np.pi / 2.0) / b
-        return np.linspace(-lim, lim, n or 4000)
-    lat = half_periods(inv)
-    w1 = lat.w1
-    if tag in (Case.A1, Case.A3):
-        return np.linspace(0.0, 6.0 * w1, n or 6000)
-    if tag is Case.A2:
-        return np.linspace(-0.9 * w1, 0.9 * w1, n or 4000)
-    if tag is Case.C3:
-        # curvature vanishes at odd multiples of w1: stay on one smooth arc
-        return np.linspace(0.3 * w1, 0.8 * w1, n or 5000)
-    # branch through the curvature pole: stay inside one period of it
-    return np.linspace(0.5 * w1, 1.5 * w1, n or 4000)
+def _origin(s: np.ndarray) -> np.ndarray:
+    return np.array([0.0])
 
 
-def _grid_from(label: CaseLabel, grid, n) -> np.ndarray:
-    if grid is None:
-        return default_grid(label, n)
-    if isinstance(grid, tuple) and len(grid) in (2, 3):
-        lo, hi = grid[0], grid[1]
-        npts = grid[2] if len(grid) == 3 else (n or 4000)
-        return np.linspace(lo, hi, npts)
-    return np.asarray(grid, dtype=float)
+def _pole_lattice(s: np.ndarray, half: float, odd: bool = False) -> np.ndarray:
+    """The even (or odd) multiples of ``half`` around the grid s."""
+    k = np.arange(np.floor(s.min() / (2 * half)) - 1, np.ceil(s.max() / (2 * half)) + 2)
+    return half * (2.0 * k + 1.0) if odd else 2.0 * half * k
 
 
-def _check_poles(s: np.ndarray, poles: np.ndarray, scale: float, what: str):
-    if len(poles) == 0:
-        return
-    d = np.min(np.abs(s[:, None] - poles[None, :]), axis=1)
-    if np.any(d < _POLE_MARGIN * scale):
-        raise GridHitsPole(f"grid touches a {what} pole")
+@dataclass(frozen=True)
+class FamilySpec:
+    """What synthesis knows about one case family, evaluated for one label.
 
+    ``poles(s)`` lists the real curvature singularities around a grid, which
+    no sample may touch on the length ``pole_scale``; ``rho_complex`` is the
+    distance from the real line to the nearest complex one.  ``route(spec,
+    s, force_general)`` returns (x, y, route name); only the Lame route
+    reads force_general.
+    """
 
-def _pole_set(tag: Case, label: CaseLabel, s: np.ndarray) -> tuple[np.ndarray, float]:
-    inv = Invariants(label.g2, label.g3)
-    lo, hi = float(np.min(s)), float(np.max(s))
-    if tag is Case.C3:
-        # curvature poles at even multiples of w1 and square-root flips at odd ones
-        w1 = half_periods(inv).w1
-        k = np.arange(np.floor(lo / w1) - 1, np.ceil(hi / w1) + 2)
-        return w1 * k, w1
-    if tag in (Case.B1, Case.B2, Case.B3, Case.C1, Case.C2, Case.C4, Case.C5, Case.F):
-        w1 = half_periods(inv).w1
-        k = np.arange(np.floor(lo / (2 * w1)) - 1, np.ceil(hi / (2 * w1)) + 2)
-        return 2.0 * w1 * k, w1
-    if tag is Case.A2:
-        w1 = half_periods(inv).w1
-        k = np.arange(np.floor(lo / (2 * w1)) - 1, np.ceil(hi / (2 * w1)) + 2)
-        return w1 * (2.0 * k + 1.0), w1
-    if tag is Case.Da:
-        return np.array([0.0]), 1.0 / np.sqrt(-1.5 * label.params["E"])
-    if tag is Case.E_case:
-        b = np.sqrt(1.5 * label.params["E"])
-        half = (np.pi / 2.0) / b
-        k = np.arange(np.floor(lo / (2 * half)) - 1, np.ceil(hi / (2 * half)) + 2)
-        return half * (2.0 * k + 1.0), 1.0 / b
-    if tag is Case.G:
-        return np.array([0.0]), 1.0
-    return np.array([]), 1.0
+    label: CaseLabel
+    kappa: Callable[[np.ndarray], np.ndarray]  # closed-form curvature on a real grid
+    grid: tuple[float, float, int]  # default (lo, hi, n)
+    route: Callable[..., tuple[np.ndarray, np.ndarray, str]]
+    poles: Callable[[np.ndarray], np.ndarray] = _no_poles
+    pole_scale: float = 1.0
+    rho_complex: float = np.inf
+    c0: complex = 0.0 + 0.0j  # branch shift of the curvature: 0 or the imaginary half-period
+    lat: LatticeData | None = None
+    period: float | None = None  # closed family: the default grid is one period
+    sign_flip_at_poles: bool = False  # smooth arcs alternate sign between poles
 
 
 def _unimodular_scale(x: np.ndarray, y: np.ndarray, det0: float):
@@ -483,19 +416,12 @@ def _wronskian_stats(u1p, u1pp, u2p, u2pp):
     return med, spread
 
 
-def _lame_route(label: CaseLabel, s: np.ndarray, force_general: bool = False):
+def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     """Coordinates for the generic families via the Lame solutions."""
-    inv = Invariants(label.g2, label.g3)
-    lat = half_periods(inv)
-    c0 = 1j * lat.w2_im if label.c0_is_w2 else 0.0 + 0.0j
-    c = lame_parameter_c(inv, prefer_negative_imag=label.c0_is_w2)
-    z = s.astype(complex) - c0
-
-    h, phi1, phi1p = _lame_system(inv, c)
-    H = h(z)
-    P1 = phi1(z)
-    P1p = phi1p(z)
-
+    inv = Invariants(f.label.g2, f.label.g3)
+    c = lame_parameter_c(inv, prefer_negative_imag=f.c0 != 0)
+    z = s.astype(complex) - f.c0
+    H, P1, P1p = (fn(z) for fn in _lame_system(inv, c))
     wri = np.imag(np.conj(P1) * P1p)
     scale = np.median(np.abs(P1) * np.abs(P1p)) + 1e-300
     independent = np.median(np.abs(wri)) > _DEPENDENCE_RTOL * scale
@@ -510,11 +436,7 @@ def _lame_route(label: CaseLabel, s: np.ndarray, force_general: bool = False):
         return x, y, "explicit"
 
     # general route: mirrored Floquet partner supplies the missing solution
-    hm, phi1m, phi1pm = _lame_system(inv, -c)
-    Hm = hm(z)
-    P1m = phi1m(z)
-    P1pm = phi1pm(z)
-
+    Hm, P1m, P1pm = (fn(z) for fn in _lame_system(inv, -c))
     funcs = np.array([H.real - H.real.mean(), H.imag - H.imag.mean(),
                       Hm.real - Hm.real.mean(), Hm.imag - Hm.imag.mean()])
     d1 = np.array([P1.real, P1.imag, P1m.real, P1m.imag])
@@ -546,68 +468,20 @@ def _solution_pair(funcs: np.ndarray, d1: np.ndarray, d2: np.ndarray):
     return combo @ funcs, combo @ d1, combo @ d2
 
 
-def _sqrt_line_route(label: CaseLabel, s: np.ndarray):
-    """Families whose position is +-sqrt(|kappa|) (1, s) up to a linear map."""
-    kappa = analytic_kappa(label, s)
-    positive = label.tag is Case.A2
+def _sqrt_line_route(f: FamilySpec, s: np.ndarray, force_general: bool, positive: bool = False):
+    """Families whose position is +-sqrt(|kappa|) (1, s) up to a linear map.
+
+    ``positive`` marks the family whose curvature is >= 0, else it is <= 0.
+    """
+    kappa = f.kappa(s)
     w = np.sqrt(kappa) if positive else np.sqrt(-kappa)
-    det0 = 3.0 * label.g2 if positive else -3.0 * label.g2
+    det0 = 3.0 * f.label.g2 if positive else -3.0 * f.label.g2
     x, y = _unimodular_scale(w, w * s, det0)
     return x, y, "sqrt-line"
 
 
-def _de_route(label: CaseLabel, s: np.ndarray):
-    """Explicit solution pairs for the degenerate-discriminant families."""
-    E = label.params["E"]
-    tag = label.tag
-    if tag in (Case.Da, Case.Dc):
-        a = np.sqrt(-3.0 * E)
-        b = np.sqrt(-1.5 * E)
-
-        def tfun(z):
-            return 1.0 / np.tanh(b * z) if tag is Case.Da else np.tanh(b * z)
-
-        def f1(z):
-            t = tfun(z)
-            return np.exp(a * z) * (1.0 - 3.0 * np.sqrt(2.0) * t + 3.0 * t * t)
-
-        def f2(z):
-            t = tfun(z)
-            return np.exp(-a * z) * (1.0 + 3.0 * np.sqrt(2.0) * t + 3.0 * t * t)
-
-        z0 = float(np.median(s))
-        t0 = tfun(z0)
-        dt0 = b * (1.0 - t0 * t0)
-        f1p = a * f1(z0) + np.exp(a * z0) * (-3.0 * np.sqrt(2.0) + 6.0 * t0) * dt0
-        f2p = -a * f2(z0) + np.exp(-a * z0) * (3.0 * np.sqrt(2.0) + 6.0 * t0) * dt0
-        W = f1(z0) * f2p - f2(z0) * f1p
-    else:  # Case.E_case
-        al = np.sqrt(3.0 * E)
-        b = np.sqrt(1.5 * E)
-
-        def f1(z):
-            t = np.tan(b * z)
-            return np.cos(al * z) * (1.0 - 3.0 * t * t) + 3.0 * np.sqrt(2.0) * np.sin(al * z) * t
-
-        def f2(z):
-            t = np.tan(b * z)
-            return np.sin(al * z) * (3.0 * t * t - 1.0) + 3.0 * np.sqrt(2.0) * np.cos(al * z) * t
-
-        z0 = float(s[len(s) // 3])
-        t0 = np.tan(b * z0)
-        dt0 = b * (1.0 + t0 * t0)
-        f1p = (
-            -al * np.sin(al * z0) * (1.0 - 3.0 * t0 * t0)
-            - 6.0 * np.cos(al * z0) * t0 * dt0
-            + 3.0 * np.sqrt(2.0) * (al * np.cos(al * z0) * t0 + np.sin(al * z0) * dt0)
-        )
-        f2p = (
-            al * np.cos(al * z0) * (3.0 * t0 * t0 - 1.0)
-            + 6.0 * np.sin(al * z0) * t0 * dt0
-            + 3.0 * np.sqrt(2.0) * (-al * np.sin(al * z0) * t0 + np.cos(al * z0) * dt0)
-        )
-        W = f1(z0) * f2p - f2(z0) * f1p
-
+def _integrated_pair(f1, f2, W: float, s: np.ndarray):
+    """Coordinates as antiderivatives of a solution pair with Wronskian W."""
     sc = 1.0 / np.sqrt(abs(W))
     sgn = np.sign(W)
     x = gl_cumulative(lambda z: f1(np.asarray(z).real) * sc, s).real
@@ -615,29 +489,213 @@ def _de_route(label: CaseLabel, s: np.ndarray):
     return x, y, "closed-form"
 
 
-def _f_route(label: CaseLabel, s: np.ndarray):
+def _d_route(f: FamilySpec, s: np.ndarray, force_general: bool, tfun):
+    """Explicit solution pair of a g3 < 0 degenerate family, t = tfun(b z)."""
+    E = f.label.params["E"]
+    a = np.sqrt(-3.0 * E)
+    b = np.sqrt(-1.5 * E)
+
+    def f1(z):
+        t = tfun(b * z)
+        return np.exp(a * z) * (1.0 - 3.0 * np.sqrt(2.0) * t + 3.0 * t * t)
+
+    def f2(z):
+        t = tfun(b * z)
+        return np.exp(-a * z) * (1.0 + 3.0 * np.sqrt(2.0) * t + 3.0 * t * t)
+
+    z0 = float(np.median(s))
+    t0 = tfun(b * z0)
+    dt0 = b * (1.0 - t0 * t0)
+    f1p = a * f1(z0) + np.exp(a * z0) * (-3.0 * np.sqrt(2.0) + 6.0 * t0) * dt0
+    f2p = -a * f2(z0) + np.exp(-a * z0) * (3.0 * np.sqrt(2.0) + 6.0 * t0) * dt0
+    return _integrated_pair(f1, f2, f1(z0) * f2p - f2(z0) * f1p, s)
+
+
+def _e_route(f: FamilySpec, s: np.ndarray, force_general: bool):
+    """Explicit solution pair of the g3 > 0 degenerate open family."""
+    E = f.label.params["E"]
+    al = np.sqrt(3.0 * E)
+    b = np.sqrt(1.5 * E)
+
+    def f1(z):
+        t = np.tan(b * z)
+        return np.cos(al * z) * (1.0 - 3.0 * t * t) + 3.0 * np.sqrt(2.0) * np.sin(al * z) * t
+
+    def f2(z):
+        t = np.tan(b * z)
+        return np.sin(al * z) * (3.0 * t * t - 1.0) + 3.0 * np.sqrt(2.0) * np.cos(al * z) * t
+
+    z0 = float(s[len(s) // 3])
+    t0 = np.tan(b * z0)
+    dt0 = b * (1.0 + t0 * t0)
+    f1p = (
+        -al * np.sin(al * z0) * (1.0 - 3.0 * t0 * t0)
+        - 6.0 * np.cos(al * z0) * t0 * dt0
+        + 3.0 * np.sqrt(2.0) * (al * np.cos(al * z0) * t0 + np.sin(al * z0) * dt0)
+    )
+    f2p = (
+        al * np.cos(al * z0) * (3.0 * t0 * t0 - 1.0)
+        + 6.0 * np.sin(al * z0) * t0 * dt0
+        + 3.0 * np.sqrt(2.0) * (-al * np.sin(al * z0) * t0 + np.cos(al * z0) * dt0)
+    )
+    return _integrated_pair(f1, f2, f1(z0) * f2p - f2(z0) * f1p, s)
+
+
+def _f_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     """g2 = 0 family: affine image of (zeta(s), wp(s) - zeta(s)^2)."""
-    inv = Invariants(label.g2, label.g3)
+    inv = Invariants(f.label.g2, f.label.g3)
     z = s.astype(complex)
     zv = zeta_w(z, inv)
     pv = wp(z, inv)
     x0 = zv.real
     y0 = (pv - zv * zv).real
-    det0 = -label.g3
-    x, y = _unimodular_scale(x0, y0, det0)
+    x, y = _unimodular_scale(x0, y0, -f.label.g3)
     return x, y, "closed-form"
 
 
-def _g_route(s: np.ndarray):
+def _g_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     al = 20.0 ** -0.5
     return al * s**4, al / s, "closed-form"
 
 
-def _ellipse_route(label: CaseLabel, s: np.ndarray):
-    kappa0 = 3.0 * label.params["E"]
+def _ellipse_route(f: FamilySpec, s: np.ndarray, force_general: bool):
+    kappa0 = 3.0 * f.label.params["E"]
     R = kappa0 ** -0.75
     om = np.sqrt(kappa0)
     return R * np.cos(om * s), R * np.sin(om * s), "closed-form"
+
+
+def _wp_family(grid, route, poles=None, c0_w2=False, sign_flip=False):
+    """Entry of a family with curvature -6 wp(s - c0), built with one half_periods call.
+
+    ``grid`` is the default (lo, hi, n) and ``poles`` the real pole lattice
+    (half-spacing, odd) or None, lengths in units of the real half-period.
+    """
+
+    def build(label: CaseLabel) -> FamilySpec:
+        inv = Invariants(label.g2, label.g3)
+        lat = half_periods(inv)
+        w1 = lat.w1
+        c0 = 1j * lat.w2_im if c0_w2 else 0.0 + 0.0j
+        pole_set = _no_poles if poles is None else lambda s: _pole_lattice(s, poles[0] * w1, poles[1])
+        return FamilySpec(
+            label, kappa=lambda s: -6.0 * wp(s - c0, inv).real,
+            grid=(grid[0] * w1, grid[1] * w1, grid[2]), route=route, poles=pole_set,
+            pole_scale=w1, rho_complex=lat.w2_im, c0=c0, lat=lat, sign_flip_at_poles=sign_flip,
+        )
+
+    return build
+
+
+def _d_family(tfun, grid, poles):
+    """Entry of a g3 < 0 degenerate family, kappa = 9 E tfun(b s)^2 - 6 E, grid in units of 1/b."""
+
+    def build(label: CaseLabel) -> FamilySpec:
+        E = label.params["E"]
+        b = np.sqrt(-1.5 * E)
+        return FamilySpec(
+            label, kappa=lambda s: 9.0 * E * tfun(b * s) ** 2 - 6.0 * E,
+            grid=(grid[0] / b, grid[1] / b, 4000), route=partial(_d_route, tfun=tfun),
+            poles=poles, pole_scale=1.0 / b, rho_complex=0.5 * np.pi / b,
+        )
+
+    return build
+
+
+def _e_family(label: CaseLabel) -> FamilySpec:
+    """Entry of the g3 > 0 degenerate open family, kappa = -9 E tan(b s)^2 - 6 E."""
+    E = label.params["E"]
+    b = np.sqrt(1.5 * E)
+    lim = 0.5 * (np.pi / 2.0) / b
+    return FamilySpec(
+        label, kappa=lambda s: -9.0 * E * np.tan(b * s) ** 2 - 6.0 * E, grid=(-lim, lim, 4000),
+        route=_e_route, poles=lambda s: _pole_lattice(s, (np.pi / 2.0) / b, odd=True),
+        pole_scale=1.0 / b, rho_complex=0.5 * np.pi / b,
+    )
+
+
+def _ellipse_family(label: CaseLabel) -> FamilySpec:
+    kappa0 = 3.0 * label.params["E"]
+    period = 2.0 * np.pi / np.sqrt(kappa0)
+    return FamilySpec(
+        label, kappa=lambda s: np.full_like(s, kappa0), grid=(0.0, period, 4096),
+        route=_ellipse_route, period=period,
+    )
+
+
+_ONE_PERIOD = (0.5, 1.5, 4000)  # branch through the curvature pole: stay inside one period
+_EVEN = (1.0, False)  # poles at the even multiples of w1
+
+#: the one place where a case is defined: its spec, built from the label
+_FAMILIES = {
+    Case.A1: _wp_family((0.0, 6.0, 6000), _lame_route, c0_w2=True),
+    Case.A2: _wp_family((-0.9, 0.9, 4000), partial(_sqrt_line_route, positive=True), (1.0, True),
+                        c0_w2=True, sign_flip=True),
+    Case.A3: _wp_family((0.0, 6.0, 6000), _lame_route, c0_w2=True),
+    Case.B1: _wp_family(_ONE_PERIOD, _lame_route, _EVEN),
+    Case.B2: _wp_family(_ONE_PERIOD, _sqrt_line_route, _EVEN),
+    Case.B3: _wp_family(_ONE_PERIOD, _lame_route, _EVEN),
+    Case.C1: _wp_family(_ONE_PERIOD, _lame_route, _EVEN),
+    Case.C2: _wp_family(_ONE_PERIOD, _lame_route, _EVEN),
+    # curvature poles at even multiples of w1, square-root flips at odd ones
+    Case.C3: _wp_family((0.3, 0.8, 5000), _sqrt_line_route, (0.5, False)),
+    Case.C4: _wp_family(_ONE_PERIOD, _lame_route, _EVEN),
+    Case.C5: _wp_family(_ONE_PERIOD, _lame_route, _EVEN),
+    Case.F: _wp_family(_ONE_PERIOD, _f_route, _EVEN),
+    Case.Da: _d_family(lambda x: 1.0 / np.tanh(x), (1.2, 5.0), _origin),
+    Case.Dc: _d_family(np.tanh, (-2.5, 2.5), _no_poles),
+    Case.E_case: _e_family,
+    Case.G: lambda label: FamilySpec(
+        label, kappa=lambda s: -6.0 / s**2, grid=(0.7, 3.5, 4000), route=_g_route, poles=_origin
+    ),
+    Case.Ellipse: _ellipse_family,
+}
+
+
+def _family(label: CaseLabel) -> FamilySpec:
+    return _FAMILIES[label.tag](label)
+
+
+# ---------------------------------------------------------------------------
+# synthesis
+
+
+def analytic_kappa(label: CaseLabel, s: np.ndarray) -> np.ndarray:
+    """Closed-form curvature of the case family on the given grid."""
+    return _family(label).kappa(np.asarray(s, dtype=float))
+
+
+def default_grid(label: CaseLabel, n: int | None = None) -> np.ndarray:
+    """A sample grid that stays clear of curvature poles for this case."""
+    f = _family(label)
+    return _grid_from(f.grid, None, n, endpoint=f.period is None)
+
+
+def _grid_from(default, grid, n, endpoint: bool = True) -> np.ndarray:
+    if grid is None:
+        lo, hi, npts = default
+        return np.linspace(lo, hi, n or npts, endpoint=endpoint)
+    if isinstance(grid, tuple) and len(grid) in (2, 3):
+        lo, hi = grid[0], grid[1]
+        npts = grid[2] if len(grid) == 3 else (n or 4000)
+        return np.linspace(lo, hi, npts)
+    return np.asarray(grid, dtype=float)
+
+
+def _check_poles(s: np.ndarray, poles: np.ndarray, scale: float, what: str):
+    if len(poles) == 0:
+        return
+    d = np.min(np.abs(s[:, None] - poles[None, :]), axis=1)
+    if np.any(d < _POLE_MARGIN * scale):
+        raise GridHitsPole(f"grid touches a {what} pole")
+
+
+def _verification_window(f: FamilySpec, s: np.ndarray, poles: np.ndarray) -> int | None:
+    """Derivative-filter window sized by the nearest curvature singularity."""
+    rho = f.rho_complex
+    if len(poles):
+        rho = min(rho, float(np.min(np.abs(s[:, None] - poles[None, :]))))
+    return filter_window(rho, float(s[1] - s[0])) if np.isfinite(rho) else None
 
 
 def synthesize(
@@ -655,69 +713,28 @@ def synthesize(
     used.  The output satisfies |gamma', gamma''| = 1 and its recomputed
     curvature matches the closed form for the case.
     """
-    tag = label.tag
-    s = _grid_from(label, grid, n)
-    poles, scale = _pole_set(tag, label, s)
-    _check_poles(s, poles, scale, tag.value)
-
-    if tag is Case.Ellipse:
-        x, y, route = _ellipse_route(label, s)
+    f = _family(label)
+    s = _grid_from(f.grid, grid, n, endpoint=f.period is None)
+    poles = f.poles(s)
+    _check_poles(s, poles, f.pole_scale, label.tag.value)
+    if f.period is not None:
         closed = closed or grid is None
-        period = period or (2.0 * np.pi / np.sqrt(3.0 * label.params["E"]))
-    elif tag is Case.G:
-        x, y, route = _g_route(s)
-    elif tag in (Case.Da, Case.Dc, Case.E_case):
-        x, y, route = _de_route(label, s)
-    elif tag is Case.F:
-        x, y, route = _f_route(label, s)
-    elif tag in (Case.A2, Case.B2, Case.C3):
-        x, y, route = _sqrt_line_route(label, s)
-    else:
-        x, y, route = _lame_route(label, s, force_general=force_general)
+        period = period or f.period
+    x, y, route = f.route(f, s, force_general)
 
     meta = {
-        "case": tag.value,
+        "case": label.tag.value,
         "g2": label.g2,
         "g3": label.g3,
         "route": route,
         "params": {k: float(v) for k, v in label.params.items()},
     }
-    if tag is Case.A2:
+    if f.sign_flip_at_poles:
         meta["sign_flip_at_poles"] = True  # smooth arcs alternate sign between poles
-    win = _verification_window(tag, label, s, poles, scale)
+    win = _verification_window(f, s, poles)
     if win is not None:
         meta["fd_window"] = win
-    out = CurveSamples(s, x, y, closed=closed, period=period, meta=meta)
-    return out
-
-
-def _verification_window(tag: Case, label: CaseLabel, s, poles, scale) -> int | None:
-    """Derivative-filter window sized by the nearest curvature singularity.
-
-    The smoothing filter's truncation bias grows like (window / pole
-    distance)^(degree+1), so the window span is capped at a fraction of the
-    distance from the grid to the closest real or complex singularity.
-    """
-    h = float(s[1] - s[0])
-    rho = np.inf
-    if len(poles):
-        rho = float(np.min(np.abs(s[:, None] - poles[None, :])))
-    inv = Invariants(label.g2, label.g3)
-    if tag in (Case.A1, Case.A2, Case.A3, Case.B1, Case.B2, Case.B3,
-               Case.C1, Case.C2, Case.C3, Case.C4, Case.C5, Case.F):
-        rho = min(rho, half_periods(inv).w2_im)
-    elif tag in (Case.Da, Case.Dc):
-        rho = min(rho, 0.5 * np.pi / np.sqrt(-1.5 * label.params["E"]))
-    elif tag is Case.E_case:
-        rho = min(rho, 0.5 * np.pi / np.sqrt(1.5 * label.params["E"]))
-    elif tag is Case.G:
-        rho = min(rho, float(np.min(np.abs(s))))
-    else:
-        return None
-    if not np.isfinite(rho):
-        return None
-    win = int(np.clip(0.2 * rho / h, 101, 401))
-    return win if win % 2 else win + 1
+    return CurveSamples(s, x, y, closed=closed, period=period, meta=meta)
 
 
 def synthesize_arcs(
@@ -731,17 +748,16 @@ def synthesize_arcs(
     separately with alternating sign, matching the ``sign_flip_at_poles``
     convention recorded in the metadata.
     """
-    if label.tag is not Case.A2:
+    f = _family(label)
+    if not f.sign_flip_at_poles:
         raise ValueError("multi-arc synthesis applies to the zero-minimum family")
-    inv = Invariants(label.g2, label.g3)
-    w1 = half_periods(inv).w1
+    w1 = f.lat.w1
     arcs = []
     for ell in range(n_arcs):
         lo = (2 * ell - 1) * w1 + margin * w1
         hi = (2 * ell + 1) * w1 - margin * w1
         s = np.linspace(lo, hi, n_per_arc)
-        kappa = analytic_kappa(label, s)
-        w = np.sqrt(np.abs(kappa))
+        w = np.sqrt(np.abs(f.kappa(s)))
         sign = -1.0 if ell % 2 else 1.0
         x, y = _unimodular_scale(sign * w, sign * w * s, 3.0 * label.g2)
         arc = CurveSamples(s, x, y, closed=False, meta={
@@ -752,8 +768,7 @@ def synthesize_arcs(
             "arc_index": ell,
             "sign_flip_at_poles": True,
         })
-        poles, scale = _pole_set(label.tag, label, s)
-        win = _verification_window(label.tag, label, s, poles, scale)
+        win = _verification_window(f, s, f.poles(s))
         if win is not None:
             arc.meta["fd_window"] = win
         arcs.append(arc)
@@ -771,6 +786,12 @@ def synthesize_closed(sol: ClosureSolution, samples_per_period: int = 2000) -> C
     return out
 
 
+def _branch_shift(c0, lat: LatticeData) -> complex:
+    """The shift i w2_im for c0 = "w2" (or any non-real complex), else 0."""
+    use_w2 = str(c0) in ("w2", "W2") or (isinstance(c0, complex) and c0.imag != 0)
+    return 1j * lat.w2_im if use_w2 else 0.0 + 0.0j
+
+
 def synthesize_length_constrained(
     A: float, g3: float, c0="w2", grid=None, n: int | None = None
 ) -> CurveSamples:
@@ -784,30 +805,19 @@ def synthesize_length_constrained(
     if inv.is_degenerate:
         raise ValueError("choose g3 with a non-degenerate discriminant")
     lat = half_periods(inv)
-    rhombic = inv.discriminant < 0
-    use_w2 = str(c0) in ("w2", "W2") or (isinstance(c0, complex) and c0.imag != 0)
-    c0c = 1j * lat.w2_im if use_w2 else 0.0 + 0.0j
-
-    if grid is None:
-        w1 = lat.w1
-        if use_w2 and not rhombic:
-            s = np.linspace(0.0, 4.0 * w1, n or 4000)
-        elif use_w2 and rhombic:
-            s = np.linspace(-0.6 * w1, 0.6 * w1, n or 4000)
-        else:
-            s = np.linspace(0.4 * w1, 1.6 * w1, n or 4000)
-    else:
-        s = _grid_from(CaseLabel(Case.F, {}, inv.g2, inv.g3), grid, n)
-
-    # pole check: wp(s - c0) poles on the real s line
     w1 = lat.w1
-    if use_w2 and rhombic:
-        poles = w1 * (2.0 * np.arange(np.floor(s.min() / w1) - 2, np.ceil(s.max() / w1) + 2) + 1.0)
-    elif use_w2:
-        poles = np.array([])
+    c0c = _branch_shift(c0, lat)
+    # default grid in units of w1; wp(s - c0) has real poles at the even
+    # multiples of w1 for c0 = 0, at the odd ones for c0 = w2 on a rhombic
+    # lattice and none for c0 = w2 on a rectangular one
+    if not c0c:
+        lo, hi, poles = 0.4, 1.6, lambda s: _pole_lattice(s, w1)
+    elif inv.discriminant < 0:
+        lo, hi, poles = -0.6, 0.6, lambda s: _pole_lattice(s, w1, odd=True)
     else:
-        poles = 2.0 * w1 * np.arange(np.floor(s.min() / (2 * w1)) - 1, np.ceil(s.max() / (2 * w1)) + 2)
-    _check_poles(s, poles, w1, "curvature")
+        lo, hi, poles = 0.0, 4.0, _no_poles
+    s = _grid_from((lo * w1, hi * w1, 4000), grid, n)
+    _check_poles(s, poles(s), w1, "curvature")
 
     z = s.astype(complex) - c0c
     zv = zeta_w(z, inv)
@@ -841,7 +851,7 @@ def synthesize_length_constrained(
         "A": A,
         "g2": inv.g2,
         "g3": g3,
-        "c0": "w2" if use_w2 else "0",
+        "c0": "w2" if c0c else "0",
         "route": "general",
     }
     return CurveSamples(s, x, y, closed=False, meta=meta)
@@ -850,9 +860,7 @@ def synthesize_length_constrained(
 def length_constrained_kappa(A: float, g3: float, c0, s) -> np.ndarray:
     """Closed-form curvature -6 wp(s - c0) + A/2 of the constrained family."""
     inv = Invariants(A * A / 12.0, g3)
-    lat = half_periods(inv)
-    use_w2 = str(c0) in ("w2", "W2")
-    c0c = 1j * lat.w2_im if use_w2 else 0.0 + 0.0j
+    c0c = _branch_shift(c0, half_periods(inv))
     return -6.0 * wp(np.asarray(s, float).astype(complex) - c0c, inv).real + A / 2.0
 
 

@@ -248,3 +248,24 @@ class TestConfig:
         cv.curve_to_csv(e, str(p))
         code, _, _ = run(["--config", str(cfg), "verify", str(p), "--closed", "--suite", "el"], capsys)
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "files,argv,reason",
+    [
+        ({}, ["verify", "{tmp}/missing.csv"], "No such file"),
+        ({}, ["--config", "{tmp}/missing.cfg", "classify", "--g2", "0", "--g3", "-1"], "No such file"),
+        ({"short.csv": "s,x,y\n0,0\n1,1\n"}, ["verify", "{tmp}/short.csv"], "3 columns"),
+        ({"empty.csv": "s,x,y\n"}, ["verify", "{tmp}/empty.csv"], "3 columns"),
+        ({"bad.json": '{"s": [0, 1]}'}, ["verify", "{tmp}/bad.json"], "JSON object"),
+        ({}, ["classify", "--g2", "nan", "--g3", "1"], "finite"),
+    ],
+    ids=["missing-csv", "missing-config", "short-row", "header-only", "json-keys", "nan-invariant"],
+)
+def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert reason in err

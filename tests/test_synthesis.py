@@ -227,6 +227,32 @@ ALL_CASES = [
 ]
 
 
+def _from_pole(label, k):
+    """Synthesize on a grid that starts at k w1, k a multiple of a pole spacing."""
+    w1 = el.half_periods(el.Invariants(label.g2, label.g3)).w1
+    return sy.synthesize(label, grid=(k * w1, (k + 0.5) * w1))
+
+
+def _lc_from_pole(g3, c0, k):
+    w1 = el.half_periods(el.Invariants(1.0 / 12.0, g3)).w1
+    return sy.synthesize_length_constrained(1.0, g3, c0=c0, grid=(k * w1, (k + 0.5) * w1))
+
+
+# every family with real curvature poles, on a grid that starts at one
+POLE_HITS = [
+    ("A2", lambda: _from_pole(classify(el.invariants_from_qQ(0.0, 1.0), Branch.closed_branch), 1.0)),
+    ("B1", lambda: _from_pole(classify(el.invariants_from_qQ(0.3, 0.7), Branch.open_branch), 0.0)),
+    ("C3", lambda: _from_pole(classify(el.invariants_from_Ptau(0.0, 1.0)), 1.0)),
+    ("Da", lambda: sy.synthesize(CaseLabel(Case.Da, {"E": -0.5}, 0.75, -0.125), grid=(0.0, 2.0))),
+    ("E", lambda: sy.synthesize(
+        CaseLabel(Case.E_case, {"E": 0.5}, 0.75, 0.125), grid=(0.0, (np.pi / 2.0) / np.sqrt(0.75))
+    )),
+    ("G", lambda: sy.synthesize(CaseLabel(Case.G, {}, 0.0, 0.0), grid=(0.0, 2.0))),
+    ("length-constrained-0", lambda: _lc_from_pole(-0.15, "0", 0.0)),
+    ("length-constrained-w2-rhombic", lambda: _lc_from_pole(-0.15, "w2", 1.0)),
+]
+
+
 class TestSynthesizeAllCases:
     @pytest.mark.parametrize("name,make", ALL_CASES, ids=[n for n, _ in ALL_CASES])
     def test_unimodular_and_curvature(self, name, make):
@@ -344,16 +370,15 @@ class TestCaseSpecificForms:
         scale = max(np.ptp(c2.x), np.ptp(c2.y))
         assert err < 1e-8 * scale
 
-    def test_grid_hits_pole(self):
-        label = classify(el.invariants_from_qQ(0.3, 0.7), Branch.open_branch)
-        w1 = el.half_periods(el.invariants_from_qQ(0.3, 0.7)).w1
+    @pytest.mark.parametrize("name,attempt", POLE_HITS, ids=[n for n, _ in POLE_HITS])
+    def test_grid_hits_pole(self, name, attempt):
         with pytest.raises(GridHitsPole):
-            sy.synthesize(label, grid=np.linspace(0.0, 1.5 * w1, 1000))
+            attempt()
 
 
 class TestLengthConstrained:
     @pytest.mark.parametrize("c0", ["w2", "0"])
-    @pytest.mark.parametrize("A,g3", [(1.0, -0.15), (1.0, 0.1), (-1.0, -0.15)])
+    @pytest.mark.parametrize("A,g3", [(1.0, -0.15), (1.0, 0.1), (-1.0, -0.15), (1.0, 0.002)])
     def test_families(self, A, g3, c0):
         c = sy.synthesize_length_constrained(A, g3, c0=c0)
         assert cv.unimodularity_defect(c) < 1e-6
