@@ -1,4 +1,4 @@
-"""Shared numerical kernels: derivatives, quadrature, AGM.
+"""Shared numerical kernels: derivatives and quadrature.
 
 Curve samples are differentiated by ``diff_samples``: filtered Fourier
 symbols for closed curves, long local least-squares stencils for open ones.
@@ -12,8 +12,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-_EPS = np.finfo(float).eps
 
 
 def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
@@ -261,18 +259,3 @@ def gl_cumulative(fn, nodes: np.ndarray) -> np.ndarray:
     np.cumsum(seg, out=out[1:])
     return out
 
-
-def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of two positive numbers."""
-    a = float(a)
-    b = float(b)
-    while abs(a - b) > 4.0 * _EPS * abs(a):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return 0.5 * (a + b)
-
-
-def ellip_K(m: float) -> float:
-    """Complete elliptic integral K(m) via the AGM, parameter m = k^2."""
-    if not 0.0 <= m < 1.0:
-        raise ValueError("K(m) requires 0 <= m < 1")
-    return float(np.pi / (2.0 * agm(1.0, np.sqrt(1.0 - m))))

@@ -22,13 +22,15 @@ from .errors import BranchUnavailable, DegenerateDiscriminant
 
 __all__ = ["Case", "Branch", "CaseLabel", "classify", "rescale_to_normal_form"]
 
-#: |Delta| below this times max(|g2|^3, 1) counts as a degenerate cubic
-DELTA_ZERO_RTOL = 1e-12
+# Every floor below is weight-homogeneous (g2 ~ lambda^4, g3 ~ lambda^6,
+# curvatures ~ lambda^2), so tags do not depend on the units of the input.
+# A vanishing discriminant is Invariants.is_degenerate.
 
-#: |q| below this counts as the q = 0 boundary (sub-cases A2 / B2)
-Q_ZERO_ATOL = 1e-10
+#: |q| below this times max(|P|, |Q|) counts as q = 0 (sub-cases A2 / B2), and
+#: |P| below this times max(|P|, tau) as P = 0 (C3)
+Q_ZERO_RTOL = 1e-10
 
-#: |g2| below this times (1 + |g3|^(2/3)) counts as g2 = 0 (cases F / G)
+#: |g2| below this times max(|g2|, |g3|^(2/3)) counts as g2 = 0 (cases F / G)
 G2_ZERO_RTOL = 1e-10
 
 
@@ -88,7 +90,7 @@ class CaseLabel:
 def _kappa_roots_real(g2: float, g3: float) -> np.ndarray:
     """Real curvature-axis intersections, ascending."""
     e = cubic_roots(g2, g3)
-    e = np.sort(e.real[np.abs(e.imag) < 1e-9 * (1.0 + np.max(np.abs(e)))])
+    e = np.sort(e.real[np.abs(e.imag) < 1e-9 * np.max(np.abs(e))])
     return -6.0 * e[::-1]  # kappa = -6 e, ascending in kappa
 
 
@@ -102,15 +104,13 @@ def classify(inv: Invariants, branch: Branch = Branch.open_branch) -> CaseLabel:
     if isinstance(branch, str):
         branch = Branch(branch)
     g2, g3 = float(inv.g2), float(inv.g3)
-    delta = inv.discriminant
 
-    g2_zero = abs(g2) < G2_ZERO_RTOL * (1.0 + abs(g3) ** (2.0 / 3.0))
-    if g2_zero:
-        if abs(g3) < 1e-14:
+    if abs(g2) <= G2_ZERO_RTOL * max(abs(g2), abs(g3) ** (2.0 / 3.0)):
+        if g3 == 0.0:
             return CaseLabel(Case.G, {}, g2, g3)
         return CaseLabel(Case.F, {"g3": g3}, g2, g3)
 
-    if abs(delta) < DELTA_ZERO_RTOL * max(abs(g2) ** 3, 1.0):
+    if inv.is_degenerate:
         E = np.cbrt(g3)
         if g3 < 0.0:
             tag = Case.Dc if branch is Branch.closed_branch else Case.Da
@@ -118,15 +118,16 @@ def classify(inv: Invariants, branch: Branch = Branch.open_branch) -> CaseLabel:
         tag = Case.Ellipse if branch is Branch.closed_branch else Case.E_case
         return CaseLabel(tag, {"E": E}, g2, g3)
 
-    if delta > 0.0:
+    if inv.discriminant > 0.0:
         kr = _kappa_roots_real(g2, g3)  # ascending: P < q < Q
         P, q, Q = kr
+        q_zero = abs(q) < Q_ZERO_RTOL * max(abs(P), abs(Q))
         if branch is Branch.closed_branch:
-            if abs(q) < Q_ZERO_ATOL * max(1.0, abs(Q)):
+            if q_zero:
                 return CaseLabel(Case.A2, {"q": 0.0, "Q": Q}, g2, g3)
             tag = Case.A1 if q > 0 else Case.A3
             return CaseLabel(tag, {"q": q, "Q": Q}, g2, g3)
-        if abs(q) < Q_ZERO_ATOL * max(1.0, abs(Q)):
+        if q_zero:
             return CaseLabel(Case.B2, {"P": P, "q": 0.0, "Q": Q}, g2, g3)
         tag = Case.B1 if q > 0 else Case.B3
         return CaseLabel(tag, {"P": P, "q": q, "Q": Q}, g2, g3)
@@ -139,7 +140,7 @@ def classify(inv: Invariants, branch: Branch = Branch.open_branch) -> CaseLabel:
     P = -6.0 * float(e[i_real].real)
     pair = np.delete(e, i_real)
     tau = 6.0 * abs(float(pair[0].imag))
-    if abs(P) < Q_ZERO_ATOL * max(1.0, tau):
+    if abs(P) < Q_ZERO_RTOL * max(abs(P), tau):
         return CaseLabel(Case.C3, {"P": 0.0, "tau": tau}, g2, g3)
     if P > 0:
         tag = Case.C1 if g2 < 0 else Case.C2

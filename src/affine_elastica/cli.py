@@ -168,30 +168,30 @@ def cmd_synth(args, cfg) -> int:
 
 
 def _conic_points(coef, curve, i, n=400) -> np.ndarray:
-    """Sample points of the conic near the marked curve point (level set walk)."""
+    """Points of the conic on n rays from the marked curve point.
+
+    Along the ray p0 + r u the conic is A r^2 + B r + C = 0; each ray keeps
+    its smallest root in [1e-4 span, span], with span 0.8 of the curve's
+    extent.
+    """
     a, b, c2, d, e, f = coef
-    # parametrize by angle around the curve point with radial root finding
-    p0 = np.array([curve.x[i], curve.y[i]])
+    x0, y0 = curve.x[i], curve.y[i]
     span = 0.8 * max(np.ptp(curve.x), np.ptp(curve.y))
-    pts = []
-    for th in np.linspace(0, 2 * np.pi, n):
-        u = np.array([np.cos(th), np.sin(th)])
-
-        def F(r):
-            p = p0 + r * u
-            return a * p[0] ** 2 + b * p[0] * p[1] + c2 * p[1] ** 2 + d * p[0] + e * p[1] + f
-
-        rr = np.linspace(1e-4 * span, span, 64)
-        vals = np.array([F(r) for r in rr])
-        sgn = np.sign(vals)
-        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if len(flips):
-            j = flips[0]
-            from scipy.optimize import brentq
-
-            r = brentq(F, rr[j], rr[j + 1])
-            pts.append(p0 + r * u)
-    return np.asarray(pts) if pts else np.array([p0])
+    th = np.linspace(0, 2 * np.pi, n)
+    ux, uy = np.cos(th), np.sin(th)
+    A = a * ux**2 + b * ux * uy + c2 * uy**2
+    B = (2 * a * x0 + b * y0 + d) * ux + (b * x0 + 2 * c2 * y0 + e) * uy
+    C = a * x0**2 + b * x0 * y0 + c2 * y0**2 + d * x0 + e * y0 + f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # cancellation-free pair; when A = 0 the second is the linear root -C/B
+        k = -0.5 * (B + np.copysign(np.sqrt(B * B - 4 * A * C), B))
+        roots = np.array([k / A, C / k])
+    roots[~((roots >= 1e-4 * span) & (roots <= span))] = np.inf
+    r = roots.min(axis=0)
+    hit = np.isfinite(r)
+    if not hit.any():
+        return np.array([[x0, y0]])
+    return np.column_stack([x0 + r[hit] * ux[hit], y0 + r[hit] * uy[hit]])
 
 
 _SUITES = ("el", "sqrt", "closure", "fullaffine", "all")
@@ -341,10 +341,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# default --E of the degenerate tags; a given --E must have the same sign
+_E_DEFAULT = {Case.Da: -0.5, Case.Dc: -0.5, Case.E_case: 1.0, Case.Ellipse: 1.0}
+
+
 def _case_label_from_tag(args) -> CaseLabel:
     tag = Case(args.case)
-    if tag in (Case.Da, Case.Dc, Case.E_case, Case.Ellipse):
-        E = args.E if args.E is not None else (1.0 if tag in (Case.E_case, Case.Ellipse) else -0.5)
+    if tag in _E_DEFAULT:
+        default = _E_DEFAULT[tag]
+        E = args.E if args.E is not None else default
+        if not (np.isfinite(E) and E * default > 0):
+            word = "positive" if default > 0 else "negative"
+            raise DomainError(f"--E must be finite and {word} for case {tag.value}, got {E:g}")
         return CaseLabel(tag, {"E": E}, 3.0 * E * E, E**3)
     if tag is Case.F:
         g3 = args.g3 if args.g3 is not None else -1.0

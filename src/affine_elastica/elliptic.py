@@ -4,9 +4,9 @@ Strategy: pick a half-period frame (W1, W3) for the period lattice such that
 the nome q = exp(i*pi*W3/W1) satisfies |q| <= exp(-pi/2), reduce arguments to
 the fundamental cell, and evaluate wp, wp', zeta and sigma through the first
 Jacobi theta function and its first three derivatives.  Half-periods come
-from the cubic roots of 4t^3 - g2 t - g3 and AGM-based complete elliptic
-integrals.  Everything is double precision; lattices with vanishing
-discriminant are rejected.
+from the cubic roots of 4t^3 - g2 t - g3 and the complete elliptic integral
+K(m).  Everything is double precision; lattices with vanishing discriminant
+are rejected.
 
 All functions are pure and accept scalars or ndarrays for the argument z;
 they are safe for concurrent use.
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import ellipk
 
-from ._numerics import ellip_K
 from .errors import DegenerateDiscriminant, DomainError, NearPole
 
 __all__ = [
@@ -180,8 +180,8 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
         e1, e2, e3 = er
         m = (e2 - e3) / (e1 - e3)
         scale = np.sqrt(e1 - e3)
-        w1 = ellip_K(m) / scale
-        w2_im = ellip_K(1.0 - m) / scale
+        w1 = ellipk(m) / scale
+        w2_im = ellipk(1.0 - m) / scale
         roots = (complex(e1), complex(e2), complex(e3))
         rhombic = False
     else:
@@ -192,8 +192,8 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
         H = np.sqrt(2.25 * rr * rr + b * b)
         m = 0.5 - 0.75 * rr / H
         scale = np.sqrt(H)
-        w1 = ellip_K(m) / scale
-        w2_im = ellip_K(1.0 - m) / scale
+        w1 = ellipk(m) / scale
+        w2_im = ellipk(1.0 - m) / scale
         a = -0.5 * rr
         roots = (complex(a, b), complex(rr), complex(a, -b))
         rhombic = True

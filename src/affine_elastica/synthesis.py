@@ -20,12 +20,14 @@ singularity, the coordinate route and the branch shift c0.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import elliprf
 
 from ._numerics import filter_window, gl_cumulative
 from .classifier import Branch, Case, CaseLabel, classify
@@ -134,57 +136,43 @@ class ClosureSolution:
 
 
 def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> complex:
-    """The parameter c with wp(c) = -g3/g2 on its canonical lattice segment.
+    """The parameter c with wp(c) = -g3/g2, in closed form.
 
-    The level -g3/g2 is real, so c lies on one of the four segments where wp
-    is real: the real axis (wp >= e1), the vertical line through w1
-    (e2..e1), the horizontal line through w2 (e3..e2) or the imaginary axis
-    (<= e3); for a rhombic lattice only the first and last occur.  Either
-    representative of the pair +-c works; ``prefer_negative_imag`` picks the
-    one with Im(c) <= 0 for reproducibility.
+    Carlson's symmetric integral inverts wp on the real axis,
+    u = R_F(wp(u) - e1, wp(u) - e2, wp(u) - e3) for 0 < u <= w1
+    (DLMF 23.6(iv)).  The half-period shift wp(u + w1) = e1 + (e1 - e2)(e1 -
+    e3)/(wp(u) - e1) and the rotation wp(iy; g2, g3) = -wp(y; g2, -g3) carry
+    this to the other segments where wp is real.  From Vieta, e - v = 4 e^3/g2
+    for each root e and v = -g3/g2.  So on a rectangular lattice v lies in
+    [e3, e1], and c is on the vertical line through w1 when g3 >= 0 (v >=
+    e2) and on the horizontal line through w2 otherwise; the real and
+    imaginary axes, where wp >= e1 and wp <= e3, are never reached.  On a
+    rhombic lattice c is real when v is at least the real root, else
+    imaginary.  Either representative of the pair +-c works;
+    ``prefer_negative_imag`` picks the one with Im(c) <= 0 for
+    reproducibility.  Raises NoSuchC when v sits within rounding of e2,
+    where R_F loses its argument signs.
     """
     lat = half_periods(inv)
-    g2, g3 = inv.g2, inv.g3
-    v = -g3 / g2
-    w1, w2i = lat.w1, lat.w2_im
-    rhombic = inv.discriminant < 0
-    if rhombic:
-        e_top = float(lat.roots[1].real)  # single real root
-        bands = [
-            ("real", e_top, None),
-            ("imag", None, e_top),
-        ]
+    v = -inv.g3 / inv.g2
+    sign = -1.0 if prefer_negative_imag else 1.0
+    if inv.discriminant < 0:
+        e1, r, e3 = lat.roots
+        if v >= r.real:
+            c = complex(elliprf(v - e1, v - r, v - e3).real, 0.0)
+        else:
+            c = complex(0.0, sign * elliprf(e1 - v, r - v, e3 - v).real)
     else:
-        e1, e2, e3 = (float(r.real) for r in lat.roots)
-        bands = [
-            ("real", e1, None),
-            ("vert", e2, e1),
-            ("horiz", e3, e2),
-            ("imag", None, e3),
-        ]
-
-    def _root(fn, lo, hi):
-        flo, fhi = fn(lo), fn(hi)
-        if flo * fhi > 0:
-            raise NoSuchC("wp level not bracketed on the canonical segment")
-        return brentq(fn, lo, hi, xtol=1e-14, rtol=4e-15)
-
-    eps_r = 3e-6 * w1  # outside the kernel's pole guard
-    eps_i = 3e-6 * w1
-    for kind, lo_val, hi_val in bands:
-        if kind == "real" and v >= lo_val:
-            d = _root(lambda t: wp(complex(t, 0.0), inv).real - v, eps_r, w1)
-            return complex(d, 0.0)
-        if kind == "vert" and lo_val <= v <= hi_val:
-            y = _root(lambda t: wp(complex(w1, t), inv).real - v, 0.0, w2i)
-            return complex(w1, -y) if prefer_negative_imag else complex(w1, y)
-        if kind == "horiz" and lo_val <= v <= hi_val:
-            d = _root(lambda t: wp(complex(t, w2i), inv).real - v, 0.0, w1)
-            return complex(d, -w2i) if prefer_negative_imag else complex(d, w2i)
-        if kind == "imag" and v <= hi_val:
-            y = _root(lambda t: wp(complex(0.0, t), inv).real - v, eps_i, w2i)
-            return complex(0.0, -y) if prefer_negative_imag else complex(0.0, y)
-    raise NoSuchC(f"level {v:.6g} not matched by any canonical segment")
+        e1, e2, e3 = (float(e.real) for e in lat.roots)
+        if inv.g3 >= 0:
+            V = -e1 - (e1 - e2) * (e1 - e3) / (v - e1)
+            c = complex(lat.w1, sign * elliprf(V + e1, V + e2, V + e3))
+        else:
+            U = e3 + (e3 - e1) * (e3 - e2) / (v - e3)
+            c = complex(elliprf(U - e1, U - e2, U - e3), sign * lat.w2_im)
+    if not cmath.isfinite(c):
+        raise NoSuchC(f"level {v:.6g} is within rounding of a root of the cubic")
+    return c
 
 
 def _mu(inv: Invariants, c: complex) -> complex:
@@ -266,7 +254,7 @@ def lame_phi2(z, p: LameSolutionParams, panels_per_unit: int = 160):
 
 
 def _closure_quantity(inv: Invariants, lat: LatticeData, c: complex) -> complex:
-    A = (wp_prime(c, inv) / (2.0 * wp(c, inv)) + zeta_w(c, inv)) * lat.w1 - lat.eta1 * c
+    A = -_mu(inv, c) * lat.w1 - lat.eta1 * c
     return A * 2j / np.pi
 
 

@@ -180,6 +180,30 @@ class TestRoundTripProperties:
         assert label.params["P"] == pytest.approx(P, abs=1e-9 * scale)
         assert label.params["tau"] == pytest.approx(tau, abs=1e-9 * scale)
 
+    nonzero = st.floats(min_value=-3.0, max_value=3.0).filter(lambda x: abs(x) >= 1e-3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        g=st.one_of(
+            st.tuples(nonzero, nonzero),
+            nonzero.map(lambda E: (3.0 * E * E, E**3)),  # vanishing discriminant
+            nonzero.map(lambda g3: (0.0, g3)),  # F
+            nonzero.map(lambda g2: (g2, 0.0)),  # q = 0 (A2 / B2) or P = 0 (C3)
+            st.just((0.0, 0.0)),  # G
+        ),
+        branch=st.sampled_from([Branch.closed_branch, Branch.open_branch]),
+        log_lam2=st.floats(min_value=-4.0, max_value=4.0),
+    )
+    def test_tag_scale_free(self, g, branch, log_lam2):
+        def tag(g2, g3):
+            try:
+                return classify(Invariants(g2, g3), branch).tag
+            except BranchUnavailable:
+                return None
+
+        lam2 = 10.0**log_lam2
+        assert tag(lam2**2 * g[0], lam2**3 * g[1]) is tag(*g)
+
 
 def test_label_json():
     import json

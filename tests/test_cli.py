@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from affine_elastica import curvature as cv
-from affine_elastica.cli import main
+from affine_elastica import fullaffine as fa
+from affine_elastica import synthesis as sy
+from affine_elastica.classifier import Branch, classify
+from affine_elastica.cli import _conic_points, main
+from affine_elastica.elliptic import invariants_from_qQ
 from conftest import hypotrochoid_points
 
 
@@ -129,6 +133,16 @@ class TestSynth:
         assert 'class="parabola"' in text
         assert 'class="conic"' in text
         assert 'class="frame"' in text
+
+    def test_mark_conic_points_lie_on_conic(self):
+        curve = sy.synthesize(classify(invariants_from_qQ(1.0, 3.0), Branch.closed_branch))
+        i = 1200 % curve.n
+        a, b, c2, d, e, f = coef = fa.osculating_conic(curve, i)
+        pts = _conic_points(coef, curve, i)
+        assert len(pts) > 100
+        x, y = pts[:, 0], pts[:, 1]
+        terms = np.array([a * x * x, b * x * y, c2 * y * y, d * x, e * y, np.full_like(x, f)])
+        assert np.max(np.abs(terms.sum(axis=0)) / np.abs(terms).sum(axis=0)) < 1e-9
 
     def test_congruence_json_export(self, tmp_path, capsys):
         p = tmp_path / "path.json"
@@ -259,8 +273,12 @@ class TestConfig:
         ({"empty.csv": "s,x,y\n"}, ["verify", "{tmp}/empty.csv"], "3 columns"),
         ({"bad.json": '{"s": [0, 1]}'}, ["verify", "{tmp}/bad.json"], "JSON object"),
         ({}, ["classify", "--g2", "nan", "--g3", "1"], "finite"),
+        ({}, ["synth", "--case", "ellipse", "--E", "0"], "--E must be finite and positive"),
+        ({}, ["synth", "--case", "Da", "--E", "1"], "--E must be finite and negative"),
+        ({}, ["synth", "--case", "E", "--E", "-1"], "--E must be finite and positive"),
     ],
-    ids=["missing-csv", "missing-config", "short-row", "header-only", "json-keys", "nan-invariant"],
+    ids=["missing-csv", "missing-config", "short-row", "header-only", "json-keys", "nan-invariant",
+         "ellipse-E-zero", "Da-E-positive", "E-E-negative"],
 )
 def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
     for name, text in files.items():

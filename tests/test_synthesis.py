@@ -33,6 +33,33 @@ def a1_params():
     return sy.LameSolutionParams(inv=inv, c=c, c0=1j * lat.w2_im, s_grid=grid)
 
 
+@pytest.mark.parametrize("prefer_negative_imag", [False, True])
+@pytest.mark.parametrize(
+    "inv,segment",
+    [
+        (el.invariants_from_qQ(0.3, 0.7), "vertical"),  # B1: rectangular, g3 > 0
+        (el.invariants_from_qQ(-0.5, 1.5), "horizontal"),  # B3: rectangular, g3 < 0
+        (el.invariants_from_Ptau(-1.0, 8.0), "real"),  # C4: rhombic, v >= real root
+        (el.invariants_from_Ptau(1.0, 2.0), "imaginary"),  # C1: rhombic, v < real root
+    ],
+    ids=["B1", "B3", "C4", "C1"],
+)
+def test_lame_parameter_c_segments(inv, segment, prefer_negative_imag):
+    lat = el.half_periods(inv)
+    v = -inv.g3 / inv.g2
+    c = sy.lame_parameter_c(inv, prefer_negative_imag=prefer_negative_imag)
+    assert abs(el.wp(c, inv) - v) <= 1e-13 * max(1.0, abs(v))
+    on_segment = {
+        "vertical": c.real == lat.w1 and 0.0 < abs(c.imag) < lat.w2_im,
+        "horizontal": abs(c.imag) == lat.w2_im and 0.0 < c.real < lat.w1,
+        "real": c.imag == 0.0 and 0.0 < c.real <= lat.w1,
+        "imaginary": c.real == 0.0 and 0.0 < abs(c.imag) <= lat.w2_im,
+    }
+    assert on_segment[segment]
+    if segment != "real":
+        assert np.sign(c.imag) == (-1.0 if prefer_negative_imag else 1.0)
+
+
 class TestLameSolutions:
     def test_phi1_satisfies_lame_equation_fd(self, a1_params):
         p = a1_params
