@@ -8,6 +8,13 @@ from the cubic roots of 4t^3 - g2 t - g3 and the complete elliptic integral
 K(m).  Everything is double precision; lattices with vanishing discriminant
 are rejected.
 
+After reduction |Im u| <= pi Im(tau)/2, so term n of the theta series and
+of its first three derivatives is at most (2n+1)^3 |q|^(n^2 - 1/4).  The
+series stops after 7 terms (``_THETA_TERMS``): the first dropped one, n = 7,
+is below 1e-29.  ``weierstrass`` returns (wp, wp', zeta, log sigma) from one
+theta evaluation per argument; the single-function kernels compute the
+same values from the same evaluation.
+
 All functions are pure and accept scalars or ndarrays for the argument z;
 they are safe for concurrent use.
 """
@@ -17,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ellipk
@@ -27,6 +35,7 @@ __all__ = [
     "Invariants",
     "LatticeData",
     "half_periods",
+    "weierstrass",
     "wp",
     "wp_prime",
     "zeta_w",
@@ -43,7 +52,7 @@ DEGENERACY_RTOL = 1e-12
 #: distance from a lattice point (relative to w1) that counts as "at a pole"
 POLE_RTOL = 1e-6
 
-_THETA_TERMS = 20  # enough for |q| <= exp(-pi/2) at double precision
+_THETA_TERMS = 7  # the first dropped term is below 1e-29; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -272,46 +281,93 @@ def _as_complex_array(z):
     return arr, arr.ndim == 0
 
 
-def wp(z, inv: Invariants):
-    """Weierstrass wp(z; g2, g3).  Scalar or ndarray argument."""
+class _ThetaState(NamedTuple):
+    fr: _Frame
+    zr: np.ndarray  # z reduced to the centered cell
+    M: np.ndarray  # lattice multiples: z = zr + 2 W1 M + 2 W3 N
+    N: np.ndarray
+    t: tuple  # theta1 and its first three u-derivatives at u = pi zr / (2 W1)
+    scalar: bool
+
+
+def _theta_state(z, inv: Invariants, what: str | None) -> _ThetaState:
+    """Reduce z and evaluate the theta bundle once; ``what`` names the caller
+    in the NearPole message, and None skips the pole check."""
     fr = _frame(inv)
     arr, scalar = _as_complex_array(z)
-    zr, _, _ = _reduce(arr, fr)
-    _check_pole(zr, fr, "wp")
+    zr, M, N = _reduce(arr, fr)
+    if what is not None:
+        _check_pole(zr, fr, what)
     u = np.pi * zr / (2.0 * fr.W1)
-    t0, t1, t2, _ = _theta1_bundle(u, fr.tau)
+    return _ThetaState(fr, zr, M, N, _theta1_bundle(u, fr.tau), scalar)
+
+
+def _wp(st: _ThetaState):
+    fr, (t0, t1, t2, _) = st.fr, st.t
     dlog2 = (t2 * t0 - t1 * t1) / (t0 * t0)
-    val = -fr.eta1f / fr.W1 - (np.pi / (2.0 * fr.W1)) ** 2 * dlog2
-    return complex(val) if scalar else val
+    return -fr.eta1f / fr.W1 - (np.pi / (2.0 * fr.W1)) ** 2 * dlog2
+
+
+def _wp_prime(st: _ThetaState):
+    t0, t1, t2, t3 = st.t
+    dlog3 = (t3 * t0 * t0 - 3.0 * t2 * t1 * t0 + 2.0 * t1**3) / t0**3
+    return -((np.pi / (2.0 * st.fr.W1)) ** 3) * dlog3
+
+
+def _zeta(st: _ThetaState):
+    fr, (t0, t1, _, _) = st.fr, st.t
+    return (
+        2.0 * (st.M * fr.eta1f + st.N * fr.eta3f)
+        + fr.eta1f * st.zr / fr.W1
+        + (np.pi / (2.0 * fr.W1)) * t1 / t0
+    )
+
+
+def _log_sigma(st: _ThetaState):
+    fr, zr, M, N = st.fr, st.zr, st.M, st.N
+    with np.errstate(divide="ignore"):  # sigma vanishes at lattice points
+        log_t0 = np.log(st.t[0] / fr.th1p0)
+    eta_L = 2.0 * (M * fr.eta1f + N * fr.eta3f)
+    L = 2.0 * fr.W1 * M + 2.0 * fr.W3 * N
+    return (
+        np.log(2.0 * fr.W1 / np.pi)
+        + fr.eta1f * zr * zr / (2.0 * fr.W1)
+        + log_t0
+        + eta_L * (zr + 0.5 * L)
+        + 1j * np.pi * (M + N + M * N)
+    )
+
+
+def _evaluate(formula, z, inv: Invariants, what: str | None):
+    st = _theta_state(z, inv, what)
+    val = formula(st)
+    return complex(val) if st.scalar else val
+
+
+def weierstrass(z, inv: Invariants):
+    """(wp, wp', zeta, log sigma) at z from one theta evaluation.
+
+    Each entry equals the result of the matching single-function kernel
+    exactly; scalar z gives Python complexes.
+    """
+    st = _theta_state(z, inv, "weierstrass")
+    vals = (_wp(st), _wp_prime(st), _zeta(st), _log_sigma(st))
+    return tuple(complex(v) for v in vals) if st.scalar else vals
+
+
+def wp(z, inv: Invariants):
+    """Weierstrass wp(z; g2, g3).  Scalar or ndarray argument."""
+    return _evaluate(_wp, z, inv, "wp")
 
 
 def wp_prime(z, inv: Invariants):
     """Derivative wp'(z; g2, g3)."""
-    fr = _frame(inv)
-    arr, scalar = _as_complex_array(z)
-    zr, _, _ = _reduce(arr, fr)
-    _check_pole(zr, fr, "wp_prime")
-    u = np.pi * zr / (2.0 * fr.W1)
-    t0, t1, t2, t3 = _theta1_bundle(u, fr.tau)
-    dlog3 = (t3 * t0 * t0 - 3.0 * t2 * t1 * t0 + 2.0 * t1**3) / t0**3
-    val = -((np.pi / (2.0 * fr.W1)) ** 3) * dlog3
-    return complex(val) if scalar else val
+    return _evaluate(_wp_prime, z, inv, "wp_prime")
 
 
 def zeta_w(z, inv: Invariants):
     """Weierstrass zeta(z; g2, g3) with the quasi-period of this lattice."""
-    fr = _frame(inv)
-    arr, scalar = _as_complex_array(z)
-    zr, M, N = _reduce(arr, fr)
-    _check_pole(zr, fr, "zeta_w")
-    u = np.pi * zr / (2.0 * fr.W1)
-    t0, t1, _, _ = _theta1_bundle(u, fr.tau)
-    val = (
-        2.0 * (M * fr.eta1f + N * fr.eta3f)
-        + fr.eta1f * zr / fr.W1
-        + (np.pi / (2.0 * fr.W1)) * t1 / t0
-    )
-    return complex(val) if scalar else val
+    return _evaluate(_zeta, z, inv, "zeta_w")
 
 
 def log_sigma_w(z, inv: Invariants):
@@ -320,29 +376,12 @@ def log_sigma_w(z, inv: Invariants):
     Useful because sigma itself overflows for moderately large |z| while
     ratios of sigmas stay bounded.
     """
-    fr = _frame(inv)
-    arr, scalar = _as_complex_array(z)
-    zr, M, N = _reduce(arr, fr)
-    u = np.pi * zr / (2.0 * fr.W1)
-    t0, _, _, _ = _theta1_bundle(u, fr.tau)
-    with np.errstate(divide="ignore"):  # sigma vanishes at lattice points
-        log_t0 = np.log(t0 / fr.th1p0)
-    eta_L = 2.0 * (M * fr.eta1f + N * fr.eta3f)
-    L = 2.0 * fr.W1 * M + 2.0 * fr.W3 * N
-    val = (
-        np.log(2.0 * fr.W1 / np.pi)
-        + fr.eta1f * zr * zr / (2.0 * fr.W1)
-        + log_t0
-        + eta_L * (zr + 0.5 * L)
-        + 1j * np.pi * (M + N + M * N)
-    )
-    return complex(val) if scalar else val
+    return _evaluate(_log_sigma, z, inv, None)
 
 
 def sigma_w(z, inv: Invariants):
     """Weierstrass sigma(z; g2, g3).  Entire; may overflow for large |z|."""
-    val = np.exp(log_sigma_w(z, inv))
-    return complex(val) if np.ndim(z) == 0 else val
+    return _evaluate(lambda st: np.exp(_log_sigma(st)), z, inv, None)
 
 
 def half_periods(inv: Invariants) -> LatticeData:
@@ -353,12 +392,11 @@ def half_periods(inv: Invariants) -> LatticeData:
     repeated root to tolerance.
     """
     fr = _frame(inv)
-    eta1 = zeta_w(fr.w1, inv)
+    e_half, _, eta1, _ = weierstrass(fr.w1, inv)
     if abs(eta1.imag) > 1e-9 * max(1.0, abs(eta1.real)):
-        raise AssertionError("zeta(w1) should be real for real invariants")
+        raise DomainError("zeta(w1) should be real for real invariants")
     # consistency: wp at the real half-period equals the largest real root
-    e_half = wp(fr.w1, inv)
     e_ref = max((r.real for r in fr.roots if abs(r.imag) < 1e-9), default=None)
     if e_ref is None or abs(e_half.real - e_ref) > 1e-8 * max(1.0, abs(e_ref)):
-        raise AssertionError("wp(w1) does not match the largest real root")
+        raise DomainError("wp(w1) does not match the largest real root")
     return LatticeData(w1=fr.w1, w2_im=fr.w2_im, roots=fr.roots, eta1=float(eta1.real))

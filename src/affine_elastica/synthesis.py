@@ -37,9 +37,8 @@ from .elliptic import (
     LatticeData,
     half_periods,
     invariants_from_qQ,
-    log_sigma_w,
+    weierstrass,
     wp,
-    wp_prime,
     zeta_w,
 )
 from .errors import (
@@ -176,47 +175,33 @@ def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> com
 
 
 def _mu(inv: Invariants, c: complex) -> complex:
-    pc = wp(c, inv)
-    return -wp_prime(c, inv) / (2.0 * pc) - zeta_w(c, inv)
+    pc, ppc, zc, _ = weierstrass(c, inv)
+    return -ppc / (2.0 * pc) - zc
 
 
-def _lame_system(inv: Invariants, c: complex):
-    """Callables (h, phi1, phi1_prime) of the Lame variable z for parameter c.
+def _lame_values(z, inv: Invariants, c: complex, mu: complex):
+    """(h, phi1, phi1_prime) at the Lame variable z for parameter c and mu = _mu(inv, c).
 
     h(z) = sigma(z + c)/sigma(z) * exp(mu z) is the antiderivative of phi1;
     evaluation goes through log-sigma differences so the exponential
     quasi-period factors cancel before exponentiation.
     """
-    mu = _mu(inv, c)
-
-    def h(z):
-        z = np.asarray(z, dtype=complex)
-        return np.exp(log_sigma_w(z + c, inv) - log_sigma_w(z, inv) + mu * z)
-
-    def g(z):
-        z = np.asarray(z, dtype=complex)
-        return zeta_w(z + c, inv) - zeta_w(z, inv) + mu
-
-    def phi1(z):
-        return h(z) * g(z)
-
-    def phi1p(z):
-        z = np.asarray(z, dtype=complex)
-        return h(z) * (g(z) ** 2 + wp(z, inv) - wp(z + c, inv))
-
-    return h, phi1, phi1p
+    z = np.asarray(z, dtype=complex)
+    p0, _, z0, ls0 = weierstrass(z, inv)
+    pc, _, zc, lsc = weierstrass(z + c, inv)
+    h = np.exp(lsc - ls0 + mu * z)
+    g = zc - z0 + mu
+    return h, h * g, h * (g**2 + p0 - pc)
 
 
 def lame_phi1(z, p: LameSolutionParams):
     """First Lame solution phi1(z); satisfies phi1'' = 6 wp phi1."""
-    _, phi1, _ = _lame_system(p.inv, p.c)
-    return phi1(z)
+    return _lame_values(z, p.inv, p.c, _mu(p.inv, p.c))[1]
 
 
 def lame_phi1_prime(z, p: LameSolutionParams):
     """Derivative of the first Lame solution."""
-    _, _, phi1p = _lame_system(p.inv, p.c)
-    return phi1p(z)
+    return _lame_values(z, p.inv, p.c, _mu(p.inv, p.c))[2]
 
 
 def lame_phi2(z, p: LameSolutionParams, panels_per_unit: int = 160):
@@ -226,7 +211,11 @@ def lame_phi2(z, p: LameSolutionParams, panels_per_unit: int = 160):
     first grid point shifted by -c0 and a straight integration path.  Raises
     PathThroughZero if phi1 nearly vanishes on the path.
     """
-    _, phi1, _ = _lame_system(p.inv, p.c)
+    mu = _mu(p.inv, p.c)
+
+    def phi1(v):
+        return _lame_values(v, p.inv, p.c, mu)[1]
+
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     zs = np.atleast_1d(z)
@@ -409,7 +398,7 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     inv = Invariants(f.label.g2, f.label.g3)
     c = lame_parameter_c(inv, prefer_negative_imag=f.c0 != 0)
     z = s.astype(complex) - f.c0
-    H, P1, P1p = (fn(z) for fn in _lame_system(inv, c))
+    H, P1, P1p = _lame_values(z, inv, c, _mu(inv, c))
     wri = np.imag(np.conj(P1) * P1p)
     scale = np.median(np.abs(P1) * np.abs(P1p)) + 1e-300
     independent = np.median(np.abs(wri)) > _DEPENDENCE_RTOL * scale
@@ -424,7 +413,7 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
         return x, y, "explicit"
 
     # general route: mirrored Floquet partner supplies the missing solution
-    Hm, P1m, P1pm = (fn(z) for fn in _lame_system(inv, -c))
+    Hm, P1m, P1pm = _lame_values(z, inv, -c, _mu(inv, -c))
     funcs = np.array([H.real - H.real.mean(), H.imag - H.imag.mean(),
                       Hm.real - Hm.real.mean(), Hm.imag - Hm.imag.mean()])
     d1 = np.array([P1.real, P1.imag, P1m.real, P1m.imag])
@@ -533,8 +522,7 @@ def _f_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     """g2 = 0 family: affine image of (zeta(s), wp(s) - zeta(s)^2)."""
     inv = Invariants(f.label.g2, f.label.g3)
     z = s.astype(complex)
-    zv = zeta_w(z, inv)
-    pv = wp(z, inv)
+    pv, _, zv, _ = weierstrass(z, inv)
     x0 = zv.real
     y0 = (pv - zv * zv).real
     x, y = _unimodular_scale(x0, y0, -f.label.g3)
@@ -808,9 +796,7 @@ def synthesize_length_constrained(
     _check_poles(s, poles(s), w1, "curvature")
 
     z = s.astype(complex) - c0c
-    zv = zeta_w(z, inv)
-    pv = wp(z, inv)
-    ppv = wp_prime(z, inv)
+    pv, ppv, zv, _ = weierstrass(z, inv)
     xf = -zv + (A / 12.0) * s
     yf = (A / 6.0) * zv * z + pv - zv * zv - (A / 12.0) ** 2 * z * z
     xfp = pv + A / 12.0
