@@ -153,6 +153,21 @@ def _scaled_invariants(g2: float, g3: float, lam: float) -> tuple[float, float]:
     return g2 * lam**4, g3 * lam**6
 
 
+#: lam^2 of the equi-affine rescaling to each case's normal form, from its params
+_NORMAL_FORM_LAM2 = {
+    Case.A1: lambda p: 1.0 / p["q"],
+    Case.A2: lambda p: 1.0 / p["Q"],
+    Case.A3: lambda p: -1.0 / p["q"],
+    **dict.fromkeys((Case.B1, Case.B2, Case.B3), lambda p: -1.0 / p["P"]),
+    **dict.fromkeys((Case.C1, Case.C2, Case.C4, Case.C5), lambda p: 1.0 / abs(p["P"])),
+    Case.C3: lambda p: 1.0 / p["tau"],
+    **dict.fromkeys((Case.Da, Case.Dc, Case.E_case), lambda p: 1.0 / abs(p["E"])),
+    Case.Ellipse: lambda p: 1.0 / (3.0 * p["E"]),
+    Case.F: lambda p: abs(p["g3"]) ** (-1.0 / 3.0),
+    Case.G: lambda p: 1.0,
+}
+
+
 def rescale_to_normal_form(inv: Invariants, label: CaseLabel) -> tuple[float, CaseLabel]:
     """Equi-affine rescaling factor lam and the normalized label.
 
@@ -163,29 +178,7 @@ def rescale_to_normal_form(inv: Invariants, label: CaseLabel) -> tuple[float, Ca
     invariant.
     """
     tag = label.tag
-    p = label.params
-    if tag is Case.G:
-        lam2 = 1.0
-    elif tag is Case.A1:
-        lam2 = 1.0 / p["q"]
-    elif tag is Case.A2:
-        lam2 = 1.0 / p["Q"]
-    elif tag is Case.A3:
-        lam2 = -1.0 / p["q"]
-    elif tag in (Case.B1, Case.B2, Case.B3):
-        lam2 = -1.0 / p["P"]
-    elif tag in (Case.C1, Case.C2, Case.C4, Case.C5):
-        lam2 = 1.0 / abs(p["P"])
-    elif tag is Case.C3:
-        lam2 = 1.0 / p["tau"]
-    elif tag in (Case.Da, Case.Dc, Case.E_case):
-        lam2 = 1.0 / abs(p["E"])
-    elif tag is Case.Ellipse:
-        lam2 = 1.0 / (3.0 * p["E"])
-    elif tag is Case.F:
-        lam2 = abs(p["g3"]) ** (-1.0 / 3.0)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown tag {tag}")
+    lam2 = _NORMAL_FORM_LAM2[tag](label.params)
     if lam2 <= 0:
         raise DegenerateDiscriminant("cannot normalize a vanishing case parameter")
     lam = float(np.sqrt(lam2))

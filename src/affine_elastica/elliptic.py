@@ -21,10 +21,8 @@ they are safe for concurrent use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ellipk
@@ -67,8 +65,10 @@ class Invariants:
     g3: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.g2) and math.isfinite(self.g3)):
-            raise DomainError(f"invariants must be finite, got g2={self.g2}, g3={self.g3}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = np.float64(self.g2) ** 3 - 27.0 * np.float64(self.g3) ** 2
+        if not np.isfinite(disc):  # also when g2^3 or 27 g3^2 overflows a double
+            raise DomainError(f"g2, g3 and g2^3 - 27 g3^2 must be finite, got g2={self.g2}, g3={self.g3}")
 
     @property
     def discriminant(self) -> float:
@@ -276,57 +276,39 @@ def _check_pole(zr: np.ndarray, fr: _Frame, what: str) -> None:
         raise NearPole(f"{what}: argument within {fr.pole_tol:.2e} of a lattice point")
 
 
-def _as_complex_array(z):
-    arr = np.asarray(z, dtype=complex)
-    return arr, arr.ndim == 0
-
-
-class _ThetaState(NamedTuple):
-    fr: _Frame
-    zr: np.ndarray  # z reduced to the centered cell
-    M: np.ndarray  # lattice multiples: z = zr + 2 W1 M + 2 W3 N
-    N: np.ndarray
-    t: tuple  # theta1 and its first three u-derivatives at u = pi zr / (2 W1)
-    scalar: bool
-
-
-def _theta_state(z, inv: Invariants, what: str | None) -> _ThetaState:
-    """Reduce z and evaluate the theta bundle once; ``what`` names the caller
-    in the NearPole message, and None skips the pole check."""
+def _theta_state(z, inv: Invariants, what: str | None):
+    """One theta evaluation: the formula arguments (frame, reduced z, lattice
+    multiples M and N, theta1 and three u-derivatives) and whether z is a scalar.
+    ``what`` names the caller in NearPole; None skips the pole check."""
     fr = _frame(inv)
-    arr, scalar = _as_complex_array(z)
+    arr = np.asarray(z, dtype=complex)
     zr, M, N = _reduce(arr, fr)
     if what is not None:
         _check_pole(zr, fr, what)
-    u = np.pi * zr / (2.0 * fr.W1)
-    return _ThetaState(fr, zr, M, N, _theta1_bundle(u, fr.tau), scalar)
+    return (fr, zr, M, N, *_theta1_bundle(np.pi * zr / (2.0 * fr.W1), fr.tau)), arr.ndim == 0
 
 
-def _wp(st: _ThetaState):
-    fr, (t0, t1, t2, _) = st.fr, st.t
+def _wp(fr, zr, M, N, t0, t1, t2, t3):
     dlog2 = (t2 * t0 - t1 * t1) / (t0 * t0)
     return -fr.eta1f / fr.W1 - (np.pi / (2.0 * fr.W1)) ** 2 * dlog2
 
 
-def _wp_prime(st: _ThetaState):
-    t0, t1, t2, t3 = st.t
+def _wp_prime(fr, zr, M, N, t0, t1, t2, t3):
     dlog3 = (t3 * t0 * t0 - 3.0 * t2 * t1 * t0 + 2.0 * t1**3) / t0**3
-    return -((np.pi / (2.0 * st.fr.W1)) ** 3) * dlog3
+    return -((np.pi / (2.0 * fr.W1)) ** 3) * dlog3
 
 
-def _zeta(st: _ThetaState):
-    fr, (t0, t1, _, _) = st.fr, st.t
+def _zeta(fr, zr, M, N, t0, t1, t2, t3):
     return (
-        2.0 * (st.M * fr.eta1f + st.N * fr.eta3f)
-        + fr.eta1f * st.zr / fr.W1
+        2.0 * (M * fr.eta1f + N * fr.eta3f)
+        + fr.eta1f * zr / fr.W1
         + (np.pi / (2.0 * fr.W1)) * t1 / t0
     )
 
 
-def _log_sigma(st: _ThetaState):
-    fr, zr, M, N = st.fr, st.zr, st.M, st.N
+def _log_sigma(fr, zr, M, N, t0, t1, t2, t3):
     with np.errstate(divide="ignore"):  # sigma vanishes at lattice points
-        log_t0 = np.log(st.t[0] / fr.th1p0)
+        log_t0 = np.log(t0 / fr.th1p0)
     eta_L = 2.0 * (M * fr.eta1f + N * fr.eta3f)
     L = 2.0 * fr.W1 * M + 2.0 * fr.W3 * N
     return (
@@ -339,20 +321,17 @@ def _log_sigma(st: _ThetaState):
 
 
 def _evaluate(formula, z, inv: Invariants, what: str | None):
-    st = _theta_state(z, inv, what)
-    val = formula(st)
-    return complex(val) if st.scalar else val
+    st, scalar = _theta_state(z, inv, what)
+    val = formula(*st)
+    return complex(val) if scalar else val
 
 
 def weierstrass(z, inv: Invariants):
-    """(wp, wp', zeta, log sigma) at z from one theta evaluation.
-
-    Each entry equals the result of the matching single-function kernel
-    exactly; scalar z gives Python complexes.
-    """
-    st = _theta_state(z, inv, "weierstrass")
-    vals = (_wp(st), _wp_prime(st), _zeta(st), _log_sigma(st))
-    return tuple(complex(v) for v in vals) if st.scalar else vals
+    """(wp, wp', zeta, log sigma) at z from one theta evaluation; each equals its
+    single-function kernel exactly, and a scalar z gives Python complexes."""
+    st, scalar = _theta_state(z, inv, "weierstrass")
+    vals = tuple(f(*st) for f in (_wp, _wp_prime, _zeta, _log_sigma))
+    return tuple(map(complex, vals)) if scalar else vals
 
 
 def wp(z, inv: Invariants):
@@ -381,7 +360,7 @@ def log_sigma_w(z, inv: Invariants):
 
 def sigma_w(z, inv: Invariants):
     """Weierstrass sigma(z; g2, g3).  Entire; may overflow for large |z|."""
-    return _evaluate(lambda st: np.exp(_log_sigma(st)), z, inv, None)
+    return _evaluate(lambda *st: np.exp(_log_sigma(*st)), z, inv, None)
 
 
 def half_periods(inv: Invariants) -> LatticeData:
@@ -389,7 +368,8 @@ def half_periods(inv: Invariants) -> LatticeData:
 
     wp restricted to the real line has period 2*w1 and to the imaginary
     line period 2*w2.  Raises DegenerateDiscriminant when the cubic has a
-    repeated root to tolerance.
+    repeated root to tolerance, and DomainError when wp(w1) or zeta(w1) fails
+    its consistency check.
     """
     fr = _frame(inv)
     e_half, _, eta1, _ = weierstrass(fr.w1, inv)

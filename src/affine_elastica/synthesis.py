@@ -147,10 +147,12 @@ def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> com
     e2) and on the horizontal line through w2 otherwise; the real and
     imaginary axes, where wp >= e1 and wp <= e3, are never reached.  On a
     rhombic lattice c is real when v is at least the real root, else
-    imaginary.  Either representative of the pair +-c works;
+    imaginary.  On the rectangular segments the R_F arguments are
+    rescaled by homogeneity so that they hold only root differences and the
+    Vieta form of v - e, which keeps c accurate where v nears e2 and wp' (c)
+    nears 0.  Either representative of the pair +-c works;
     ``prefer_negative_imag`` picks the one with Im(c) <= 0 for
-    reproducibility.  Raises NoSuchC when v sits within rounding of e2,
-    where R_F loses its argument signs.
+    reproducibility.  Raises NoSuchC when R_F is not finite.
     """
     lat = half_periods(inv)
     v = -inv.g3 / inv.g2
@@ -163,12 +165,13 @@ def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> com
             c = complex(0.0, sign * elliprf(e1 - v, r - v, e3 - v).real)
     else:
         e1, e2, e3 = (float(e.real) for e in lat.roots)
+        d1, d2, d3 = (-4.0 * e**3 / inv.g2 for e in (e1, e2, e3))  # v - e_k, cancellation-free
         if inv.g3 >= 0:
-            V = -e1 - (e1 - e2) * (e1 - e3) / (v - e1)
-            c = complex(lat.w1, sign * elliprf(V + e1, V + e2, V + e3))
+            y = np.sqrt(-d1) * elliprf((e1 - e2) * (e1 - e3), (e1 - e2) * d3, (e1 - e3) * d2)
+            c = complex(lat.w1, sign * y)
         else:
-            U = e3 + (e3 - e1) * (e3 - e2) / (v - e3)
-            c = complex(elliprf(U - e1, U - e2, U - e3), sign * lat.w2_im)
+            x = np.sqrt(d3) * elliprf(-(e1 - e3) * d2, -(e2 - e3) * d1, (e1 - e3) * (e2 - e3))
+            c = complex(x, sign * lat.w2_im)
     if not cmath.isfinite(c):
         raise NoSuchC(f"level {v:.6g} is within rounding of a root of the cubic")
     return c
@@ -264,7 +267,7 @@ def closure_lhs_with_d(Q: float) -> tuple[float, float]:
         raise NoSuchC("expected c on the vertical segment through w1")
     val = _closure_quantity(inv, lat, c)
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise AssertionError("closure quantity should be real")
+        raise NoSuchC("closure quantity is not real to rounding")
     return float(val.real), -float(c.imag)
 
 
@@ -331,7 +334,7 @@ def a3_nonperiodicity(Q: float) -> float:
         - lat.w1 * zeta_w(w2, inv)
     )
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise AssertionError("non-periodicity bracket should be real")
+        raise NoSuchC("non-periodicity bracket is not real to rounding")
     return float(val.real)
 
 

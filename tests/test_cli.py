@@ -220,6 +220,12 @@ class TestScanClosure:
         k = int(np.nonzero(diffs[:-1] * diffs[1:] < 0)[0][0])
         assert rows["Q"][k] < 3.9409 < rows["Q"][k + 1]
 
+    def test_unresolvable_q_exits_3(self, capsys):
+        # at Q = 1e8 the closure quantity is not real to rounding
+        code, _, err = run(["scan-closure", "--qmin", "1e8", "--qmax", "1e8", "--steps", "1"], capsys)
+        assert code == 3
+        assert "synthesis error" in err
+
     def test_grid_independence(self, capsys):
         code, out1, _ = run(["scan-closure", "--qmin", "2", "--qmax", "3", "--steps", "5"], capsys)
         lines1 = {ln.split(",")[0]: ln for ln in out1.strip().splitlines()[1:]}
@@ -276,9 +282,11 @@ class TestConfig:
         ({}, ["synth", "--case", "ellipse", "--E", "0"], "--E must be finite and positive"),
         ({}, ["synth", "--case", "Da", "--E", "1"], "--E must be finite and negative"),
         ({}, ["synth", "--case", "E", "--E", "-1"], "--E must be finite and positive"),
+        ({}, ["classify", "--g2=1e103", "--g3=1"], "g2^3 - 27 g3^2 must be finite"),
+        ({}, ["synth", "--g2=-1e90", "--g3=1e-60", "--branch", "open"], "largest real root"),
     ],
     ids=["missing-csv", "missing-config", "short-row", "header-only", "json-keys", "nan-invariant",
-         "ellipse-E-zero", "Da-E-positive", "E-E-negative"],
+         "ellipse-E-zero", "Da-E-positive", "E-E-negative", "g2-cube-overflows", "huge-negative-g2"],
 )
 def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
     for name, text in files.items():

@@ -287,6 +287,19 @@ def test_quasi_periodicity(name):
     assert abs(lhs - rhs) < 1e-9 * abs(lhs)
 
 
+@pytest.mark.parametrize("name", ["bounded-oscillation", "one-real-root"])
+def test_weierstrass_matches_single_kernels(name):
+    inv = FAMILIES[name]
+    z = np.linspace(0.1, 5.0, 40) + 0.3j
+    fused = el.weierstrass(z, inv)
+    single = (el.wp(z, inv), el.wp_prime(z, inv), el.zeta_w(z, inv), el.log_sigma_w(z, inv))
+    for a, b in zip(fused, single):
+        assert np.array_equal(a, b)
+    scalar = el.weierstrass(0.7 + 0.2j, inv)
+    assert all(type(v) is complex for v in scalar)
+    assert scalar[0] == el.wp(0.7 + 0.2j, inv)
+
+
 def test_degenerate_discriminant_rejected():
     with pytest.raises(DegenerateDiscriminant):
         el.half_periods(el.invariants_from_qQ(1.0, 1.0 + 1e-9))

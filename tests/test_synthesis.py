@@ -177,6 +177,29 @@ class TestClosureCondition:
         expected = np.exp(-2j * np.pi * lhs)
         assert np.max(np.abs(ratio - expected)) < 1e-8
 
+    @pytest.mark.parametrize("Q,lhs,d", [
+        # 40-digit references, far past the critical point where wp'(c) -> 0
+        (1e4, 1.0083453924474437, -0.032113788690760835),
+        (1e5, 1.0026392941125126, -0.01015519441060972),
+        (1e6, 1.0008346259656036, -0.0032113518373879336),
+    ])
+    def test_lhs_at_large_q(self, Q, lhs, d):
+        lv, dv = sy.closure_lhs_with_d(Q)
+        assert abs(lv - lhs) <= 1e-9
+        assert abs(dv - d) <= 1e-12
+
+    def test_lame_values_one_theta_evaluation_per_argument(self, monkeypatch):
+        inv = el.invariants_from_qQ(1.0, 2.7)
+        c = sy.lame_parameter_c(inv, prefer_negative_imag=True)
+        mu = sy._mu(inv, c)  # the frame is cached from here on
+        calls = []
+        bundle = el._theta1_bundle
+        monkeypatch.setattr(el, "_theta1_bundle", lambda u, tau: calls.append(u) or bundle(u, tau))
+        z = np.linspace(0.2, 1.7, 7) - 0.5j
+        for _ in range(3):
+            sy._lame_values(z, inv, c, mu)
+        assert len(calls) == 6
+
     def test_closure_in_space(self):
         sol = sy.solve_closure(3, 4)
         label = classify(sol.inv, Branch.closed_branch)
