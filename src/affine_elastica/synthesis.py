@@ -149,7 +149,7 @@ def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> com
     rhombic lattice c is real when v is at least the real root, else
     imaginary.  On the rectangular segments the R_F arguments are
     rescaled by homogeneity so that they hold only root differences and the
-    Vieta form of v - e, which keeps c accurate where v nears e2 and wp' (c)
+    Vieta form of v - e, which keeps c accurate where v nears e2 and wp'(c)
     nears 0.  Either representative of the pair +-c works;
     ``prefer_negative_imag`` picks the one with Im(c) <= 0 for
     reproducibility.  Raises NoSuchC when R_F is not finite.
@@ -190,11 +190,11 @@ def _lame_values(z, inv: Invariants, c: complex, mu: complex):
     quasi-period factors cancel before exponentiation.
     """
     z = np.asarray(z, dtype=complex)
-    p0, _, z0, ls0 = weierstrass(z, inv)
-    pc, _, zc, lsc = weierstrass(z + c, inv)
-    h = np.exp(lsc - ls0 + mu * z)
-    g = zc - z0 + mu
-    return h, h * g, h * (g**2 + p0 - pc)
+    wp0, _, zeta0, lsig0 = weierstrass(z, inv)
+    wpc, _, zetac, lsigc = weierstrass(z + c, inv)
+    h = np.exp(lsigc - lsig0 + mu * z)
+    g = zetac - zeta0 + mu
+    return h, h * g, h * (g**2 + wp0 - wpc)
 
 
 def lame_phi1(z, p: LameSolutionParams):
