@@ -260,19 +260,13 @@ def _reduce(z: np.ndarray, fr: _Frame):
     return zr, M, N
 
 
-_NEIGHBORS = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-
-
-def _lattice_distance(zr: np.ndarray, fr: _Frame) -> np.ndarray:
-    d = np.full(np.shape(zr), np.inf)
-    for i, j in _NEIGHBORS:
-        d = np.minimum(d, np.abs(zr - (2.0 * fr.W1 * i + 2.0 * fr.W3 * j)))
-    return d
-
-
 def _check_pole(zr: np.ndarray, fr: _Frame, what: str) -> None:
-    d = _lattice_distance(zr, fr)
-    if np.any(d < fr.pole_tol):
+    """Raise NearPole within pole_tol of a lattice point.
+
+    pole_tol is far below the cell size, so rounding in lattice coordinates
+    sends every point that close to a lattice point to within pole_tol of 0.
+    """
+    if np.any(np.abs(zr) < fr.pole_tol):
         raise NearPole(f"{what}: argument within {fr.pole_tol:.2e} of a lattice point")
 
 

@@ -1,21 +1,28 @@
-"""Curve synthesis for every case of the area-constrained taxonomy.
+"""Curve synthesis for every case of the area-constrained taxonomy and the
+length-constrained family.
 
 Generic families ride on the Lame equation F'' = 6 wp F: the first solution
 phi1 is the logarithmic-derivative expression built from sigma and zeta, the
 second comes either from the mirrored parameter -c (the reciprocal Floquet
 solution, closed form) or from the reduction-of-order integral.  Coordinate
 functions are antiderivatives of the phi's; a final constant linear map
-enforces |gamma', gamma''| = 1.
+enforces |gamma', gamma''| = 1.  Where the coordinates come from complex
+solution rows, ``_unimodular_pair`` is that one sequence: real parts, two
+independent combinations, Wronskian checks, unimodular scale.
 
-Degenerate families (D, E, F, G, ellipses) use their explicit closed forms.
-The closure condition for the bounded-oscillation family with positive
-minimum curvature is solved by bracketed root finding in the maximum
-curvature Q.
+Degenerate families (D, E, F, G, ellipses) use their explicit closed forms;
+the D and E coordinates are elementary antiderivatives of their solution
+pairs.  The closure condition for the bounded-oscillation family with
+positive minimum curvature is solved by bracketed root finding in the
+maximum curvature Q.
 
-Each case is defined in one place, its entry in the ``_FAMILIES`` table,
-which builds a ``FamilySpec`` from the label: the closed-form curvature,
-the default grid, the real poles, the distance to the nearest complex
-singularity, the coordinate route and the branch shift c0.
+Each family is defined in one place, a builder of its ``FamilySpec``: the
+closed-form curvature, the default grid, the real poles, the distance to the
+nearest complex singularity, the coordinate route and the branch shift c0.
+The ``_FAMILIES`` table maps each ``Case`` to its builder; the
+length-constrained family builds its spec from (A, g3, c0).  ``_sample``
+turns any spec into a curve: grid, pole check, route, then metadata and the
+derivative-filter window.
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ __all__ = [
     "a3_nonperiodicity",
     "euclidean_display_transform",
     "analytic_kappa",
-    "default_grid",
 ]
 
 #: admissible window of winding ratios n/m for closed curves (observed)
@@ -358,16 +364,19 @@ def _pole_lattice(s: np.ndarray, half: float, odd: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """What synthesis knows about one case family, evaluated for one label.
+    """What synthesis knows about one curve family, evaluated for one parameter set.
 
-    ``poles(s)`` lists the real curvature singularities around a grid, which
-    no sample may touch on the length ``pole_scale``; ``rho_complex`` is the
-    distance from the real line to the nearest complex one.  ``route(spec,
-    s, force_general)`` returns (x, y, route name); only the Lame route
-    reads force_general.
+    Each ``Case`` builds its spec from the label; the length-constrained
+    family builds one from (A, g3, c0).  ``meta`` names the family and its
+    parameters in every curve's metadata.  ``poles(s)`` lists the real
+    curvature singularities around a grid, which no sample may touch on the
+    length ``pole_scale``; ``rho_complex`` is the distance from the real line
+    to the nearest complex one.  ``route(spec, s, force_general)`` returns
+    (x, y, route name); only the Lame route reads force_general.
     """
 
-    label: CaseLabel
+    meta: dict
+    inv: Invariants
     kappa: Callable[[np.ndarray], np.ndarray]  # closed-form curvature on a real grid
     grid: tuple[float, float, int]  # default (lo, hi, n)
     route: Callable[..., tuple[np.ndarray, np.ndarray, str]]
@@ -389,19 +398,33 @@ def _unimodular_scale(x: np.ndarray, y: np.ndarray, det0: float):
     return x * a, y * b
 
 
-def _wronskian_stats(u1p, u1pp, u2p, u2pp):
-    w = u1p * u2pp - u2p * u1pp
-    med = float(np.median(w))
-    spread = float(np.median(np.abs(w - med)))
-    return med, spread
+def _unimodular_pair(rows, rows_p, rows_pp):
+    """Unimodular coordinates out of complex solution rows and their two derivatives.
+
+    The mean-removed real and imaginary parts of each row are the candidate
+    real solutions; the two combinations ``_solution_pair`` picks must have a
+    nonzero, constant Wronskian, which ``_unimodular_scale`` maps to 1.
+    """
+
+    def parts(a):
+        return np.array([p for row in a for p in (row.real, row.imag)])
+
+    funcs = parts(rows)
+    funcs = funcs - funcs.mean(axis=1, keepdims=True)
+    u, up, upp = _solution_pair(funcs, parts(rows_p), parts(rows_pp))
+    w = up[0] * upp[1] - up[1] * upp[0]
+    det0 = float(np.median(w))
+    spread = float(np.median(np.abs(w - det0)))
+    if abs(det0) < 1e-12 * float(np.median(np.abs(up[0] * upp[1]))) or spread > 1e-6 * abs(det0):
+        raise UnimodularizationFailed("Wronskian of the combined pair is not constant")
+    return _unimodular_scale(u[0], u[1], det0)
 
 
 def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     """Coordinates for the generic families via the Lame solutions."""
-    inv = Invariants(f.label.g2, f.label.g3)
-    c = lame_parameter_c(inv, prefer_negative_imag=f.c0 != 0)
+    c = lame_parameter_c(f.inv, prefer_negative_imag=f.c0 != 0)
     z = s.astype(complex) - f.c0
-    H, P1, P1p = _lame_values(z, inv, c, _mu(inv, c))
+    H, P1, P1p = _lame_values(z, f.inv, c, _mu(f.inv, c))
     wri = np.imag(np.conj(P1) * P1p)
     scale = np.median(np.abs(P1) * np.abs(P1p)) + 1e-300
     independent = np.median(np.abs(wri)) > _DEPENDENCE_RTOL * scale
@@ -416,16 +439,8 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
         return x, y, "explicit"
 
     # general route: mirrored Floquet partner supplies the missing solution
-    Hm, P1m, P1pm = _lame_values(z, inv, -c, _mu(inv, -c))
-    funcs = np.array([H.real - H.real.mean(), H.imag - H.imag.mean(),
-                      Hm.real - Hm.real.mean(), Hm.imag - Hm.imag.mean()])
-    d1 = np.array([P1.real, P1.imag, P1m.real, P1m.imag])
-    d2 = np.array([P1p.real, P1p.imag, P1pm.real, P1pm.imag])
-    u, up, upp = _solution_pair(funcs, d1, d2)
-    det0, spread = _wronskian_stats(up[0], upp[0], up[1], upp[1])
-    if abs(det0) < 1e-12 * float(np.median(np.abs(up[0] * upp[1]))) or spread > 1e-6 * abs(det0):
-        raise UnimodularizationFailed("Wronskian of the combined pair is not constant")
-    x, y = _unimodular_scale(u[0], u[1], det0)
+    Hm, P1m, P1pm = _lame_values(z, f.inv, -c, _mu(f.inv, -c))
+    x, y = _unimodular_pair((H, Hm), (P1, P1m), (P1p, P1pm))
     return x, y, "general"
 
 
@@ -448,6 +463,24 @@ def _solution_pair(funcs: np.ndarray, d1: np.ndarray, d2: np.ndarray):
     return combo @ funcs, combo @ d1, combo @ d2
 
 
+def _length_constrained_route(f: FamilySpec, s: np.ndarray, force_general: bool, A: float):
+    """Zeta-based closed form of the length-constrained family, g2 = A^2/12.
+
+    The rows (-zeta + A s/12, A zeta z/6 + wp - zeta^2 - (A z/12)^2) at
+    z = s - c0 span the coordinate solutions.
+    """
+    z = s.astype(complex) - f.c0
+    pv, ppv, zv, _ = weierstrass(z, f.inv)
+    xf = -zv + (A / 12.0) * s
+    yf = (A / 6.0) * zv * z + pv - zv * zv - (A / 12.0) ** 2 * z * z
+    xfp = pv + A / 12.0
+    yfp = (A / 6.0) * (zv - pv * z) + ppv + 2.0 * zv * pv - (A * A / 72.0) * z
+    ppp = 6.0 * pv * pv - f.inv.g2 / 2.0
+    yfpp = (A / 6.0) * (-2.0 * pv - ppv * z) + ppp - 2.0 * pv * pv + 2.0 * zv * ppv - A * A / 72.0
+    x, y = _unimodular_pair((xf, yf), (xfp, yfp), (ppv, yfpp))
+    return x, y, "general"
+
+
 def _sqrt_line_route(f: FamilySpec, s: np.ndarray, force_general: bool, positive: bool = False):
     """Families whose position is +-sqrt(|kappa|) (1, s) up to a linear map.
 
@@ -455,80 +488,47 @@ def _sqrt_line_route(f: FamilySpec, s: np.ndarray, force_general: bool, positive
     """
     kappa = f.kappa(s)
     w = np.sqrt(kappa) if positive else np.sqrt(-kappa)
-    det0 = 3.0 * f.label.g2 if positive else -3.0 * f.label.g2
+    det0 = 3.0 * f.inv.g2 if positive else -3.0 * f.inv.g2
     x, y = _unimodular_scale(w, w * s, det0)
     return x, y, "sqrt-line"
 
 
-def _integrated_pair(f1, f2, W: float, s: np.ndarray):
-    """Coordinates as antiderivatives of a solution pair with Wronskian W."""
-    sc = 1.0 / np.sqrt(abs(W))
-    sgn = np.sign(W)
-    x = gl_cumulative(lambda z: f1(np.asarray(z).real) * sc, s).real
-    y = gl_cumulative(lambda z: sgn * f2(np.asarray(z).real) * sc, s).real
+def _d_route(f: FamilySpec, s: np.ndarray, force_general: bool, tfun, E: float):
+    """Closed-form coordinates of a g3 < 0 degenerate family, t = tfun(b s).
+
+    The solutions e^(+-a s)(1 -+ 3 sqrt2 t + 3 t^2), a = sqrt2 b, are the
+    derivatives of X = e^(as)(4/a - 3t/b) and Y = -e^(-as)(4/a + 3t/b),
+    because t' = b(1 - t^2) for t = tanh and t = coth alike; the Wronskian is
+    4a.
+    """
+    a = np.sqrt(-3.0 * E)
+    b = np.sqrt(-1.5 * E)
+    t = tfun(b * s)
+    X = np.exp(a * s) * (4.0 / a - 3.0 * t / b)
+    Y = -np.exp(-a * s) * (4.0 / a + 3.0 * t / b)
+    x, y = _unimodular_scale(X - X[0], Y - Y[0], 4.0 * a)
     return x, y, "closed-form"
 
 
-def _d_route(f: FamilySpec, s: np.ndarray, force_general: bool, tfun):
-    """Explicit solution pair of a g3 < 0 degenerate family, t = tfun(b z)."""
-    E = f.label.params["E"]
-    a = np.sqrt(-3.0 * E)
-    b = np.sqrt(-1.5 * E)
+def _e_route(f: FamilySpec, s: np.ndarray, force_general: bool, E: float):
+    """Closed-form coordinates of the g3 > 0 degenerate open family, t = tan(b s).
 
-    def f1(z):
-        t = tfun(b * z)
-        return np.exp(a * z) * (1.0 - 3.0 * np.sqrt(2.0) * t + 3.0 * t * t)
-
-    def f2(z):
-        t = tfun(b * z)
-        return np.exp(-a * z) * (1.0 + 3.0 * np.sqrt(2.0) * t + 3.0 * t * t)
-
-    z0 = float(np.median(s))
-    t0 = tfun(b * z0)
-    dt0 = b * (1.0 - t0 * t0)
-    f1p = a * f1(z0) + np.exp(a * z0) * (-3.0 * np.sqrt(2.0) + 6.0 * t0) * dt0
-    f2p = -a * f2(z0) + np.exp(-a * z0) * (3.0 * np.sqrt(2.0) + 6.0 * t0) * dt0
-    return _integrated_pair(f1, f2, f1(z0) * f2p - f2(z0) * f1p, s)
-
-
-def _e_route(f: FamilySpec, s: np.ndarray, force_general: bool):
-    """Explicit solution pair of the g3 > 0 degenerate open family."""
-    E = f.label.params["E"]
+    X = (4/al) sin(al s) - (3/b) t cos(al s) and Y = (4/al) cos(al s) +
+    (3/b) t sin(al s), al = sqrt2 b, have Wronskian 2 al.
+    """
     al = np.sqrt(3.0 * E)
     b = np.sqrt(1.5 * E)
-
-    def f1(z):
-        t = np.tan(b * z)
-        return np.cos(al * z) * (1.0 - 3.0 * t * t) + 3.0 * np.sqrt(2.0) * np.sin(al * z) * t
-
-    def f2(z):
-        t = np.tan(b * z)
-        return np.sin(al * z) * (3.0 * t * t - 1.0) + 3.0 * np.sqrt(2.0) * np.cos(al * z) * t
-
-    z0 = float(s[len(s) // 3])
-    t0 = np.tan(b * z0)
-    dt0 = b * (1.0 + t0 * t0)
-    f1p = (
-        -al * np.sin(al * z0) * (1.0 - 3.0 * t0 * t0)
-        - 6.0 * np.cos(al * z0) * t0 * dt0
-        + 3.0 * np.sqrt(2.0) * (al * np.cos(al * z0) * t0 + np.sin(al * z0) * dt0)
-    )
-    f2p = (
-        al * np.cos(al * z0) * (3.0 * t0 * t0 - 1.0)
-        + 6.0 * np.sin(al * z0) * t0 * dt0
-        + 3.0 * np.sqrt(2.0) * (-al * np.sin(al * z0) * t0 + np.cos(al * z0) * dt0)
-    )
-    return _integrated_pair(f1, f2, f1(z0) * f2p - f2(z0) * f1p, s)
+    t = np.tan(b * s)
+    X = (4.0 / al) * np.sin(al * s) - (3.0 / b) * t * np.cos(al * s)
+    Y = (4.0 / al) * np.cos(al * s) + (3.0 / b) * t * np.sin(al * s)
+    x, y = _unimodular_scale(X - X[0], Y - Y[0], 2.0 * al)
+    return x, y, "closed-form"
 
 
 def _f_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     """g2 = 0 family: affine image of (zeta(s), wp(s) - zeta(s)^2)."""
-    inv = Invariants(f.label.g2, f.label.g3)
-    z = s.astype(complex)
-    pv, _, zv, _ = weierstrass(z, inv)
-    x0 = zv.real
-    y0 = (pv - zv * zv).real
-    x, y = _unimodular_scale(x0, y0, -f.label.g3)
+    pv, _, zv, _ = weierstrass(s.astype(complex), f.inv)
+    x, y = _unimodular_scale(zv.real, (pv - zv * zv).real, -f.inv.g3)
     return x, y, "closed-form"
 
 
@@ -537,33 +537,45 @@ def _g_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     return al * s**4, al / s, "closed-form"
 
 
-def _ellipse_route(f: FamilySpec, s: np.ndarray, force_general: bool):
-    kappa0 = 3.0 * f.label.params["E"]
+def _ellipse_route(f: FamilySpec, s: np.ndarray, force_general: bool, kappa0: float):
     R = kappa0 ** -0.75
     om = np.sqrt(kappa0)
     return R * np.cos(om * s), R * np.sin(om * s), "closed-form"
 
 
-def _wp_family(grid, route, poles=None, c0_w2=False, sign_flip=False):
-    """Entry of a family with curvature -6 wp(s - c0), built with one half_periods call.
+def _case_meta(label: CaseLabel) -> dict:
+    return {
+        "case": label.tag.value,
+        "g2": label.g2,
+        "g3": label.g3,
+        "params": {k: float(v) for k, v in label.params.items()},
+    }
+
+
+def _case_spec(label: CaseLabel, **fields) -> FamilySpec:
+    return FamilySpec(_case_meta(label), Invariants(label.g2, label.g3), **fields)
+
+
+def _wp_spec(meta, inv, grid, route, poles=None, c0_w2=False, sign_flip=False, shift=0.0):
+    """Spec of a family with curvature -6 wp(s - c0) + shift, built with one half_periods call.
 
     ``grid`` is the default (lo, hi, n) and ``poles`` the real pole lattice
     (half-spacing, odd) or None, lengths in units of the real half-period.
     """
+    lat = half_periods(inv)
+    w1 = lat.w1
+    c0 = 1j * lat.w2_im if c0_w2 else 0.0 + 0.0j
+    pole_set = _no_poles if poles is None else lambda s: _pole_lattice(s, poles[0] * w1, poles[1])
+    return FamilySpec(
+        meta, inv, kappa=lambda s: -6.0 * wp(s - c0, inv).real + shift,
+        grid=(grid[0] * w1, grid[1] * w1, grid[2]), route=route, poles=pole_set,
+        pole_scale=w1, rho_complex=lat.w2_im, c0=c0, lat=lat, sign_flip_at_poles=sign_flip,
+    )
 
-    def build(label: CaseLabel) -> FamilySpec:
-        inv = Invariants(label.g2, label.g3)
-        lat = half_periods(inv)
-        w1 = lat.w1
-        c0 = 1j * lat.w2_im if c0_w2 else 0.0 + 0.0j
-        pole_set = _no_poles if poles is None else lambda s: _pole_lattice(s, poles[0] * w1, poles[1])
-        return FamilySpec(
-            label, kappa=lambda s: -6.0 * wp(s - c0, inv).real,
-            grid=(grid[0] * w1, grid[1] * w1, grid[2]), route=route, poles=pole_set,
-            pole_scale=w1, rho_complex=lat.w2_im, c0=c0, lat=lat, sign_flip_at_poles=sign_flip,
-        )
 
-    return build
+def _wp_family(*args, **kw):
+    """Entry of a case with curvature -6 wp(s - c0); arguments as for ``_wp_spec``."""
+    return lambda label: _wp_spec(_case_meta(label), Invariants(label.g2, label.g3), *args, **kw)
 
 
 def _d_family(tfun, grid, poles):
@@ -572,9 +584,9 @@ def _d_family(tfun, grid, poles):
     def build(label: CaseLabel) -> FamilySpec:
         E = label.params["E"]
         b = np.sqrt(-1.5 * E)
-        return FamilySpec(
+        return _case_spec(
             label, kappa=lambda s: 9.0 * E * tfun(b * s) ** 2 - 6.0 * E,
-            grid=(grid[0] / b, grid[1] / b, 4000), route=partial(_d_route, tfun=tfun),
+            grid=(grid[0] / b, grid[1] / b, 4000), route=partial(_d_route, tfun=tfun, E=E),
             poles=poles, pole_scale=1.0 / b, rho_complex=0.5 * np.pi / b,
         )
 
@@ -586,9 +598,9 @@ def _e_family(label: CaseLabel) -> FamilySpec:
     E = label.params["E"]
     b = np.sqrt(1.5 * E)
     lim = 0.5 * (np.pi / 2.0) / b
-    return FamilySpec(
+    return _case_spec(
         label, kappa=lambda s: -9.0 * E * np.tan(b * s) ** 2 - 6.0 * E, grid=(-lim, lim, 4000),
-        route=_e_route, poles=lambda s: _pole_lattice(s, (np.pi / 2.0) / b, odd=True),
+        route=partial(_e_route, E=E), poles=lambda s: _pole_lattice(s, (np.pi / 2.0) / b, odd=True),
         pole_scale=1.0 / b, rho_complex=0.5 * np.pi / b,
     )
 
@@ -596,9 +608,9 @@ def _e_family(label: CaseLabel) -> FamilySpec:
 def _ellipse_family(label: CaseLabel) -> FamilySpec:
     kappa0 = 3.0 * label.params["E"]
     period = 2.0 * np.pi / np.sqrt(kappa0)
-    return FamilySpec(
+    return _case_spec(
         label, kappa=lambda s: np.full_like(s, kappa0), grid=(0.0, period, 4096),
-        route=_ellipse_route, period=period,
+        route=partial(_ellipse_route, kappa0=kappa0), period=period,
     )
 
 
@@ -624,7 +636,7 @@ _FAMILIES = {
     Case.Da: _d_family(lambda x: 1.0 / np.tanh(x), (1.2, 5.0), _origin),
     Case.Dc: _d_family(np.tanh, (-2.5, 2.5), _no_poles),
     Case.E_case: _e_family,
-    Case.G: lambda label: FamilySpec(
+    Case.G: lambda label: _case_spec(
         label, kappa=lambda s: -6.0 / s**2, grid=(0.7, 3.5, 4000), route=_g_route, poles=_origin
     ),
     Case.Ellipse: _ellipse_family,
@@ -635,6 +647,29 @@ def _family(label: CaseLabel) -> FamilySpec:
     return _FAMILIES[label.tag](label)
 
 
+def _length_constrained_family(A: float, g3: float, c0) -> FamilySpec:
+    """Spec of the length-constrained family: kappa = -6 wp(s - c0) + A/2, g2 = A^2/12.
+
+    wp(s - c0) has real poles at the even multiples of w1 for c0 = 0, at the
+    odd ones for c0 = w2 on a rhombic lattice and none for c0 = w2 on a
+    rectangular one.
+    """
+    inv = Invariants(A * A / 12.0, g3)
+    if inv.is_degenerate:
+        raise ValueError("choose g3 with a non-degenerate discriminant")
+    c0_w2 = str(c0) in ("w2", "W2") or (isinstance(c0, complex) and c0.imag != 0)
+    if not c0_w2:
+        grid, poles = (0.4, 1.6, 4000), _EVEN
+    elif inv.discriminant < 0:
+        grid, poles = (-0.6, 0.6, 4000), (1.0, True)
+    else:
+        grid, poles = (0.0, 4.0, 4000), None
+    meta = {"case": "length-constrained", "A": A, "g2": inv.g2, "g3": g3,
+            "c0": "w2" if c0_w2 else "0"}
+    route = partial(_length_constrained_route, A=A)
+    return _wp_spec(meta, inv, grid, route, poles, c0_w2, shift=A / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # synthesis
 
@@ -642,12 +677,6 @@ def _family(label: CaseLabel) -> FamilySpec:
 def analytic_kappa(label: CaseLabel, s: np.ndarray) -> np.ndarray:
     """Closed-form curvature of the case family on the given grid."""
     return _family(label).kappa(np.asarray(s, dtype=float))
-
-
-def default_grid(label: CaseLabel, n: int | None = None) -> np.ndarray:
-    """A sample grid that stays clear of curvature poles for this case."""
-    f = _family(label)
-    return _grid_from(f.grid, None, n, endpoint=f.period is None)
 
 
 def _grid_from(default, grid, n, endpoint: bool = True) -> np.ndarray:
@@ -661,20 +690,29 @@ def _grid_from(default, grid, n, endpoint: bool = True) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
-def _check_poles(s: np.ndarray, poles: np.ndarray, scale: float, what: str):
-    if len(poles) == 0:
-        return
-    d = np.min(np.abs(s[:, None] - poles[None, :]), axis=1)
-    if np.any(d < _POLE_MARGIN * scale):
-        raise GridHitsPole(f"grid touches a {what} pole")
+def _sample(f: FamilySpec, grid=None, n=None, force_general=False, closed=False, period=None,
+            **extra) -> CurveSamples:
+    """The one synthesis sequence: grid, pole check, route, metadata and filter window.
 
-
-def _verification_window(f: FamilySpec, s: np.ndarray, poles: np.ndarray) -> int | None:
-    """Derivative-filter window sized by the nearest curvature singularity."""
+    The derivative-filter window ``fd_window`` is sized by the nearest
+    curvature singularity, real or complex; ``extra`` goes into the metadata.
+    """
+    s = _grid_from(f.grid, grid, n, endpoint=f.period is None)
+    poles = f.poles(s)
     rho = f.rho_complex
     if len(poles):
-        rho = min(rho, float(np.min(np.abs(s[:, None] - poles[None, :]))))
-    return filter_window(rho, float(s[1] - s[0])) if np.isfinite(rho) else None
+        gap = float(np.min(np.abs(s[:, None] - poles[None, :])))
+        if gap < _POLE_MARGIN * f.pole_scale:
+            raise GridHitsPole(f"grid touches a {f.meta['case']} pole")
+        rho = min(rho, gap)
+    x, y, route = f.route(f, s, force_general)
+
+    meta = {**f.meta, "route": route, **extra}
+    if f.sign_flip_at_poles:
+        meta["sign_flip_at_poles"] = True  # smooth arcs alternate sign between poles
+    if np.isfinite(rho):
+        meta["fd_window"] = filter_window(rho, float(s[1] - s[0]))
+    return CurveSamples(s, x, y, closed=closed, period=period, meta=meta)
 
 
 def synthesize(
@@ -693,27 +731,10 @@ def synthesize(
     curvature matches the closed form for the case.
     """
     f = _family(label)
-    s = _grid_from(f.grid, grid, n, endpoint=f.period is None)
-    poles = f.poles(s)
-    _check_poles(s, poles, f.pole_scale, label.tag.value)
     if f.period is not None:
         closed = closed or grid is None
         period = period or f.period
-    x, y, route = f.route(f, s, force_general)
-
-    meta = {
-        "case": label.tag.value,
-        "g2": label.g2,
-        "g3": label.g3,
-        "route": route,
-        "params": {k: float(v) for k, v in label.params.items()},
-    }
-    if f.sign_flip_at_poles:
-        meta["sign_flip_at_poles"] = True  # smooth arcs alternate sign between poles
-    win = _verification_window(f, s, poles)
-    if win is not None:
-        meta["fd_window"] = win
-    return CurveSamples(s, x, y, closed=closed, period=period, meta=meta)
+    return _sample(f, grid, n, force_general, closed, period)
 
 
 def synthesize_arcs(
@@ -735,22 +756,9 @@ def synthesize_arcs(
     for ell in range(n_arcs):
         lo = (2 * ell - 1) * w1 + margin * w1
         hi = (2 * ell + 1) * w1 - margin * w1
-        s = np.linspace(lo, hi, n_per_arc)
-        w = np.sqrt(np.abs(f.kappa(s)))
+        arc = _sample(f, (lo, hi, n_per_arc), arc_index=ell)
         sign = -1.0 if ell % 2 else 1.0
-        x, y = _unimodular_scale(sign * w, sign * w * s, 3.0 * label.g2)
-        arc = CurveSamples(s, x, y, closed=False, meta={
-            "case": label.tag.value,
-            "g2": label.g2,
-            "g3": label.g3,
-            "route": "sqrt-line",
-            "arc_index": ell,
-            "sign_flip_at_poles": True,
-        })
-        win = _verification_window(f, s, f.poles(s))
-        if win is not None:
-            arc.meta["fd_window"] = win
-        arcs.append(arc)
+        arcs.append(CurveSamples(arc.s, sign * arc.x, sign * arc.y, closed=False, meta=arc.meta))
     return arcs
 
 
@@ -765,12 +773,6 @@ def synthesize_closed(sol: ClosureSolution, samples_per_period: int = 2000) -> C
     return out
 
 
-def _branch_shift(c0, lat: LatticeData) -> complex:
-    """The shift i w2_im for c0 = "w2" (or any non-real complex), else 0."""
-    use_w2 = str(c0) in ("w2", "W2") or (isinstance(c0, complex) and c0.imag != 0)
-    return 1j * lat.w2_im if use_w2 else 0.0 + 0.0j
-
-
 def synthesize_length_constrained(
     A: float, g3: float, c0="w2", grid=None, n: int | None = None
 ) -> CurveSamples:
@@ -780,65 +782,12 @@ def synthesize_length_constrained(
     coordinates come from the zeta-based closed form, reduced to two
     independent real solutions and unimodularized.  ``c0`` is "0" or "w2".
     """
-    inv = Invariants(A * A / 12.0, g3)
-    if inv.is_degenerate:
-        raise ValueError("choose g3 with a non-degenerate discriminant")
-    lat = half_periods(inv)
-    w1 = lat.w1
-    c0c = _branch_shift(c0, lat)
-    # default grid in units of w1; wp(s - c0) has real poles at the even
-    # multiples of w1 for c0 = 0, at the odd ones for c0 = w2 on a rhombic
-    # lattice and none for c0 = w2 on a rectangular one
-    if not c0c:
-        lo, hi, poles = 0.4, 1.6, lambda s: _pole_lattice(s, w1)
-    elif inv.discriminant < 0:
-        lo, hi, poles = -0.6, 0.6, lambda s: _pole_lattice(s, w1, odd=True)
-    else:
-        lo, hi, poles = 0.0, 4.0, _no_poles
-    s = _grid_from((lo * w1, hi * w1, 4000), grid, n)
-    _check_poles(s, poles(s), w1, "curvature")
-
-    z = s.astype(complex) - c0c
-    pv, ppv, zv, _ = weierstrass(z, inv)
-    xf = -zv + (A / 12.0) * s
-    yf = (A / 6.0) * zv * z + pv - zv * zv - (A / 12.0) ** 2 * z * z
-    xfp = pv + A / 12.0
-    yfp = (A / 6.0) * (zv - pv * z) + ppv + 2.0 * zv * pv - (A * A / 72.0) * z
-    ppp = 6.0 * pv * pv - inv.g2 / 2.0
-    xfpp = ppv
-    yfpp = (
-        (A / 6.0) * (-2.0 * pv - ppv * z)
-        + ppp
-        - 2.0 * pv * pv
-        + 2.0 * zv * ppv
-        - A * A / 72.0
-    )
-
-    funcs = np.array([xf.real, xf.imag, yf.real, yf.imag])
-    funcs = funcs - funcs.mean(axis=1, keepdims=True)
-    d1 = np.array([xfp.real, xfp.imag, yfp.real, yfp.imag])
-    d2 = np.array([xfpp.real, xfpp.imag, yfpp.real, yfpp.imag])
-    u, up, upp = _solution_pair(funcs, d1, d2)
-    det0, spread = _wronskian_stats(up[0], upp[0], up[1], upp[1])
-    if spread > 1e-6 * abs(det0):
-        raise UnimodularizationFailed("Wronskian is not constant")
-    x, y = _unimodular_scale(u[0], u[1], det0)
-    meta = {
-        "case": "length-constrained",
-        "A": A,
-        "g2": inv.g2,
-        "g3": g3,
-        "c0": "w2" if c0c else "0",
-        "route": "general",
-    }
-    return CurveSamples(s, x, y, closed=False, meta=meta)
+    return _sample(_length_constrained_family(A, g3, c0), grid, n)
 
 
 def length_constrained_kappa(A: float, g3: float, c0, s) -> np.ndarray:
     """Closed-form curvature -6 wp(s - c0) + A/2 of the constrained family."""
-    inv = Invariants(A * A / 12.0, g3)
-    c0c = _branch_shift(c0, half_periods(inv))
-    return -6.0 * wp(np.asarray(s, float).astype(complex) - c0c, inv).real + A / 2.0
+    return _length_constrained_family(A, g3, c0).kappa(np.asarray(s, dtype=float))
 
 
 # ---------------------------------------------------------------------------

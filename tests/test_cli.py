@@ -121,6 +121,14 @@ class TestSynth:
         report = json.loads(out)
         assert report["checks"]["el_residual"]["pass"]
 
+    def test_degenerate_case_selfcheck(self, tmp_path, capsys):
+        p = tmp_path / "da.csv"
+        code, out, _ = run(
+            ["synth", "--case", "Da", "--E", "-2", "--csv", str(p), "--self-check"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["checks"]["el_residual"]["pass"]
+
     def test_mark_overlays_in_svg(self, tmp_path, capsys):
         p = tmp_path / "m.svg"
         code, _, _ = run(

@@ -220,7 +220,7 @@ def test_ode_residual_random_points(name):
     z = a * p1 + b * p2
     fr = el._frame(inv)
     zr, _, _ = el._reduce(z, fr)
-    z = z[el._lattice_distance(zr, fr) > 0.05 * lat.w1][:1000]
+    z = z[np.abs(zr) > 0.05 * lat.w1][:1000]
     P = el.wp(z, inv)
     Pp = el.wp_prime(z, inv)
     res = np.abs(Pp**2 - (4 * P**3 - inv.g2 * P - inv.g3))
@@ -307,13 +307,21 @@ def test_degenerate_discriminant_rejected():
         el.half_periods(el.Invariants(3.0 * 0.25, -0.125))  # E = -1/2 double root
 
 
-def test_near_pole_raises():
-    inv = FAMILIES["bounded-oscillation"]
+@pytest.mark.parametrize("name", ["bounded-oscillation", "one-real-root"])
+def test_near_pole_raises(name):
+    inv = FAMILIES[name]
     lat = el.half_periods(inv)
     with pytest.raises(NearPole):
         el.wp(1e-8, inv)
     with pytest.raises(NearPole):
         el.zeta_w(2 * lat.w1 + 1e-9, inv)
+    # a far lattice translate: the reduced argument alone decides
+    p1, p2 = lattice_points_basis(inv)
+    far = 17 * p1 - 9 * p2
+    tol = el.POLE_RTOL * lat.w1
+    with pytest.raises(NearPole):
+        el.wp(far + 0.5 * tol * np.exp(0.3j), inv)
+    assert np.isfinite(el.wp(far + 2.0 * tol * np.exp(0.3j), inv))
     # sigma is entire: no error at the lattice
     assert abs(el.sigma_w(0.0, inv)) < 1e-12
 

@@ -431,6 +431,7 @@ class TestLengthConstrained:
     @pytest.mark.parametrize("A,g3", [(1.0, -0.15), (1.0, 0.1), (-1.0, -0.15), (1.0, 0.002)])
     def test_families(self, A, g3, c0):
         c = sy.synthesize_length_constrained(A, g3, c0=c0)
+        assert "fd_window" in c.meta
         assert cv.unimodularity_defect(c) < 1e-6
         kex = sy.length_constrained_kappa(A, g3, c0, c.s)
         kappa = cv.frame_and_curvature(c).kappa
