@@ -63,7 +63,7 @@ class NoSuchC(SynthesisError):
 
 
 class NotBracketed(SynthesisError):
-    """Root finding failed to bracket a solution on the scan interval."""
+    """Root finding failed to bracket a solution on the solver's Q interval."""
 
 
 class PathThroughZero(SynthesisError):

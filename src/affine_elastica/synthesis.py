@@ -77,11 +77,9 @@ __all__ = [
     "analytic_kappa",
 ]
 
-#: admissible window of winding ratios n/m for closed curves (observed)
-CLOSURE_WINDOW = (1.0, np.sqrt(2.0))
-
 _POLE_MARGIN = 1e-6  # relative grid-to-pole distance that raises GridHitsPole
 _DEPENDENCE_RTOL = 1e-8  # below this, Re phi1 and Im phi1 count as dependent
+_Q_INTERVAL = (1.0 + 1e-3, 1.0e3)  # where solve_closure looks for the maximum curvature Q
 
 
 @dataclass(frozen=True)
@@ -251,8 +249,8 @@ def lame_phi2(z, p: LameSolutionParams, panels_per_unit: int = 160):
 # closure condition
 
 
-def _closure_quantity(inv: Invariants, lat: LatticeData, c: complex) -> complex:
-    A = -_mu(inv, c) * lat.w1 - lat.eta1 * c
+def _closure_quantity(lat: LatticeData, c: complex, mu: complex) -> complex:
+    A = -mu * lat.w1 - lat.eta1 * c
     return A * 2j / np.pi
 
 
@@ -262,7 +260,10 @@ def closure_lhs_with_d(Q: float) -> tuple[float, float]:
     The two representatives +-Im(c) give opposite signs of the (purely
     real) quantity; the positive-imaginary one matches the positive winding
     ratios n/m, while d is reported for the negative-imaginary
-    representative used to draw the curve.
+    representative used to draw the curve.  With v = wp(c) = -g3/g2 the
+    cubic gives wp'(c)^2 = 4 v^3 exactly, and on the vertical segment
+    through w1 with Im c > 0 wp falls from e1 to e2, so -wp'(c)/(2 v) is
+    the principal sqrt(v) and mu = sqrt(v) - zeta(c) needs no theta wp'(c).
     """
     if not Q > 1.0:
         raise ValueError("normalization requires Q > 1")
@@ -271,7 +272,8 @@ def closure_lhs_with_d(Q: float) -> tuple[float, float]:
     c = lame_parameter_c(inv, prefer_negative_imag=False)
     if abs(c.real - lat.w1) > 1e-9 * lat.w1:
         raise NoSuchC("expected c on the vertical segment through w1")
-    val = _closure_quantity(inv, lat, c)
+    mu = cmath.sqrt(-inv.g3 / inv.g2) - zeta_w(c, inv)
+    val = _closure_quantity(lat, c, mu)
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise NoSuchC("closure quantity is not real to rounding")
     return float(val.real), -float(c.imag)
@@ -282,31 +284,18 @@ def closure_lhs(Q: float) -> float:
     return closure_lhs_with_d(Q)[0]
 
 
-def solve_closure(
-    m: int, n: int, q_scan=(1.0 + 1e-3, 1.0e3), scan_points: int = 120
-) -> ClosureSolution:
+def solve_closure(m: int, n: int) -> ClosureSolution:
     """Root-find the Q > 1 whose closure quantity equals n/m.
 
-    Observed data put solvable ratios inside ]1, sqrt(2)[; other targets are
-    attempted anyway and raise NotBracketed when no sign change appears on
-    the log-spaced scan grid.
+    The quantity falls strictly over the solver's Q interval, from about
+    sqrt(2) to about 1.026, so one bracketed Brent solve over the whole
+    interval finds the root; a ratio outside that range raises NotBracketed.
     """
     target = n / m
-    qs = np.geomspace(q_scan[0], q_scan[1], scan_points)
-    prev_q = None
-    prev_f = None
-    bracket = None
-    for qv in qs:
-        f = closure_lhs(float(qv)) - target
-        if prev_f is not None and np.sign(f) != np.sign(prev_f):
-            bracket = (prev_q, float(qv))
-            break
-        prev_q, prev_f = float(qv), f
-    if bracket is None:
-        raise NotBracketed(
-            f"no Q in [{q_scan[0]:g}, {q_scan[1]:g}] with closure quantity {target:g}"
-        )
-    Q = brentq(lambda qv: closure_lhs(qv) - target, *bracket, xtol=1e-13, rtol=4e-15)
+    lo, hi = _Q_INTERVAL
+    if np.sign(closure_lhs(lo) - target) == np.sign(closure_lhs(hi) - target):
+        raise NotBracketed(f"no Q in [{lo:g}, {hi:g}] with closure quantity {target:g}")
+    Q = brentq(lambda qv: closure_lhs(qv) - target, lo, hi, xtol=1e-13, rtol=4e-15)
     lhs, d = closure_lhs_with_d(Q)
     inv = invariants_from_qQ(1.0, Q)
     lat = half_periods(inv)

@@ -228,11 +228,12 @@ class TestScanClosure:
         k = int(np.nonzero(diffs[:-1] * diffs[1:] < 0)[0][0])
         assert rows["Q"][k] < 3.9409 < rows["Q"][k + 1]
 
-    def test_unresolvable_q_exits_3(self, capsys):
-        # at Q = 1e8 the closure quantity is not real to rounding
-        code, _, err = run(["scan-closure", "--qmin", "1e8", "--qmax", "1e8", "--steps", "1"], capsys)
-        assert code == 3
-        assert "synthesis error" in err
+    def test_large_q_matches_reference(self, capsys):
+        # 40-digit reference of the closure quantity at Q = 1e8
+        code, out, _ = run(["scan-closure", "--qmin", "1e8", "--qmax", "1e8", "--steps", "1"], capsys)
+        assert code == 0
+        lhs = float(out.strip().splitlines()[1].split(",")[1])
+        assert abs(lhs - 1.0000834626832913358) <= 1e-12
 
     def test_grid_independence(self, capsys):
         code, out1, _ = run(["scan-closure", "--qmin", "2", "--qmax", "3", "--steps", "5"], capsys)
@@ -251,13 +252,13 @@ class TestScanClosure:
         # for large Q (the conjectured admissible window; recorded, not asserted
         # as a theorem)
         code, out, _ = run(
-            ["scan-closure", "--qmin", "1.02", "--qmax", "400", "--steps", "25"], capsys
+            ["scan-closure", "--qmin", "1.001", "--qmax", "1000", "--steps", "60"], capsys
         )
         rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
         lhs = np.array([float(r[1]) for r in rows])
         assert lhs[0] > 1.40
         assert lhs[-1] < 1.1
-        assert np.all(np.diff(lhs) < 0)  # monotone on the scanned range
+        assert np.all(np.diff(lhs) < 0)  # monotone on the interval solve_closure brackets
 
 
 class TestConfig:

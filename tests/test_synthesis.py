@@ -157,9 +157,19 @@ class TestClosureCondition:
         assert sol.lattice.w2_im == pytest.approx(w2, abs=1e-6)
         assert sol.d == pytest.approx(d, abs=1e-6)
 
-    def test_ratio_outside_window_not_bracketed(self):
+    @pytest.mark.parametrize("m,n", [row[:2] for row in TABLE])
+    def test_solve_closure_evaluations(self, m, n, monkeypatch):
+        calls = []
+        lhs = sy.closure_lhs
+        monkeypatch.setattr(sy, "closure_lhs", lambda qv: calls.append(qv) or lhs(qv))
+        sy.solve_closure(m, n)
+        assert len(calls) <= 20
+
+    # 2 lies above the quantity at Q = 1.001, 41/40 below it at Q = 1e3
+    @pytest.mark.parametrize("m,n", [(1, 2), (40, 41)])
+    def test_ratio_outside_window_not_bracketed(self, m, n):
         with pytest.raises(NotBracketed):
-            sy.solve_closure(1, 2)
+            sy.solve_closure(m, n)
 
     def test_quasi_periodicity_of_coordinates(self):
         # before closure is imposed: X(s + 4 w1) = exp(-4 A) X(s) with the
@@ -182,6 +192,7 @@ class TestClosureCondition:
         (1e4, 1.0083453924474437, -0.032113788690760835),
         (1e5, 1.0026392941125126, -0.01015519441060972),
         (1e6, 1.0008346259656036, -0.0032113518373879336),
+        (1e8, 1.0000834626832913358, -0.00032113515450876393),
     ])
     def test_lhs_at_large_q(self, Q, lhs, d):
         lv, dv = sy.closure_lhs_with_d(Q)
@@ -206,7 +217,7 @@ class TestClosureCondition:
         T = sol.period
         s = np.linspace(0, 1.125 * T, 9000, endpoint=False)
         c = sy.synthesize(label, grid=s)
-        k = np.searchsorted(s, T)
+        k = int(round(T / (s[1] - s[0])))
         mref = c.n - k
         gap = np.hypot(c.x[k:] - c.x[:mref], c.y[k:] - c.y[:mref])
         diam = np.hypot(np.ptp(c.x), np.ptp(c.y))
@@ -242,7 +253,7 @@ class TestClosureCondition:
         inv = el.invariants_from_qQ(-1.0, Q)
         lat = el.half_periods(inv)
         c = sy.lame_parameter_c(inv)
-        direct = sy._closure_quantity(inv, lat, c)
+        direct = sy._closure_quantity(lat, c, sy._mu(inv, c))
         bracket = sy.a3_nonperiodicity(Q)
         assert direct.real == pytest.approx(1.0, abs=1e-8)
         assert direct.imag == pytest.approx(bracket * 2.0 / np.pi, abs=1e-8)
