@@ -124,24 +124,20 @@ def _smooth_weights(window: int, degree: int, order: int) -> np.ndarray:
 
     Returns a (window, window) matrix W; row i holds the stencil that
     estimates the order-th derivative at node i of the window from all
-    window nodes, in units of the scaled coordinate t in [-1, 1].
+    window nodes, in units of the scaled coordinate t in [-1, 1].  In closed
+    form (a Savitzky-Golay filter on a Chebyshev basis)
+
+        W = chebvander(t, degree - order) @ chebder(I, order) @ pinv(chebvander(t, degree)),
+
+    where column k of chebder(I, order) holds the coefficients of T_k^(order).
     """
+    cheb = np.polynomial.chebyshev
     half = (window - 1) / 2.0
     t = (np.arange(window) - half) / half
-    V = np.polynomial.chebyshev.chebvander(t, degree)
-    proj = np.linalg.pinv(V)  # (degree+1, window)
-    rows = []
-    for ti in t:
-        dvals = np.array(
-            [
-                np.polynomial.chebyshev.chebval(
-                    ti, np.polynomial.chebyshev.chebder(np.eye(degree + 1)[k], order)
-                )
-                for k in range(degree + 1)
-            ]
-        )
-        rows.append(dvals @ proj)
-    rows = np.asarray(rows)
+    dvals = cheb.chebvander(t, max(degree - order, 0)) @ cheb.chebder(np.eye(degree + 1), order)
+    # einsum, not a threaded BLAS product: from window ~350 up that product
+    # intermittently took 12-20 ms instead of 0.2 ms once scipy was loaded
+    rows = np.einsum("ik,kj->ij", dvals, np.linalg.pinv(cheb.chebvander(t, degree)))
     if order >= 1:
         # derivatives must annihilate constants exactly, not just to rounding
         rows -= rows.mean(axis=1, keepdims=True)

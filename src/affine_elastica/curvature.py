@@ -10,7 +10,6 @@ with the spectrally accurate periodic trapezoid for closed curves.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -428,16 +427,15 @@ def ellipse_samples(a: float, b: float, n: int = 4096) -> CurveSamples:
 
 def curve_to_csv(c: CurveSamples, path=None) -> str:
     """CSV with 17-significant-digit columns s, x, y (LF endings)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["s", "x", "y"])
-    for row in zip(c.s, c.x, c.y):
-        w.writerow([f"{v:.17g}" for v in row])
-    text = buf.getvalue()
+    values = np.column_stack((c.s, c.x, c.y)).ravel().tolist()
+    text = "s,x,y\n" + "%.17g,%.17g,%.17g\n" * c.n % tuple(values)
     if path is not None:
         with open(path, "w", newline="") as f:
             f.write(text)
     return text
+
+
+_ROWS_ERROR = "expected data rows of 3 columns after the header"
 
 
 def curve_from_csv(path_or_text, closed: bool = False, period: float | None = None) -> CurveSamples:
@@ -446,12 +444,17 @@ def curve_from_csv(path_or_text, closed: bool = False, period: float | None = No
     else:
         with open(path_or_text) as f:
             text = f.read()
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["s", "x", "y"]:
+    header, _, body = text.partition("\n")
+    if header.rstrip("\r") != "s,x,y":
         raise ValueError("expected header s,x,y")
-    if len(rows) < 2 or any(len(row) != 3 for row in rows[1:]):
-        raise ValueError("expected data rows of 3 columns after the header")
-    arr = np.array(rows[1:], dtype=float)
+    if not body.strip():  # loadtxt would warn and return an empty array
+        raise ValueError(_ROWS_ERROR)
+    try:
+        arr = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+    except ValueError as ex:
+        raise ValueError(f"{_ROWS_ERROR}: {ex}") from None
+    if arr.shape[1] != 3:
+        raise ValueError(_ROWS_ERROR)
     return CurveSamples(arr[:, 0], arr[:, 1], arr[:, 2], closed=closed, period=period)
 
 

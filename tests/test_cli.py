@@ -203,6 +203,21 @@ class TestVerify:
         report = json.loads(out)
         assert all(chk["pass"] for chk in report["checks"].values())
 
+    def test_short_bare_csv_uses_default_window(self, tmp_path, capsys):
+        """Too short for every probe window: a finite residual, strict JSON."""
+        cfg = tmp_path / "cfg"
+        cfg.write_text("samples = 150\n")
+        p = tmp_path / "short.csv"
+        argv = ["--config", str(cfg), "synth", "--q", "1", "--Q", "3.0", "--branch", "closed"]
+        assert run([*argv, "--csv", str(p)], capsys)[0] == 0
+        _, out, _ = run(["verify", str(p), "--suite", "el"], capsys)
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert np.isfinite(report["checks"]["el_residual"]["value"])
+
     def test_tol_env_override(self, tmp_path, capsys, monkeypatch):
         e = cv.ellipse_samples(2.0, 0.5, 2048)
         p = tmp_path / "e.csv"
@@ -286,6 +301,9 @@ class TestConfig:
         ({}, ["--config", "{tmp}/missing.cfg", "classify", "--g2", "0", "--g3", "-1"], "No such file"),
         ({"short.csv": "s,x,y\n0,0\n1,1\n"}, ["verify", "{tmp}/short.csv"], "3 columns"),
         ({"empty.csv": "s,x,y\n"}, ["verify", "{tmp}/empty.csv"], "3 columns"),
+        ({"ragged.csv": "s,x,y\n0,0,0\n1,1\n"}, ["verify", "{tmp}/ragged.csv"], "3 columns"),
+        ({"text.csv": "s,x,y\n0,a,0\n"}, ["verify", "{tmp}/text.csv"], "3 columns"),
+        ({"noheader.csv": "0,0,0\n"}, ["verify", "{tmp}/noheader.csv"], "header s,x,y"),
         ({"bad.json": '{"s": [0, 1]}'}, ["verify", "{tmp}/bad.json"], "JSON object"),
         ({}, ["classify", "--g2", "nan", "--g3", "1"], "finite"),
         ({}, ["synth", "--case", "ellipse", "--E", "0"], "--E must be finite and positive"),
@@ -294,7 +312,8 @@ class TestConfig:
         ({}, ["classify", "--g2=1e103", "--g3=1"], "g2^3 - 27 g3^2 must be finite"),
         ({}, ["synth", "--g2=-1e90", "--g3=1e-60", "--branch", "open"], "largest real root"),
     ],
-    ids=["missing-csv", "missing-config", "short-row", "header-only", "json-keys", "nan-invariant",
+    ids=["missing-csv", "missing-config", "short-row", "header-only", "ragged-row", "text-field",
+         "no-header", "json-keys", "nan-invariant",
          "ellipse-E-zero", "Da-E-positive", "E-E-negative", "g2-cube-overflows", "huge-negative-g2"],
 )
 def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):

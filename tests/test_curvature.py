@@ -339,6 +339,39 @@ class TestSerialization:
         assert np.array_equal(c2.x, circle.x)
         assert np.array_equal(c2.y, circle.y)
 
+    @pytest.fixture
+    def extreme(self):
+        s = -3.0 + 0.1 * np.arange(8)
+        x = np.array([-1.5, -0.0, 1e-300, 1e300, -1e300, 0.1, 1.0 / 3.0, -2.5e-17])
+        y = np.array([0.0, -0.0, -1e-300, 7.0, 1e-5, -1e300, 2.0**-1074, 123456789.0])
+        return cv.CurveSamples(s, x, y)
+
+    def test_csv_text_matches_csv_writer(self, extreme):
+        import csv
+        import io
+
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["s", "x", "y"])
+        for row in zip(extreme.s, extreme.x, extreme.y):
+            w.writerow([f"{v:.17g}" for v in row])
+        assert cv.curve_to_csv(extreme) == buf.getvalue()
+
+    def test_csv_roundtrip_extreme_values(self, extreme):
+        c2 = cv.curve_from_csv(cv.curve_to_csv(extreme))
+        for k in "sxy":
+            assert np.array_equal(getattr(c2, k), getattr(extreme, k))
+        assert np.signbit(c2.x[1]) and np.signbit(c2.y[1])
+
+    @pytest.mark.parametrize("text", ["s,x,y\n", "s,x,y\n\n  \n"])
+    def test_csv_without_rows_raises_without_warning(self, text):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="3 columns"):
+                cv.curve_from_csv(text)
+
     def test_json_roundtrip(self, circle, tmp_path):
         path = tmp_path / "c.json"
         cv.curve_to_json(circle, path)
