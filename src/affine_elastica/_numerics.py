@@ -1,14 +1,17 @@
-"""Shared numerical kernels: derivatives and quadrature.
+"""Shared numerical kernels: derivatives, quadrature, R_F and a root solver.
 
 Curve samples are differentiated by ``diff_samples``: filtered Fourier
 symbols for closed curves, long local least-squares stencils for open ones.
 Only ``diff_uniform``, used to reparametrize raw point samples, applies
 4th-order stencils (periodic wraparound, or one-sided Fornberg stencils at
-open ends).
+open ends).  ``carlson_rf`` (K(m) and the Lame parameter c) and ``brent_root``
+(the closure solve) spare the CLI any scipy import.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -136,7 +139,8 @@ def _smooth_weights(window: int, degree: int, order: int) -> np.ndarray:
     t = (np.arange(window) - half) / half
     dvals = cheb.chebvander(t, max(degree - order, 0)) @ cheb.chebder(np.eye(degree + 1), order)
     # einsum, not a threaded BLAS product: from window ~350 up that product
-    # intermittently took 12-20 ms instead of 0.2 ms once scipy was loaded
+    # intermittently took 12-20 ms instead of 0.2 ms once scipy (and its second
+    # OpenBLAS) was loaded; the CLI no longer loads scipy, but library users may
     rows = np.einsum("ik,kj->ij", dvals, np.linalg.pinv(cheb.chebvander(t, degree)))
     if order >= 1:
         # derivatives must annihilate constants exactly, not just to rounding
@@ -239,25 +243,85 @@ def cumulative_uniform(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# Carlson's bound r on the truncation error of the fifth-order series;
+# duplication stops once 4^-n max|A0 - x_k| < (3 r)^(1/6) |A_n|
+_RF_ROOT6 = (3.0 * 2.0**-53) ** (1.0 / 6.0)
 
 
-def gl_cumulative(fn, nodes: np.ndarray) -> np.ndarray:
-    """Cumulative integral of a callable along straight segments.
+def carlson_rf(x, y, z):
+    """Carlson's symmetric elliptic integral R_F(x, y, z) of one scalar triple.
 
-    ``nodes`` may be real or complex; the integration path is the polyline
-    through them.  Each segment uses 10-point Gauss-Legendre.  ``fn`` must
-    accept a complex ndarray.
+    Duplication with the fifth-order series (Carlson 1995, Numer. Algorithms
+    10; DLMF 19.36(i)); K(m) = R_F(0, 1 - m, 1) (DLMF 19.25(i)).  Complex
+    arguments take principal square roots and give a complex.  As
+    scipy.special.elliprf does, an argument that is NaN or on the negative
+    real axis gives nan, an infinite one gives 0, and two zeros give inf.
     """
-    nodes = np.asarray(nodes)
-    a = nodes[:-1]
-    d = nodes[1:] - a
-    # all quadrature points in one call to fn
-    pts = a[:, None] + np.outer(d, (_GL_NODES + 1.0) / 2.0)
-    fv = fn(pts.ravel()).reshape(pts.shape)
-    seg = (d / 2.0) * (fv @ _GL_WEIGHTS)
-    out = np.empty(len(nodes), dtype=seg.dtype)
-    out[0] = 0.0
-    np.cumsum(seg, out=out[1:])
-    return out
+    kind = complex if any(isinstance(a, complex) for a in (x, y, z)) else float
+    args = x, y, z = kind(x), kind(y), kind(z)
+    if any(a != a or (a.imag == 0.0 and a.real < 0.0) for a in args):
+        return kind(math.nan)
+    if any(abs(a) == math.inf for a in args):
+        return kind(0.0)
+    if sum(a == 0.0 for a in args) >= 2:
+        return kind(math.inf)
+    sqrt = cmath.sqrt if kind is complex else math.sqrt
+    a0 = a = (x + y + z) / 3.0
+    spread = max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
+    scale = 1.0  # 4^-n
+    for _ in range(100):  # the spread shrinks 4-fold per step; a few dozen steps always suffice
+        if spread * scale < _RF_ROOT6 * abs(a):
+            break
+        sx, sy, sz = sqrt(x), sqrt(y), sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, a = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (a + lam) / 4.0
+        scale /= 4.0
+    X, Y = ((a0 - v) * scale / a for v in args[:2])
+    Z = -(X + Y)
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(a)
 
+
+def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Follows scipy.optimize.brentq step for step: the same iterates, the
+    same f calls and the same stop once the bracket half-width is below
+    (xtol + rtol |x|) / 2.  Raises ValueError when f(a) and f(b) have the
+    same sign and RuntimeError after brentq's default 100 iterations.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best estimate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if interpolate:
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # underflowed denominator: C brentq gets inf or nan and bisects
+                stry = math.inf
+            interpolate = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if interpolate else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError("no convergence in 100 iterations")

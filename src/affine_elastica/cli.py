@@ -338,25 +338,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# default --E of the degenerate tags; a given --E must have the same sign
-_E_DEFAULT = {Case.Da: -0.5, Case.Dc: -0.5, Case.E_case: 1.0, Case.Ellipse: 1.0}
+def _e_label(E):
+    return {"E": E}, 3.0 * E * E, E**3
+
+
+#: tags synthesized without invariants: the flag each reads, its default and
+#: the label's (params, g2, g3) from the value; a given --E must have the default's sign
+_TAG_LABELS = {
+    Case.Da: ("E", -0.5, _e_label),
+    Case.Dc: ("E", -0.5, _e_label),
+    Case.E_case: ("E", 1.0, _e_label),
+    Case.Ellipse: ("E", 1.0, _e_label),
+    Case.F: ("g3", -1.0, lambda g3: ({"g3": g3}, 0.0, g3)),
+    Case.G: ("g3", 0.0, lambda _: ({}, 0.0, 0.0)),
+}
 
 
 def _case_label_from_tag(args) -> CaseLabel:
     tag = Case(args.case)
-    if tag in _E_DEFAULT:
-        default = _E_DEFAULT[tag]
-        E = args.E if args.E is not None else default
-        if not (np.isfinite(E) and E * default > 0):
-            word = "positive" if default > 0 else "negative"
-            raise DomainError(f"--E must be finite and {word} for case {tag.value}, got {E:g}")
-        return CaseLabel(tag, {"E": E}, 3.0 * E * E, E**3)
-    if tag is Case.F:
-        g3 = args.g3 if args.g3 is not None else -1.0
-        return CaseLabel(tag, {"g3": g3}, 0.0, g3)
-    if tag is Case.G:
-        return CaseLabel(tag, {}, 0.0, 0.0)
-    raise DomainError("generic tags need invariants; pass --q/--Q, --P/--tau or --g2/--g3")
+    if tag not in _TAG_LABELS:
+        raise DomainError("generic tags need invariants; pass --q/--Q, --P/--tau or --g2/--g3")
+    flag, default, build = _TAG_LABELS[tag]
+    val = default if getattr(args, flag) is None else getattr(args, flag)
+    if flag == "E" and not (np.isfinite(val) and val * default > 0):
+        word = "positive" if default > 0 else "negative"
+        raise DomainError(f"--E must be finite and {word} for case {tag.value}, got {val:g}")
+    return CaseLabel(tag, *build(val))
 
 
 def main(argv=None) -> int:

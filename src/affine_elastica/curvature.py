@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from ._numerics import (
     cumulative_uniform,
@@ -203,6 +202,7 @@ def reparametrize_equiaffine(
     Raises InflectionPoint when |dgamma, d2gamma| changes sign or nearly
     vanishes.
     """
+    from scipy.interpolate import make_interp_spline  # loaded on first use only
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")

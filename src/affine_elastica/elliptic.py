@@ -5,8 +5,9 @@ the nome q = exp(i*pi*W3/W1) satisfies |q| <= exp(-pi/2), reduce arguments to
 the fundamental cell, and evaluate wp, wp', zeta and sigma through the first
 Jacobi theta function and its first three derivatives.  Half-periods come
 from the cubic roots of 4t^3 - g2 t - g3 and the complete elliptic integral
-K(m).  Everything is double precision; lattices with vanishing discriminant
-are rejected.
+K(m) = R_F(0, 1 - m, 1) (DLMF 19.25(i)), from the in-package Carlson R_F.
+Everything is double precision; lattices with vanishing discriminant are
+rejected, and ``half_periods`` checks its result on the roots' own scale.
 
 After reduction |Im u| <= pi Im(tau)/2, so term n of the theta series and
 of its first three derivatives is at most (2n+1)^3 |q|^(n^2 - 1/4).  The
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ellipk
 
+from ._numerics import carlson_rf
 from .errors import DegenerateDiscriminant, DomainError, NearPole
 
 __all__ = [
@@ -185,12 +186,9 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
     r = cubic_roots(g2, g3)
     delta = inv.discriminant
     if delta > 0.0:
-        er = np.sort(r.real)[::-1]
-        e1, e2, e3 = er
+        e1, e2, e3 = np.sort(r.real)[::-1]
         m = (e2 - e3) / (e1 - e3)
         scale = np.sqrt(e1 - e3)
-        w1 = ellipk(m) / scale
-        w2_im = ellipk(1.0 - m) / scale
         roots = (complex(e1), complex(e2), complex(e3))
         rhombic = False
     else:
@@ -201,11 +199,11 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
         H = np.sqrt(2.25 * rr * rr + b * b)
         m = 0.5 - 0.75 * rr / H
         scale = np.sqrt(H)
-        w1 = ellipk(m) / scale
-        w2_im = ellipk(1.0 - m) / scale
         a = -0.5 * rr
         roots = (complex(a, b), complex(rr), complex(a, -b))
         rhombic = True
+    w1 = carlson_rf(0.0, 1.0 - m, 1.0) / scale  # K(m), DLMF 19.25.1
+    w2_im = carlson_rf(0.0, m, 1.0) / scale  # K(1 - m)
 
     # theta frame with Im(tau) >= 1/2 so the nome stays small
     if not rhombic:
@@ -367,10 +365,11 @@ def half_periods(inv: Invariants) -> LatticeData:
     """
     fr = _frame(inv)
     e_half, _, eta1, _ = weierstrass(fr.w1, inv)
-    if abs(eta1.imag) > 1e-9 * max(1.0, abs(eta1.real)):
+    # both checks are relative to the lattice's own scale: (l^4 g2, l^6 g3) gets the same verdict
+    if abs(eta1.imag) > 1e-9 * (abs(eta1) + 1.0 / fr.w1):
         raise DomainError("zeta(w1) should be real for real invariants")
     # consistency: wp at the real half-period equals the largest real root
-    e_ref = max((r.real for r in fr.roots if abs(r.imag) < 1e-9), default=None)
-    if e_ref is None or abs(e_half.real - e_ref) > 1e-8 * max(1.0, abs(e_ref)):
+    e_ref = max(r.real for r in fr.roots if r.imag == 0.0)
+    if abs(e_half.real - e_ref) > 1e-8 * max(abs(r) for r in fr.roots):
         raise DomainError("wp(w1) does not match the largest real root")
     return LatticeData(w1=fr.w1, w2_im=fr.w2_im, roots=fr.roots, eta1=float(eta1.real))

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from ._numerics import (
     cumulative_uniform,
@@ -170,6 +168,7 @@ def el_residual_full_affine_form(fd: FullAffineData, window: int | None = None) 
     hs = np.diff(sF)
     h = float(hs[0])
     if not np.allclose(hs, h, rtol=1e-9, atol=1e-12 * max(abs(h), 1e-300)):
+        from scipy.interpolate import CubicSpline  # loaded on first use only
         n = len(sF)
         spl = CubicSpline(sF, kF)
         sFu = np.linspace(sF[0], sF[-1], n)
@@ -194,6 +193,7 @@ def curve_from_full_affine_curvature(
     standard frame at s = 0.  Raises BlowUp (reporting the reached s) if
     kappa leaves [1/cap, cap] inside the range.
     """
+    from scipy.integrate import solve_ivp  # loaded on first use only
 
     def rhs(s, u):
         kappa, sF, x, y, tx, ty, nx, ny = u

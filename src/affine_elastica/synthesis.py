@@ -2,9 +2,9 @@
 length-constrained family.
 
 Generic families ride on the Lame equation F'' = 6 wp F: the first solution
-phi1 is the logarithmic-derivative expression built from sigma and zeta, the
-second comes either from the mirrored parameter -c (the reciprocal Floquet
-solution, closed form) or from the reduction-of-order integral.  Coordinate
+phi1 is the logarithmic-derivative expression built from sigma and zeta; when
+Re phi1 and Im phi1 are dependent, the second comes from the mirrored
+parameter -c (the reciprocal Floquet solution, closed form).  Coordinate
 functions are antiderivatives of the phi's; a final constant linear map
 enforces |gamma', gamma''| = 1.  Where the coordinates come from complex
 solution rows, ``_unimodular_pair`` is that one sequence: real parts, two
@@ -33,10 +33,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import elliprf
 
-from ._numerics import filter_window, gl_cumulative
+from ._numerics import brent_root, carlson_rf, filter_window
 from .classifier import Branch, Case, CaseLabel, classify
 from .curvature import CurveSamples, frame_and_curvature
 from .elliptic import (
@@ -53,17 +51,12 @@ from .errors import (
     GridHitsPole,
     NoSuchC,
     NotBracketed,
-    PathThroughZero,
     UnimodularizationFailed,
 )
 
 __all__ = [
-    "LameSolutionParams",
     "ClosureSolution",
     "lame_parameter_c",
-    "lame_phi1",
-    "lame_phi1_prime",
-    "lame_phi2",
     "synthesize",
     "synthesize_arcs",
     "synthesize_closed",
@@ -80,27 +73,6 @@ __all__ = [
 _POLE_MARGIN = 1e-6  # relative grid-to-pole distance that raises GridHitsPole
 _DEPENDENCE_RTOL = 1e-8  # below this, Re phi1 and Im phi1 count as dependent
 _Q_INTERVAL = (1.0 + 1e-3, 1.0e3)  # where solve_closure looks for the maximum curvature Q
-
-
-@dataclass(frozen=True)
-class LameSolutionParams:
-    """Data needed to evaluate the Lame solutions for one curve family.
-
-    ``c`` satisfies wp(c) = -g3/g2; ``c0`` is the branch shift of the
-    curvature (0 or the imaginary half-period).
-    """
-
-    inv: Invariants
-    c: complex
-    c0: complex
-    s_grid: np.ndarray
-
-    def __post_init__(self):
-        g2, g3 = self.inv.g2, self.inv.g3
-        target = -g3 / g2
-        val = wp(self.c, self.inv)
-        if abs(val - target) > 1e-8 * max(1.0, abs(target)):
-            raise ValueError("c does not satisfy wp(c) = -g3/g2")
 
 
 @dataclass
@@ -164,17 +136,17 @@ def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> com
     if inv.discriminant < 0:
         e1, r, e3 = lat.roots
         if v >= r.real:
-            c = complex(elliprf(v - e1, v - r, v - e3).real, 0.0)
+            c = complex(carlson_rf(v - e1, v - r, v - e3).real, 0.0)
         else:
-            c = complex(0.0, sign * elliprf(e1 - v, r - v, e3 - v).real)
+            c = complex(0.0, sign * carlson_rf(e1 - v, r - v, e3 - v).real)
     else:
         e1, e2, e3 = (float(e.real) for e in lat.roots)
         d1, d2, d3 = (-4.0 * e**3 / inv.g2 for e in (e1, e2, e3))  # v - e_k, cancellation-free
         if inv.g3 >= 0:
-            y = np.sqrt(-d1) * elliprf((e1 - e2) * (e1 - e3), (e1 - e2) * d3, (e1 - e3) * d2)
+            y = np.sqrt(-d1) * carlson_rf((e1 - e2) * (e1 - e3), (e1 - e2) * d3, (e1 - e3) * d2)
             c = complex(lat.w1, sign * y)
         else:
-            x = np.sqrt(d3) * elliprf(-(e1 - e3) * d2, -(e2 - e3) * d1, (e1 - e3) * (e2 - e3))
+            x = np.sqrt(d3) * carlson_rf(-(e1 - e3) * d2, -(e2 - e3) * d1, (e1 - e3) * (e2 - e3))
             c = complex(x, sign * lat.w2_im)
     if not cmath.isfinite(c):
         raise NoSuchC(f"level {v:.6g} is within rounding of a root of the cubic")
@@ -199,50 +171,6 @@ def _lame_values(z, inv: Invariants, c: complex, mu: complex):
     h = np.exp(lsigc - lsig0 + mu * z)
     g = zetac - zeta0 + mu
     return h, h * g, h * (g**2 + wp0 - wpc)
-
-
-def lame_phi1(z, p: LameSolutionParams):
-    """First Lame solution phi1(z); satisfies phi1'' = 6 wp phi1."""
-    return _lame_values(z, p.inv, p.c, _mu(p.inv, p.c))[1]
-
-
-def lame_phi1_prime(z, p: LameSolutionParams):
-    """Derivative of the first Lame solution."""
-    return _lame_values(z, p.inv, p.c, _mu(p.inv, p.c))[2]
-
-
-def lame_phi2(z, p: LameSolutionParams, panels_per_unit: int = 160):
-    """Second Lame solution by reduction of order, Wronskian 1.
-
-    phi2(z) = phi1(z) * integral of phi1(v)^-2 from z0 to z, with z0 the
-    first grid point shifted by -c0 and a straight integration path.  Raises
-    PathThroughZero if phi1 nearly vanishes on the path.
-    """
-    mu = _mu(p.inv, p.c)
-
-    def phi1(v):
-        return _lame_values(v, p.inv, p.c, mu)[1]
-
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zs = np.atleast_1d(z)
-    z0 = complex(p.s_grid[0]) - p.c0
-
-    # straight path per requested point; reject paths crossing a phi1 zero
-    out = np.empty_like(zs)
-    for i, zt in enumerate(zs):
-        npan = max(8, int(abs(zt - z0) * panels_per_unit))
-        nodes = z0 + (zt - z0) * np.linspace(0.0, 1.0, npan + 1)
-        vals = phi1(nodes)
-        a, b = vals[:-1], vals[1:]
-        d = b - a
-        t = np.clip(-np.real(np.conj(d) * a) / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
-        dmin = np.abs(a + t * d)  # closest approach of each linear segment to 0
-        if np.min(dmin) < 1e-5 * np.median(np.abs(vals)):
-            raise PathThroughZero("phi1 vanishes on the integration path")
-        I = gl_cumulative(lambda v: 1.0 / phi1(v) ** 2, nodes)[-1]
-        out[i] = phi1(zt) * I
-    return complex(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +223,7 @@ def solve_closure(m: int, n: int) -> ClosureSolution:
     lo, hi = _Q_INTERVAL
     if np.sign(closure_lhs(lo) - target) == np.sign(closure_lhs(hi) - target):
         raise NotBracketed(f"no Q in [{lo:g}, {hi:g}] with closure quantity {target:g}")
-    Q = brentq(lambda qv: closure_lhs(qv) - target, lo, hi, xtol=1e-13, rtol=4e-15)
+    Q = brent_root(lambda qv: closure_lhs(qv) - target, lo, hi, xtol=1e-13, rtol=4e-15)
     lhs, d = closure_lhs_with_d(Q)
     inv = invariants_from_qQ(1.0, Q)
     lat = half_periods(inv)

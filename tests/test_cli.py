@@ -1,17 +1,23 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import affine_elastica
 from affine_elastica import curvature as cv
+from affine_elastica import elliptic as el
 from affine_elastica import fullaffine as fa
 from affine_elastica import synthesis as sy
 from affine_elastica.classifier import Branch, classify
 from affine_elastica.cli import _conic_points, main
 from affine_elastica.elliptic import invariants_from_qQ
+from affine_elastica.errors import DomainError
 from conftest import hypotrochoid_points
 
 
@@ -310,11 +316,10 @@ class TestConfig:
         ({}, ["synth", "--case", "Da", "--E", "1"], "--E must be finite and negative"),
         ({}, ["synth", "--case", "E", "--E", "-1"], "--E must be finite and positive"),
         ({}, ["classify", "--g2=1e103", "--g3=1"], "g2^3 - 27 g3^2 must be finite"),
-        ({}, ["synth", "--g2=-1e90", "--g3=1e-60", "--branch", "open"], "largest real root"),
     ],
     ids=["missing-csv", "missing-config", "short-row", "header-only", "ragged-row", "text-field",
          "no-header", "json-keys", "nan-invariant",
-         "ellipse-E-zero", "Da-E-positive", "E-E-negative", "g2-cube-overflows", "huge-negative-g2"],
+         "ellipse-E-zero", "Da-E-positive", "E-E-negative", "g2-cube-overflows"],
 )
 def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
     for name, text in files.items():
@@ -323,3 +328,30 @@ def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert reason in err
+
+
+def test_wrong_wp_at_half_period_exits_2(monkeypatch, capsys):
+    # a frame whose w1 is off by 1e-3 puts wp(w1) 1e-6 of the root scale
+    # away from the largest root; the consistency check must catch it
+    frame = el._frame
+    monkeypatch.setattr(el, "_frame", lambda inv: dataclasses.replace(frame(inv), w1=frame(inv).w1 * 1.001))
+    with pytest.raises(DomainError, match="largest real root"):
+        el.half_periods(invariants_from_qQ(1.0, 3.0))
+    code, _, err = run(["synth", "--q", "1", "--Q", "3"], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "largest real root" in err
+
+
+def test_cli_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(affine_elastica.__file__))
+    code = (
+        "import io, sys, contextlib\n"
+        "from affine_elastica.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rcs = [main(['classify', '--q', '1', '--Q', '3.940854279']), main(['table']),\n"
+        "           main(['scan-closure', '--steps', '5'])]\n"
+        "print(rcs, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0, 0] []"

@@ -122,6 +122,21 @@ def test_lemniscatic_square_lattice():
     assert lat.w1 == pytest.approx(lat.w2_im, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "g2,g3",
+    [(-1.0, 0.0), (1.0, 0.0), (el.invariants_from_qQ(1.0, 3.0).g2, el.invariants_from_qQ(1.0, 3.0).g3)],
+    ids=["square-rhombic", "square-rectangular", "rectangular"],
+)
+def test_half_periods_scale_free(g2, g3):
+    # (l^4 g2, l^6 g3) is the same lattice scaled by 1/l, so the checks must
+    # pass at every scale, and the half-periods scale as 1/l
+    base = el.half_periods(el.Invariants(g2, g3))
+    for lam4 in np.logspace(-40.0, 90.0, 27):
+        lat = el.half_periods(el.Invariants(lam4 * g2, lam4**1.5 * g3))
+        assert lat.w1 * lam4**0.25 == pytest.approx(base.w1, rel=1e-12)
+        assert lat.w2_im * lam4**0.25 == pytest.approx(base.w2_im, rel=1e-12)
+
+
 def test_half_period_critical_values():
     for inv in FAMILIES.values():
         lat = el.half_periods(inv)

@@ -1,11 +1,22 @@
-"""Open-arc derivative filter: exactness, constant annihilation, closed form."""
+"""Shared numerics: the open-arc derivative filter (exactness, constant
+annihilation, closed form), Carlson's R_F against scipy.special and the
+Brent solver against scipy.optimize.brentq."""
+
+import cmath
+import math
+from math import gcd
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as C
+from scipy.optimize import brentq
+from scipy.special import ellipk, elliprf
 
-from affine_elastica._numerics import diff_smoothed, _smooth_weights
+from affine_elastica import elliptic as el
+from affine_elastica import synthesis as sy
+from affine_elastica._numerics import _smooth_weights, brent_root, carlson_rf, diff_smoothed
+from affine_elastica.errors import NoSuchC
 
 EPS = np.finfo(float).eps
 
@@ -76,3 +87,129 @@ def test_cold_build_evaluates_no_polynomial(monkeypatch):
     monkeypatch.setattr(C, "chebval", lambda *a, **k: calls.append(1) or chebval(*a, **k))
     _smooth_weights.__wrapped__(201, 10, 3)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# Carlson R_F
+
+
+def test_rf_matches_scipy_on_real_arguments(rng):
+    worst = 0.0
+    for _ in range(4000):
+        x, y, z = 10.0 ** rng.uniform(-8.0, 8.0, 3)
+        if rng.random() < 0.25:
+            x = 0.0  # one zero is allowed: K(m) has one
+        got, want = carlson_rf(x, y, z), elliprf(x, y, z)
+        assert isinstance(got, float)
+        worst = max(worst, abs(got - want) / want)
+    assert worst <= 2e-15
+
+
+def test_rf_matches_scipy_on_complex_arguments(rng):
+    worst = 0.0
+    for _ in range(4000):
+        r = 10.0 ** rng.uniform(-8.0, 8.0, 3)
+        phase = rng.uniform(-0.999 * np.pi, 0.999 * np.pi, 3)
+        x, y, z = (complex(v) for v in r * np.exp(1j * phase))
+        got, want = carlson_rf(x, y, z), elliprf(x, y, z)
+        assert isinstance(got, complex)
+        worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 2e-15
+
+
+def test_complete_integral_matches_ellipk(rng):
+    near = 1e-15 * rng.uniform(0.0, 1.0, 200)
+    ms = np.concatenate([rng.uniform(0.0, 1.0, 2000), near, 1.0 - near, [0.0, 5e-324, 1.0 - 2.0**-53, -3.0]])
+    for m in ms:
+        got, want = carlson_rf(0.0, 1.0 - m, 1.0), ellipk(m)
+        assert got == want or abs(got - want) <= 2e-15 * want  # K(1) = inf
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (-1.0, 1.0, 1.0),
+     (-1e-300, 1.0, 1.0), (math.inf, 1.0, 1.0), (0.0, math.inf, 1.0), (1e-300, 1.0, 1e300),
+     (0j, 0.0, 1.0), (0j, 1.0, 1.0), (-1 + 0j, 1.0, 2.0), (complex(math.nan, 0.0), 1.0, 1.0),
+     (-1 + 1e-300j, 1.0, 1.0)],
+)
+def test_rf_edge_values_match_scipy(args):
+    """Zeros, NaN, the negative real axis and infinity give scipy's value and never raise."""
+    got, want = carlson_rf(*args), elliprf(*args)
+    if cmath.isnan(want):
+        assert cmath.isnan(got)
+    elif cmath.isinf(want) or want == 0.0:
+        assert got == want
+    else:
+        assert abs(got - want) <= 2e-15 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda x, y, z: carlson_rf(0.0, 0.0, z), lambda x, y, z: carlson_rf(-1.0, y, z)],
+    ids=["inf", "nan"],
+)
+@pytest.mark.parametrize(
+    "inv",
+    [el.invariants_from_qQ(0.3, 0.7), el.invariants_from_qQ(-0.5, 1.5), el.invariants_from_Ptau(-1.0, 8.0),
+     el.invariants_from_Ptau(1.0, 2.0)],
+    ids=["B1", "B3", "C4", "C1"],
+)
+def test_lame_parameter_c_rejects_non_finite_rf(inv, bad, monkeypatch):
+    monkeypatch.setattr(sy, "carlson_rf", bad)
+    with pytest.raises(NoSuchC):
+        sy.lame_parameter_c(inv)
+
+
+# ---------------------------------------------------------------------------
+# Brent solver
+
+TABLE_PAIRS = [(3, 4), (4, 5), (29, 37), (17, 24)]
+#: every closing ratio n/m in ]1, sqrt 2[ with m < 16, m and n coprime
+CLOSURE_PAIRS = [
+    (m, n) for m in range(2, 16) for n in range(m + 1, 2 * m) if gcd(m, n) == 1 and n * n < 2 * m * m
+]
+
+
+def _solve_counted(solver, f, a, b, **tol):
+    """The root (or "no convergence") and every argument f was called at."""
+    xs = []
+    try:
+        root = solver(lambda x: xs.append(x) or f(x), a, b, **tol)
+    except RuntimeError:
+        root = "no convergence"
+    return root, xs
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m,n", TABLE_PAIRS + CLOSURE_PAIRS)
+def test_brent_root_repeats_brentq_on_closure(m, n):
+    def f(q):
+        return sy.closure_lhs(q) - n / m
+
+    tol = dict(xtol=1e-13, rtol=4e-15)
+    want = _solve_counted(brentq, f, 1.001, 1000.0, **tol)
+    got = _solve_counted(brent_root, f, 1.001, 1000.0, **tol)
+    assert got == want  # the same root bit for bit, from the same f calls
+
+
+@pytest.mark.parametrize(
+    "f,a,b",
+    [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.atan(x - 0.3) + 0.1 * (x - 0.3) ** 3, -6.0, 8.0),
+        (lambda x: (x - 0.7) ** 3, -4.0, 5.0),  # flat root: no convergence in 100 steps at xtol 1e-13
+        (lambda x: 1e-110 * (x**3 - 2.0 * x - 5.0), 2.0, 3.0),  # the quadratic step's denominator underflows
+        (lambda x: math.floor(3.0 * x - 1.1) + 0.5, -5.0, 5.0),  # a jump, no root
+        (lambda x: x, -1.0, 1.0),  # root at the bracket midpoint
+        (lambda x: x - 2.0, 2.0, 3.0),  # root at an end
+    ],
+)
+@pytest.mark.parametrize("xtol", [1e-13, 1e-6])
+def test_brent_root_repeats_brentq(f, a, b, xtol):
+    tol = dict(xtol=xtol, rtol=4e-15)
+    assert _solve_counted(brent_root, f, a, b, **tol) == _solve_counted(brentq, f, a, b, **tol)
+
+
+def test_brent_root_needs_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 4e-15)

