@@ -156,15 +156,19 @@ def cmd_synth(args, cfg) -> int:
         curve = sy.synthesize_length_constrained(
             A=args.A, g3=args.g3 if args.g3 is not None else -0.15, c0=args.c0
         )
-    elif args.case is not None:
-        label = _case_label_from_tag(args)
-        grid = tuple(args.grid) if args.grid else None
-        curve = sy.synthesize(label, grid=grid, n=cfg["samples"])
     else:
-        label = _label_from_args(args)
-        grid = tuple(args.grid) if args.grid else None
-        curve = sy.synthesize(label, grid=grid, n=cfg["samples"])
+        label = _case_label_from_tag(args) if args.case is not None else _label_from_args(args)
+        curve = sy.synthesize(label, grid=_grid_from_args(args), n=cfg["samples"])
     return _emit(curve, args, cfg)
+
+
+def _grid_from_args(args):
+    if not args.grid:
+        return None
+    lo, hi = args.grid
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise DomainError(f"--grid needs finite LO < HI, got {lo:g} {hi:g}")
+    return lo, hi
 
 
 def _conic_points(coef, curve, i, n=400) -> np.ndarray:

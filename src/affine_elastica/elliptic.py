@@ -16,6 +16,15 @@ is below 1e-29.  ``weierstrass`` returns (wp, wp', zeta, log sigma) from one
 theta evaluation per argument; the single-function kernels compute the
 same values from the same evaluation.
 
+A theta evaluation takes e^(iu) once and gets every e^(+-i(2n+1)u) from it
+by the rotation recurrence, multiplying by e^(+-2iu); no sin or cos is
+called per term.  The coefficients of those powers in theta1 and its first
+three derivatives, 2 (-1)^n e^(i pi tau (n+1/2)^2) (+-i(2n+1))^k / (+-2i),
+are computed once per lattice and kept in the cached frame, and
+theta1'(0) and theta1'''(0) are their plain sums.  A scalar argument goes
+through the same array loops as an array, so it gets the same bits.
+``half_periods`` runs its consistency check once per lattice and caches it.
+
 All functions are pure and accept scalars or ndarrays for the argument z;
 they are safe for concurrent use.
 """
@@ -52,6 +61,7 @@ DEGENERACY_RTOL = 1e-12
 POLE_RTOL = 1e-6
 
 _THETA_TERMS = 7  # the first dropped term is below 1e-29; see the module docstring
+_BLOCK = 2048  # points per block of the theta series; its powers table is 460 kB
 
 
 @dataclass(frozen=True)
@@ -149,31 +159,50 @@ class _Frame:
     roots: tuple[complex, complex, complex]
     W1: complex  # theta-frame half periods (2*W1, 2*W3 generate the lattice)
     W3: complex
-    tau: complex
+    theta_coef: np.ndarray  # (4, 2 * _THETA_TERMS) for tau = W3 / W1, see _theta_coefficients
     th1p0: complex  # theta1'(0)
-    th1ppp0: complex  # theta1'''(0)
     eta1f: complex  # zeta(W1)
     eta3f: complex  # zeta(W3)
     basis_inv: tuple[float, float, float, float]  # inverse of [2W1 | 2W3] as reals
     pole_tol: float
 
 
-def _theta1_bundle(u: np.ndarray, tau: complex):
-    """theta1 and first three u-derivatives, by q-series; u complex ndarray."""
-    t0 = np.zeros_like(u, dtype=complex)
-    t1 = np.zeros_like(t0)
-    t2 = np.zeros_like(t0)
-    t3 = np.zeros_like(t0)
-    for n in range(_THETA_TERMS):
-        w = 2 * n + 1
-        coef = (-1.0) ** n * np.exp(1j * np.pi * tau * (n + 0.5) ** 2)
-        s = np.sin(w * u)
-        c = np.cos(w * u)
-        t0 += coef * s
-        t1 += coef * w * c
-        t2 -= coef * w * w * s
-        t3 -= coef * w * w * w * c
-    return 2.0 * t0, 2.0 * t1, 2.0 * t2, 2.0 * t3
+_TERM_N = np.arange(_THETA_TERMS)
+#: d^k/du^k of sin((2n+1)u) = (e^(i(2n+1)u) - e^(-i(2n+1)u)) / 2i, as weights of
+#: e^(i(2n+1)u) (first half of a row) and e^(-i(2n+1)u) (second half)
+_SIN_DERIVS = np.concatenate([(1j * (2 * _TERM_N + 1)) ** np.arange(4)[:, None] / 2j,
+                              -(-1j * (2 * _TERM_N + 1)) ** np.arange(4)[:, None] / 2j], axis=1)
+
+
+def _theta_coefficients(tau: complex) -> np.ndarray:
+    """Row k: the coefficients of e^(+-i(2n+1)u) in the k-th u-derivative of
+    theta1(u) = sum_n 2 (-1)^n e^(i pi tau (n+1/2)^2) sin((2n+1)u)."""
+    c = 2.0 * (-1.0) ** _TERM_N * np.exp(1j * np.pi * tau * (_TERM_N + 0.5) ** 2)
+    coef = _SIN_DERIVS * np.concatenate([c, c])
+    coef.flags.writeable = False  # shared through the frame cache
+    return coef
+
+
+def _theta1_bundle(u: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """theta1 and its first three u-derivatives, stacked on a leading axis of 4.
+
+    e^(iu) is taken once; e^(+-i(2n+1)u) follow by repeated multiplication
+    with e^(+-2iu).  Points go through in blocks of ``_BLOCK``, which bounds
+    the (block, 2, _THETA_TERMS) table of powers.  Each point goes through
+    the same loops, so it gets the same bits whatever the shape of u.
+    """
+    out = np.empty((4,) + u.shape, dtype=complex)
+    flat_u, flat_out = u.reshape(-1), out.reshape(4, -1)
+    rot = np.empty((min(u.size, _BLOCK), 2, _THETA_TERMS), dtype=complex)
+    for i in range(0, u.size, _BLOCK):
+        ub = flat_u[i : i + _BLOCK]
+        r = rot[: ub.size]
+        r[:, 0, 0] = np.exp(1j * ub)
+        r[:, 1, 0] = 1.0 / r[:, 0, 0]
+        r[:, :, 1:] = r[:, :, :1] ** 2
+        np.cumprod(r, axis=-1, out=r)
+        np.einsum("nj,kj->kn", r.reshape(ub.size, -1), coef, out=flat_out[:, i : i + ub.size])
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -216,10 +245,9 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
             W1, W3 = complex(w1), 0.5 * (w1 + 1j * w2_im)
         else:
             W1, W3 = 1j * w2_im, 0.5 * (-w1 + 1j * w2_im)
-    tau = W3 / W1
-    _, th1p0, _, th1ppp0 = _theta1_bundle(np.zeros(1, dtype=complex), tau)
-    th1p0 = complex(th1p0[0])
-    th1ppp0 = complex(th1ppp0[0])
+    coef = _theta_coefficients(W3 / W1)
+    th1p0 = complex(coef[1].sum())  # every e^(+-i(2n+1)u) is 1 at u = 0
+    th1ppp0 = complex(coef[3].sum())
     eta1f = -np.pi**2 * th1ppp0 / (12.0 * W1 * th1p0)
     eta3f = (eta1f * W3 - 0.5j * np.pi) / W1
     p1, p2 = 2.0 * W1, 2.0 * W3
@@ -231,9 +259,8 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
         roots=roots,
         W1=W1,
         W3=W3,
-        tau=tau,
+        theta_coef=coef,
         th1p0=th1p0,
-        th1ppp0=th1ppp0,
         eta1f=eta1f,
         eta3f=eta3f,
         basis_inv=basis_inv,
@@ -271,13 +298,15 @@ def _check_pole(zr: np.ndarray, fr: _Frame, what: str) -> None:
 def _theta_state(z, inv: Invariants, what: str | None):
     """One theta evaluation: the formula arguments (frame, reduced z, lattice
     multiples M and N, theta1 and three u-derivatives) and whether z is a scalar.
-    ``what`` names the caller in NearPole; None skips the pole check."""
+    ``what`` names the caller in NearPole; None skips the pole check.  A
+    scalar z is evaluated as a 1-element array, so it meets the same
+    arithmetic loops, and gets the same bits, as inside an array."""
     fr = _frame(inv)
     arr = np.asarray(z, dtype=complex)
-    zr, M, N = _reduce(arr, fr)
+    zr, M, N = _reduce(np.atleast_1d(arr), fr)
     if what is not None:
         _check_pole(zr, fr, what)
-    return (fr, zr, M, N, *_theta1_bundle(np.pi * zr / (2.0 * fr.W1), fr.tau)), arr.ndim == 0
+    return (fr, zr, M, N, *_theta1_bundle(np.pi * zr / (2.0 * fr.W1), fr.theta_coef)), arr.ndim == 0
 
 
 def _wp(fr, zr, M, N, t0, t1, t2, t3):
@@ -315,7 +344,7 @@ def _log_sigma(fr, zr, M, N, t0, t1, t2, t3):
 def _evaluate(formula, z, inv: Invariants, what: str | None):
     st, scalar = _theta_state(z, inv, what)
     val = formula(*st)
-    return complex(val) if scalar else val
+    return complex(val[0]) if scalar else val
 
 
 def weierstrass(z, inv: Invariants):
@@ -323,7 +352,7 @@ def weierstrass(z, inv: Invariants):
     single-function kernel exactly, and a scalar z gives Python complexes."""
     st, scalar = _theta_state(z, inv, "weierstrass")
     vals = tuple(f(*st) for f in (_wp, _wp_prime, _zeta, _log_sigma))
-    return tuple(map(complex, vals)) if scalar else vals
+    return tuple(complex(v[0]) for v in vals) if scalar else vals
 
 
 def wp(z, inv: Invariants):
@@ -361,10 +390,18 @@ def half_periods(inv: Invariants) -> LatticeData:
     wp restricted to the real line has period 2*w1 and to the imaginary
     line period 2*w2.  Raises DegenerateDiscriminant when the cubic has a
     repeated root to tolerance, and DomainError when wp(w1) or zeta(w1) fails
-    its consistency check.
+    its consistency check.  The check runs once per lattice; later calls
+    return the cached result without a theta evaluation.
     """
-    fr = _frame(inv)
-    e_half, _, eta1, _ = weierstrass(fr.w1, inv)
+    return _lattice_cached(float(inv.g2), float(inv.g3))
+
+
+@lru_cache(maxsize=256)
+def _lattice_cached(g2: float, g3: float) -> LatticeData:
+    inv = Invariants(g2, g3)
+    st, _ = _theta_state(_frame(inv).w1, inv, "half_periods")
+    fr = st[0]
+    e_half, eta1 = complex(_wp(*st)[0]), complex(_zeta(*st)[0])
     # both checks are relative to the lattice's own scale: (l^4 g2, l^6 g3) gets the same verdict
     if abs(eta1.imag) > 1e-9 * (abs(eta1) + 1.0 / fr.w1):
         raise DomainError("zeta(w1) should be real for real invariants")

@@ -47,6 +47,7 @@ from .elliptic import (
     zeta_w,
 )
 from .errors import (
+    DomainError,
     EllipseFitFailed,
     GridHitsPole,
     NoSuchC,
@@ -217,8 +218,11 @@ def solve_closure(m: int, n: int) -> ClosureSolution:
 
     The quantity falls strictly over the solver's Q interval, from about
     sqrt(2) to about 1.026, so one bracketed Brent solve over the whole
-    interval finds the root; a ratio outside that range raises NotBracketed.
+    interval finds the root; a ratio outside that range raises NotBracketed,
+    and m < 1 or n < 1 raises DomainError.
     """
+    if m < 1 or n < 1:
+        raise DomainError(f"closure pair needs m >= 1 and n >= 1, got {m}:{n}")
     target = n / m
     lo, hi = _Q_INTERVAL
     if np.sign(closure_lhs(lo) - target) == np.sign(closure_lhs(hi) - target):

@@ -316,10 +316,16 @@ class TestConfig:
         ({}, ["synth", "--case", "Da", "--E", "1"], "--E must be finite and negative"),
         ({}, ["synth", "--case", "E", "--E", "-1"], "--E must be finite and positive"),
         ({}, ["classify", "--g2=1e103", "--g3=1"], "g2^3 - 27 g3^2 must be finite"),
+        ({}, ["table", "--pairs", "0:1"], "m >= 1 and n >= 1"),
+        ({}, ["synth", "--closure", "0", "1"], "m >= 1 and n >= 1"),
+        ({}, ["synth", "--q", "1", "--Q", "3", "--grid", "2", "2"], "--grid needs finite LO < HI"),
+        ({}, ["synth", "--q", "1", "--Q", "3", "--grid", "0", "0"], "--grid needs finite LO < HI"),
+        ({}, ["synth", "--q", "1", "--Q", "3", "--grid", "1", "0"], "--grid needs finite LO < HI"),
     ],
     ids=["missing-csv", "missing-config", "short-row", "header-only", "ragged-row", "text-field",
          "no-header", "json-keys", "nan-invariant",
-         "ellipse-E-zero", "Da-E-positive", "E-E-negative", "g2-cube-overflows"],
+         "ellipse-E-zero", "Da-E-positive", "E-E-negative", "g2-cube-overflows",
+         "table-zero-pair", "closure-zero-pair", "grid-empty", "grid-zero", "grid-reversed"],
 )
 def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
     for name, text in files.items():
@@ -332,9 +338,11 @@ def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
 
 def test_wrong_wp_at_half_period_exits_2(monkeypatch, capsys):
     # a frame whose w1 is off by 1e-3 puts wp(w1) 1e-6 of the root scale
-    # away from the largest root; the consistency check must catch it
+    # away from the largest root; the consistency check must catch it.  The
+    # check runs once per lattice, so empty its cache of lattices seen before.
     frame = el._frame
     monkeypatch.setattr(el, "_frame", lambda inv: dataclasses.replace(frame(inv), w1=frame(inv).w1 * 1.001))
+    el._lattice_cached.cache_clear()
     with pytest.raises(DomainError, match="largest real root"):
         el.half_periods(invariants_from_qQ(1.0, 3.0))
     code, _, err = run(["synth", "--q", "1", "--Q", "3"], capsys)

@@ -315,6 +315,80 @@ def test_weierstrass_matches_single_kernels(name):
     assert scalar[0] == el.wp(0.7 + 0.2j, inv)
 
 
+def _per_term_bundle(u, tau):
+    """The per-term sin/cos theta series the rotation recurrence replaced."""
+    t0 = np.zeros_like(u, dtype=complex)
+    t1 = np.zeros_like(t0)
+    t2 = np.zeros_like(t0)
+    t3 = np.zeros_like(t0)
+    for n in range(el._THETA_TERMS):
+        w = 2 * n + 1
+        coef = (-1.0) ** n * np.exp(1j * np.pi * tau * (n + 0.5) ** 2)
+        s = np.sin(w * u)
+        c = np.cos(w * u)
+        t0 += coef * s
+        t1 += coef * w * c
+        t2 -= coef * w * w * s
+        t3 -= coef * w * w * w * c
+    return 2.0 * t0, 2.0 * t1, 2.0 * t2, 2.0 * t3
+
+
+@pytest.mark.parametrize("re_tau", [0.0, 0.5], ids=["rectangular", "rhombic"])
+def test_rotation_recurrence_matches_per_term_series(re_tau, rng):
+    """Over the whole reduced cell, edges and corners included, and for 0-d
+    and 1-d arguments.  The error is measured against the term-magnitude
+    scale sum_n |c_n| (2n+1)^k |e^(+-i(2n+1)u)|, since theta1 itself vanishes
+    at lattice points.  Each power takes at most 7 roundings, and the old
+    series rounds the argument (2n+1)u; 16 eps leaves room for both."""
+    eps = np.finfo(float).eps
+    n = np.arange(el._THETA_TERMS)
+    w = 2 * n + 1
+    edge = np.array([-0.5, 0.5, 0.0])
+    for im_tau in np.concatenate([[0.5], rng.uniform(0.5, 3.0, 20)]):  # |q| up to exp(-pi/2)
+        tau = complex(re_tau, im_tau)
+        coef = el._theta_coefficients(tau)
+        a = np.concatenate([rng.uniform(-0.5, 0.5, 200), np.repeat(edge, 3)])
+        b = np.concatenate([rng.uniform(-0.5, 0.5, 200), np.tile(edge, 3)])
+        u = np.pi * (a + b * tau)  # reduced z = (a 2W1 + b 2W3) in u = pi z / (2 W1)
+        got = el._theta1_bundle(u, coef)
+        want = _per_term_bundle(u, tau)
+        mag = np.abs(np.exp(1j * w * u[:, None])) + np.abs(np.exp(-1j * w * u[:, None]))
+        c = 2.0 * np.abs(np.exp(1j * np.pi * tau * (n + 0.5) ** 2))
+        for k in range(4):
+            scale = (c * w**k * mag).sum(axis=1)
+            assert np.all(np.abs(got[k] - want[k]) <= 16 * eps * scale)
+        for i in (0, len(u) - 1):  # a 0-d argument takes the same loops
+            one = el._theta1_bundle(np.array(u[i]), coef)
+            assert one.shape == (4,) and np.array_equal(one, got[:, i])
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_weierstrass_scalar_bits_equal_array_bits(name, rng):
+    inv = FAMILIES[name]
+    lat = el.half_periods(inv)
+    npts = 2 * el._BLOCK + 5  # three blocks of the theta series
+    z = lat.w1 * (rng.uniform(-3.0, 3.0, npts) + 1j * rng.uniform(-3.0, 3.0, npts))
+    arrays = el.weierstrass(z, inv)
+    picks = np.concatenate([rng.integers(0, npts, 20), [0, el._BLOCK - 1, el._BLOCK, npts - 1]])
+    for i in picks:
+        assert el.weierstrass(complex(z[i]), inv) == tuple(complex(v[i]) for v in arrays)
+
+
+def test_theta_evaluations_per_lattice(monkeypatch):
+    from affine_elastica import synthesis as sy
+
+    calls = []
+    bundle = el._theta1_bundle
+    monkeypatch.setattr(el, "_theta1_bundle", lambda u, coef: calls.append(u) or bundle(u, coef))
+    el._frame_cached.cache_clear()
+    el._lattice_cached.cache_clear()
+    sy.closure_lhs_with_d(2.5)  # a new Q: the half-period check, then zeta(c)
+    assert len(calls) <= 2
+    calls.clear()
+    el.half_periods(el.invariants_from_qQ(1.0, 2.5))
+    assert calls == []
+
+
 def test_degenerate_discriminant_rejected():
     with pytest.raises(DegenerateDiscriminant):
         el.half_periods(el.invariants_from_qQ(1.0, 1.0 + 1e-9))

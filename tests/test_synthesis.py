@@ -206,7 +206,7 @@ class TestClosureCondition:
         mu = sy._mu(inv, c)  # the frame is cached from here on
         calls = []
         bundle = el._theta1_bundle
-        monkeypatch.setattr(el, "_theta1_bundle", lambda u, tau: calls.append(u) or bundle(u, tau))
+        monkeypatch.setattr(el, "_theta1_bundle", lambda u, coef: calls.append(u) or bundle(u, coef))
         z = np.linspace(0.2, 1.7, 7) - 0.5j
         for _ in range(3):
             sy._lame_values(z, inv, c, mu)
