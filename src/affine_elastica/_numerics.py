@@ -95,13 +95,15 @@ def diff_uniform(y: np.ndarray, h: float, order: int, periodic: bool = False) ->
 _SPECTRAL_FLOOR = 1e-12
 
 
-def diff_spectral(y: np.ndarray, h: float, order: int) -> np.ndarray:
+def diff_spectral(y: np.ndarray, h: float, order: int | tuple[int, ...]):
     """Derivative of smooth periodic samples by filtered Fourier symbol.
 
     Plain stencil cascades are rounding-limited near 1e-6 for kappa''-type
     chains; for analytic periodic data the spectrum decays below the noise
     floor, so modes past that point carry only rounding noise and are cut
-    before applying (i k)^order.
+    before applying (i k)^order.  ``order`` is one order, which returns one
+    array, or a tuple of orders, which returns a tuple of arrays from one
+    transform and one cut; each has the bits of its single-order call.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -115,10 +117,14 @@ def diff_spectral(y: np.ndarray, h: float, order: int) -> np.ndarray:
             kcut = min(2 * int(below[0]) + 4, len(fh) - 1)
             fh[kcut + 1 :] = 0.0
     k = 2.0 * np.pi * np.arange(len(fh)) / (n * h)
-    fh = fh * (1j * k) ** order
-    if n % 2 == 0 and order % 2 == 1:
-        fh[-1] = 0.0  # Nyquist mode has no odd-derivative counterpart
-    return np.fft.irfft(fh, n)
+
+    def derivative(m):
+        fm = fh * (1j * k) ** m
+        if n % 2 == 0 and m % 2 == 1:
+            fm[-1] = 0.0  # Nyquist mode has no odd-derivative counterpart
+        return np.fft.irfft(fm, n)
+
+    return derivative(order) if np.ndim(order) == 0 else tuple(derivative(m) for m in order)
 
 
 @lru_cache(maxsize=512)
@@ -206,12 +212,17 @@ def diff_smoothed(
 
 
 def diff_samples(
-    y: np.ndarray, h: float, order: int, periodic: bool = False, window: int | None = None
-) -> np.ndarray:
-    """Preferred derivative of curve samples: spectral when periodic, else smoothed."""
+    y: np.ndarray, h: float, order: int | tuple[int, ...], periodic: bool = False, window: int | None = None
+):
+    """Preferred derivative of curve samples: spectral when periodic, else smoothed.
+
+    ``order`` is one order or a tuple of orders, as in ``diff_spectral``.
+    """
     if periodic:
         return diff_spectral(y, h, order)
-    return diff_smoothed(y, h, order, window=window)
+    if np.ndim(order) == 0:
+        return diff_smoothed(y, h, order, window=window)
+    return tuple(diff_smoothed(y, h, m, window=window) for m in order)
 
 
 def integrate_samples(vals: np.ndarray, h: float, periodic: bool = False) -> float:

@@ -55,7 +55,7 @@ _SVG_COMMENT = "<!-- affine-elastica curve plot -->"
 
 
 def _svg_polyline(points: np.ndarray, cls: str) -> str:
-    coords = " ".join(f"{p[0]:.6f},{p[1]:.6f}" for p in points)
+    coords = " ".join(["%.6f,%.6f"] * len(points)) % tuple(np.ravel(points).tolist())
     return f'<polyline class="{cls}" fill="none" points="{coords}"/>'
 
 

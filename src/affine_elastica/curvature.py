@@ -143,19 +143,17 @@ class ELFit:
 
 
 def _derivs(c: CurveSamples, orders=(1, 2, 3)) -> dict:
-    key = ("derivs", orders)
-    if key not in c._cache:
+    """Derivatives of x and y by order; each order is computed once per curve,
+    and the orders missing from the cache share one transform per coordinate."""
+    d = c._cache.setdefault("derivs", {})
+    todo = tuple(m for m in orders if m not in d)
+    if todo:
         win = c.meta.get("fd_window")
-        d = {}
-        for m in orders:
-            d[m] = np.column_stack(
-                [
-                    diff_samples(c.x, c.h, m, periodic=c.closed, window=win),
-                    diff_samples(c.y, c.h, m, periodic=c.closed, window=win),
-                ]
-            )
-        c._cache[key] = d
-    return c._cache[key]
+        dx = diff_samples(c.x, c.h, todo, periodic=c.closed, window=win)
+        dy = diff_samples(c.y, c.h, todo, periodic=c.closed, window=win)
+        for m, a, b in zip(todo, dx, dy):
+            d[m] = np.column_stack([a, b])
+    return {m: d[m] for m in orders}
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,11 +177,12 @@ def frame_and_curvature(c: CurveSamples) -> FrameField:
 
 
 def _kappa_derivs(c: CurveSamples):
-    fr = frame_and_curvature(c)
-    win = c.meta.get("fd_window")
-    k1 = diff_samples(fr.kappa, c.h, 1, periodic=c.closed, window=win)
-    k2 = diff_samples(fr.kappa, c.h, 2, periodic=c.closed, window=win)
-    return fr.kappa, k1, k2
+    """(kappa, kappa', kappa''), computed once per curve."""
+    if "kappa_derivs" not in c._cache:
+        kappa = frame_and_curvature(c).kappa
+        k1, k2 = diff_samples(kappa, c.h, (1, 2), periodic=c.closed, window=c.meta.get("fd_window"))
+        c._cache["kappa_derivs"] = kappa, k1, k2
+    return c._cache["kappa_derivs"]
 
 
 def reparametrize_equiaffine(

@@ -127,8 +127,7 @@ def el_residual_sqrt(c: CurveSamples) -> float:
     sel = c.interior()
     kappa, kF = _convex_kappa_F(c, sel)
     win = c.meta.get("fd_window")
-    kF1 = diff_samples(kF, c.h, 1, periodic=c.closed, window=win)
-    kF3 = diff_samples(kF, c.h, 3, periodic=c.closed, window=win)
+    kF1, kF3 = diff_samples(kF, c.h, (1, 3), periodic=c.closed, window=win)
     res = kF3 + kappa * kF1
     return float(np.sqrt(np.mean(res[sel] ** 2)))
 
@@ -174,9 +173,7 @@ def el_residual_full_affine_form(fd: FullAffineData, window: int | None = None) 
         sFu = np.linspace(sF[0], sF[-1], n)
         kF = spl(sFu)
         h = float(sFu[1] - sFu[0])
-    d1 = diff_samples(kF, h, 1, periodic=fd.closed, window=window)
-    d2 = diff_samples(kF, h, 2, periodic=fd.closed, window=window)
-    d3 = diff_samples(kF, h, 3, periodic=fd.closed, window=window)
+    d1, d2, d3 = diff_samples(kF, h, (1, 2, 3), periodic=fd.closed, window=window)
     res = d3 + 3.0 * kF * d2 + d1**2 + (2.0 * kF**2 + 1.0) * d1
     sel = trusted_interior(len(kF), fd.closed, window)
     return float(np.sqrt(np.mean(res[sel] ** 2)))

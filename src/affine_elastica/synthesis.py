@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -52,6 +52,7 @@ from .errors import (
     GridHitsPole,
     NoSuchC,
     NotBracketed,
+    SynthesisError,
     UnimodularizationFailed,
 )
 
@@ -74,6 +75,7 @@ __all__ = [
 _POLE_MARGIN = 1e-6  # relative grid-to-pole distance that raises GridHitsPole
 _DEPENDENCE_RTOL = 1e-8  # below this, Re phi1 and Im phi1 count as dependent
 _Q_INTERVAL = (1.0 + 1e-3, 1.0e3)  # where solve_closure looks for the maximum curvature Q
+_FLOQUET_TOL = 1e-8  # |rho - e^(-+i pi n/m)| above which a closed curve's Q does not close
 
 
 @dataclass
@@ -293,7 +295,9 @@ class FamilySpec:
     curvature singularities around a grid, which no sample may touch on the
     length ``pole_scale``; ``rho_complex`` is the distance from the real line
     to the nearest complex one.  ``route(spec, s, force_general)`` returns
-    (x, y, route name); only the Lame route reads force_general.
+    (x, y, metadata naming the route); only the Lame route reads
+    force_general and ``closure``, the (m, n) of a closed curve whose grid
+    holds 2m equal kappa-periods.
     """
 
     meta: dict
@@ -308,6 +312,7 @@ class FamilySpec:
     lat: LatticeData | None = None
     period: float | None = None  # closed family: the default grid is one period
     sign_flip_at_poles: bool = False  # smooth arcs alternate sign between poles
+    closure: tuple[int, int] | None = None
 
 
 def _unimodular_scale(x: np.ndarray, y: np.ndarray, det0: float):
@@ -341,11 +346,57 @@ def _unimodular_pair(rows, rows_p, rows_pp):
     return _unimodular_scale(u[0], u[1], det0)
 
 
+def _floquet_multiplier(lat: LatticeData, c: complex, mu: complex, m: int, n: int):
+    """The exact multiplier of h over 2 w1, as j with rho = e^(i pi j/m), and its defect.
+
+    sigma(z + 2 w1) = -e^(2 eta1 (z + w1)) sigma(z) gives h(z + 2 w1) = rho
+    h(z) with rho = e^(2 (mu w1 + eta1 c)) (Whittaker & Watson 23.7).  A
+    closing Q makes rho the root of unity e^(-+i pi n/m), so j = -+n, the
+    nearer of the two; the defect is its distance from the computed rho.
+    Raises SynthesisError when the defect exceeds ``_FLOQUET_TOL``: the Q
+    given does not close with m:n.
+    """
+    rho = cmath.exp(2.0 * (mu * lat.w1 + lat.eta1 * c))
+    defect, j = min((abs(rho - cmath.exp(1j * np.pi * j / m)), j) for j in (-n, n))
+    if not defect <= _FLOQUET_TOL:
+        raise SynthesisError(
+            f"Floquet multiplier {rho:.6g} is {defect:.2e} from e^(-+i pi {n}/{m}): Q does not close"
+        )
+    return j, defect
+
+
+def _floquet_powers(j: int, m: int) -> np.ndarray:
+    """rho^k = e^(i pi j k/m) for the 2m kappa-periods k, each from its reduced angle."""
+    return np.exp(1j * np.pi * (j * np.arange(2 * m) % (2 * m)) / m)
+
+
+def _tile(a: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
+    """Period k of a Floquet solution is powers[k] times the first period."""
+    return a if powers is None else (powers[:, None] * a).ravel()
+
+
 def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
-    """Coordinates for the generic families via the Lame solutions."""
+    """Coordinates for the generic families via the Lame solutions.
+
+    A closed curve (``f.closure`` = (m, n)) evaluates the solutions on its
+    first kappa-period only and tiles the other 2m - 1 by the exact Floquet
+    multiplier; any other grid is evaluated as it stands.
+    """
     c = lame_parameter_c(f.inv, prefer_negative_imag=f.c0 != 0)
+    mu = _mu(f.inv, c)
     z = s.astype(complex) - f.c0
-    H, P1, P1p = _lame_values(z, f.inv, c, _mu(f.inv, c))
+    powers, meta = None, {}
+    if f.closure is not None:
+        m, n = f.closure
+        per = len(s) // (2 * m) if min(m, n) >= 1 else 0
+        w1 = f.lat.w1
+        if per < 2 or per * 2 * m != len(s) or abs(per * (s[1] - s[0]) - 2.0 * w1) > 1e-9 * w1:
+            raise DomainError(f"a {m}:{n} closed grid needs {2 * m} equal periods of 2 w1")
+        j, defect = _floquet_multiplier(f.lat, c, mu, m, n)
+        powers, z = _floquet_powers(j, m), z[:per]
+        meta = {"floquet_arg_pi": j / m, "floquet_defect": defect}
+    H, P1, P1p = _lame_values(z, f.inv, c, mu)
+    # the tiles are copies of this period up to |rho| = 1, so their medians are its medians
     wri = np.imag(np.conj(P1) * P1p)
     scale = np.median(np.abs(P1) * np.abs(P1p)) + 1e-300
     independent = np.median(np.abs(wri)) > _DEPENDENCE_RTOL * scale
@@ -356,13 +407,17 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
         spread = float(np.median(np.abs(wri - det0)))
         if spread > 1e-6 * abs(det0):
             raise UnimodularizationFailed("Wronskian of Re/Im pair is not constant")
+        H = _tile(H, powers)
         x, y = _unimodular_scale(H.real, H.imag, det0)
-        return x, y, "explicit"
+        return x, y, {"route": "explicit", **meta}
 
-    # general route: mirrored Floquet partner supplies the missing solution
+    # general route: mirrored Floquet partner (multiplier 1/rho) supplies the missing solution
     Hm, P1m, P1pm = _lame_values(z, f.inv, -c, _mu(f.inv, -c))
-    x, y = _unimodular_pair((H, Hm), (P1, P1m), (P1p, P1pm))
-    return x, y, "general"
+    inverse = None if powers is None else powers.conj()
+    x, y = _unimodular_pair(
+        *((_tile(a, powers), _tile(b, inverse)) for a, b in ((H, Hm), (P1, P1m), (P1p, P1pm)))
+    )
+    return x, y, {"route": "general", **meta}
 
 
 def _solution_pair(funcs: np.ndarray, d1: np.ndarray, d2: np.ndarray):
@@ -399,7 +454,7 @@ def _length_constrained_route(f: FamilySpec, s: np.ndarray, force_general: bool,
     ppp = 6.0 * pv * pv - f.inv.g2 / 2.0
     yfpp = (A / 6.0) * (-2.0 * pv - ppv * z) + ppp - 2.0 * pv * pv + 2.0 * zv * ppv - A * A / 72.0
     x, y = _unimodular_pair((xf, yf), (xfp, yfp), (ppv, yfpp))
-    return x, y, "general"
+    return x, y, {"route": "general"}
 
 
 def _sqrt_line_route(f: FamilySpec, s: np.ndarray, force_general: bool, positive: bool = False):
@@ -411,7 +466,7 @@ def _sqrt_line_route(f: FamilySpec, s: np.ndarray, force_general: bool, positive
     w = np.sqrt(kappa) if positive else np.sqrt(-kappa)
     det0 = 3.0 * f.inv.g2 if positive else -3.0 * f.inv.g2
     x, y = _unimodular_scale(w, w * s, det0)
-    return x, y, "sqrt-line"
+    return x, y, {"route": "sqrt-line"}
 
 
 def _d_route(f: FamilySpec, s: np.ndarray, force_general: bool, tfun, E: float):
@@ -428,7 +483,7 @@ def _d_route(f: FamilySpec, s: np.ndarray, force_general: bool, tfun, E: float):
     X = np.exp(a * s) * (4.0 / a - 3.0 * t / b)
     Y = -np.exp(-a * s) * (4.0 / a + 3.0 * t / b)
     x, y = _unimodular_scale(X - X[0], Y - Y[0], 4.0 * a)
-    return x, y, "closed-form"
+    return x, y, {"route": "closed-form"}
 
 
 def _e_route(f: FamilySpec, s: np.ndarray, force_general: bool, E: float):
@@ -443,25 +498,25 @@ def _e_route(f: FamilySpec, s: np.ndarray, force_general: bool, E: float):
     X = (4.0 / al) * np.sin(al * s) - (3.0 / b) * t * np.cos(al * s)
     Y = (4.0 / al) * np.cos(al * s) + (3.0 / b) * t * np.sin(al * s)
     x, y = _unimodular_scale(X - X[0], Y - Y[0], 2.0 * al)
-    return x, y, "closed-form"
+    return x, y, {"route": "closed-form"}
 
 
 def _f_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     """g2 = 0 family: affine image of (zeta(s), wp(s) - zeta(s)^2)."""
     pv, _, zv, _ = weierstrass(s.astype(complex), f.inv)
     x, y = _unimodular_scale(zv.real, (pv - zv * zv).real, -f.inv.g3)
-    return x, y, "closed-form"
+    return x, y, {"route": "closed-form"}
 
 
 def _g_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     al = 20.0 ** -0.5
-    return al * s**4, al / s, "closed-form"
+    return al * s**4, al / s, {"route": "closed-form"}
 
 
 def _ellipse_route(f: FamilySpec, s: np.ndarray, force_general: bool, kappa0: float):
     R = kappa0 ** -0.75
     om = np.sqrt(kappa0)
-    return R * np.cos(om * s), R * np.sin(om * s), "closed-form"
+    return R * np.cos(om * s), R * np.sin(om * s), {"route": "closed-form"}
 
 
 def _case_meta(label: CaseLabel) -> dict:
@@ -601,11 +656,14 @@ def analytic_kappa(label: CaseLabel, s: np.ndarray) -> np.ndarray:
 
 
 def _grid_from(default, grid, n, endpoint: bool = True) -> np.ndarray:
+    """The sample grid; an (lo, hi[, n]) range needs finite lo < hi (else DomainError)."""
     if grid is None:
         lo, hi, npts = default
         return np.linspace(lo, hi, n or npts, endpoint=endpoint)
     if isinstance(grid, tuple) and len(grid) in (2, 3):
         lo, hi = grid[0], grid[1]
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise DomainError(f"grid range needs finite lo < hi, got {lo:g} {hi:g}")
         npts = grid[2] if len(grid) == 3 else (n or 4000)
         return np.linspace(lo, hi, npts)
     return np.asarray(grid, dtype=float)
@@ -626,9 +684,9 @@ def _sample(f: FamilySpec, grid=None, n=None, force_general=False, closed=False,
         if gap < _POLE_MARGIN * f.pole_scale:
             raise GridHitsPole(f"grid touches a {f.meta['case']} pole")
         rho = min(rho, gap)
-    x, y, route = f.route(f, s, force_general)
+    x, y, route_meta = f.route(f, s, force_general)
 
-    meta = {**f.meta, "route": route, **extra}
+    meta = {**f.meta, **route_meta, **extra}
     if f.sign_flip_at_poles:
         meta["sign_flip_at_poles"] = True  # smooth arcs alternate sign between poles
     if np.isfinite(rho):
@@ -643,15 +701,21 @@ def synthesize(
     closed: bool = False,
     period: float | None = None,
     force_general: bool = False,
+    closure: tuple[int, int] | None = None,
 ) -> CurveSamples:
     """Equi-affine samples of the critical curve described by ``label``.
 
     ``grid`` is an (lo, hi) tuple, an (lo, hi, n) tuple or an explicit
     uniform array; omitted, a case-appropriate pole-avoiding default is
     used.  The output satisfies |gamma', gamma''| = 1 and its recomputed
-    curvature matches the closed form for the case.
+    curvature matches the closed form for the case.  ``closure`` = (m, n)
+    marks a grid of 2m equal kappa-periods of a curve closing with m:n; the
+    Lame route then evaluates one period and tiles the rest by the Floquet
+    multiplier.
     """
     f = _family(label)
+    if closure is not None:
+        f = replace(f, closure=closure)
     if f.period is not None:
         closed = closed or grid is None
         period = period or f.period
@@ -684,12 +748,19 @@ def synthesize_arcs(
 
 
 def synthesize_closed(sol: ClosureSolution, samples_per_period: int = 2000) -> CurveSamples:
-    """One full closed curve of a closure solution, grid excluding the wrap."""
+    """One full closed curve of a closure solution, grid excluding the wrap.
+
+    The grid holds ``samples_per_period`` points in each of the 2m
+    kappa-periods; the theta series runs on the first period only, and the
+    metadata records the Floquet multiplier used (``floquet_arg_pi``, its
+    argument over pi) and its distance from the computed one
+    (``floquet_defect``).
+    """
     label = classify(sol.inv, Branch.closed_branch)
     T = sol.period
     npts = samples_per_period * 2 * sol.m
     s = np.linspace(0.0, T, npts, endpoint=False)
-    out = synthesize(label, grid=s, closed=True, period=T)
+    out = synthesize(label, grid=s, closed=True, period=T, closure=(sol.m, sol.n))
     out.meta.update(sol.to_json_dict())
     return out
 

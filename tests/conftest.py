@@ -71,3 +71,12 @@ def random_invertible(rng, scale=1.5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def rfft_calls(monkeypatch):
+    """Lengths of the np.fft.rfft calls made while the test runs."""
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: calls.append(len(a)) or rfft(a, *args, **kw))
+    return calls

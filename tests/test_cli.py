@@ -15,7 +15,7 @@ from affine_elastica import elliptic as el
 from affine_elastica import fullaffine as fa
 from affine_elastica import synthesis as sy
 from affine_elastica.classifier import Branch, classify
-from affine_elastica.cli import _conic_points, main
+from affine_elastica.cli import _conic_points, _svg_polyline, _verify_curve, main
 from affine_elastica.elliptic import invariants_from_qQ
 from affine_elastica.errors import DomainError
 from conftest import hypotrochoid_points
@@ -99,6 +99,13 @@ class TestSynth:
         assert text.startswith("<?xml")
         assert "<polyline" in text
 
+    def test_svg_points_format_each_coordinate_to_six_decimals(self, rng):
+        pts = rng.standard_normal((500, 2)) * np.logspace(-9, 9, 500)[:, None]
+        pts[:4] = [[-0.0, 0.0], [np.nan, np.inf], [-np.inf, 1e-7], [2.5e-7, -5e-7]]
+        coords = " ".join(f"{x:.6f},{y:.6f}" for x, y in pts)
+        assert _svg_polyline(pts, "curve") == f'<polyline class="curve" fill="none" points="{coords}"/>'
+        assert _svg_polyline(np.empty((0, 2)), "frame").endswith('points=""/>')
+
     def test_case_g_algebraic_output(self, tmp_path, capsys):
         p = tmp_path / "g.csv"
         code, _, _ = run(["synth", "--case", "G", "--csv", str(p)], capsys)
@@ -126,6 +133,23 @@ class TestSynth:
         assert code == 0
         report = json.loads(out)
         assert report["checks"]["el_residual"]["pass"]
+
+    # at Q within rounding of these roots, evaluating every period moved the
+    # residual past 1e-5; one period tiled by the exact multiplier does not
+    @pytest.mark.parametrize("m,n", [(5, 6), (7, 8)])
+    def test_closure_selfcheck_one_period(self, m, n, tmp_path, capsys):
+        code, out, _ = run(
+            ["synth", "--closure", str(m), str(n), "--csv", str(tmp_path / "c.csv"), "--self-check"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["checks"]["el_residual"]["value"] < 1e-5
+
+    def test_closed_self_check_transforms_each_signal_once(self, rfft_calls):
+        curve = sy.synthesize_closed(sy.solve_closure(3, 4), samples_per_period=400)
+        _, ok = _verify_curve(curve, "el", 1e-5)
+        assert ok
+        assert len(rfft_calls) <= 3  # x, y and kappa
 
     def test_degenerate_case_selfcheck(self, tmp_path, capsys):
         p = tmp_path / "da.csv"

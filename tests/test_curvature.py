@@ -101,6 +101,17 @@ class TestFrameAndCurvature:
         sel = a1_curve.interior()
         assert np.max(np.abs(kappa[sel] - kex[sel])) < 1e-4
 
+    def test_derivatives_computed_once_per_order(self, rfft_calls):
+        c = cv.ellipse_samples(2.0, 0.5, 512)
+        first = cv._derivs(c)
+        assert len(rfft_calls) == 2
+        more = cv._derivs(c, orders=(1, 2, 3, 4))  # only order 4 is new
+        assert len(rfft_calls) == 4
+        assert all(more[m] is first[m] for m in (1, 2, 3))
+        cv.el_residual_area_constrained(c)
+        cv.el_residual_area_and_length(c)
+        assert len(rfft_calls) == 5  # kappa once, for both fits
+
     def test_frame_ode_residual(self, ellipse_2_half):
         # N' + kappa T = 0 along the curve
         from affine_elastica._numerics import diff_samples

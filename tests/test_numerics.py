@@ -15,7 +15,14 @@ from scipy.special import ellipk, elliprf
 
 from affine_elastica import elliptic as el
 from affine_elastica import synthesis as sy
-from affine_elastica._numerics import _smooth_weights, brent_root, carlson_rf, diff_smoothed
+from affine_elastica._numerics import (
+    _smooth_weights,
+    brent_root,
+    carlson_rf,
+    diff_samples,
+    diff_smoothed,
+    diff_spectral,
+)
 from affine_elastica.errors import NoSuchC
 
 EPS = np.finfo(float).eps
@@ -213,3 +220,27 @@ def test_brent_root_repeats_brentq(f, a, b, xtol):
 def test_brent_root_needs_a_sign_change():
     with pytest.raises(ValueError, match="different signs"):
         brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 4e-15)
+
+
+@pytest.mark.parametrize("n", [256, 257, 6 * 577])
+def test_multi_order_spectral_derivative_repeats_single_orders(n, rng):
+    s = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    y = np.exp(np.cos(s)) * np.sin(3.0 * s) + 1e-13 * rng.standard_normal(n)  # noise sets the cut
+    h = s[1] - s[0]
+    orders = (3, 1, 4, 2)
+    many = diff_spectral(y, h, orders)
+    for m, d in zip(orders, many):
+        assert np.array_equal(d, diff_spectral(y, h, m))
+    assert all(np.array_equal(a, diff_samples(y, h, m, periodic=True)) for m, a in zip(orders, many))
+
+
+def test_multi_order_smoothed_derivative_repeats_single_orders(rng):
+    y = np.cumsum(rng.standard_normal(900)) * 1e-2
+    many = diff_samples(y, 0.01, (1, 2, 3), window=101)
+    for m, d in zip((1, 2, 3), many):
+        assert np.array_equal(d, diff_smoothed(y, 0.01, m, window=101))
+
+
+def test_one_transform_for_many_orders(rfft_calls):
+    diff_spectral(np.sin(np.linspace(0.0, 6.0, 300, endpoint=False)), 0.02, (1, 2, 3, 4))
+    assert rfft_calls == [300]

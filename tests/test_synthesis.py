@@ -9,9 +9,11 @@ from affine_elastica import elliptic as el
 from affine_elastica import synthesis as sy
 from affine_elastica.classifier import Branch, Case, CaseLabel, classify
 from affine_elastica.errors import (
+    DomainError,
     GridHitsPole,
     NotBracketed,
     PathThroughZero,
+    SynthesisError,
 )
 from lame_oracle import LameSolutionParams, lame_phi1, lame_phi1_prime, lame_phi2
 
@@ -242,6 +244,68 @@ class TestClosureCondition:
         M = np.linalg.matrix_power(L, 2 * sol.m)
         assert np.max(np.abs(M - np.eye(2))) < 1e-6
 
+    def test_closed_curve_evaluates_one_period(self, monkeypatch):
+        sol = sy.solve_closure(3, 4)
+        sizes = []
+        bundle = el._theta1_bundle
+        monkeypatch.setattr(el, "_theta1_bundle", lambda u, coef: sizes.append(u.size) or bundle(u, coef))
+        sy.synthesize_closed(sol, samples_per_period=500)
+        scalar = [k for k in sizes if k == 1]
+        assert len(scalar) <= 4
+        assert sum(sizes) <= 2 * 500 + len(scalar)  # h at z and z + c on the first period
+
+    @pytest.mark.parametrize("m,n", [(3, 4), (5, 6)])
+    def test_tiled_periods_match_direct_values(self, m, n):
+        sol = sy.solve_closure(m, n)
+        inv, lat, per = sol.inv, sol.lattice, 400
+        c = sy.lame_parameter_c(inv, prefer_negative_imag=True)
+        mu = sy._mu(inv, c)
+        z = np.linspace(0.0, sol.period, 2 * m * per, endpoint=False) - 1j * lat.w2_im
+        j, _ = sy._floquet_multiplier(lat, c, mu, m, n)
+        tiled = sy._tile(sy._lame_values(z[:per], inv, c, mu)[0], sy._floquet_powers(j, m))
+        idx = np.linspace(len(z) - per, len(z) - 1, 16).astype(int)  # the last kappa-period
+        direct = sy._lame_values(z[idx], inv, c, mu)[0]
+        assert np.max(np.abs(tiled[idx] - direct)) <= 1e-9 * np.max(np.abs(tiled))
+
+    @pytest.mark.parametrize("m,n", [(3, 4), (7, 9)])
+    def test_closed_curve_records_its_multiplier(self, m, n):
+        c = sy.synthesize_closed(sy.solve_closure(m, n), samples_per_period=300)
+        assert c.meta["floquet_arg_pi"] == -n / m
+        assert c.meta["floquet_defect"] < 1e-12
+        # each period is a rotated copy of the first, so the wrap step equals
+        # the step from the first period into the second
+        steps = np.hypot(np.diff(c.x, append=c.x[0]), np.diff(c.y, append=c.y[0]))
+        assert steps[-1] == pytest.approx(steps[c.n // (2 * m) - 1], rel=1e-9)
+
+    def test_non_closing_pair_raises(self):
+        import dataclasses
+
+        sol = dataclasses.replace(sy.solve_closure(3, 4), n=5)
+        with pytest.raises(SynthesisError, match="does not close"):
+            sy.synthesize_closed(sol, samples_per_period=200)
+
+    def test_closure_grid_must_hold_whole_periods(self):
+        sol = sy.solve_closure(3, 4)
+        label = classify(sol.inv, Branch.closed_branch)
+        for s in (np.linspace(0.0, sol.period, 6 * 200 + 1, endpoint=False),
+                  np.linspace(0.0, 0.9 * sol.period, 6 * 200, endpoint=False)):
+            with pytest.raises(DomainError, match="equal periods"):
+                sy.synthesize(label, grid=s, closed=True, period=sol.period, closure=(3, 4))
+
+    def test_general_route_tiles_the_mirrored_partner(self):
+        sol = sy.solve_closure(3, 4)
+        label = classify(sol.inv, Branch.closed_branch)
+        s = np.linspace(0.0, sol.period, 6 * 500, endpoint=False)
+        c1 = sy.synthesize(label, grid=s, closed=True, period=sol.period, closure=(3, 4))
+        c2 = sy.synthesize(label, grid=s, closed=True, period=sol.period, closure=(3, 4),
+                           force_general=True)
+        assert c2.meta["route"] == "general"
+        P = np.column_stack([c1.x, c1.y, np.ones(c1.n)])
+        cx, *_ = np.linalg.lstsq(P, c2.x, rcond=None)
+        cy, *_ = np.linalg.lstsq(P, c2.y, rcond=None)
+        err = max(np.max(np.abs(P @ cx - c2.x)), np.max(np.abs(P @ cy - c2.y)))
+        assert err < 1e-8 * max(np.ptp(c2.x), np.ptp(c2.y))
+
     def test_a3_nonperiodicity_scan(self):
         for Q in (2.25, 3.0, 6.0, 12.0, 20.0):
             val = sy.a3_nonperiodicity(Q)
@@ -431,6 +495,12 @@ class TestCaseSpecificForms:
         err = max(np.max(np.abs(P @ cx - c2.x)), np.max(np.abs(P @ cy - c2.y)))
         scale = max(np.ptp(c2.x), np.ptp(c2.y))
         assert err < 1e-8 * scale
+
+    @pytest.mark.parametrize("grid", [(2.0, 2.0), (1.0, 0.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_bad_grid_range_is_domain_error(self, grid):
+        label = classify(el.invariants_from_qQ(1.0, 3.0), Branch.closed_branch)
+        with pytest.raises(DomainError, match="finite lo < hi"):
+            sy.synthesize(label, grid=grid)
 
     @pytest.mark.parametrize("name,attempt", POLE_HITS, ids=[n for n, _ in POLE_HITS])
     def test_grid_hits_pole(self, name, attempt):
