@@ -2,9 +2,7 @@
 
 Curve samples are differentiated by ``diff_samples``: filtered Fourier
 symbols for closed curves, long local least-squares stencils for open ones.
-Only ``diff_uniform``, used to reparametrize raw point samples, applies
-4th-order stencils (periodic wraparound, or one-sided Fornberg stencils at
-open ends).  ``carlson_rf`` (K(m) and the Lame parameter c) and ``brent_root``
+``carlson_rf`` (K(m) and the Lame parameter c) and ``brent_root``
 (the closure solve) spare the CLI any scipy import.
 """
 
@@ -15,78 +13,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-
-def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Fornberg weights for derivatives 0..m at x0 from nodes x.
-
-    Returns an array c of shape (len(x), m+1); c[:, k] are the weights of
-    the k-th derivative.
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    c = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c
-
-
-def _centered_stencil(order: int, half: int):
-    offs = np.arange(-half, half + 1, dtype=float)
-    return half, fd_weights(offs, 0.0, order)[:, order]
-
-
-# centered stencils, 4th-order accurate on a uniform grid
-_STENCILS = {
-    1: _centered_stencil(1, 2),
-    2: _centered_stencil(2, 2),
-    3: _centered_stencil(3, 3),
-    4: _centered_stencil(4, 3),
-}
-
-
-def diff_uniform(y: np.ndarray, h: float, order: int, periodic: bool = False) -> np.ndarray:
-    """order-th derivative of samples y on a uniform grid of spacing h."""
-    y = np.asarray(y, dtype=float)
-    half, w = _STENCILS[order]
-    if periodic:
-        out = np.zeros_like(y)
-        for j, wj in enumerate(w, start=-half):
-            if wj != 0.0:
-                out += wj * np.roll(y, -j)
-        return out / h**order
-    n = len(y)
-    if n < 2 * half + 1:
-        raise ValueError("too few samples for the requested derivative order")
-    out = np.empty_like(y)
-    core = np.convolve(y, w[::-1], mode="valid") / h**order
-    out[half : n - half] = core
-    # one-sided 4th-order stencils at the edges
-    npts = min(n, order + 5)
-    xs = np.arange(npts, dtype=float)
-    for i in range(half):
-        wts = fd_weights(xs, float(i), order)[:, order]
-        out[i] = wts @ y[:npts] / h**order
-        wts = fd_weights(xs, float(npts - 1 - i), order)[:, order]
-        out[n - 1 - i] = wts @ y[n - npts :] / h**order
-    return out
 
 
 # Modes past the last one above this fraction of the peak are cut.  Single

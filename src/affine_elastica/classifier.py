@@ -87,13 +87,6 @@ class CaseLabel:
         return json.dumps(payload, indent=1)
 
 
-def _kappa_roots_real(g2: float, g3: float) -> np.ndarray:
-    """Real curvature-axis intersections, ascending."""
-    e = cubic_roots(g2, g3)
-    e = np.sort(e.real[np.abs(e.imag) < 1e-9 * np.max(np.abs(e))])
-    return -6.0 * e[::-1]  # kappa = -6 e, ascending in kappa
-
-
 def classify(inv: Invariants, branch: Branch = Branch.open_branch) -> CaseLabel:
     """Assign the case tag for invariants (g2, g3) and a branch choice.
 
@@ -119,8 +112,7 @@ def classify(inv: Invariants, branch: Branch = Branch.open_branch) -> CaseLabel:
         return CaseLabel(tag, {"E": E}, g2, g3)
 
     if inv.discriminant > 0.0:
-        kr = _kappa_roots_real(g2, g3)  # ascending: P < q < Q
-        P, q, Q = kr
+        P, q, Q = -6.0 * cubic_roots(g2, g3).real  # ascending, as the roots descend
         q_zero = abs(q) < Q_ZERO_RTOL * max(abs(P), abs(Q))
         if branch is Branch.closed_branch:
             if q_zero:
@@ -135,11 +127,8 @@ def classify(inv: Invariants, branch: Branch = Branch.open_branch) -> CaseLabel:
     # negative discriminant: one real intersection P, complex pair -P/2 +- i tau
     if branch is Branch.closed_branch:
         raise BranchUnavailable("the cubic has no closed branch for negative discriminant")
-    e = cubic_roots(g2, g3)
-    i_real = int(np.argmin(np.abs(e.imag)))
-    P = -6.0 * float(e[i_real].real)
-    pair = np.delete(e, i_real)
-    tau = 6.0 * abs(float(pair[0].imag))
+    e = cubic_roots(g2, g3)  # (-r/2 + ib, r, -r/2 - ib)
+    P, tau = -6.0 * float(e[1].real), 6.0 * float(e[0].imag)
     if abs(P) < Q_ZERO_RTOL * max(abs(P), tau):
         return CaseLabel(Case.C3, {"P": 0.0, "tau": tau}, g2, g3)
     if P > 0:

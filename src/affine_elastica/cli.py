@@ -245,9 +245,11 @@ def _verify_curve(curve: cv.CurveSamples, suite: str, tol: float):
             record("sqrt_el_residual", str(ex), suite not in ("sqrt",))
     if suite in ("closure", "all"):
         if curve.closed:
-            gap = float(np.hypot(curve.x[0] - curve.x[-1], curve.y[0] - curve.y[-1]))
-            diam = float(np.hypot(np.ptp(curve.x), np.ptp(curve.y)))
-            record("closure_gap_rel", gap / diam, gap / diam < 10.0 * curve.h / diam + tol)
+            # the wrap step p[-1] -> p[0] is one more grid step, as long as its
+            # neighbours; a curve that stops k steps short wraps in about k + 1
+            before, wrap, after = np.hypot(*np.diff(curve.points()[[-2, -1, 0, 1]], axis=0).T)
+            ratio = float(wrap / max(before, after))
+            record("closure_gap_rel", ratio, ratio < 1.5)
         else:
             record("closure_gap_rel", "open curve", suite != "closure")
     if suite in ("fullaffine", "all"):

@@ -19,7 +19,6 @@ import numpy as np
 from ._numerics import (
     cumulative_uniform,
     diff_samples,
-    diff_uniform,
     integrate_samples,
     trusted_interior,
 )
@@ -199,13 +198,17 @@ def reparametrize_equiaffine(
     uniform in s with |gamma', gamma''| = 1 up to interpolation error.
 
     Raises InflectionPoint when |dgamma, d2gamma| changes sign or nearly
-    vanishes.
+    vanishes, and ValueError for fewer than 5 points (4 when closed).
     """
     from scipy.interpolate import make_interp_spline  # loaded on first use only
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
     n = len(pts)
+    # s(t) needs 4 nodes; an open window of under 5 fits a line, so gamma'' = 0
+    need = 4 if closed else 5
+    if n < need:
+        raise ValueError(f"need at least {need} points")
     if t is None:
         t = np.arange(n, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -213,16 +216,11 @@ def reparametrize_equiaffine(
     if not np.allclose(np.diff(t), ht, rtol=1e-9):
         raise ValueError("parameter grid must be uniform")
 
-    dx1 = np.column_stack(
-        [diff_uniform(pts[:, 0], ht, 1, periodic=closed), diff_uniform(pts[:, 1], ht, 1, periodic=closed)]
-    )
-    dx2 = np.column_stack(
-        [diff_uniform(pts[:, 0], ht, 2, periodic=closed), diff_uniform(pts[:, 1], ht, 2, periodic=closed)]
-    )
-    w = _cross(dx1, dx2)
+    (x1, x2), (y1, y2) = (diff_samples(pts[:, k], ht, (1, 2), periodic=closed) for k in (0, 1))
+    w = x1 * y2 - y1 * x2
     wmed = np.median(np.abs(w))
     orient = np.sign(np.median(w))
-    if np.any(w * orient < 1e-8 * wmed):
+    if wmed == 0.0 or np.any(w * orient < 1e-8 * wmed):
         raise InflectionPoint("|dgamma, d2gamma| changes sign or nearly vanishes")
     if orient < 0:
         # reverse orientation so the area form is +1 along the curve

@@ -114,14 +114,25 @@ class LatticeData:
 
 
 def cubic_roots(g2: float, g3: float) -> np.ndarray:
-    """Roots of 4 t^3 - g2 t - g3 = 0, Newton-polished."""
+    """Roots of 4 t^3 - g2 t - g3 = 0, Newton-polished, in the ``LatticeData.roots`` order.
+
+    For g2^3 > 27 g3^2 the three real roots, descending; otherwise
+    (-r/2 + ib, r, -r/2 - ib) with r the real root and b > 0 (b = 0 only at
+    a repeated root).  A complex array either way.
+    """
+    g2, g3 = float(g2), float(g3)
     r = np.roots([4.0, 0.0, -g2, -g3])
     for _ in range(2):
         f = 4.0 * r**3 - g2 * r - g3
         fp = 12.0 * r**2 - g2
         step = np.where(np.abs(fp) > 0, f / np.where(fp == 0, 1.0, fp), 0.0)
         r = r - step
-    return r
+    if Invariants(g2, g3).discriminant > 0.0:
+        return np.sort(r.real)[::-1].astype(complex)
+    i_real = int(np.argmin(np.abs(r.imag)))
+    rr = float(r[i_real].real)
+    b = abs(float(r[int(i_real == 0)].imag))
+    return np.array([complex(-0.5 * rr, b), complex(rr), complex(-0.5 * rr, -b)])
 
 
 def invariants_from_qQ(q: float, Q: float) -> Invariants:
@@ -212,25 +223,17 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
         raise DegenerateDiscriminant(
             f"discriminant {inv.discriminant:.3e} is degenerate relative to g2^3"
         )
-    r = cubic_roots(g2, g3)
-    delta = inv.discriminant
-    if delta > 0.0:
-        e1, e2, e3 = np.sort(r.real)[::-1]
+    roots = tuple(complex(r) for r in cubic_roots(g2, g3))
+    rhombic = inv.discriminant < 0.0
+    if not rhombic:
+        e1, e2, e3 = (r.real for r in roots)
         m = (e2 - e3) / (e1 - e3)
         scale = np.sqrt(e1 - e3)
-        roots = (complex(e1), complex(e2), complex(e3))
-        rhombic = False
     else:
-        i_real = int(np.argmin(np.abs(r.imag)))
-        rr = float(r[i_real].real)
-        pair = np.delete(r, i_real)
-        b = abs(float(pair[0].imag))
+        rr, b = roots[1].real, roots[0].imag
         H = np.sqrt(2.25 * rr * rr + b * b)
         m = 0.5 - 0.75 * rr / H
         scale = np.sqrt(H)
-        a = -0.5 * rr
-        roots = (complex(a, b), complex(rr), complex(a, -b))
-        rhombic = True
     w1 = carlson_rf(0.0, 1.0 - m, 1.0) / scale  # K(m), DLMF 19.25.1
     w2_im = carlson_rf(0.0, m, 1.0) / scale  # K(1 - m)
 

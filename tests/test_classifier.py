@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from affine_elastica.classifier import Branch, Case, CaseLabel, classify, rescale_to_normal_form
-from affine_elastica.elliptic import Invariants, invariants_from_Ptau, invariants_from_qQ
+from affine_elastica.elliptic import (
+    Invariants,
+    cubic_roots,
+    half_periods,
+    invariants_from_Ptau,
+    invariants_from_qQ,
+)
 from affine_elastica.errors import BranchUnavailable
 
 
@@ -147,12 +153,13 @@ class TestRoundTripProperties:
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
+    qs = st.floats(min_value=-3.0, max_value=3.0)
+    gaps = st.floats(min_value=0.05, max_value=6.0)
+    Ps = st.floats(min_value=-3.0, max_value=3.0)
+    taus = st.floats(min_value=0.05, max_value=5.0)
+
     @settings(max_examples=40, deadline=None)
-    @given(
-        q=st.floats(min_value=-3.0, max_value=3.0),
-        gap=st.floats(min_value=0.05, max_value=6.0),
-        branch=st.sampled_from([Branch.closed_branch, Branch.open_branch]),
-    )
+    @given(q=qs, gap=gaps, branch=st.sampled_from([Branch.closed_branch, Branch.open_branch]))
     def test_qQ_roundtrip(self, q, gap, branch):
         Q = q + gap
         # (q, Q) are recoverable only when they are the two rightmost
@@ -167,10 +174,7 @@ class TestRoundTripProperties:
         assert label.params["Q"] == pytest.approx(Q, abs=1e-9 * max(1.0, abs(Q)))
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        P=st.floats(min_value=-3.0, max_value=3.0),
-        tau=st.floats(min_value=0.05, max_value=5.0),
-    )
+    @given(P=Ps, tau=taus)
     def test_Ptau_roundtrip(self, P, tau):
         inv = invariants_from_Ptau(P, tau)
         if inv.is_degenerate or abs(inv.g2) < 1e-8:
@@ -179,6 +183,21 @@ class TestRoundTripProperties:
         scale = max(1.0, abs(P), tau)
         assert label.params["P"] == pytest.approx(P, abs=1e-9 * scale)
         assert label.params["tau"] == pytest.approx(tau, abs=1e-9 * scale)
+
+    @settings(max_examples=80, deadline=None)
+    @given(inv=st.one_of(st.builds(lambda q, gap: invariants_from_qQ(q, q + gap), qs, gaps),
+                         st.builds(invariants_from_Ptau, Ps, taus)))
+    def test_cubic_roots_order(self, inv):
+        """One root order for the package: the order of LatticeData.roots."""
+        if inv.is_degenerate:
+            return
+        e = cubic_roots(inv.g2, inv.g3)
+        if inv.discriminant > 0.0:
+            assert np.all(e.imag == 0.0) and e[0].real >= e[1].real >= e[2].real
+        else:
+            assert e[1].imag == 0.0 and e[0].imag > 0.0 and e[2] == e[0].conjugate()
+            assert e[0].real == -0.5 * e[1].real
+        assert half_periods(inv).roots == tuple(e)
 
     nonzero = st.floats(min_value=-3.0, max_value=3.0).filter(lambda x: abs(x) >= 1e-3)
 

@@ -248,6 +248,15 @@ class TestVerify:
         report = json.loads(out, parse_constant=reject)
         assert np.isfinite(report["checks"]["el_residual"]["value"])
 
+    def test_closure_suite_sees_a_curve_that_stops_short(self, tmp_path, capsys):
+        p = tmp_path / "c34.csv"
+        assert run(["synth", "--closure", "3", "4", "--csv", str(p)], capsys)[0] == 0
+        rows = p.read_text().splitlines(keepends=True)
+        for drop, code in ((0, 0), (1, 1), (8, 1)):
+            short = tmp_path / f"short{drop}.csv"
+            short.write_text("".join(rows[: len(rows) - drop]))
+            assert run(["verify", str(short), "--closed", "--suite", "closure"], capsys)[0] == code, drop
+
     def test_tol_env_override(self, tmp_path, capsys, monkeypatch):
         e = cv.ellipse_samples(2.0, 0.5, 2048)
         p = tmp_path / "e.csv"

@@ -71,9 +71,25 @@ class TestReparametrize:
 
     def test_inflection_rejected(self):
         t = np.linspace(-1, 1, 2001)
-        pts = np.column_stack([t, t**3])  # inflection at the origin
-        with pytest.raises(InflectionPoint):
-            cv.reparametrize_equiaffine(pts, t=t)
+        # an inflection at the origin; a line and a repeated point have |dgamma, d2gamma| = 0
+        for pts in (np.column_stack([t, t**3]), np.column_stack([t, 2 * t]), np.ones((len(t), 2))):
+            with pytest.raises(InflectionPoint):
+                cv.reparametrize_equiaffine(pts, t=t)
+
+    def test_raw_points_accurate(self):
+        # raw points are differentiated by the same filters as curve samples
+        t = np.linspace(0, 2 * np.pi, 800, endpoint=False)
+        c = cv.reparametrize_equiaffine(np.column_stack([2.0 * np.cos(t), 0.5 * np.sin(t)]), closed=True)
+        assert cv.unimodularity_defect(c) < 1e-12
+        t = np.linspace(-1, 1, 600)
+        c = cv.reparametrize_equiaffine(np.column_stack([t, t**2 / 2]), t=t)
+        assert np.max(np.abs(cv.frame_and_curvature(c).kappa[c.interior()])) < 1e-8
+
+    @pytest.mark.parametrize("n,closed", [(2, False), (3, False), (4, False), (2, True), (3, True)])
+    def test_too_few_points(self, n, closed):
+        t = np.arange(n) * 2 * np.pi / (n if closed else 2 * n)
+        with pytest.raises(ValueError, match="at least"):
+            cv.reparametrize_equiaffine(np.column_stack([np.cos(t), np.sin(t)]), closed=closed)
 
     def test_orientation_normalized(self):
         t = np.linspace(0, 2 * np.pi, 4000, endpoint=False)
