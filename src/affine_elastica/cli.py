@@ -151,7 +151,8 @@ def cmd_synth(args, cfg) -> int:
     if args.closure:
         m, n = args.closure
         sol = sy.solve_closure(int(m), int(n))
-        curve = sy.synthesize_closed(sol, samples_per_period=int(cfg["samples"] or 2000))
+        per_period = 2000 if cfg["samples"] is None else cfg["samples"]
+        curve = sy.synthesize_closed(sol, samples_per_period=per_period)
     elif args.length_constrained:
         curve = sy.synthesize_length_constrained(
             A=args.A, g3=args.g3 if args.g3 is not None else -0.15, c0=args.c0

@@ -479,11 +479,17 @@ def curve_from_json(path_or_text) -> CurveSamples:
             payload = json.load(f)
     if not isinstance(payload, dict) or not {"s", "x", "y", "closed", "period"} <= payload.keys():
         raise ValueError("expected a JSON object with keys s, x, y, closed and period")
+    meta = payload.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("expected meta to be a JSON object")
+    win = meta.get("fd_window", 101)
+    if type(win) is not int or not 101 <= win <= 401 or win % 2 == 0:  # what filter_window writes
+        raise ValueError(f"meta.fd_window must be an odd integer in [101, 401], got {win!r}")
     return CurveSamples(
         np.array(payload["s"]),
         np.array(payload["x"]),
         np.array(payload["y"]),
         closed=payload["closed"],
         period=payload["period"],
-        meta=payload.get("meta", {}),
+        meta=meta,
     )

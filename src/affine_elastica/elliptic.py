@@ -7,7 +7,7 @@ Jacobi theta function and its first three derivatives.  Half-periods come
 from the cubic roots of 4t^3 - g2 t - g3 and the complete elliptic integral
 K(m) = R_F(0, 1 - m, 1) (DLMF 19.25(i)), from the in-package Carlson R_F.
 Everything is double precision; lattices with vanishing discriminant are
-rejected, and ``half_periods`` checks its result on the roots' own scale.
+rejected.
 
 After reduction |Im u| <= pi Im(tau)/2, so term n of the theta series and
 of its first three derivatives is at most (2n+1)^3 |q|^(n^2 - 1/4).  The
@@ -23,7 +23,11 @@ three derivatives, 2 (-1)^n e^(i pi tau (n+1/2)^2) (+-i(2n+1))^k / (+-2i),
 are computed once per lattice and kept in the cached frame, and
 theta1'(0) and theta1'''(0) are their plain sums.  A scalar argument goes
 through the same array loops as an array, so it gets the same bits.
-``half_periods`` runs its consistency check once per lattice and caches it.
+
+Each lattice is built once per (g2, g3) and cached as one frame: the theta
+coefficients and the checked ``LatticeData``.  The build evaluates wp(w1)
+and zeta(w1) on the new frame and checks them on the roots' own scale, so
+``half_periods`` and the first kernel call on a lattice both run the check.
 
 All functions are pure and accept scalars or ndarrays for the argument z;
 they are safe for concurrent use.
@@ -31,7 +35,7 @@ they are safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -127,7 +131,7 @@ def cubic_roots(g2: float, g3: float) -> np.ndarray:
         fp = 12.0 * r**2 - g2
         step = np.where(np.abs(fp) > 0, f / np.where(fp == 0, 1.0, fp), 0.0)
         r = r - step
-    if Invariants(g2, g3).discriminant > 0.0:
+    if g2**3 - 27.0 * g3**2 > 0.0:  # Invariants.discriminant
         return np.sort(r.real)[::-1].astype(complex)
     i_real = int(np.argmin(np.abs(r.imag)))
     rr = float(r[i_real].real)
@@ -165,9 +169,6 @@ def invariants_from_Ptau(P: float, tau: float) -> Invariants:
 
 @dataclass(frozen=True)
 class _Frame:
-    w1: float
-    w2_im: float
-    roots: tuple[complex, complex, complex]
     W1: complex  # theta-frame half periods (2*W1, 2*W3 generate the lattice)
     W3: complex
     theta_coef: np.ndarray  # (4, 2 * _THETA_TERMS) for tau = W3 / W1, see _theta_coefficients
@@ -176,6 +177,7 @@ class _Frame:
     eta3f: complex  # zeta(W3)
     basis_inv: tuple[float, float, float, float]  # inverse of [2W1 | 2W3] as reals
     pole_tol: float
+    lattice: LatticeData | None = None  # the checked half-periods; None only inside the build
 
 
 _TERM_N = np.arange(_THETA_TERMS)
@@ -256,19 +258,19 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
     p1, p2 = 2.0 * W1, 2.0 * W3
     det = p1.real * p2.imag - p1.imag * p2.real
     basis_inv = (p2.imag / det, -p2.real / det, -p1.imag / det, p1.real / det)
-    return _Frame(
-        w1=float(w1),
-        w2_im=float(w2_im),
-        roots=roots,
-        W1=W1,
-        W3=W3,
-        theta_coef=coef,
-        th1p0=th1p0,
-        eta1f=eta1f,
-        eta3f=eta3f,
-        basis_inv=basis_inv,
-        pole_tol=POLE_RTOL * float(w1),
-    )
+    w1, w2_im = float(w1), float(w2_im)
+    fr = _Frame(W1=W1, W3=W3, theta_coef=coef, th1p0=th1p0, eta1f=eta1f, eta3f=eta3f,
+                basis_inv=basis_inv, pole_tol=POLE_RTOL * w1)
+    st, _ = _theta_state(w1, fr, "half_periods")
+    e_half, eta1 = complex(_wp(*st)[0]), complex(_zeta(*st)[0])
+    # both checks are relative to the lattice's own scale: (l^4 g2, l^6 g3) gets the same verdict
+    if abs(eta1.imag) > 1e-9 * (abs(eta1) + 1.0 / w1):
+        raise DomainError("zeta(w1) should be real for real invariants")
+    # consistency: wp at the real half-period equals the largest real root
+    e_ref = max(r.real for r in roots if r.imag == 0.0)
+    if abs(e_half.real - e_ref) > 1e-8 * max(abs(r) for r in roots):
+        raise DomainError("wp(w1) does not match the largest real root")
+    return replace(fr, lattice=LatticeData(w1=w1, w2_im=w2_im, roots=roots, eta1=float(eta1.real)))
 
 
 def _frame(inv: Invariants) -> _Frame:
@@ -298,13 +300,12 @@ def _check_pole(zr: np.ndarray, fr: _Frame, what: str) -> None:
         raise NearPole(f"{what}: argument within {fr.pole_tol:.2e} of a lattice point")
 
 
-def _theta_state(z, inv: Invariants, what: str | None):
-    """One theta evaluation: the formula arguments (frame, reduced z, lattice
-    multiples M and N, theta1 and three u-derivatives) and whether z is a scalar.
-    ``what`` names the caller in NearPole; None skips the pole check.  A
-    scalar z is evaluated as a 1-element array, so it meets the same
-    arithmetic loops, and gets the same bits, as inside an array."""
-    fr = _frame(inv)
+def _theta_state(z, fr: _Frame, what: str | None):
+    """One theta evaluation on frame fr: the formula arguments (frame, reduced
+    z, lattice multiples M and N, theta1 and three u-derivatives) and whether
+    z is a scalar.  ``what`` names the caller in NearPole; None skips the pole
+    check.  A scalar z is evaluated as a 1-element array, so it meets the
+    same arithmetic loops, and gets the same bits, as inside an array."""
     arr = np.asarray(z, dtype=complex)
     zr, M, N = _reduce(np.atleast_1d(arr), fr)
     if what is not None:
@@ -345,7 +346,7 @@ def _log_sigma(fr, zr, M, N, t0, t1, t2, t3):
 
 
 def _evaluate(formula, z, inv: Invariants, what: str | None):
-    st, scalar = _theta_state(z, inv, what)
+    st, scalar = _theta_state(z, _frame(inv), what)
     val = formula(*st)
     return complex(val[0]) if scalar else val
 
@@ -353,7 +354,7 @@ def _evaluate(formula, z, inv: Invariants, what: str | None):
 def weierstrass(z, inv: Invariants):
     """(wp, wp', zeta, log sigma) at z from one theta evaluation; each equals its
     single-function kernel exactly, and a scalar z gives Python complexes."""
-    st, scalar = _theta_state(z, inv, "weierstrass")
+    st, scalar = _theta_state(z, _frame(inv), "weierstrass")
     vals = tuple(f(*st) for f in (_wp, _wp_prime, _zeta, _log_sigma))
     return tuple(complex(v[0]) for v in vals) if scalar else vals
 
@@ -393,23 +394,7 @@ def half_periods(inv: Invariants) -> LatticeData:
     wp restricted to the real line has period 2*w1 and to the imaginary
     line period 2*w2.  Raises DegenerateDiscriminant when the cubic has a
     repeated root to tolerance, and DomainError when wp(w1) or zeta(w1) fails
-    its consistency check.  The check runs once per lattice; later calls
-    return the cached result without a theta evaluation.
+    its consistency check.  The data is part of the lattice's cached frame,
+    so the check runs once per lattice.
     """
-    return _lattice_cached(float(inv.g2), float(inv.g3))
-
-
-@lru_cache(maxsize=256)
-def _lattice_cached(g2: float, g3: float) -> LatticeData:
-    inv = Invariants(g2, g3)
-    st, _ = _theta_state(_frame(inv).w1, inv, "half_periods")
-    fr = st[0]
-    e_half, eta1 = complex(_wp(*st)[0]), complex(_zeta(*st)[0])
-    # both checks are relative to the lattice's own scale: (l^4 g2, l^6 g3) gets the same verdict
-    if abs(eta1.imag) > 1e-9 * (abs(eta1) + 1.0 / fr.w1):
-        raise DomainError("zeta(w1) should be real for real invariants")
-    # consistency: wp at the real half-period equals the largest real root
-    e_ref = max(r.real for r in fr.roots if r.imag == 0.0)
-    if abs(e_half.real - e_ref) > 1e-8 * max(abs(r) for r in fr.roots):
-        raise DomainError("wp(w1) does not match the largest real root")
-    return LatticeData(w1=fr.w1, w2_im=fr.w2_im, roots=fr.roots, eta1=float(eta1.real))
+    return _frame(inv).lattice

@@ -161,15 +161,16 @@ def _mu(inv: Invariants, c: complex) -> complex:
     return -ppc / (2.0 * pc) - zc
 
 
-def _lame_values(z, inv: Invariants, c: complex, mu: complex):
+def _lame_values(z, inv: Invariants, c: complex, mu: complex, at_z=None):
     """(h, phi1, phi1_prime) at the Lame variable z for parameter c and mu = _mu(inv, c).
 
     h(z) = sigma(z + c)/sigma(z) * exp(mu z) is the antiderivative of phi1;
     evaluation goes through log-sigma differences so the exponential
-    quasi-period factors cancel before exponentiation.
+    quasi-period factors cancel before exponentiation.  ``at_z`` is
+    weierstrass(z, inv) when the caller has it already.
     """
     z = np.asarray(z, dtype=complex)
-    wp0, _, zeta0, lsig0 = weierstrass(z, inv)
+    wp0, _, zeta0, lsig0 = weierstrass(z, inv) if at_z is None else at_z
     wpc, _, zetac, lsigc = weierstrass(z + c, inv)
     h = np.exp(lsigc - lsig0 + mu * z)
     g = zetac - zeta0 + mu
@@ -395,7 +396,8 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
         j, defect = _floquet_multiplier(f.lat, c, mu, m, n)
         powers, z = _floquet_powers(j, m), z[:per]
         meta = {"floquet_arg_pi": j / m, "floquet_defect": defect}
-    H, P1, P1p = _lame_values(z, f.inv, c, mu)
+    at_z = weierstrass(z, f.inv)  # shared by the +c and -c solutions
+    H, P1, P1p = _lame_values(z, f.inv, c, mu, at_z)
     # the tiles are copies of this period up to |rho| = 1, so their medians are its medians
     wri = np.imag(np.conj(P1) * P1p)
     scale = np.median(np.abs(P1) * np.abs(P1p)) + 1e-300
@@ -412,7 +414,7 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
         return x, y, {"route": "explicit", **meta}
 
     # general route: mirrored Floquet partner (multiplier 1/rho) supplies the missing solution
-    Hm, P1m, P1pm = _lame_values(z, f.inv, -c, _mu(f.inv, -c))
+    Hm, P1m, P1pm = _lame_values(z, f.inv, -c, _mu(f.inv, -c), at_z)
     inverse = None if powers is None else powers.conj()
     x, y = _unimodular_pair(
         *((_tile(a, powers), _tile(b, inverse)) for a, b in ((H, Hm), (P1, P1m), (P1p, P1pm)))
@@ -659,12 +661,12 @@ def _grid_from(default, grid, n, endpoint: bool = True) -> np.ndarray:
     """The sample grid; an (lo, hi[, n]) range needs finite lo < hi (else DomainError)."""
     if grid is None:
         lo, hi, npts = default
-        return np.linspace(lo, hi, n or npts, endpoint=endpoint)
+        return np.linspace(lo, hi, npts if n is None else n, endpoint=endpoint)
     if isinstance(grid, tuple) and len(grid) in (2, 3):
         lo, hi = grid[0], grid[1]
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise DomainError(f"grid range needs finite lo < hi, got {lo:g} {hi:g}")
-        npts = grid[2] if len(grid) == 3 else (n or 4000)
+        npts = grid[2] if len(grid) == 3 else (4000 if n is None else n)
         return np.linspace(lo, hi, npts)
     return np.asarray(grid, dtype=float)
 
@@ -677,6 +679,8 @@ def _sample(f: FamilySpec, grid=None, n=None, force_general=False, closed=False,
     curvature singularity, real or complex; ``extra`` goes into the metadata.
     """
     s = _grid_from(f.grid, grid, n, endpoint=f.period is None)
+    if len(s) < 7:  # the CurveSamples minimum, checked before anything indexes s
+        raise DomainError(f"a curve needs at least 7 samples, got {len(s)}")
     poles = f.poles(s)
     rho = f.rho_complex
     if len(poles):
@@ -698,8 +702,6 @@ def synthesize(
     label: CaseLabel,
     grid=None,
     n: int | None = None,
-    closed: bool = False,
-    period: float | None = None,
     force_general: bool = False,
     closure: tuple[int, int] | None = None,
 ) -> CurveSamples:
@@ -710,16 +712,17 @@ def synthesize(
     used.  The output satisfies |gamma', gamma''| = 1 and its recomputed
     curvature matches the closed form for the case.  ``closure`` = (m, n)
     marks a grid of 2m equal kappa-periods of a curve closing with m:n; the
-    Lame route then evaluates one period and tiles the rest by the Floquet
-    multiplier.
+    curve is closed with period 4 m w1, and the Lame route evaluates one
+    period and tiles the rest by the Floquet multiplier.  Otherwise only a
+    family with a period (the ellipse) on its default grid is closed.
     """
     f = _family(label)
-    if closure is not None:
-        f = replace(f, closure=closure)
-    if f.period is not None:
-        closed = closed or grid is None
-        period = period or f.period
-    return _sample(f, grid, n, force_general, closed, period)
+    if closure is None:
+        return _sample(f, grid, n, force_general, f.period is not None and grid is None, f.period)
+    if f.lat is None:
+        raise DomainError(f"case {label.tag.value} has no period lattice to close over")
+    period = 4.0 * closure[0] * f.lat.w1  # ClosureSolution.period
+    return _sample(replace(f, closure=closure), grid, n, force_general, True, period)
 
 
 def synthesize_arcs(
@@ -760,7 +763,7 @@ def synthesize_closed(sol: ClosureSolution, samples_per_period: int = 2000) -> C
     T = sol.period
     npts = samples_per_period * 2 * sol.m
     s = np.linspace(0.0, T, npts, endpoint=False)
-    out = synthesize(label, grid=s, closed=True, period=T, closure=(sol.m, sol.n))
+    out = synthesize(label, grid=s, closure=(sol.m, sol.n))
     out.meta.update(sol.to_json_dict())
     return out
 

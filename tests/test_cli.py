@@ -1,6 +1,5 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -333,6 +332,16 @@ class TestConfig:
         assert code == 1
 
 
+def _json_curve(meta: str) -> str:
+    """An 8-sample curve file whose meta is the JSON text ``meta``."""
+    s = list(range(8))
+    return f'{{"s": {s}, "x": {s}, "y": {s}, "closed": false, "period": null, "meta": {meta}}}'
+
+
+#: meta.fd_window values that filter_window never writes
+_BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "202")
+
+
 @pytest.mark.parametrize(
     "files,argv,reason",
     [
@@ -354,11 +363,19 @@ class TestConfig:
         ({}, ["synth", "--q", "1", "--Q", "3", "--grid", "2", "2"], "--grid needs finite LO < HI"),
         ({}, ["synth", "--q", "1", "--Q", "3", "--grid", "0", "0"], "--grid needs finite LO < HI"),
         ({}, ["synth", "--q", "1", "--Q", "3", "--grid", "1", "0"], "--grid needs finite LO < HI"),
+        *(({"s.cfg": f"samples = {k}\n"}, ["--config", "{tmp}/s.cfg", "synth", *how],
+           "at least 7 samples")
+          for how in (["--q", "1", "--Q", "3"], ["--closure", "3", "4"]) for k in (0, 1)),
+        *(({"w.json": _json_curve(f'{{"fd_window": {w}}}')}, ["verify", "{tmp}/w.json"],
+           "fd_window must be an odd integer") for w in _BAD_WINDOWS),
+        ({"m.json": _json_curve("[]")}, ["verify", "{tmp}/m.json"], "meta to be a JSON object"),
     ],
     ids=["missing-csv", "missing-config", "short-row", "header-only", "ragged-row", "text-field",
          "no-header", "json-keys", "nan-invariant",
          "ellipse-E-zero", "Da-E-positive", "E-E-negative", "g2-cube-overflows",
-         "table-zero-pair", "closure-zero-pair", "grid-empty", "grid-zero", "grid-reversed"],
+         "table-zero-pair", "closure-zero-pair", "grid-empty", "grid-zero", "grid-reversed",
+         "samples-0-open", "samples-1-open", "samples-0-closed", "samples-1-closed",
+         *(f"fd-window-{w}" for w in _BAD_WINDOWS), "meta-not-object"],
 )
 def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
     for name, text in files.items():
@@ -370,15 +387,19 @@ def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
 
 
 def test_wrong_wp_at_half_period_exits_2(monkeypatch, capsys):
-    # a frame whose w1 is off by 1e-3 puts wp(w1) 1e-6 of the root scale
-    # away from the largest root; the consistency check must catch it.  The
-    # check runs once per lattice, so empty its cache of lattices seen before.
-    frame = el._frame
-    monkeypatch.setattr(el, "_frame", lambda inv: dataclasses.replace(frame(inv), w1=frame(inv).w1 * 1.001))
-    el._lattice_cached.cache_clear()
-    with pytest.raises(DomainError, match="largest real root"):
-        el.half_periods(invariants_from_qQ(1.0, 3.0))
-    code, _, err = run(["synth", "--q", "1", "--Q", "3"], capsys)
+    # an R_F 1e-3 too large scales the whole lattice by 1.001, which moves
+    # wp(w1) 2e-3 of the root scale away from the largest root; the
+    # consistency check must catch it.  The check runs once per lattice, so
+    # empty the cache of lattices seen before, and again after the bad ones.
+    rf = el.carlson_rf
+    monkeypatch.setattr(el, "carlson_rf", lambda *a: 1.001 * rf(*a))
+    el._frame_cached.cache_clear()
+    try:
+        with pytest.raises(DomainError, match="largest real root"):
+            el.half_periods(invariants_from_qQ(1.0, 3.0))
+        code, _, err = run(["synth", "--q", "1", "--Q", "3"], capsys)
+    finally:
+        el._frame_cached.cache_clear()
     assert code == 2
     assert err.startswith("error:") and "largest real root" in err
 

@@ -377,16 +377,30 @@ def test_weierstrass_scalar_bits_equal_array_bits(name, rng):
 def test_theta_evaluations_per_lattice(monkeypatch):
     from affine_elastica import synthesis as sy
 
-    calls = []
+    calls, builds = [], []
     bundle = el._theta1_bundle
     monkeypatch.setattr(el, "_theta1_bundle", lambda u, coef: calls.append(u) or bundle(u, coef))
+    post_init = el.Invariants.__post_init__
+    monkeypatch.setattr(el.Invariants, "__post_init__", lambda self: builds.append(self) or post_init(self))
     el._frame_cached.cache_clear()
-    el._lattice_cached.cache_clear()
     sy.closure_lhs_with_d(2.5)  # a new Q: the half-period check, then zeta(c)
     assert len(calls) <= 2
+    assert el._frame_cached.cache_info().currsize == 1
+    assert len(builds) <= 2  # invariants_from_qQ, then the frame build
     calls.clear()
     el.half_periods(el.invariants_from_qQ(1.0, 2.5))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "g2, g3",
+    [(np.array(1.3), np.array(0.2)), (np.float64(1.3), np.float64(0.2)), (1, 0)],
+    ids=["0d-array", "float64", "int"],
+)
+def test_kernel_accepts_numeric_invariant_types(g2, g3):
+    inv, ref = el.Invariants(g2, g3), el.Invariants(float(g2), float(g3))
+    assert el.half_periods(inv) == el.half_periods(ref)
+    assert el.wp(0.3 + 0.1j, inv) == el.wp(0.3 + 0.1j, ref)
 
 
 def test_degenerate_discriminant_rejected():

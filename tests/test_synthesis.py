@@ -213,6 +213,13 @@ class TestClosureCondition:
         for _ in range(3):
             sy._lame_values(z, inv, c, mu)
         assert len(calls) == 6
+        # the general route evaluates z once for both solutions: c, -c, z, z + c, z - c
+        label = classify(el.invariants_from_qQ(-0.7, 2.2), Branch.open_branch)
+        el.half_periods(el.Invariants(label.g2, label.g3))
+        calls.clear()
+        curve = sy.synthesize(label, n=1000)
+        assert label.tag is Case.B3 and curve.meta["route"] == "general"
+        assert sum(u.size for u in calls) == 3002
 
     def test_closure_in_space(self):
         sol = sy.solve_closure(3, 4)
@@ -290,14 +297,14 @@ class TestClosureCondition:
         for s in (np.linspace(0.0, sol.period, 6 * 200 + 1, endpoint=False),
                   np.linspace(0.0, 0.9 * sol.period, 6 * 200, endpoint=False)):
             with pytest.raises(DomainError, match="equal periods"):
-                sy.synthesize(label, grid=s, closed=True, period=sol.period, closure=(3, 4))
+                sy.synthesize(label, grid=s, closure=(3, 4))
 
     def test_general_route_tiles_the_mirrored_partner(self):
         sol = sy.solve_closure(3, 4)
         label = classify(sol.inv, Branch.closed_branch)
         s = np.linspace(0.0, sol.period, 6 * 500, endpoint=False)
-        c1 = sy.synthesize(label, grid=s, closed=True, period=sol.period, closure=(3, 4))
-        c2 = sy.synthesize(label, grid=s, closed=True, period=sol.period, closure=(3, 4),
+        c1 = sy.synthesize(label, grid=s, closure=(3, 4))
+        c2 = sy.synthesize(label, grid=s, closure=(3, 4),
                            force_general=True)
         assert c2.meta["route"] == "general"
         P = np.column_stack([c1.x, c1.y, np.ones(c1.n)])
