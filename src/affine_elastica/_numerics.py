@@ -194,13 +194,14 @@ def carlson_rf(x, y, z):
     scipy.special.elliprf does, an argument that is NaN or on the negative
     real axis gives nan, an infinite one gives 0, and two zeros give inf.
     """
-    kind = complex if any(isinstance(a, complex) for a in (x, y, z)) else float
+    kind = complex if isinstance(x, complex) or isinstance(y, complex) or isinstance(z, complex) else float
     args = x, y, z = kind(x), kind(y), kind(z)
-    if any(a != a or (a.imag == 0.0 and a.real < 0.0) for a in args):
-        return kind(math.nan)
-    if any(abs(a) == math.inf for a in args):
+    for a in args:
+        if a != a or (a.imag == 0.0 and a.real < 0.0):
+            return kind(math.nan)
+    if math.inf in (abs(x), abs(y), abs(z)):
         return kind(0.0)
-    if sum(a == 0.0 for a in args) >= 2:
+    if (x == 0.0) + (y == 0.0) + (z == 0.0) >= 2:
         return kind(math.inf)
     sqrt = cmath.sqrt if kind is complex else math.sqrt
     a0 = a = (x + y + z) / 3.0

@@ -126,13 +126,20 @@ def cmd_classify(args) -> int:
 _TABLE_DEFAULT = [(3, 4), (4, 5), (29, 37), (17, 24)]
 
 
-def cmd_table(args) -> int:
-    pairs = list(_TABLE_DEFAULT)
-    if args.pairs:
+def _pairs_from_args(args) -> list[tuple[int, int]]:
+    if args.pairs is None:
+        return list(_TABLE_DEFAULT)
+    try:
+        pairs = [tuple(int(v) for v in part.split(":")) for part in args.pairs.split(",")]
+    except ValueError:
         pairs = []
-        for part in args.pairs.split(","):
-            m_s, n_s = part.split(":")
-            pairs.append((int(m_s), int(n_s)))
+    if not pairs or any(len(p) != 2 for p in pairs):
+        raise DomainError(f"--pairs needs M:N[,M:N...], got {args.pairs!r}")
+    return pairs
+
+
+def cmd_table(args) -> int:
+    pairs = _pairs_from_args(args)
     print(f"{'m':>4s} {'n':>4s} {'Q':>15s} {'w1':>15s} {'w2':>18s} {'d':>15s}")
     for m, n in pairs:
         try:
@@ -278,11 +285,15 @@ def cmd_verify(args, cfg) -> int:
 
 
 def cmd_scan_closure(args) -> int:
+    for flag, value in (("--qmin", args.qmin), ("--qmax", args.qmax)):
+        if not (np.isfinite(value) and value > 0.0):  # a geometric grid needs both ends positive
+            raise DomainError(f"{flag} must be finite and positive, got {value:g}")
+    if args.steps < 0:
+        raise DomainError(f"--steps must be at least 0, got {args.steps}")
     qs = np.geomspace(args.qmin, args.qmax, args.steps)
+    lhs, d = sy.closure_lhs_with_d(qs)
     lines = ["Q,lhs,d"]
-    for qv in qs:
-        lhs, d = sy.closure_lhs_with_d(float(qv))
-        lines.append(f"{qv:.17g},{lhs:.17g},{d:.17g}")
+    lines += [f"{q:.17g},{v:.17g},{w:.17g}" for q, v, w in zip(qs.tolist(), lhs.tolist(), d.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as f:

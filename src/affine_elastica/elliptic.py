@@ -24,10 +24,23 @@ are computed once per lattice and kept in the cached frame, and
 theta1'(0) and theta1'''(0) are their plain sums.  A scalar argument goes
 through the same array loops as an array, so it gets the same bits.
 
-Each lattice is built once per (g2, g3) and cached as one frame: the theta
-coefficients and the checked ``LatticeData``.  The build evaluates wp(w1)
-and zeta(w1) on the new frame and checks them on the roots' own scale, so
-``half_periods`` and the first kernel call on a lattice both run the check.
+One builder, ``_build_frames``, makes the frames of a batch of lattices
+at once, every field on a leading lattice axis: the cubic roots (the
+stacked companion eigenvalues ``np.roots`` would compute one by one, and
+its Newton polish), K and K', the theta coefficients, the quasi-periods,
+the cell basis and the check of wp(w1) and zeta(w1) on the roots' own
+scale, with one theta evaluation for the whole batch.  Constants that the
+formulas combine from per-lattice scalars are computed per lattice in
+scalar arithmetic, since numpy's array loops round complex products and
+quotients differently from Python's; so a lattice gets the same bits alone
+and in a batch.  A single lattice is a batch of one, whose frame serves
+any number of points; it is cached per (g2, g3) with its checked
+``LatticeData``, so ``half_periods`` and the first kernel call on a
+lattice both run the check.  An ``Invariants`` of 1-d arrays is a batch:
+``half_periods`` then returns arrays, and the kernels take one point per
+lattice.  A batch is not cached per (g2, g3); its frames are kept on its
+``Invariants``.  When lattices of a batch fail, the batch raises the error
+that the first of them raises alone.
 
 All functions are pure and accept scalars or ndarrays for the argument z;
 they are safe for concurrent use.
@@ -35,13 +48,13 @@ they are safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._numerics import carlson_rf
-from .errors import DegenerateDiscriminant, DomainError, NearPole
+from .errors import DegenerateDiscriminant, DomainError, NearPole, first_failure
 
 __all__ = [
     "Invariants",
@@ -73,26 +86,56 @@ class Invariants:
     """Weierstrass invariants of the quartic (wp')^2 = 4 wp^3 - g2 wp - g3.
 
     In equi-affine arc-length units g2 has dimension length^-4 and g3
-    length^-6.
+    length^-6.  1-d arrays of g2 and g3, of one length, hold a batch of
+    lattices (see the module docstring).
     """
 
     g2: float
     g3: float
 
     def __post_init__(self):
+        batch = getattr(self.g2, "ndim", 0) or getattr(self.g3, "ndim", 0)
+        if batch:
+            g2, g3 = (np.array(v, dtype=float) for v in (self.g2, self.g3))
+            if g2.ndim != 1 or g2.shape != g3.shape:
+                raise DomainError("a batch of invariants needs 1-d g2 and g3 of one length")
+            g2.flags.writeable = g3.flags.writeable = False  # its frames are kept on it
+            object.__setattr__(self, "g2", g2)
+            object.__setattr__(self, "g3", g3)
         with np.errstate(over="ignore", invalid="ignore"):
             disc = np.float64(self.g2) ** 3 - 27.0 * np.float64(self.g3) ** 2
-        if not np.isfinite(disc):  # also when g2^3 or 27 g3^2 overflows a double
-            raise DomainError(f"g2, g3 and g2^3 - 27 g3^2 must be finite, got g2={self.g2}, g3={self.g3}")
+        bad = ~np.isfinite(disc)  # also when g2^3 or 27 g3^2 overflows a double
+        if np.count_nonzero(bad):
+            g2, g3 = self.g2, self.g3
+            if batch:  # name the first such lattice
+                i = int(np.argmax(bad))
+                g2, g3 = g2[i], g3[i]
+            raise DomainError(f"g2, g3 and g2^3 - 27 g3^2 must be finite, got g2={g2}, g3={g3}")
 
     @property
     def discriminant(self) -> float:
-        return self.g2**3 - 27.0 * self.g3**2
+        return _discriminant(self.g2, self.g3)
 
     @property
     def is_degenerate(self) -> bool:
-        scale = max(abs(self.g2) ** 3, 27.0 * self.g3**2)
-        return abs(self.discriminant) <= DEGENERACY_RTOL * scale or scale == 0.0
+        """Of one lattice: whether the discriminant vanishes relative to its terms."""
+        return _is_degenerate(self.g2, self.g3, self.discriminant)
+
+    @cached_property
+    def _frames(self) -> tuple[_Frame, LatticeData]:
+        """The frames and checked half-periods of a batch."""
+        fr, (w1, w2_im, roots, eta1) = first_failure(
+            lambda: _build_frames(self.g2, self.g3), _frame_cached, zip(self.g2.tolist(), self.g3.tolist()))
+        return fr, LatticeData(w1=np.array(w1), w2_im=np.array(w2_im), roots=np.array(roots), eta1=np.array(eta1))
+
+
+def _discriminant(g2, g3):
+    return g2**3 - 27.0 * g3**2
+
+
+def _is_degenerate(g2: float, g3: float, disc: float) -> bool:
+    scale = max(abs(g2) ** 3, 27.0 * g3**2)
+    return abs(disc) <= DEGENERACY_RTOL * scale or scale == 0.0
 
 
 @dataclass(frozen=True)
@@ -117,34 +160,66 @@ class LatticeData:
         return 1j * self.w2_im
 
 
-def cubic_roots(g2: float, g3: float) -> np.ndarray:
+def cubic_roots(g2, g3) -> np.ndarray:
     """Roots of 4 t^3 - g2 t - g3 = 0, Newton-polished, in the ``LatticeData.roots`` order.
 
     For g2^3 > 27 g3^2 the three real roots, descending; otherwise
     (-r/2 + ib, r, -r/2 - ib) with r the real root and b > 0 (b = 0 only at
-    a repeated root).  A complex array either way.
+    a repeated root).  A complex array either way; for 1-d arrays of g2 and
+    g3, one row of three per pair.
+
+    The roots are the eigenvalues of the companion matrices that ``np.roots``
+    builds, stacked into one call; a pair with g3 = 0, which ``np.roots``
+    reduces to a quadratic, goes through ``np.roots`` itself.  So every pair
+    gets the bits ``np.roots`` gives it.
     """
-    g2, g3 = float(g2), float(g3)
-    r = np.roots([4.0, 0.0, -g2, -g3])
+    g2, g3 = np.asarray(g2, dtype=float), np.asarray(g3, dtype=float)
+    a, b = g2.reshape(-1, 1), g3.reshape(-1, 1)
+    comp = np.zeros((a.size, 3, 3))
+    comp[:, 0, 0] = -0.0  # first row -[0, -g2, -g3] / 4, as np.roots builds it
+    comp[:, 0, 1] = a[:, 0] / 4.0
+    comp[:, 0, 2] = b[:, 0] / 4.0
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    eig = np.linalg.eigvals(comp)
+    pairs = list(zip(a[:, 0].tolist(), b[:, 0].tolist()))
+    quadratic = [i for i, (_, q) in enumerate(pairs) if q == 0.0]
+    if quadratic:
+        eig = eig.astype(complex)
+        for i in quadratic:
+            eig[i] = np.roots([4.0, 0.0, -pairs[i][0], -pairs[i][1]])
+    roots = _newton(eig, a, b)
+    if eig.dtype.kind == "c":  # np.roots gives a real array where its one matrix has real roots
+        real = (eig.imag == 0.0).all(axis=1)
+        if True in real.tolist():
+            roots[real] = _newton(eig.real[real], a[real], b[real])
+    out = np.sort(roots.real, axis=1)[:, ::-1].astype(complex)
+    lone = [i for i, pair in enumerate(pairs) if not _discriminant(*pair) > 0.0]
+    if lone:
+        r = roots[lone].astype(complex)
+        i_real = np.argmin(np.abs(r.imag), axis=1)
+        k = np.arange(len(lone))
+        rr, im = r.real[k, i_real], np.abs(r.imag[k, (i_real == 0).astype(int)])
+        out.real[lone] = np.stack([-0.5 * rr, rr, -0.5 * rr], axis=1)
+        out.imag[lone] = np.stack([im, np.zeros_like(im), -im], axis=1)
+    return out if g2.ndim else out[0]
+
+
+def _newton(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two Newton steps on rows r of roots of 4 t^3 - a t - b."""
     for _ in range(2):
-        f = 4.0 * r**3 - g2 * r - g3
-        fp = 12.0 * r**2 - g2
-        step = np.where(np.abs(fp) > 0, f / np.where(fp == 0, 1.0, fp), 0.0)
-        r = r - step
-    if g2**3 - 27.0 * g3**2 > 0.0:  # Invariants.discriminant
-        return np.sort(r.real)[::-1].astype(complex)
-    i_real = int(np.argmin(np.abs(r.imag)))
-    rr = float(r[i_real].real)
-    b = abs(float(r[int(i_real == 0)].imag))
-    return np.array([complex(-0.5 * rr, b), complex(rr), complex(-0.5 * rr, -b)])
+        f = 4.0 * r**3 - a * r - b
+        fp = 12.0 * r**2 - a
+        r = r - np.divide(f, fp, out=np.zeros(f.shape, f.dtype), where=np.abs(fp) > 0)
+    return r
 
 
 def invariants_from_qQ(q: float, Q: float) -> Invariants:
     """Invariants whose phase-plane cubic meets kappa' = 0 at kappa = q and Q.
 
-    The third intersection sits at -(q + Q); requires q < Q.
+    The third intersection sits at -(q + Q); requires q < Q.  A 1-d array
+    of Q gives a batch.
     """
-    if not q < Q:
+    if np.count_nonzero(~np.asarray(q < Q)):
         raise ValueError("need q < Q")
     g2 = (q * q + Q * Q + q * Q) / 9.0
     g3 = (q * q * Q + q * Q * Q) / 54.0
@@ -169,29 +244,44 @@ def invariants_from_Ptau(P: float, tau: float) -> Invariants:
 
 @dataclass(frozen=True)
 class _Frame:
-    W1: complex  # theta-frame half periods (2*W1, 2*W3 generate the lattice)
-    W3: complex
-    theta_coef: np.ndarray  # (4, 2 * _THETA_TERMS) for tau = W3 / W1, see _theta_coefficients
-    th1p0: complex  # theta1'(0)
-    eta1f: complex  # zeta(W1)
-    eta3f: complex  # zeta(W3)
-    basis_inv: tuple[float, float, float, float]  # inverse of [2W1 | 2W3] as reals
-    pole_tol: float
-    lattice: LatticeData | None = None  # the checked half-periods; None only inside the build
+    """Theta frames of a batch of lattices: every field is an array over a
+    leading lattice axis.  A single lattice is a batch of one, whose frame
+    serves any number of points.  The fields from ``du`` to ``log_scale``
+    are formula constants, computed per lattice in scalar arithmetic (see
+    the module docstring)."""
+
+    W1: np.ndarray  # theta-frame half period; the periods 2 W1 and 2 W3 generate the lattice
+    P1: np.ndarray  # 2 W1
+    P3: np.ndarray  # 2 W3
+    theta_coef: np.ndarray  # (n, 4, 2 * _THETA_TERMS) for tau = W3 / W1, see _theta_coefficients
+    th1p0: np.ndarray  # theta1'(0)
+    eta1f: np.ndarray  # zeta(W1)
+    eta3f: np.ndarray  # zeta(W3)
+    du: np.ndarray  # pi / (2 W1), the scale of the theta argument u = pi z / (2 W1)
+    du2: np.ndarray  # du^2
+    du3: np.ndarray  # du^3
+    wp_shift: np.ndarray  # -eta1f / W1
+    log_scale: np.ndarray  # log(2 W1 / pi)
+    basis_inv: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # inverse of [2W1 | 2W3] as reals
+    pole_tol: np.ndarray
 
 
 _TERM_N = np.arange(_THETA_TERMS)
+_TERM_SIGN = 2.0 * (-1.0) ** _TERM_N  # 2 (-1)^n
+_TERM_SQUARE = (_TERM_N + 0.5) ** 2
 #: d^k/du^k of sin((2n+1)u) = (e^(i(2n+1)u) - e^(-i(2n+1)u)) / 2i, as weights of
 #: e^(i(2n+1)u) (first half of a row) and e^(-i(2n+1)u) (second half)
 _SIN_DERIVS = np.concatenate([(1j * (2 * _TERM_N + 1)) ** np.arange(4)[:, None] / 2j,
                               -(-1j * (2 * _TERM_N + 1)) ** np.arange(4)[:, None] / 2j], axis=1)
 
 
-def _theta_coefficients(tau: complex) -> np.ndarray:
+def _theta_coefficients(tau) -> np.ndarray:
     """Row k: the coefficients of e^(+-i(2n+1)u) in the k-th u-derivative of
-    theta1(u) = sum_n 2 (-1)^n e^(i pi tau (n+1/2)^2) sin((2n+1)u)."""
-    c = 2.0 * (-1.0) ** _TERM_N * np.exp(1j * np.pi * tau * (_TERM_N + 0.5) ** 2)
-    coef = _SIN_DERIVS * np.concatenate([c, c])
+    theta1(u) = sum_n 2 (-1)^n e^(i pi tau (n+1/2)^2) sin((2n+1)u).  For a
+    1-d array of tau, one (4, 2 * _THETA_TERMS) table per entry."""
+    tau = np.asarray(tau)[..., None]
+    c = _TERM_SIGN * np.exp(1j * np.pi * tau * _TERM_SQUARE)
+    coef = (_SIN_DERIVS.reshape(4, 2, _THETA_TERMS) * c[..., None, None, :]).reshape(c.shape[:-1] + (4, -1))
     coef.flags.writeable = False  # shared through the frame cache
     return coef
 
@@ -203,30 +293,33 @@ def _theta1_bundle(u: np.ndarray, coef: np.ndarray) -> np.ndarray:
     with e^(+-2iu).  Points go through in blocks of ``_BLOCK``, which bounds
     the (block, 2, _THETA_TERMS) table of powers.  Each point goes through
     the same loops, so it gets the same bits whatever the shape of u.
+    ``coef`` is one lattice's table, shape (4, 2 * _THETA_TERMS) or (1, 4,
+    2 * _THETA_TERMS), for every point; or one table per point, shape
+    (u.size, 4, 2 * _THETA_TERMS), for one point on each lattice of a batch.
     """
+    if coef.ndim == 3 and len(coef) == 1:
+        coef = coef[0]
     out = np.empty((4,) + u.shape, dtype=complex)
     flat_u, flat_out = u.reshape(-1), out.reshape(4, -1)
     rot = np.empty((min(u.size, _BLOCK), 2, _THETA_TERMS), dtype=complex)
+    per_point = coef.ndim == 3
     for i in range(0, u.size, _BLOCK):
         ub = flat_u[i : i + _BLOCK]
         r = rot[: ub.size]
         r[:, 0, 0] = np.exp(1j * ub)
         r[:, 1, 0] = 1.0 / r[:, 0, 0]
         r[:, :, 1:] = r[:, :, :1] ** 2
-        np.cumprod(r, axis=-1, out=r)
-        np.einsum("nj,kj->kn", r.reshape(ub.size, -1), coef, out=flat_out[:, i : i + ub.size])
+        r.cumprod(axis=-1, out=r)
+        terms, out_b = r.reshape(ub.size, -1), flat_out[:, i : i + ub.size]
+        if per_point:
+            np.einsum("nj,nkj->kn", terms, coef[i : i + ub.size], out=out_b)
+        else:
+            np.einsum("nj,kj->kn", terms, coef, out=out_b)
     return out
 
 
-@lru_cache(maxsize=256)
-def _frame_cached(g2: float, g3: float) -> _Frame:
-    inv = Invariants(g2, g3)
-    if inv.is_degenerate:
-        raise DegenerateDiscriminant(
-            f"discriminant {inv.discriminant:.3e} is degenerate relative to g2^3"
-        )
-    roots = tuple(complex(r) for r in cubic_roots(g2, g3))
-    rhombic = inv.discriminant < 0.0
+def _half_period_scalars(roots, rhombic: bool):
+    """w1, w2_im and the theta-frame half-periods W1, W3 of one lattice."""
     if not rhombic:
         e1, e2, e3 = (r.real for r in roots)
         m = (e2 - e3) / (e1 - e3)
@@ -238,7 +331,6 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
         scale = np.sqrt(H)
     w1 = carlson_rf(0.0, 1.0 - m, 1.0) / scale  # K(m), DLMF 19.25.1
     w2_im = carlson_rf(0.0, m, 1.0) / scale  # K(1 - m)
-
     # theta frame with Im(tau) >= 1/2 so the nome stays small
     if not rhombic:
         if w2_im >= w1:
@@ -250,31 +342,74 @@ def _frame_cached(g2: float, g3: float) -> _Frame:
             W1, W3 = complex(w1), 0.5 * (w1 + 1j * w2_im)
         else:
             W1, W3 = 1j * w2_im, 0.5 * (-w1 + 1j * w2_im)
-    coef = _theta_coefficients(W3 / W1)
-    th1p0 = complex(coef[1].sum())  # every e^(+-i(2n+1)u) is 1 at u = 0
-    th1ppp0 = complex(coef[3].sum())
+    return float(w1), float(w2_im), W1, W3
+
+
+def _frame_scalars(W1, W3, th1p0, th1ppp0):
+    """One lattice's W1, P1, P3, th1p0, eta1f, eta3f, du, du2, du3,
+    wp_shift, the argument 2 W1 / pi of log_scale, and basis_inv."""
     eta1f = -np.pi**2 * th1ppp0 / (12.0 * W1 * th1p0)
     eta3f = (eta1f * W3 - 0.5j * np.pi) / W1
+    du = np.pi / (2.0 * W1)
     p1, p2 = 2.0 * W1, 2.0 * W3
     det = p1.real * p2.imag - p1.imag * p2.real
     basis_inv = (p2.imag / det, -p2.real / det, -p1.imag / det, p1.real / det)
-    w1, w2_im = float(w1), float(w2_im)
-    fr = _Frame(W1=W1, W3=W3, theta_coef=coef, th1p0=th1p0, eta1f=eta1f, eta3f=eta3f,
-                basis_inv=basis_inv, pole_tol=POLE_RTOL * w1)
-    st, _ = _theta_state(w1, fr, "half_periods")
-    e_half, eta1 = complex(_wp(*st)[0]), complex(_zeta(*st)[0])
-    # both checks are relative to the lattice's own scale: (l^4 g2, l^6 g3) gets the same verdict
-    if abs(eta1.imag) > 1e-9 * (abs(eta1) + 1.0 / w1):
-        raise DomainError("zeta(w1) should be real for real invariants")
-    # consistency: wp at the real half-period equals the largest real root
-    e_ref = max(r.real for r in roots if r.imag == 0.0)
-    if abs(e_half.real - e_ref) > 1e-8 * max(abs(r) for r in roots):
-        raise DomainError("wp(w1) does not match the largest real root")
-    return replace(fr, lattice=LatticeData(w1=w1, w2_im=w2_im, roots=roots, eta1=float(eta1.real)))
+    return (W1, p1, p2, th1p0, eta1f, eta3f, du, du**2, du**3, -eta1f / W1, 2.0 * W1 / np.pi, *basis_inv)
+
+
+def _build_frames(g2: np.ndarray, g3: np.ndarray):
+    """The frames of the lattices (g2[i], g3[i]) and lists of their checked
+    w1, w2_im, roots and eta1.
+
+    Raises DegenerateDiscriminant for a repeated root to tolerance and
+    DomainError when wp(w1) or zeta(w1) fails its check, each for the first
+    lattice that fails it.
+    """
+    g2l, g3l = g2.tolist(), g3.tolist()
+    discs = list(map(_discriminant, g2l, g3l))
+    for p, q, disc in zip(g2l, g3l, discs):
+        if _is_degenerate(p, q, disc):
+            raise DegenerateDiscriminant(f"discriminant {disc:.3e} is degenerate relative to g2^3")
+    roots = cubic_roots(g2, g3)
+    root_rows = roots.tolist()
+    w1, w2_im, W1s, W3s = zip(*[_half_period_scalars(r, disc < 0.0) for r, disc in zip(root_rows, discs)])
+    coef = _theta_coefficients(np.array([t3 / t1 for t1, t3 in zip(W1s, W3s)]))
+    # theta1'(0) and theta1'''(0): every e^(+-i(2n+1)u) is 1 at u = 0
+    derivs_at_0 = zip(*coef[:, 1::2].sum(axis=-1).tolist())
+    W1, P1, P3, th1p0, eta1f, eta3f, du, du2, du3, wp_shift, log_arg, *basis_inv = np.array(
+        list(map(_frame_scalars, W1s, W3s, *derivs_at_0))).T
+    w1_arr = np.array(w1)
+    fr = _Frame(W1=W1, P1=P1, P3=P3, theta_coef=coef, th1p0=th1p0, eta1f=eta1f, eta3f=eta3f,
+                du=du, du2=du2, du3=du3, wp_shift=wp_shift, log_scale=np.log(log_arg),
+                basis_inv=tuple(b.real for b in basis_inv), pole_tol=POLE_RTOL * w1_arr)
+    st, _ = _theta_state(w1_arr, fr, None)  # w1 is a half-period, far from every pole
+    e_half, eta1 = _wp(*st).tolist(), _zeta(*st).tolist()
+    for w, r, e, z in zip(w1, root_rows, e_half, eta1):
+        # both checks are relative to the lattice's own scale: (l^4 g2, l^6 g3) gets the same verdict
+        if abs(z.imag) > 1e-9 * (abs(z) + 1.0 / w):
+            raise DomainError("zeta(w1) should be real for real invariants")
+        # consistency: wp at the real half-period equals the largest real root
+        e_ref = max(x.real for x in r if x.imag == 0.0)
+        if abs(e.real - e_ref) > 1e-8 * max(abs(x) for x in r):
+            raise DomainError("wp(w1) does not match the largest real root")
+    return fr, (w1, w2_im, root_rows, [z.real for z in eta1])
+
+
+@lru_cache(maxsize=256)
+def _frame_cached(g2: float, g3: float) -> tuple[_Frame, LatticeData]:
+    """The frame and half-periods of one lattice, a batch of one."""
+    fr, (w1, w2_im, roots, eta1) = _build_frames(np.array([g2]), np.array([g3]))
+    return fr, LatticeData(w1=w1[0], w2_im=w2_im[0], roots=tuple(roots[0]), eta1=eta1[0])
+
+
+def _lattice(inv: Invariants) -> tuple[_Frame, LatticeData]:
+    if getattr(inv.g2, "ndim", 0):
+        return inv._frames
+    return _frame_cached(float(inv.g2), float(inv.g3))
 
 
 def _frame(inv: Invariants) -> _Frame:
-    return _frame_cached(float(inv.g2), float(inv.g3))
+    return _lattice(inv)[0]
 
 
 def _reduce(z: np.ndarray, fr: _Frame):
@@ -286,7 +421,7 @@ def _reduce(z: np.ndarray, fr: _Frame):
     cb = c * x + d * y
     M = np.rint(ca)
     N = np.rint(cb)
-    zr = z - (2.0 * fr.W1 * M + 2.0 * fr.W3 * N)
+    zr = z - (fr.P1 * M + fr.P3 * N)
     return zr, M, N
 
 
@@ -296,8 +431,10 @@ def _check_pole(zr: np.ndarray, fr: _Frame, what: str) -> None:
     pole_tol is far below the cell size, so rounding in lattice coordinates
     sends every point that close to a lattice point to within pole_tol of 0.
     """
-    if np.any(np.abs(zr) < fr.pole_tol):
-        raise NearPole(f"{what}: argument within {fr.pole_tol:.2e} of a lattice point")
+    near = np.abs(zr) < fr.pole_tol
+    if np.count_nonzero(near):
+        tol = np.broadcast_to(fr.pole_tol, near.shape)[near][0]  # the first such lattice's
+        raise NearPole(f"{what}: argument within {tol:.2e} of a lattice point")
 
 
 def _theta_state(z, fr: _Frame, what: str | None):
@@ -310,24 +447,24 @@ def _theta_state(z, fr: _Frame, what: str | None):
     zr, M, N = _reduce(np.atleast_1d(arr), fr)
     if what is not None:
         _check_pole(zr, fr, what)
-    return (fr, zr, M, N, *_theta1_bundle(np.pi * zr / (2.0 * fr.W1), fr.theta_coef)), arr.ndim == 0
+    return (fr, zr, M, N, *_theta1_bundle(np.pi * zr / fr.P1, fr.theta_coef)), arr.ndim == 0
 
 
 def _wp(fr, zr, M, N, t0, t1, t2, t3):
     dlog2 = (t2 * t0 - t1 * t1) / (t0 * t0)
-    return -fr.eta1f / fr.W1 - (np.pi / (2.0 * fr.W1)) ** 2 * dlog2
+    return fr.wp_shift - fr.du2 * dlog2
 
 
 def _wp_prime(fr, zr, M, N, t0, t1, t2, t3):
     dlog3 = (t3 * t0 * t0 - 3.0 * t2 * t1 * t0 + 2.0 * t1**3) / t0**3
-    return -((np.pi / (2.0 * fr.W1)) ** 3) * dlog3
+    return -fr.du3 * dlog3
 
 
 def _zeta(fr, zr, M, N, t0, t1, t2, t3):
     return (
         2.0 * (M * fr.eta1f + N * fr.eta3f)
         + fr.eta1f * zr / fr.W1
-        + (np.pi / (2.0 * fr.W1)) * t1 / t0
+        + fr.du * t1 / t0
     )
 
 
@@ -335,10 +472,10 @@ def _log_sigma(fr, zr, M, N, t0, t1, t2, t3):
     with np.errstate(divide="ignore"):  # sigma vanishes at lattice points
         log_t0 = np.log(t0 / fr.th1p0)
     eta_L = 2.0 * (M * fr.eta1f + N * fr.eta3f)
-    L = 2.0 * fr.W1 * M + 2.0 * fr.W3 * N
+    L = fr.P1 * M + fr.P3 * N
     return (
-        np.log(2.0 * fr.W1 / np.pi)
-        + fr.eta1f * zr * zr / (2.0 * fr.W1)
+        fr.log_scale
+        + fr.eta1f * zr * zr / fr.P1
         + log_t0
         + eta_L * (zr + 0.5 * L)
         + 1j * np.pi * (M + N + M * N)
@@ -395,6 +532,7 @@ def half_periods(inv: Invariants) -> LatticeData:
     line period 2*w2.  Raises DegenerateDiscriminant when the cubic has a
     repeated root to tolerance, and DomainError when wp(w1) or zeta(w1) fails
     its consistency check.  The data is part of the lattice's cached frame,
-    so the check runs once per lattice.
+    so the check runs once per lattice.  A batch of invariants gives arrays
+    over its lattices, roots of shape (n, 3).
     """
-    return _frame(inv).lattice
+    return _lattice(inv)[1]

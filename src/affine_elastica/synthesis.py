@@ -54,6 +54,7 @@ from .errors import (
     NotBracketed,
     SynthesisError,
     UnimodularizationFailed,
+    first_failure,
 )
 
 __all__ = [
@@ -113,7 +114,7 @@ class ClosureSolution:
         }
 
 
-def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> complex:
+def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> complex | np.ndarray:
     """The parameter c with wp(c) = -g3/g2, in closed form.
 
     Carlson's symmetric integral inverts wp on the real axis,
@@ -131,26 +132,37 @@ def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> com
     Vieta form of v - e, which keeps c accurate where v nears e2 and wp'(c)
     nears 0.  Either representative of the pair +-c works;
     ``prefer_negative_imag`` picks the one with Im(c) <= 0 for
-    reproducibility.  Raises NoSuchC when R_F is not finite.
+    reproducibility.  Raises NoSuchC when R_F is not finite.  A batch of
+    invariants gives an array of c, one per lattice, each from the scalar
+    formula.
     """
     lat = half_periods(inv)
-    v = -inv.g3 / inv.g2
     sign = -1.0 if prefer_negative_imag else 1.0
-    if inv.discriminant < 0:
-        e1, r, e3 = lat.roots
+    if not getattr(inv.g2, "ndim", 0):
+        return _lame_c(inv.g2, inv.g3, inv.discriminant, lat.roots, lat.w1, lat.w2_im, sign)
+    cols = (inv.g2.tolist(), inv.g3.tolist(), inv.discriminant.tolist(), lat.roots.tolist(),
+            lat.w1.tolist(), lat.w2_im.tolist())
+    return np.array([_lame_c(*row, sign) for row in zip(*cols)])
+
+
+def _lame_c(g2, g3, disc, roots, w1, w2_im, sign) -> complex:
+    """``lame_parameter_c`` of one lattice, from its invariants and half-period data."""
+    v = -g3 / g2
+    if disc < 0:
+        e1, r, e3 = roots
         if v >= r.real:
             c = complex(carlson_rf(v - e1, v - r, v - e3).real, 0.0)
         else:
             c = complex(0.0, sign * carlson_rf(e1 - v, r - v, e3 - v).real)
     else:
-        e1, e2, e3 = (float(e.real) for e in lat.roots)
-        d1, d2, d3 = (-4.0 * e**3 / inv.g2 for e in (e1, e2, e3))  # v - e_k, cancellation-free
-        if inv.g3 >= 0:
+        e1, e2, e3 = (float(e.real) for e in roots)
+        d1, d2, d3 = (-4.0 * e**3 / g2 for e in (e1, e2, e3))  # v - e_k, cancellation-free
+        if g3 >= 0:
             y = np.sqrt(-d1) * carlson_rf((e1 - e2) * (e1 - e3), (e1 - e2) * d3, (e1 - e3) * d2)
-            c = complex(lat.w1, sign * y)
+            c = complex(w1, sign * y)
         else:
             x = np.sqrt(d3) * carlson_rf(-(e1 - e3) * d2, -(e2 - e3) * d1, (e1 - e3) * (e2 - e3))
-            c = complex(x, sign * lat.w2_im)
+            c = complex(x, sign * w2_im)
     if not cmath.isfinite(c):
         raise NoSuchC(f"level {v:.6g} is within rounding of a root of the cubic")
     return c
@@ -181,12 +193,14 @@ def _lame_values(z, inv: Invariants, c: complex, mu: complex, at_z=None):
 # closure condition
 
 
-def _closure_quantity(lat: LatticeData, c: complex, mu: complex) -> complex:
+def _closure_quantity(lat: LatticeData, c, mu):
+    """2i/pi (-mu w1 - eta1 c).  The parts are divided by pi one by one, as
+    Python's complex division by a real does, so scalars and arrays agree."""
     A = -mu * lat.w1 - lat.eta1 * c
-    return A * 2j / np.pi
+    return -2.0 * A.imag / np.pi + 1j * (2.0 * A.real / np.pi)
 
 
-def closure_lhs_with_d(Q: float) -> tuple[float, float]:
+def closure_lhs_with_d(Q: float | np.ndarray):
     """Closure quantity and the parameter d (c = w1 + d i) for q = 1.
 
     The two representatives +-Im(c) give opposite signs of the (purely
@@ -196,23 +210,44 @@ def closure_lhs_with_d(Q: float) -> tuple[float, float]:
     cubic gives wp'(c)^2 = 4 v^3 exactly, and on the vertical segment
     through w1 with Im c > 0 wp falls from e1 to e2, so -wp'(c)/(2 v) is
     the principal sqrt(v) and mu = sqrt(v) - zeta(c) needs no theta wp'(c).
+
+    Q is a float, or a 1-d array of them, which gives two arrays.  An array
+    is one batch of lattices (see ``elliptic``): two theta evaluations in
+    all, and each entry has the bits of the scalar call at its Q.  When a Q
+    of the batch fails, the call raises the error that the scalar call
+    raises at the first such Q.  A float reads and fills the per-lattice
+    cache; an array does not.
     """
-    if not Q > 1.0:
+    if isinstance(Q, float) or np.ndim(Q) == 0:
+        lhs, d = _closure_lhs_with_d(Q)
+        return float(lhs), float(d)
+    Q = np.array(Q, dtype=float)
+    if Q.ndim != 1:
+        raise ValueError("Q must be a float or a 1-d array")
+    if Q.size == 0:
+        return Q.copy(), Q.copy()
+    with np.errstate(over="ignore"):  # a Q that overflows g2 or g3 fails Invariants' check
+        return first_failure(lambda: _closure_lhs_with_d(Q), closure_lhs_with_d, zip(Q.tolist()))
+
+
+def _closure_lhs_with_d(Q):
+    if np.count_nonzero(~np.asarray(Q > 1.0)):
         raise ValueError("normalization requires Q > 1")
     inv = invariants_from_qQ(1.0, Q)
     lat = half_periods(inv)
     c = lame_parameter_c(inv, prefer_negative_imag=False)
-    if abs(c.real - lat.w1) > 1e-9 * lat.w1:
+    if np.count_nonzero(abs(c.real - lat.w1) > 1e-9 * lat.w1):
         raise NoSuchC("expected c on the vertical segment through w1")
-    mu = cmath.sqrt(-inv.g3 / inv.g2) - zeta_w(c, inv)
+    mu = np.sqrt(-inv.g3 / inv.g2 + 0j) - zeta_w(c, inv)
     val = _closure_quantity(lat, c, mu)
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
+    if np.count_nonzero((abs(val.imag) > 1e-8) & (abs(val.imag) > 1e-8 * abs(val.real))):  # 1e-8 max(1, |val|)
         raise NoSuchC("closure quantity is not real to rounding")
-    return float(val.real), -float(c.imag)
+    return val.real, -c.imag
 
 
-def closure_lhs(Q: float) -> float:
-    """Closure quantity as a function of the maximum curvature Q (q = 1)."""
+def closure_lhs(Q: float | np.ndarray):
+    """Closure quantity as a function of the maximum curvature Q (q = 1);
+    a 1-d array of Q gives an array, as in ``closure_lhs_with_d``."""
     return closure_lhs_with_d(Q)[0]
 
 

@@ -369,13 +369,21 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
         *(({"w.json": _json_curve(f'{{"fd_window": {w}}}')}, ["verify", "{tmp}/w.json"],
            "fd_window must be an odd integer") for w in _BAD_WINDOWS),
         ({"m.json": _json_curve("[]")}, ["verify", "{tmp}/m.json"], "meta to be a JSON object"),
+        ({}, ["scan-closure", "--qmax", "inf"], "--qmax must be finite and positive"),
+        ({}, ["scan-closure", "--qmin", "nan"], "--qmin must be finite and positive"),
+        ({}, ["scan-closure", "--qmin", "-2", "--qmax", "2"], "--qmin must be finite and positive"),
+        ({}, ["scan-closure", "--steps", "-2"], "--steps must be at least 0"),
+        ({}, ["scan-closure", "--qmin", "1.0000000001", "--qmax", "1.001", "--steps", "2"], "degenerate"),
+        *(({}, ["table", "--pairs", pairs], "--pairs needs M:N[,M:N...]") for pairs in ("3", "3:x", "")),
     ],
     ids=["missing-csv", "missing-config", "short-row", "header-only", "ragged-row", "text-field",
          "no-header", "json-keys", "nan-invariant",
          "ellipse-E-zero", "Da-E-positive", "E-E-negative", "g2-cube-overflows",
          "table-zero-pair", "closure-zero-pair", "grid-empty", "grid-zero", "grid-reversed",
          "samples-0-open", "samples-1-open", "samples-0-closed", "samples-1-closed",
-         *(f"fd-window-{w}" for w in _BAD_WINDOWS), "meta-not-object"],
+         *(f"fd-window-{w}" for w in _BAD_WINDOWS), "meta-not-object",
+         "scan-qmax-inf", "scan-qmin-nan", "scan-qmin-negative", "scan-steps-negative", "scan-degenerate-q",
+         "pairs-no-colon", "pairs-not-int", "pairs-empty"],
 )
 def test_bad_input_exits_2(files, argv, reason, tmp_path, capsys):
     for name, text in files.items():

@@ -12,7 +12,7 @@ import sympy
 from scipy.integrate import solve_ivp
 
 from affine_elastica import elliptic as el
-from affine_elastica.errors import DegenerateDiscriminant, NearPole
+from affine_elastica.errors import DegenerateDiscriminant, DomainError, NearPole
 
 # case-family invariant sets exercised throughout (all non-degenerate)
 FAMILIES = {
@@ -339,26 +339,32 @@ def test_rotation_recurrence_matches_per_term_series(re_tau, rng):
     and 1-d arguments.  The error is measured against the term-magnitude
     scale sum_n |c_n| (2n+1)^k |e^(+-i(2n+1)u)|, since theta1 itself vanishes
     at lattice points.  Each power takes at most 7 roundings, and the old
-    series rounds the argument (2n+1)u; 16 eps leaves room for both."""
+    series rounds the argument (2n+1)u; 16 eps leaves room for both.  The
+    inputs are each tau's points with its one table, then all points at
+    once with one table per point, as for a batch of lattices."""
     eps = np.finfo(float).eps
     n = np.arange(el._THETA_TERMS)
     w = 2 * n + 1
     edge = np.array([-0.5, 0.5, 0.0])
+    cases = []
     for im_tau in np.concatenate([[0.5], rng.uniform(0.5, 3.0, 20)]):  # |q| up to exp(-pi/2)
         tau = complex(re_tau, im_tau)
-        coef = el._theta_coefficients(tau)
         a = np.concatenate([rng.uniform(-0.5, 0.5, 200), np.repeat(edge, 3)])
         b = np.concatenate([rng.uniform(-0.5, 0.5, 200), np.tile(edge, 3)])
         u = np.pi * (a + b * tau)  # reduced z = (a 2W1 + b 2W3) in u = pi z / (2 W1)
+        cases.append((u, np.full(u.shape, tau), el._theta_coefficients(tau)))
+    u_all, tau_all = (np.concatenate([case[k] for case in cases]) for k in (0, 1))
+    cases.append((u_all, tau_all, el._theta_coefficients(tau_all)))  # crosses a _BLOCK boundary
+    for u, tau, coef in cases:
         got = el._theta1_bundle(u, coef)
         want = _per_term_bundle(u, tau)
         mag = np.abs(np.exp(1j * w * u[:, None])) + np.abs(np.exp(-1j * w * u[:, None]))
-        c = 2.0 * np.abs(np.exp(1j * np.pi * tau * (n + 0.5) ** 2))
+        c = 2.0 * np.abs(np.exp(1j * np.pi * tau[:, None] * (n + 0.5) ** 2))
         for k in range(4):
             scale = (c * w**k * mag).sum(axis=1)
             assert np.all(np.abs(got[k] - want[k]) <= 16 * eps * scale)
-        for i in (0, len(u) - 1):  # a 0-d argument takes the same loops
-            one = el._theta1_bundle(np.array(u[i]), coef)
+        for i in (0, len(u) - 1):  # a 0-d argument takes the same loops, with its point's table
+            one = el._theta1_bundle(np.array(u[i]), coef if coef.ndim == 2 else coef[i : i + 1])
             assert one.shape == (4,) and np.array_equal(one, got[:, i])
 
 
@@ -390,6 +396,29 @@ def test_theta_evaluations_per_lattice(monkeypatch):
     calls.clear()
     el.half_periods(el.invariants_from_qQ(1.0, 2.5))
     assert calls == []
+    # a batch of 80 new Q: one evaluation for the checks, one for zeta(c), and no cache entry
+    sy.closure_lhs_with_d(np.linspace(2.6, 9.0, 80))
+    assert len(calls) <= 2
+    assert el._frame_cached.cache_info().currsize == 1
+
+
+def test_batch_lattices_equal_single_lattices():
+    """Both discriminant signs and a g3 = 0 lattice in one batch: the
+    half-periods and the kernels at one point per lattice have the bits of
+    each lattice alone."""
+    invs = [*FAMILIES.values(), el.invariants_from_Ptau(0.0, 1.0)]
+    batch = el.Invariants(np.array([i.g2 for i in invs]), np.array([i.g3 for i in invs]))
+    lat = el.half_periods(batch)
+    z = 0.37 * lat.w1 + 0.21j * lat.w2_im
+    values = el.weierstrass(z, batch)
+    for k, inv in enumerate(invs):
+        one = el.half_periods(inv)
+        assert (lat.w1[k], lat.w2_im[k], tuple(lat.roots[k]), lat.eta1[k]) == (one.w1, one.w2_im, one.roots, one.eta1)
+        assert tuple(v[k] for v in values) == el.weierstrass(complex(z[k]), inv)
+    with pytest.raises(DomainError, match="1-d g2 and g3 of one length"):
+        el.Invariants(np.ones(2), np.ones(3))
+    with pytest.raises(DegenerateDiscriminant):  # the first degenerate lattice of a batch
+        el.half_periods(el.invariants_from_qQ(1.0, np.array([2.0, 1.0 + 1e-9, 3.0])))
 
 
 @pytest.mark.parametrize(

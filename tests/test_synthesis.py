@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from affine_elastica import curvature as cv
@@ -9,6 +11,7 @@ from affine_elastica import elliptic as el
 from affine_elastica import synthesis as sy
 from affine_elastica.classifier import Branch, Case, CaseLabel, classify
 from affine_elastica.errors import (
+    DegenerateDiscriminant,
     DomainError,
     GridHitsPole,
     NotBracketed,
@@ -146,6 +149,33 @@ class TestLameSolutions:
 
 
 class TestClosureCondition:
+    @settings(max_examples=30, deadline=None)
+    @given(qs=st.lists(st.floats(min_value=1.001, max_value=1e8), min_size=1, max_size=12))
+    def test_batch_bits_equal_scalar_bits(self, qs):
+        lhs, d = sy.closure_lhs_with_d(np.array(qs))
+        one = np.array([sy.closure_lhs_with_d(q) for q in qs])
+        assert lhs.tobytes() == one[:, 0].tobytes() and d.tobytes() == one[:, 1].tobytes()
+
+    def test_batch_across_theta_blocks(self):
+        qs = np.geomspace(1.01, 1e4, el._BLOCK + 60)
+        lhs, d = sy.closure_lhs_with_d(qs)
+        for i in [0, el._BLOCK - 1, el._BLOCK, el._BLOCK + 1, len(qs) - 1, *range(7, len(qs), 211)]:
+            assert (lhs[i], d[i]) == sy.closure_lhs_with_d(float(qs[i]))
+
+    @pytest.mark.parametrize("qs,error", [
+        ([2.0, 1.0 + 1e-10, 0.5], DegenerateDiscriminant),  # not the batch's first check, Q > 1
+        ([2.0, 0.5, 1.0 + 1e-10], ValueError),
+        ([3.0, np.nan], ValueError),
+        ([3.0, np.inf, 0.5], DomainError),
+    ])
+    def test_batch_raises_first_scalar_error(self, qs, error):
+        with pytest.raises(error) as batch:
+            sy.closure_lhs_with_d(np.array(qs))
+        with pytest.raises(error) as first:  # the scalar calls in order
+            for q in qs:
+                sy.closure_lhs_with_d(q)
+        assert str(batch.value) == str(first.value)
+
     @pytest.mark.parametrize("m,n,Q,w1,w2,d", TABLE)
     def test_lhs_at_tabulated_q(self, m, n, Q, w1, w2, d):
         lhs, dv = sy.closure_lhs_with_d(Q)
