@@ -53,6 +53,9 @@ def diff_spectral(y: np.ndarray, h: float, order: int | tuple[int, ...]):
     return derivative(order) if np.ndim(order) == 0 else tuple(derivative(m) for m in order)
 
 
+_SMOOTH_DEGREE = 10  # polynomial degree of the open-arc derivative filter
+
+
 @lru_cache(maxsize=512)
 def _smooth_weights(window: int, degree: int, order: int) -> np.ndarray:
     """Local least-squares derivative weights on a Chebyshev basis.
@@ -109,22 +112,20 @@ def trusted_interior(n: int, closed: bool, window: int | None = None) -> slice:
     return slice(skip, n - skip)
 
 
-def diff_smoothed(
-    y: np.ndarray, h: float, order: int, window: int | None = None, degree: int = 10
-) -> np.ndarray:
+def diff_smoothed(y: np.ndarray, h: float, order: int, window: int | None = None) -> np.ndarray:
     """Noise-suppressing derivative for open arcs (local polynomial fit).
 
-    A least-squares polynomial of moderate degree over ``window`` nodes acts
-    as a long centered stencil: rounding noise shrinks with the window while
-    the fit stays exact for resolved scales.  The default window is n // 16,
-    clamped to [41, 401] and forced odd.  Estimates within half a window of
-    the ends come from off-center fits and are markedly less accurate;
-    residual norms should exclude them.
+    A least-squares polynomial of degree ``_SMOOTH_DEGREE`` over ``window``
+    nodes acts as a long centered stencil: rounding noise shrinks with the
+    window while the fit stays exact for resolved scales.  The default
+    window is n // 16, clamped to [41, 401] and forced odd.  Estimates
+    within half a window of the ends come from off-center fits and are
+    markedly less accurate; residual norms should exclude them.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
     window = effective_window(n, window)
-    degree = min(degree, window - 2)
+    degree = min(_SMOOTH_DEGREE, window - 2)
     half = (window - 1) // 2
     scale = (half * h) ** order
     W = _smooth_weights(window, degree, order)

@@ -28,8 +28,16 @@ _DEFAULT_TOL = 1e-5
 _CONFIG_KEYS = {"tol", "samples", "svg_size"}
 
 
+def _positive(name: str, text) -> float:
+    """``text`` as a float, which must be finite and positive (else DomainError naming ``name``)."""
+    val = float(text)
+    if not (np.isfinite(val) and val > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {text}")
+    return val
+
+
 def _load_config(path: str | None) -> dict:
-    cfg = {"tol": float(os.environ.get("AFFINE_ELASTICA_TOL", _DEFAULT_TOL)),
+    cfg = {"tol": _positive("AFFINE_ELASTICA_TOL", os.environ.get("AFFINE_ELASTICA_TOL", _DEFAULT_TOL)),
            "samples": None, "svg_size": 720.0}
     if path is None:
         return cfg
@@ -43,7 +51,7 @@ def _load_config(path: str | None) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise DomainError(f"config line {line_no}: unknown key {key!r}")
-            cfg[key] = float(val) if key != "samples" else int(val)
+            cfg[key] = _positive(f"config line {line_no}: {key}", val) if key != "samples" else int(val)
     return cfg
 
 
@@ -117,7 +125,7 @@ def _label_from_args(args) -> CaseLabel:
     raise DomainError("provide --g2/--g3, --q/--Q or --P/--tau")
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args, cfg) -> int:
     label = _label_from_args(args)
     print(label.to_json())
     return 0
@@ -138,7 +146,7 @@ def _pairs_from_args(args) -> list[tuple[int, int]]:
     return pairs
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, cfg) -> int:
     pairs = _pairs_from_args(args)
     print(f"{'m':>4s} {'n':>4s} {'Q':>15s} {'w1':>15s} {'w2':>18s} {'d':>15s}")
     for m, n in pairs:
@@ -244,7 +252,7 @@ def _verify_curve(curve: cv.CurveSamples, suite: str, tol: float):
         )
         record("el_residual", best, best < tol)
         defect = cv.unimodularity_defect(curve)
-        record("unimodularity", defect, defect < max(tol, 1e-6))
+        record("unimodularity", defect, defect < max(tol, cv.UNIMODULAR_TOL))
     if suite in ("sqrt", "fullaffine", "all"):
         try:
             res = _residual_over_windows(curve, fa.el_residual_sqrt)
@@ -284,7 +292,7 @@ def cmd_verify(args, cfg) -> int:
     return 0 if ok else 1
 
 
-def cmd_scan_closure(args) -> int:
+def cmd_scan_closure(args, cfg) -> int:
     for flag, value in (("--qmin", args.qmin), ("--qmax", args.qmax)):
         if not (np.isfinite(value) and value > 0.0):  # a geometric grid needs both ends positive
             raise DomainError(f"{flag} must be finite and positive, got {value:g}")
@@ -321,12 +329,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--branch", choices=("closed", "open"), default="closed")
 
     p = sub.add_parser("classify", help="classify invariants into the case taxonomy")
+    p.set_defaults(run=cmd_classify)
     add_invariant_flags(p)
 
     p = sub.add_parser("table", help="reproduce closed-curve closure data rows")
+    p.set_defaults(run=cmd_table)
     p.add_argument("--pairs", help="comma-separated m:n pairs (default: the four known rows)")
 
     p = sub.add_parser("synth", help="synthesize a curve to CSV/JSON/SVG")
+    p.set_defaults(run=cmd_synth)
     add_invariant_flags(p)
     p.add_argument("--case", help="case tag (alternative to invariants)", default=None)
     p.add_argument("--E", type=float, help="parameter for D/E/ellipse case tags")
@@ -344,11 +355,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-check", action="store_true")
 
     p = sub.add_parser("verify", help="run a verification suite on a curve file")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("file")
     p.add_argument("--suite", choices=_SUITES, default="all")
     p.add_argument("--closed", action="store_true", help="treat CSV input as closed")
 
     p = sub.add_parser("scan-closure", help="scan the closure quantity over Q")
+    p.set_defaults(run=cmd_scan_closure)
     p.add_argument("--qmin", type=float, default=1.1)
     p.add_argument("--qmax", type=float, default=10.0)
     p.add_argument("--steps", type=int, default=200)
@@ -381,25 +394,17 @@ def _case_label_from_tag(args) -> CaseLabel:
     if flag == "E" and not (np.isfinite(val) and val * default > 0):
         word = "positive" if default > 0 else "negative"
         raise DomainError(f"--E must be finite and {word} for case {tag.value}, got {val:g}")
-    return CaseLabel(tag, *build(val))
+    try:
+        return CaseLabel(tag, *build(val))
+    except OverflowError:  # E**3 past the float range
+        raise DomainError(f"--{flag} {val:g} is too large for case {tag.value}: its g3 overflows") from None
 
 
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "synth":
-            return cmd_synth(args, cfg)
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        if args.command == "scan-closure":
-            return cmd_scan_closure(args)
-        raise DomainError(f"unknown command {args.command}")
+        return args.run(args, _load_config(args.config))
     except (DomainError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +71,8 @@ class CurveSamples:
         self.s = np.asarray(self.s, dtype=float)
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
+        if not self.s.ndim == self.x.ndim == self.y.ndim == 1:
+            raise ValueError("s, x and y must be 1-d arrays")
         n = len(self.s)
         if not (len(self.x) == len(self.y) == n):
             raise ValueError("s, x, y must have equal length")
@@ -231,24 +234,20 @@ def reparametrize_equiaffine(
     s_of_t = cumulative_uniform(sdot, ht)
 
     k = 5 if n >= 8 else 3
+    tt, sd, xs, ys = t, sdot, pts[:, 0], pts[:, 1]
+    if closed:  # a periodic spline takes the wrap node t[-1] + ht, valued as node 0
+        tt = np.append(t, t[-1] + ht)
+        sd, xs, ys = (np.append(v, v[0]) for v in (sdot, xs, ys))
+    bc = "periodic" if closed else None
+    sp_sdot = make_interp_spline(tt, sd, k=3, bc_type=bc)
+    spx = make_interp_spline(tt, xs, k=k, bc_type=bc)
+    spy = make_interp_spline(tt, ys, k=k, bc_type=bc)
     if closed:
-        tt = np.concatenate([t, [t[-1] + ht]])
-        sdot_p = np.concatenate([sdot, [sdot[0]]])
-        sp_sdot = make_interp_spline(tt, sdot_p, k=3, bc_type="periodic")
-        total = s_of_t[-1] + float(sp_sdot.integrate(t[-1], t[-1] + ht))
-        ss = np.concatenate([s_of_t, [total]])
-        xs = np.concatenate([pts[:, 0], [pts[0, 0]]])
-        ys = np.concatenate([pts[:, 1], [pts[0, 1]]])
-        spx = make_interp_spline(tt, xs, k=k, bc_type="periodic")
-        spy = make_interp_spline(tt, ys, k=k, bc_type="periodic")
-        s_spline = make_interp_spline(tt, ss, k=3)
+        total = s_of_t[-1] + float(sp_sdot.integrate(t[-1], tt[-1]))
+        ss = np.append(s_of_t, total)
     else:
-        tt, ss = t, s_of_t
-        total = float(s_of_t[-1])
-        sp_sdot = make_interp_spline(t, sdot, k=3)
-        spx = make_interp_spline(t, pts[:, 0], k=k)
-        spy = make_interp_spline(t, pts[:, 1], k=k)
-        s_spline = make_interp_spline(tt, ss, k=3)
+        total, ss = float(s_of_t[-1]), s_of_t
+    s_spline = make_interp_spline(tt, ss, k=3)
 
     if n_samples is None:
         n_samples = max(n, 2048)
@@ -321,28 +320,22 @@ def el_residual_general(c: CurveSamples, F, dF=None, d2F=None, d3F=None):
     - 2 F(kappa) and fits G ~ A x' + B y'.  Returns (A, B, rms residual);
     the residual vanishes exactly on critical curves.
 
-    Derivatives of F default to central differences of F.
+    Each derivative of F not given is a central difference of F.
     """
     kappa, k1, k2 = _kappa_derivs(c)
+    step = 1e-4 * max(1.0, float(np.max(np.abs(kappa))))
 
-    if dF is None or d2F is None or d3F is None:
-        step = 1e-4 * max(1.0, float(np.max(np.abs(kappa))))
+    def _num(fun, k, m):
+        if m == 1:
+            return (fun(k + step) - fun(k - step)) / (2 * step)
+        if m == 2:
+            return (fun(k + step) - 2 * fun(k) + fun(k - step)) / step**2
+        return (
+            fun(k + 2 * step) - 2 * fun(k + step) + 2 * fun(k - step) - fun(k - 2 * step)
+        ) / (2 * step**3)
 
-        def _num(fun, k, m):
-            if m == 1:
-                return (fun(k + step) - fun(k - step)) / (2 * step)
-            if m == 2:
-                return (fun(k + step) - 2 * fun(k) + fun(k - step)) / step**2
-            return (
-                fun(k + 2 * step) - 2 * fun(k + step) + 2 * fun(k - step) - fun(k - 2 * step)
-            ) / (2 * step**3)
-
-        dFv = dF(kappa) if dF else _num(F, kappa, 1)
-        d2Fv = d2F(kappa) if d2F else _num(F, kappa, 2)
-        d3Fv = d3F(kappa) if d3F else _num(F, kappa, 3)
-    else:
-        dFv, d2Fv, d3Fv = dF(kappa), d2F(kappa), d3F(kappa)
-
+    dFv, d2Fv, d3Fv = (_num(F, kappa, m) if fn is None else fn(kappa)
+                       for m, fn in ((1, dF), (2, d2F), (3, d3F)))
     G = d3Fv * k1**2 + d2Fv * k2 + 4.0 * dFv * kappa - 2.0 * F(kappa)
     d = _derivs(c)
     coef, rms, _ = _lstsq_fit(G, [d[1][:, 0], d[1][:, 1]], c.interior())
@@ -485,11 +478,16 @@ def curve_from_json(path_or_text) -> CurveSamples:
     win = meta.get("fd_window", 101)
     if type(win) is not int or not 101 <= win <= 401 or win % 2 == 0:  # what filter_window writes
         raise ValueError(f"meta.fd_window must be an odd integer in [101, 401], got {win!r}")
+    closed, period = payload["closed"], payload["period"]
+    if type(closed) is not bool:
+        raise ValueError(f"closed must be true or false, got {closed!r}")
+    if period is not None and not (type(period) in (int, float) and 0 < period <= sys.float_info.max):
+        raise ValueError(f"period must be null or a finite positive number, got {period!r}")
     return CurveSamples(
         np.array(payload["s"]),
         np.array(payload["x"]),
         np.array(payload["y"]),
-        closed=payload["closed"],
-        period=payload["period"],
+        closed=closed,
+        period=period,
         meta=meta,
     )

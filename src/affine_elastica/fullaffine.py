@@ -21,7 +21,7 @@ from ._numerics import (
     integrate_samples,
     trusted_interior,
 )
-from .curvature import CurveSamples, _derivs, _kappa_derivs, frame_and_curvature, support_function
+from .curvature import CurveSamples, _derivs, _kappa_derivs, _lstsq_fit, frame_and_curvature, support_function
 from .errors import BlowUp, NonConvex
 
 __all__ = [
@@ -42,6 +42,9 @@ __all__ = [
     "congruence_arclength",
     "osculating_conic",
 ]
+
+
+_W_RTOL = 1e-4  # relative size of kappa_F's variation below which a curve is a W-curve
 
 
 @dataclass
@@ -132,25 +135,24 @@ def el_residual_sqrt(c: CurveSamples) -> float:
     return float(np.sqrt(np.mean(res[sel] ** 2)))
 
 
-def linear_position_certificate(c: CurveSamples, w_rtol: float = 1e-4) -> LinearPositionCertificate:
+def linear_position_certificate(c: CurveSamples) -> LinearPositionCertificate:
     """Fit kappa_F against an affine function of position.
 
     A critical curve of the full-affine length either has constant
     full-affine curvature (W-curve branch) or kappa_F is a non-zero linear
-    function of position for a suitable origin.
+    function of position for a suitable origin.  The W-curve verdict holds
+    when the spread of kappa_F, or else the fitted A and B, are below
+    ``_W_RTOL`` of its scale.
     """
     sel = c.interior()
     _, kF = _convex_kappa_F(c, sel)
     spread = float(np.std(kF[sel]))
     scale = max(float(np.max(np.abs(kF[sel]))), 1e-300)
-    if spread < w_rtol * max(scale, 1.0):
+    if spread < _W_RTOL * max(scale, 1.0):
         return LinearPositionCertificate(True, 0.0, 0.0, float(np.mean(kF[sel])), spread)
-    M = np.column_stack([c.x[sel], c.y[sel], np.ones(len(c.x[sel]))])
-    coef, *_ = np.linalg.lstsq(M, kF[sel], rcond=None)
-    resid = M @ coef - kF[sel]
-    rms = float(np.sqrt(np.mean(resid**2)))
+    coef, rms, _ = _lstsq_fit(kF, [c.x, c.y, np.ones_like(c.x)], sel)
     A, B, C = (float(v) for v in coef)
-    is_w = abs(A) < w_rtol * scale and abs(B) < w_rtol * scale
+    is_w = abs(A) < _W_RTOL * scale and abs(B) < _W_RTOL * scale
     return LinearPositionCertificate(is_w, A, B, C, rms)
 
 
@@ -270,18 +272,11 @@ def constrained_sqrt_residuals(c: CurveSamples) -> ConstrainedSqrtResiduals:
     R_area = cumulative_uniform(rho, c.h)
     R_len = c.s - c.s[0]
     R_tot = cumulative_uniform(kappa, c.h)
-    base = [c.x, c.y, np.ones_like(c.x)]
-
-    def _fit(Rcol):
-        M = np.column_stack([col[sel] for col in base] + [Rcol[sel]])
-        coef, *_ = np.linalg.lstsq(M, kF[sel], rcond=None)
-        resid = M @ coef - kF[sel]
-        return float(coef[-1]), float(np.sqrt(np.mean(resid**2)))
-
-    qa, ra = _fit(R_area)
-    ql, rl = _fit(R_len)
-    qt, rt = _fit(R_tot)
-    return ConstrainedSqrtResiduals(qa, ra, ql, rl, qt, rt)
+    out = []
+    for R in (R_area, R_len, R_tot):
+        coef, rms, _ = _lstsq_fit(kF, [c.x, c.y, np.ones_like(c.x), R], sel)
+        out += [float(coef[-1]), rms]
+    return ConstrainedSqrtResiduals(*out)
 
 
 _SL2_DIRS = {

@@ -292,12 +292,8 @@ def a3_nonperiodicity(Q: float) -> float:
         raise NoSuchC("expected c on the horizontal segment through w2")
     d = c.real
     w2 = 1j * lat.w2_im
-    val = (
-        lat.w1 * np.sqrt(v)
-        - lat.eta1 * d
-        + lat.w1 * zeta_w(w2 + d, inv)
-        - lat.w1 * zeta_w(w2, inv)
-    )
+    zeta_w2d, zeta_w2 = zeta_w(np.array([w2 + d, w2]), inv).tolist()  # one theta evaluation
+    val = lat.w1 * np.sqrt(v) - lat.eta1 * d + lat.w1 * zeta_w2d - lat.w1 * zeta_w2
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise NoSuchC("non-periodicity bracket is not real to rounding")
     return float(val.real)
@@ -360,6 +356,19 @@ def _unimodular_scale(x: np.ndarray, y: np.ndarray, det0: float):
     return x * a, y * b
 
 
+def _constant_wronskian(w: np.ndarray, scale: float) -> float:
+    """The value of a sampled Wronskian that must be constant: its median.
+
+    Raises UnimodularizationFailed when the median is below 1e-12 ``scale``
+    or the median deviation from it exceeds 1e-6 of it.
+    """
+    det0 = float(np.median(w))
+    spread = float(np.median(np.abs(w - det0)))
+    if abs(det0) < 1e-12 * scale or spread > 1e-6 * abs(det0):
+        raise UnimodularizationFailed("Wronskian of the solution pair is not constant")
+    return det0
+
+
 def _unimodular_pair(rows, rows_p, rows_pp):
     """Unimodular coordinates out of complex solution rows and their two derivatives.
 
@@ -375,10 +384,7 @@ def _unimodular_pair(rows, rows_p, rows_pp):
     funcs = funcs - funcs.mean(axis=1, keepdims=True)
     u, up, upp = _solution_pair(funcs, parts(rows_p), parts(rows_pp))
     w = up[0] * upp[1] - up[1] * upp[0]
-    det0 = float(np.median(w))
-    spread = float(np.median(np.abs(w - det0)))
-    if abs(det0) < 1e-12 * float(np.median(np.abs(up[0] * upp[1]))) or spread > 1e-6 * abs(det0):
-        raise UnimodularizationFailed("Wronskian of the combined pair is not constant")
+    det0 = _constant_wronskian(w, float(np.median(np.abs(up[0] * upp[1]))))
     return _unimodular_scale(u[0], u[1], det0)
 
 
@@ -440,10 +446,7 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
 
     if independent and not force_general:
         # Wronskian of the (Re phi1, Im phi1) pair is Im(conj(phi1) phi1')
-        det0 = float(np.median(wri))
-        spread = float(np.median(np.abs(wri - det0)))
-        if spread > 1e-6 * abs(det0):
-            raise UnimodularizationFailed("Wronskian of Re/Im pair is not constant")
+        det0 = _constant_wronskian(wri, scale)
         H = _tile(H, powers)
         x, y = _unimodular_scale(H.real, H.imag, det0)
         return x, y, {"route": "explicit", **meta}
@@ -760,16 +763,15 @@ def synthesize(
     return _sample(replace(f, closure=closure), grid, n, force_general, True, period)
 
 
-def synthesize_arcs(
-    label: CaseLabel, n_arcs: int = 3, n_per_arc: int = 2000, margin: float = 0.08
-) -> list[CurveSamples]:
+def synthesize_arcs(label: CaseLabel, n_arcs: int = 3) -> list[CurveSamples]:
     """Consecutive smooth arcs of a square-root-line family curve.
 
     The curvature of these families (minimum curvature zero, bounded
     oscillation) vanishes at odd multiples of the real half-period; the
     position formula flips sign there, so each smooth arc is emitted
     separately with alternating sign, matching the ``sign_flip_at_poles``
-    convention recorded in the metadata.
+    convention recorded in the metadata.  Arc ell spans 2000 samples over
+    [(2 ell - 1) w1, (2 ell + 1) w1], less 0.08 w1 at each end.
     """
     f = _family(label)
     if not f.sign_flip_at_poles:
@@ -777,9 +779,9 @@ def synthesize_arcs(
     w1 = f.lat.w1
     arcs = []
     for ell in range(n_arcs):
-        lo = (2 * ell - 1) * w1 + margin * w1
-        hi = (2 * ell + 1) * w1 - margin * w1
-        arc = _sample(f, (lo, hi, n_per_arc), arc_index=ell)
+        lo = (2 * ell - 1) * w1 + 0.08 * w1
+        hi = (2 * ell + 1) * w1 - 0.08 * w1
+        arc = _sample(f, (lo, hi, 2000), arc_index=ell)
         sign = -1.0 if ell % 2 else 1.0
         arcs.append(CurveSamples(arc.s, sign * arc.x, sign * arc.y, closed=False, meta=arc.meta))
     return arcs
@@ -849,26 +851,19 @@ def euclidean_display_transform(c: CurveSamples, sol: ClosureSolution | None = N
     if not c.closed:
         raise EllipseFitFailed("display normalization needs a closed curve")
 
-    # locate curvature maxima with sub-grid parabolic refinement
-    n = c.n
+    # locate curvature maxima with sub-grid parabolic refinement, all at once
     idx = np.nonzero((kappa > np.roll(kappa, 1)) & (kappa >= np.roll(kappa, -1)))[0]
     if len(idx) < 5:
         raise EllipseFitFailed("need at least 5 curvature maxima to fit the ellipse")
-    pts = []
-    xs, ys = c.x, c.y
-    h = c.h
-    for i in idx:
-        km, k0, kp = kappa[(i - 1) % n], kappa[i], kappa[(i + 1) % n]
-        denom = km - 2 * k0 + kp
-        delta = 0.5 * (km - kp) / denom if denom != 0 else 0.0
-        f = np.clip(delta, -1.0, 1.0)
-        # quadratic position interpolation through three neighbouring samples
-        xm, x0v, xp = xs[(i - 1) % n], xs[i], xs[(i + 1) % n]
-        ym, y0v, yp = ys[(i - 1) % n], ys[i], ys[(i + 1) % n]
-        px = x0v + 0.5 * f * (xp - xm) + 0.5 * f * f * (xp - 2 * x0v + xm)
-        py = y0v + 0.5 * f * (yp - ym) + 0.5 * f * f * (yp - 2 * y0v + ym)
-        pts.append((px, py))
-    pts = np.asarray(pts)
+    prev, nxt = (idx - 1) % c.n, (idx + 1) % c.n
+    km, k0, kp = kappa[prev], kappa[idx], kappa[nxt]
+    denom = km - 2 * k0 + kp
+    with np.errstate(divide="ignore", invalid="ignore"):  # a flat top (denom 0) stays on its node
+        f = np.clip(np.where(denom != 0, 0.5 * (km - kp) / denom, 0.0), -1.0, 1.0)[:, None]
+    # quadratic position interpolation through three neighbouring samples
+    P = c.points()
+    pm, p0, pp = P[prev], P[idx], P[nxt]
+    pts = p0 + 0.5 * f * (pp - pm) + 0.5 * f * f * (pp - 2 * p0 + pm)
 
     coef = _conic_through(pts)
     A2 = np.array([[coef[0], coef[1] / 2.0], [coef[1] / 2.0, coef[2]]])

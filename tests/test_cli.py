@@ -264,6 +264,17 @@ class TestVerify:
         code, out, _ = run(["verify", str(p), "--closed", "--suite", "el"], capsys)
         assert code == 1  # impossible tolerance: everything fails
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tol_env_must_be_finite_and_positive(self, tol, tmp_path, capsys, monkeypatch):
+        # a passing curve: nan and -1 used to fail it (exit 1), inf to pass it
+        # with "tol": Infinity, which is not JSON
+        p = tmp_path / "e.csv"
+        cv.curve_to_csv(cv.ellipse_samples(2.0, 0.5, 2048), str(p))
+        monkeypatch.setenv("AFFINE_ELASTICA_TOL", tol)
+        code, out, err = run(["verify", str(p), "--closed", "--suite", "el"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: AFFINE_ELASTICA_TOL must be finite and positive, got {tol}\n"
+
 
 class TestScanClosure:
     def test_scan_passes_through_reference(self, tmp_path, capsys):
@@ -332,10 +343,23 @@ class TestConfig:
         assert code == 1
 
 
-def _json_curve(meta: str) -> str:
-    """An 8-sample curve file whose meta is the JSON text ``meta``."""
-    s = list(range(8))
-    return f'{{"s": {s}, "x": {s}, "y": {s}, "closed": false, "period": null, "meta": {meta}}}'
+def _json_curve(meta: str = "{}", closed: str = "false", period: str = "null", s: str | None = None) -> str:
+    """An 8-sample curve file; ``meta``, ``closed``, ``period`` and ``s`` (default 0..7) are JSON texts."""
+    xy = list(range(8))
+    return f'{{"s": {s or xy}, "x": {xy}, "y": {xy}, "closed": {closed}, "period": {period}, "meta": {meta}}}'
+
+
+#: (closed, period, s) JSON texts that curve_from_json rejects, with the reason
+_BAD_JSON_FIELDS = {
+    "closed-string": (('"false"', "null", None), "closed must be true or false"),
+    "closed-int": (("1", "null", None), "closed must be true or false"),
+    "period-string": (("true", '"5"', None), "period must be null or a finite positive number"),
+    "period-negative": (("true", "-1", None), "period must be null or a finite positive number"),
+    "period-zero": (("true", "0", None), "period must be null or a finite positive number"),
+    "period-infinite": (("true", "1e400", None), "period must be null or a finite positive number"),
+    "period-bool": (("true", "true", None), "period must be null or a finite positive number"),
+    "s-2d": (("false", "null", str([[k, k + 1] for k in range(8)])), "s, x and y must be 1-d arrays"),
+}
 
 
 #: meta.fd_window values that filter_window never writes
@@ -357,6 +381,9 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
         ({}, ["synth", "--case", "ellipse", "--E", "0"], "--E must be finite and positive"),
         ({}, ["synth", "--case", "Da", "--E", "1"], "--E must be finite and negative"),
         ({}, ["synth", "--case", "E", "--E", "-1"], "--E must be finite and positive"),
+        ({}, ["synth", "--case", "E", "--E", "1e300"], "--E 1e+300 is too large for case E"),
+        ({}, ["synth", "--case", "ellipse", "--E", "1e103"], "--E 1e+103 is too large for case ellipse"),
+        ({}, ["synth", "--case", "Dc", "--E=-1e200"], "--E -1e+200 is too large for case Dc"),
         ({}, ["classify", "--g2=1e103", "--g3=1"], "g2^3 - 27 g3^2 must be finite"),
         ({}, ["table", "--pairs", "0:1"], "m >= 1 and n >= 1"),
         ({}, ["synth", "--closure", "0", "1"], "m >= 1 and n >= 1"),
@@ -369,6 +396,12 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
         *(({"w.json": _json_curve(f'{{"fd_window": {w}}}')}, ["verify", "{tmp}/w.json"],
            "fd_window must be an odd integer") for w in _BAD_WINDOWS),
         ({"m.json": _json_curve("[]")}, ["verify", "{tmp}/m.json"], "meta to be a JSON object"),
+        *(({"f.json": _json_curve("{}", closed, period, s)},
+           ["verify", "{tmp}/f.json", "--suite", "closure"], reason)
+          for (closed, period, s), reason in _BAD_JSON_FIELDS.values()),
+        *(({"c.cfg": f"{key} = {val}\n"}, ["--config", "{tmp}/c.cfg", "classify", "--g2", "0", "--g3", "-1"],
+           f"config line 1: {key} must be finite and positive")
+          for key in ("tol", "svg_size") for val in ("nan", "-1", "0", "inf")),
         ({}, ["scan-closure", "--qmax", "inf"], "--qmax must be finite and positive"),
         ({}, ["scan-closure", "--qmin", "nan"], "--qmin must be finite and positive"),
         ({}, ["scan-closure", "--qmin", "-2", "--qmax", "2"], "--qmin must be finite and positive"),
@@ -378,10 +411,12 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
     ],
     ids=["missing-csv", "missing-config", "short-row", "header-only", "ragged-row", "text-field",
          "no-header", "json-keys", "nan-invariant",
-         "ellipse-E-zero", "Da-E-positive", "E-E-negative", "g2-cube-overflows",
+         "ellipse-E-zero", "Da-E-positive", "E-E-negative",
+         "E-E-overflows", "ellipse-E-overflows", "Dc-E-overflows", "g2-cube-overflows",
          "table-zero-pair", "closure-zero-pair", "grid-empty", "grid-zero", "grid-reversed",
          "samples-0-open", "samples-1-open", "samples-0-closed", "samples-1-closed",
-         *(f"fd-window-{w}" for w in _BAD_WINDOWS), "meta-not-object",
+         *(f"fd-window-{w}" for w in _BAD_WINDOWS), "meta-not-object", *_BAD_JSON_FIELDS,
+         *(f"config-{key}-{val}" for key in ("tol", "svg_size") for val in ("nan", "-1", "0", "inf")),
          "scan-qmax-inf", "scan-qmin-nan", "scan-qmin-negative", "scan-steps-negative", "scan-degenerate-q",
          "pairs-no-colon", "pairs-not-int", "pairs-empty"],
 )

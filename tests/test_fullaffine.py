@@ -6,7 +6,7 @@ from scipy.optimize import minimize_scalar
 
 from affine_elastica import curvature as cv
 from affine_elastica import fullaffine as fa
-from affine_elastica._numerics import integrate_samples
+from affine_elastica._numerics import cumulative_uniform, integrate_samples
 from affine_elastica.errors import BlowUp, NonConvex
 from conftest import (
     convex_support_curve,
@@ -183,6 +183,40 @@ class TestConstrainedResiduals:
         c = cv.reparametrize_equiaffine(convex_support_curve(rng), closed=True)
         r = fa.constrained_sqrt_residuals(c)
         assert r.area_residual > 1e-2
+
+
+def _direct_lstsq(columns, target):
+    """Reference: one np.linalg.lstsq over the stacked columns and the rms of its misfit."""
+    M = np.column_stack(columns)
+    coef, *_ = np.linalg.lstsq(M, target, rcond=None)
+    return coef, float(np.sqrt(np.mean((M @ coef - target) ** 2)))
+
+
+class TestFitsMatchDirectLstsq:
+    """Both fits of this module equal a direct lstsq over their columns, bit for bit."""
+
+    def test_constrained_residuals(self):
+        c = cv.ellipse_samples(2.0, 0.5, 800)
+        kF = fa.full_affine_invariants(c).kappa_F
+        R_area = cumulative_uniform(cv.support_function(c).rho, c.h)
+        R_tot = cumulative_uniform(cv.frame_and_curvature(c).kappa, c.h)
+        want = []
+        for R in (R_area, c.s - c.s[0], R_tot):
+            coef, rms = _direct_lstsq([c.x, c.y, np.ones_like(c.x), R], kF)
+            want += [float(coef[-1]), rms]
+        got = fa.constrained_sqrt_residuals(c)
+        assert list(vars(got).values()) == want
+
+    def test_linear_position_certificate(self, example_curve):
+        # an ellipse's kappa_F is constant, so its certificate returns before fitting
+        c = cv.ellipse_samples(2.0, 0.5, 800)
+        assert fa.linear_position_certificate(c).is_w_curve
+        sel = example_curve.interior()
+        kF = fa.full_affine_invariants(example_curve).kappa_F[sel]
+        x, y = example_curve.x[sel], example_curve.y[sel]
+        coef, rms = _direct_lstsq([x, y, np.ones(len(x))], kF)
+        got = fa.linear_position_certificate(example_curve)
+        assert (got.A, got.B, got.C, got.fit_residual) == (*coef.tolist(), rms)
 
 
 class TestSL2:

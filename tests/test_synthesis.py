@@ -348,6 +348,15 @@ class TestClosureCondition:
             val = sy.a3_nonperiodicity(Q)
             assert abs(val) > 1e-3
 
+    def test_a3_one_theta_evaluation(self, monkeypatch):
+        # zeta(w2 + d) and zeta(w2) share one theta evaluation
+        sy.a3_nonperiodicity(6.0)  # the lattice is cached from here on
+        calls = []
+        bundle = el._theta1_bundle
+        monkeypatch.setattr(el, "_theta1_bundle", lambda u, coef: calls.append(u) or bundle(u, coef))
+        sy.a3_nonperiodicity(6.0)
+        assert [u.size for u in calls] == [2]
+
     def test_a3_bracket_matches_direct_quantity(self):
         # bracket * 2i/pi = lhs(c = w2 + d) - 1 with the general formula:
         # the bracket is real, so it lands in the imaginary part of lhs
@@ -601,3 +610,34 @@ class TestEuclideanDisplay:
         assert len(idx) == 2 * sol.m
         r = np.hypot(disp.x[idx], disp.y[idx])
         assert np.ptp(r) / np.mean(r) < 1e-5
+
+    @pytest.mark.parametrize("m,n", [(3, 4), (7, 9)])
+    def test_refined_maxima_match_loop(self, m, n, monkeypatch):
+        c = sy.synthesize_closed(sy.solve_closure(m, n), samples_per_period=400)
+        seen = []
+        conic = sy._conic_through
+        monkeypatch.setattr(sy, "_conic_through", lambda pts: seen.append(pts) or conic(pts))
+        sy.euclidean_display_transform(c)
+        want = _refined_maxima_by_loop(c)
+        assert seen[0].shape == want.shape == (2 * m, 2)
+        assert seen[0].tobytes() == want.tobytes()
+
+
+def _refined_maxima_by_loop(c):
+    """Reference: the curvature maxima refined one at a time, as a Python loop."""
+    kappa = cv.frame_and_curvature(c).kappa
+    n = c.n
+    idx = np.nonzero((kappa > np.roll(kappa, 1)) & (kappa >= np.roll(kappa, -1)))[0]
+    pts = []
+    xs, ys = c.x, c.y
+    for i in idx:
+        km, k0, kp = kappa[(i - 1) % n], kappa[i], kappa[(i + 1) % n]
+        denom = km - 2 * k0 + kp
+        delta = 0.5 * (km - kp) / denom if denom != 0 else 0.0
+        f = np.clip(delta, -1.0, 1.0)
+        xm, x0v, xp = xs[(i - 1) % n], xs[i], xs[(i + 1) % n]
+        ym, y0v, yp = ys[(i - 1) % n], ys[i], ys[(i + 1) % n]
+        px = x0v + 0.5 * f * (xp - xm) + 0.5 * f * f * (xp - 2 * x0v + xm)
+        py = y0v + 0.5 * f * (yp - ym) + 0.5 * f * f * (yp - 2 * y0v + ym)
+        pts.append((px, py))
+    return np.asarray(pts)
