@@ -217,45 +217,47 @@ def _conic_points(coef, curve, i, n=400) -> np.ndarray:
 _SUITES = ("el", "sqrt", "closure", "fullaffine", "all")
 
 
-def _residual_over_windows(curve: cv.CurveSamples, fn) -> float:
-    """Best residual estimate over a few derivative-filter windows.
+def _residual_over_windows(curve: cv.CurveSamples, fn) -> tuple:
+    """Best residual estimates over a few derivative-filter windows.
 
     Bare sample files carry no filter hint; every window yields a valid
-    upper estimate of the same residual, so the minimum is reported.  A
-    curve too short for every probe window gets the default window.
+    upper estimate of the same residuals, so each residual of the tuple fn
+    returns is minimized over the windows.  A curve too short for every
+    probe window gets the default window.
     """
     wins = [w for w in (101, 151, 201, 301, 401) if w < curve.n // 2]
     if curve.closed or "fd_window" in curve.meta or not wins:
         return fn(curve)
-    return float(min(
+    return tuple(map(min, zip(*(
         fn(cv.CurveSamples(curve.s, curve.x, curve.y, curve.closed, curve.period, {"fd_window": w}))
         for w in wins
-    ))
+    ))))
+
+
+def _el_residuals(curve: cv.CurveSamples) -> tuple[float, float]:
+    """Absolute and relative residual, each the smaller of the two EL fits."""
+    fits = (cv.el_residual_area_constrained(curve), cv.el_residual_area_and_length(curve))
+    return min(f.residual for f in fits), min(f.relative for f in fits)
 
 
 def _verify_curve(curve: cv.CurveSamples, suite: str, tol: float):
     report: dict = {"suite": suite, "tol": tol, "checks": {}}
     ok = True
 
-    def record(name, value, passed):
+    def record(name, value, passed, **extra):
         nonlocal ok
-        report["checks"][name] = {"value": value, "pass": bool(passed)}
+        report["checks"][name] = {"value": value, **extra, "pass": bool(passed)}
         ok = ok and passed
 
     if suite in ("el", "all"):
-        best = _residual_over_windows(
-            curve,
-            lambda cu: min(
-                cv.el_residual_area_constrained(cu).residual,
-                cv.el_residual_area_and_length(cu).residual,
-            ),
-        )
-        record("el_residual", best, best < tol)
+        # the absolute rms scales as lambda^-4 under s -> lambda s; the verdict is on the relative one
+        best, relative = _residual_over_windows(curve, _el_residuals)
+        record("el_residual", best, relative < tol, relative=relative)
         defect = cv.unimodularity_defect(curve)
         record("unimodularity", defect, defect < max(tol, cv.UNIMODULAR_TOL))
     if suite in ("sqrt", "fullaffine", "all"):
         try:
-            res = _residual_over_windows(curve, fa.el_residual_sqrt)
+            res, = _residual_over_windows(curve, lambda cu: (fa.el_residual_sqrt(cu),))
             record("sqrt_el_residual", res, res < tol)
         except DomainError as ex:
             record("sqrt_el_residual", str(ex), suite not in ("sqrt",))

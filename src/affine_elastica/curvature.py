@@ -136,11 +136,14 @@ class Functionals:
 
 @dataclass
 class ELFit:
-    """Least-squares fit of an Euler-Lagrange residual form."""
+    """Least-squares fit of an Euler-Lagrange residual form: ``residual`` is
+    the rms misfit, which scales as lambda^-4 under s -> lambda s, and
+    ``relative`` the unit-free rms / max(rms(kappa^2), L^-4) (``_relative``)."""
 
     C: float
     A: float
     residual: float
+    relative: float
     underdetermined: bool = False
 
 
@@ -342,6 +345,13 @@ def el_residual_general(c: CurveSamples, F, dF=None, d2F=None, d3F=None):
     return float(coef[0]), float(coef[1]), rms
 
 
+def _relative(rms: float, c: CurveSamples) -> float:
+    """rms over max(rms(kappa^2), L^-4) on the trusted interior, of
+    equi-affine length L; the floor, of kappa^2's weight, keeps kappa = 0 finite."""
+    k2 = _kappa_derivs(c)[0][c.interior()] ** 2  # squared twice: pow(k, 4) is slow for k < 0
+    return rms / max(float(np.sqrt(np.mean(k2 * k2))), (c.h * k2.size) ** -4.0)
+
+
 def el_residual_area_constrained(c: CurveSamples) -> ELFit:
     """Fit kappa'' + kappa^2 ~ C; residual is the rms misfit."""
     kappa, _, k2 = _kappa_derivs(c)
@@ -349,7 +359,7 @@ def el_residual_area_constrained(c: CurveSamples) -> ELFit:
     sel = c.interior()
     C = float(np.mean(lhs[sel]))
     rms = float(np.sqrt(np.mean((lhs[sel] - C) ** 2)))
-    return ELFit(C=C, A=0.0, residual=rms)
+    return ELFit(C=C, A=0.0, residual=rms, relative=_relative(rms, c))
 
 
 def el_residual_area_and_length(c: CurveSamples) -> ELFit:
@@ -358,7 +368,8 @@ def el_residual_area_and_length(c: CurveSamples) -> ELFit:
     lhs = k2 + kappa**2
     ones = np.ones_like(kappa)
     coef, rms, under = _lstsq_fit(lhs, [ones, kappa], c.interior())
-    return ELFit(C=float(coef[0]), A=float(coef[1]), residual=rms, underdetermined=under)
+    return ELFit(C=float(coef[0]), A=float(coef[1]), residual=rms, relative=_relative(rms, c),
+                 underdetermined=under)
 
 
 def functionals(c: CurveSamples, full_affine: bool = True) -> Functionals:

@@ -25,22 +25,21 @@ theta1'(0) and theta1'''(0) are their plain sums.  A scalar argument goes
 through the same array loops as an array, so it gets the same bits.
 
 One builder, ``_build_frames``, makes the frames of a batch of lattices
-at once, every field on a leading lattice axis: the cubic roots (the
-stacked companion eigenvalues ``np.roots`` would compute one by one, and
-its Newton polish), K and K', the theta coefficients, the quasi-periods,
-the cell basis and the check of wp(w1) and zeta(w1) on the roots' own
-scale, with one theta evaluation for the whole batch.  Constants that the
-formulas combine from per-lattice scalars are computed per lattice in
-scalar arithmetic, since numpy's array loops round complex products and
-quotients differently from Python's; so a lattice gets the same bits alone
-and in a batch.  A single lattice is a batch of one, whose frame serves
-any number of points; it is cached per (g2, g3) with its checked
-``LatticeData``, so ``half_periods`` and the first kernel call on a
-lattice both run the check.  An ``Invariants`` of 1-d arrays is a batch:
-``half_periods`` then returns arrays, and the kernels take one point per
-lattice.  A batch is not cached per (g2, g3); its frames are kept on its
-``Invariants``.  When lattices of a batch fail, the batch raises the error
-that the first of them raises alone.
+at once, every field on a leading lattice axis: the cubic roots (in closed
+form, lattice by lattice, see ``cubic_roots``), K and K', the theta
+coefficients, the quasi-periods, the cell basis and the check of wp(w1)
+and zeta(w1) on the roots' own scale, with one theta evaluation for the
+whole batch.  Constants that the formulas combine from per-lattice
+scalars are computed per lattice in scalar arithmetic, since numpy's array
+loops round complex products and quotients differently from Python's; so
+a lattice gets the same bits alone and in a batch.  A single lattice is a
+batch of one, whose frame serves any number of points; it is cached per
+(g2, g3) with its checked ``LatticeData``, so ``half_periods`` and the
+first kernel call on a lattice both run the check.  An ``Invariants`` of
+1-d arrays is a batch: ``half_periods`` then returns arrays, and the
+kernels take one point per lattice.  A batch is not cached per (g2, g3);
+its frames are kept on its ``Invariants``.  When lattices of a batch fail,
+the batch raises the error that the first of them raises alone.
 
 All functions are pure and accept scalars or ndarrays for the argument z;
 they are safe for concurrent use.
@@ -48,6 +47,7 @@ they are safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -161,56 +161,43 @@ class LatticeData:
 
 
 def cubic_roots(g2, g3) -> np.ndarray:
-    """Roots of 4 t^3 - g2 t - g3 = 0, Newton-polished, in the ``LatticeData.roots`` order.
+    """Roots of 4 t^3 - g2 t - g3 = 0 in the ``LatticeData.roots`` order.
 
     For g2^3 > 27 g3^2 the three real roots, descending; otherwise
     (-r/2 + ib, r, -r/2 - ib) with r the real root and b > 0 (b = 0 only at
-    a repeated root).  A complex array either way; for 1-d arrays of g2 and
-    g3, one row of three per pair.
-
-    The roots are the eigenvalues of the companion matrices that ``np.roots``
-    builds, stacked into one call; a pair with g3 = 0, which ``np.roots``
-    reduces to a quadratic, goes through ``np.roots`` itself.  So every pair
-    gets the bits ``np.roots`` gives it.
+    a repeated root).  A complex array; for 1-d g2 and g3, one row per pair,
+    with the bits of that pair alone.  Closed forms, trigonometric for three
+    real roots and Cardano's for one (W. Kahan, "To solve a real cubic
+    equation", 1986; Numerical Recipes 5.6), each polished by two Newton steps.
     """
     g2, g3 = np.asarray(g2, dtype=float), np.asarray(g3, dtype=float)
-    a, b = g2.reshape(-1, 1), g3.reshape(-1, 1)
-    comp = np.zeros((a.size, 3, 3))
-    comp[:, 0, 0] = -0.0  # first row -[0, -g2, -g3] / 4, as np.roots builds it
-    comp[:, 0, 1] = a[:, 0] / 4.0
-    comp[:, 0, 2] = b[:, 0] / 4.0
-    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-    eig = np.linalg.eigvals(comp)
-    pairs = list(zip(a[:, 0].tolist(), b[:, 0].tolist()))
-    quadratic = [i for i, (_, q) in enumerate(pairs) if q == 0.0]
-    if quadratic:
-        eig = eig.astype(complex)
-        for i in quadratic:
-            eig[i] = np.roots([4.0, 0.0, -pairs[i][0], -pairs[i][1]])
-    roots = _newton(eig, a, b)
-    if eig.dtype.kind == "c":  # np.roots gives a real array where its one matrix has real roots
-        real = (eig.imag == 0.0).all(axis=1)
-        if True in real.tolist():
-            roots[real] = _newton(eig.real[real], a[real], b[real])
-    out = np.sort(roots.real, axis=1)[:, ::-1].astype(complex)
-    lone = [i for i, pair in enumerate(pairs) if not _discriminant(*pair) > 0.0]
-    if lone:
-        r = roots[lone].astype(complex)
-        i_real = np.argmin(np.abs(r.imag), axis=1)
-        k = np.arange(len(lone))
-        rr, im = r.real[k, i_real], np.abs(r.imag[k, (i_real == 0).astype(int)])
-        out.real[lone] = np.stack([-0.5 * rr, rr, -0.5 * rr], axis=1)
-        out.imag[lone] = np.stack([im, np.zeros_like(im), -im], axis=1)
+    out = np.array(list(map(_cubic_roots, g2.reshape(-1).tolist(), g3.reshape(-1).tolist())), dtype=complex)
     return out if g2.ndim else out[0]
 
 
-def _newton(r: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Two Newton steps on rows r of roots of 4 t^3 - a t - b."""
+def _cubic_roots(g2: float, g3: float) -> tuple[complex, complex, complex]:
+    """The roots of one cubic, as ``cubic_roots`` describes them."""
+    disc = _discriminant(g2, g3)
+    if disc > 0.0:  # three real roots rad cos(phi - 2 pi k/3), k = 0, 1, -1: descending
+        rad = math.sqrt(g2 / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * g3 / (g2 * rad)))) / 3.0
+        return tuple(complex(_newton(rad * math.cos(phi - k * math.tau / 3.0), g2, g3)) for k in (0, 1, -1))
+    # one real root (Cardano): r = A + B, pair -r/2 +- i (sqrt(3)/2) |A - B|; sign(g3) spares A cancellation
+    A = float(np.cbrt(0.125 * g3 + math.copysign(math.sqrt(-disc / 1728.0), g3)))
+    B = g2 / (12.0 * A) if A else 0.0
+    r = _newton(A + B, g2, g3)
+    b = abs(_newton(complex(-0.5 * r, 0.5 * math.sqrt(3.0) * abs(A - B)), g2, g3).imag)
+    return complex(-0.5 * r, b), complex(r), complex(-0.5 * r, -b)
+
+
+def _newton(t, g2: float, g3: float):
+    """Two Newton steps on the root t (float or complex) of 4 t^3 - g2 t - g3."""
     for _ in range(2):
-        f = 4.0 * r**3 - a * r - b
-        fp = 12.0 * r**2 - a
-        r = r - np.divide(f, fp, out=np.zeros(f.shape, f.dtype), where=np.abs(fp) > 0)
-    return r
+        tt = t * t
+        fp = 12.0 * tt - g2
+        if fp:
+            t -= ((4.0 * tt - g2) * t - g3) / fp  # Horner's form rounds less than 4 t^3 - g2 t
+    return t
 
 
 def invariants_from_qQ(q: float, Q: float) -> Invariants:
@@ -370,8 +357,7 @@ def _build_frames(g2: np.ndarray, g3: np.ndarray):
     for p, q, disc in zip(g2l, g3l, discs):
         if _is_degenerate(p, q, disc):
             raise DegenerateDiscriminant(f"discriminant {disc:.3e} is degenerate relative to g2^3")
-    roots = cubic_roots(g2, g3)
-    root_rows = roots.tolist()
+    root_rows = list(map(_cubic_roots, g2l, g3l))
     w1, w2_im, W1s, W3s = zip(*[_half_period_scalars(r, disc < 0.0) for r, disc in zip(root_rows, discs)])
     coef = _theta_coefficients(np.array([t3 / t1 for t1, t3 in zip(W1s, W3s)]))
     # theta1'(0) and theta1'''(0): every e^(+-i(2n+1)u) is 1 at u = 0

@@ -834,7 +834,7 @@ def _conic_through(points: np.ndarray) -> np.ndarray:
     return Vt[-1]
 
 
-def euclidean_display_transform(c: CurveSamples, sol: ClosureSolution | None = None) -> CurveSamples:
+def euclidean_display_transform(c: CurveSamples) -> CurveSamples:
     """Linear display map sending the curvature-maximum ellipse to a circle.
 
     The output is display-normalized only (no longer equi-affine normalized)

@@ -11,7 +11,7 @@ from affine_elastica.elliptic import (
     invariants_from_Ptau,
     invariants_from_qQ,
 )
-from affine_elastica.errors import BranchUnavailable
+from affine_elastica.errors import BranchUnavailable, DegenerateDiscriminant
 
 
 @pytest.mark.parametrize(
@@ -200,19 +200,18 @@ class TestRoundTripProperties:
         assert half_periods(inv).roots == tuple(e)
 
     nonzero = st.floats(min_value=-3.0, max_value=3.0).filter(lambda x: abs(x) >= 1e-3)
+    lattices = st.one_of(
+        st.tuples(nonzero, nonzero),
+        nonzero.map(lambda E: (3.0 * E * E, E**3)),  # vanishing discriminant
+        nonzero.map(lambda g3: (0.0, g3)),  # F
+        nonzero.map(lambda g2: (g2, 0.0)),  # q = 0 (A2 / B2) or P = 0 (C3)
+        st.just((0.0, 0.0)),  # G
+    )
+    branches = st.sampled_from([Branch.closed_branch, Branch.open_branch])
+    log_lam2s = st.floats(min_value=-4.0, max_value=4.0)
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        g=st.one_of(
-            st.tuples(nonzero, nonzero),
-            nonzero.map(lambda E: (3.0 * E * E, E**3)),  # vanishing discriminant
-            nonzero.map(lambda g3: (0.0, g3)),  # F
-            nonzero.map(lambda g2: (g2, 0.0)),  # q = 0 (A2 / B2) or P = 0 (C3)
-            st.just((0.0, 0.0)),  # G
-        ),
-        branch=st.sampled_from([Branch.closed_branch, Branch.open_branch]),
-        log_lam2=st.floats(min_value=-4.0, max_value=4.0),
-    )
+    @given(g=lattices, branch=branches, log_lam2=log_lam2s)
     def test_tag_scale_free(self, g, branch, log_lam2):
         def tag(g2, g3):
             try:
@@ -222,6 +221,29 @@ class TestRoundTripProperties:
 
         lam2 = 10.0**log_lam2
         assert tag(lam2**2 * g[0], lam2**3 * g[1]) is tag(*g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=lattices, branch=branches, log_lam2=log_lam2s)
+    def test_normal_form_scale_free(self, g, branch, log_lam2):
+        """(lam^4 g2, lam^6 g3) has the same normal form, reached by 1/lam
+        times the original's factor."""
+        def normal_form(g2, g3):
+            inv = Invariants(g2, g3)
+            try:
+                return rescale_to_normal_form(inv, classify(inv, branch))
+            except (BranchUnavailable, DegenerateDiscriminant) as ex:
+                return type(ex)
+
+        lam2 = 10.0**log_lam2
+        base, got = normal_form(*g), normal_form(lam2**2 * g[0], lam2**3 * g[1])
+        if isinstance(base, type):
+            assert got is base
+            return
+        assert got[1].tag is base[1].tag
+        if got[1].tag is not Case.G:  # (0, 0) is its own scaling, and its factor is 1
+            assert got[0] == pytest.approx(base[0] / np.sqrt(lam2), rel=1e-9)
+        assert got[1].params == pytest.approx(base[1].params, rel=1e-9, abs=1e-9)
+        assert (got[1].g2, got[1].g3) == pytest.approx((base[1].g2, base[1].g3), rel=1e-9, abs=1e-9)
 
 
 def test_label_json():

@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import affine_elastica
 from affine_elastica import curvature as cv
@@ -18,6 +21,15 @@ from affine_elastica.cli import _conic_points, _svg_polyline, _verify_curve, mai
 from affine_elastica.elliptic import invariants_from_qQ
 from affine_elastica.errors import DomainError
 from conftest import hypotrochoid_points
+
+
+@lru_cache(maxsize=None)
+def _scaling_curves() -> dict:
+    return {
+        "closed 3:4": sy.synthesize_closed(sy.solve_closure(3, 4), samples_per_period=400),
+        "open B1": sy.synthesize(classify(invariants_from_qQ(0.6, 1.2), Branch.open_branch), n=1500),
+        "hypotrochoid": cv.reparametrize_equiaffine(hypotrochoid_points(n=2000), closed=True),
+    }
 
 
 def run(argv, capsys):
@@ -134,7 +146,9 @@ class TestSynth:
         assert report["checks"]["el_residual"]["pass"]
 
     # at Q within rounding of these roots, evaluating every period moved the
-    # residual past 1e-5; one period tiled by the exact multiplier does not
+    # residual past 1e-5; one period tiled by the exact multiplier does not.
+    # The bound is on the scale-free residual: the absolute rms of 7:8 (rms
+    # kappa^2 about 507) follows the last bits of Q from 6e-6 to 4e-5
     @pytest.mark.parametrize("m,n", [(5, 6), (7, 8)])
     def test_closure_selfcheck_one_period(self, m, n, tmp_path, capsys):
         code, out, _ = run(
@@ -142,7 +156,7 @@ class TestSynth:
             capsys,
         )
         assert code == 0
-        assert json.loads(out)["checks"]["el_residual"]["value"] < 1e-5
+        assert json.loads(out)["checks"]["el_residual"]["relative"] < 1e-5
 
     def test_closed_self_check_transforms_each_signal_once(self, rfft_calls):
         curve = sy.synthesize_closed(sy.solve_closure(3, 4), samples_per_period=400)
@@ -222,6 +236,42 @@ class TestVerify:
         report = json.loads(out)
         assert not report["checks"]["el_residual"]["pass"]
         assert report["checks"]["el_residual"]["value"] > 0.1
+        assert report["checks"]["el_residual"]["relative"] > 1.0  # 7.07
+
+    @pytest.mark.parametrize("g2", ["-1", "-1e20", "-1e40"])
+    def test_self_check_scale_free(self, g2, tmp_path, capsys):
+        """One lattice at three scales (g3 is negligible at each): the absolute
+        rms grows as g2, the verdict stays."""
+        code, out, _ = run(["synth", f"--g2={g2}", "--g3=1e-60", "--branch", "open",
+                            "--csv", str(tmp_path / "o.csv"), "--self-check"], capsys)
+        assert code == 0
+        assert json.loads(out)["checks"]["el_residual"]["relative"] < 1e-6  # 3.5e-7, 2.7e-7, 2.5e-7
+
+    def test_parabola_passes(self, tmp_path, capsys):
+        """kappa = 0: the relative residual stands on the L^-4 floor."""
+        t = np.linspace(-1.0, 1.0, 3000)
+        p = tmp_path / "parabola.csv"
+        cv.curve_to_csv(cv.CurveSamples(t, t, 0.5 * t * t), str(p))
+        code, out, _ = run(["verify", str(p), "--suite", "el"], capsys)
+        assert code == 0
+        assert json.loads(out)["checks"]["el_residual"]["relative"] < 1e-5
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["closed 3:4", "open B1", "hypotrochoid"]),
+           log_lam=st.floats(min_value=-2.0, max_value=2.0))
+    def test_verdict_scale_free(self, name, log_lam):
+        """Points scaled by lam^(3/2) and s by lam: kappa scales as lam^-2,
+        the verdict and the relative residual stay, the absolute one goes as
+        lam^-4 (to the rounding noise a passing curve's residual is made of)."""
+        curve = _scaling_curves()[name]
+        lam = 10.0**log_lam
+        scaled = cv.CurveSamples(lam * curve.s, lam**1.5 * curve.x, lam**1.5 * curve.y, curve.closed,
+                                 None if curve.period is None else lam * curve.period, dict(curve.meta))
+        (base, ok), (got, ok_scaled) = _verify_curve(curve, "el", 1e-5), _verify_curve(scaled, "el", 1e-5)
+        base, got = base["checks"]["el_residual"], got["checks"]["el_residual"]
+        assert ok_scaled == ok == (name != "hypotrochoid")
+        assert got["relative"] == pytest.approx(base["relative"], rel=0.25)
+        assert got["value"] * lam**4 == pytest.approx(base["value"], rel=0.25)
 
     def test_ellipse_all_suites(self, tmp_path, capsys):
         e = cv.ellipse_samples(2.0, 0.5, 4096)

@@ -6,6 +6,9 @@ integration of its second-order ODE from a Laurent-series seed near the
 pole.  Both oracles are independent of the theta-series evaluation path.
 """
 
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 import sympy
@@ -430,6 +433,89 @@ def test_kernel_accepts_numeric_invariant_types(g2, g3):
     inv, ref = el.Invariants(g2, g3), el.Invariants(float(g2), float(g3))
     assert el.half_periods(inv) == el.half_periods(ref)
     assert el.wp(0.3 + 0.1j, inv) == el.wp(0.3 + 0.1j, ref)
+
+
+def _decimal_roots(g2: float, g3: float, guess) -> list:
+    """Roots of 4 t^3 - g2 t - g3 at 40 digits, as (real, imag) pairs in the
+    order of ``cubic_roots``: each real root refined from ``guess`` by
+    Newton's method, the complex pair from the real root by Vieta's formulas
+    (sum 0, pairwise sum -g2/4)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, b = Decimal(g2), Decimal(g3)
+        tiny = Decimal(max(abs(z) for z in guess)) * Decimal("1e-37")
+
+        def newton(t):
+            t = Decimal(t)
+            for _ in range(100):
+                fp = 12 * t * t - a
+                step = (4 * t * t * t - a * t - b) / fp if fp else Decimal(0)
+                t -= step
+                if abs(step) <= tiny:
+                    return t
+            raise AssertionError(f"no convergence for g2={g2!r}, g3={g3!r}")
+
+        if g2**3 - 27.0 * g3**2 > 0.0:
+            e1, e2, e3 = (newton(z.real) for z in guess)
+            c = (a / 12).sqrt()  # the critical points +-c separate the three roots
+            assert e1 > c > e2 > -c > e3, (g2, g3)
+            return [(e1, 0), (e2, 0), (e3, 0)]
+        r = newton(guess[1].real)
+        b2 = (3 * r * r - a) / 4
+        im = b2.sqrt() if b2 > 0 else Decimal(0)
+        return [(-r / 2, im), (r, 0), (-r / 2, -im)]
+
+
+def _root_error(got, ref) -> float:
+    """max_k |got_k - ref_k| over max_k |ref_k|, at 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        size = max((x * x + y * y).sqrt() for x, y in ref)
+        dist = max(((Decimal(z.real) - x) ** 2 + (Decimal(z.imag) - y) ** 2).sqrt() for z, (x, y) in zip(got, ref))
+        return float(dist / size)
+
+
+def _cubic_draws(rng) -> list:
+    """Seeded (g2, g3): q = 1 lattices, both discriminant signs over 17 decades
+    of scale, g3 = 0 with either sign of g2, and near-degenerate lattices
+    (3 E^2, E^3 (1 + d)) with |d| from 1e-6 to 1e-3."""
+    draws = []
+    for Q in np.exp(rng.uniform(np.log(1.001), np.log(1000.0), 300)).tolist():
+        draws.append(((1.0 + Q * Q + Q) / 9.0, (Q + Q * Q) / 54.0))
+    for _ in range(300):
+        s, sign2, sign3 = np.exp(rng.uniform(-10.0, 10.0)), rng.choice([-1.0, 1.0]), rng.choice([-1.0, 1.0])
+        draws.append((float(sign2 * s**4 * rng.uniform(0.0, 3.0)), float(sign3 * s**6 * rng.uniform(0.0, 3.0))))
+    for _ in range(50):
+        draws.append((float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-10.0, 10.0))), 0.0))
+    for _ in range(200):
+        E = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-5.0, 5.0)))
+        d = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -3.0))
+        draws.append((3.0 * E * E, E**3 * (1.0 + d)))
+    return [(p, q) for p, q in draws if el._discriminant(p, q) != 0.0]
+
+
+def test_cubic_roots_against_decimal_oracle(rng):
+    draws = _cubic_draws(rng)
+    g2, g3 = (np.array(v) for v in zip(*draws))
+    assert np.count_nonzero(g2 < 0) > 100 and np.count_nonzero(g3 == 0) > 40
+    assert np.count_nonzero(el._discriminant(g2, g3) < 0) > 200
+    batch = el.cubic_roots(g2, g3)
+    errors = []
+    for (p, q), row in zip(draws, batch):
+        assert np.array_equal(row, el.cubic_roots(p, q))  # a row has the bits of its pair alone
+        errors.append(_root_error(row, _decimal_roots(p, q, row)))
+    assert max(errors) <= 1e-13
+
+
+def test_cubic_roots_scale_covariant(rng):
+    """(l^4 g2, l^6 g3) has the roots l^2 e_k: to twice the oracle bound,
+    one for each side, since the scaled invariants are rounded too."""
+    draws = _cubic_draws(rng)
+    g2, g3 = (np.array(v) for v in zip(*draws))
+    lam2 = np.exp(rng.uniform(-5.0, 5.0, len(draws)))
+    e, scaled = el.cubic_roots(g2, g3), el.cubic_roots(lam2**2 * g2, lam2**3 * g3)
+    size = np.max(np.abs(e), axis=1)
+    assert np.all(np.max(np.abs(scaled / lam2[:, None] - e), axis=1) <= 2e-13 * size)
 
 
 def test_degenerate_discriminant_rejected():

@@ -587,7 +587,7 @@ class TestEuclideanDisplay:
     def test_maxima_on_circle(self):
         sol = sy.solve_closure(3, 4)
         c = sy.synthesize_closed(sol, samples_per_period=1000)
-        disp = sy.euclidean_display_transform(c, sol)
+        disp = sy.euclidean_display_transform(c)
         assert disp.meta["display_normalized"]
         kappa = cv.frame_and_curvature(c).kappa
         idx = np.nonzero((kappa > np.roll(kappa, 1)) & (kappa >= np.roll(kappa, -1)))[0]
@@ -604,7 +604,7 @@ class TestEuclideanDisplay:
     def test_many_maxima_on_circle(self):
         sol = sy.solve_closure(17, 24)
         c = sy.synthesize_closed(sol, samples_per_period=600)
-        disp = sy.euclidean_display_transform(c, sol)
+        disp = sy.euclidean_display_transform(c)
         kappa = cv.frame_and_curvature(c).kappa
         idx = np.nonzero((kappa > np.roll(kappa, 1)) & (kappa >= np.roll(kappa, -1)))[0]
         assert len(idx) == 2 * sol.m
