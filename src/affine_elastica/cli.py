@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -313,7 +314,9 @@ def cmd_scan_closure(args, cfg) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later ``main`` calls."""
     ap = argparse.ArgumentParser(
         prog="affine-elastica",
         description="Critical curves of equi-affine curvature functionals",
@@ -403,8 +406,7 @@ def _case_label_from_tag(args) -> CaseLabel:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args, _load_config(args.config))
     except (DomainError, ValueError, OSError) as ex:

@@ -138,7 +138,7 @@ class Functionals:
 class ELFit:
     """Least-squares fit of an Euler-Lagrange residual form: ``residual`` is
     the rms misfit, which scales as lambda^-4 under s -> lambda s, and
-    ``relative`` the unit-free rms / max(rms(kappa^2), L^-4) (``_relative``)."""
+    ``relative`` the unit-free rms / max(rms(kappa^2), L^-4) (``_kappa2_scale``)."""
 
     C: float
     A: float
@@ -286,16 +286,17 @@ def translate_to_canonical(c: CurveSamples) -> np.ndarray:
     """Origin that turns the support function into kappa / C.
 
     Requires kappa'' + kappa^2 = C with C != 0 to tolerance; the returned
-    origin makes the constant field kappa N - kappa' T equal to -C P.
+    origin makes the constant field kappa N - kappa' T equal to -C P.  Both
+    checks are unit-free: NotCritical when the fit's relative residual
+    exceeds 1e-4, ZeroC when |C| is below 1e-8 of ``_kappa2_scale``.
     """
     kappa, k1, k2 = _kappa_derivs(c)
     fit = el_residual_area_constrained(c)
-    scale = max(1.0, float(np.max(np.abs(kappa[c.interior()])) ** 2))
-    if fit.residual > 1e-4 * scale:
+    if fit.relative > 1e-4:
         raise NotCritical(
-            f"kappa'' + kappa^2 is not constant (rms residual {fit.residual:.3e})"
+            f"kappa'' + kappa^2 is not constant (relative rms residual {fit.relative:.3e})"
         )
-    if abs(fit.C) < 1e-8 * scale:
+    if abs(fit.C) < 1e-8 * _kappa2_scale(c):
         raise ZeroC("fitted constant C is numerically zero")
     fr = frame_and_curvature(c)
     M = kappa[:, None] * fr.N - k1[:, None] * fr.T
@@ -345,11 +346,11 @@ def el_residual_general(c: CurveSamples, F, dF=None, d2F=None, d3F=None):
     return float(coef[0]), float(coef[1]), rms
 
 
-def _relative(rms: float, c: CurveSamples) -> float:
-    """rms over max(rms(kappa^2), L^-4) on the trusted interior, of
-    equi-affine length L; the floor, of kappa^2's weight, keeps kappa = 0 finite."""
+def _kappa2_scale(c: CurveSamples) -> float:
+    """max(rms(kappa^2), L^-4) on the trusted interior, of equi-affine length
+    L; the floor, of kappa^2's weight, keeps kappa = 0 finite."""
     k2 = _kappa_derivs(c)[0][c.interior()] ** 2  # squared twice: pow(k, 4) is slow for k < 0
-    return rms / max(float(np.sqrt(np.mean(k2 * k2))), (c.h * k2.size) ** -4.0)
+    return max(float(np.sqrt(np.mean(k2 * k2))), (c.h * k2.size) ** -4.0)
 
 
 def el_residual_area_constrained(c: CurveSamples) -> ELFit:
@@ -359,7 +360,7 @@ def el_residual_area_constrained(c: CurveSamples) -> ELFit:
     sel = c.interior()
     C = float(np.mean(lhs[sel]))
     rms = float(np.sqrt(np.mean((lhs[sel] - C) ** 2)))
-    return ELFit(C=C, A=0.0, residual=rms, relative=_relative(rms, c))
+    return ELFit(C=C, A=0.0, residual=rms, relative=rms / _kappa2_scale(c))
 
 
 def el_residual_area_and_length(c: CurveSamples) -> ELFit:
@@ -368,7 +369,7 @@ def el_residual_area_and_length(c: CurveSamples) -> ELFit:
     lhs = k2 + kappa**2
     ones = np.ones_like(kappa)
     coef, rms, under = _lstsq_fit(lhs, [ones, kappa], c.interior())
-    return ELFit(C=float(coef[0]), A=float(coef[1]), residual=rms, relative=_relative(rms, c),
+    return ELFit(C=float(coef[0]), A=float(coef[1]), residual=rms, relative=rms / _kappa2_scale(c),
                  underdetermined=under)
 
 

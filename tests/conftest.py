@@ -40,6 +40,12 @@ def hyperbola_samples(s_lo=-2.0, s_hi=2.0, n=6000):
     return cv.CurveSamples(s, np.exp(a * s), np.exp(-a * s), closed=False)
 
 
+def scaled_curve(c, lam: float):
+    """Points scaled by lam^(3/2) and s by lam, so kappa scales as lam^-2."""
+    return cv.CurveSamples(lam * c.s, lam**1.5 * c.x, lam**1.5 * c.y, c.closed,
+                           None if c.period is None else lam * c.period, dict(c.meta))
+
+
 def hypotrochoid_points(R=5.0, r=1.0, d=0.1, n=8000):
     t = np.linspace(0, 2 * np.pi, n, endpoint=False)
     k = (R - r) / r

@@ -20,7 +20,7 @@ from affine_elastica.classifier import Branch, classify
 from affine_elastica.cli import _conic_points, _svg_polyline, _verify_curve, main
 from affine_elastica.elliptic import invariants_from_qQ
 from affine_elastica.errors import DomainError
-from conftest import hypotrochoid_points
+from conftest import hypotrochoid_points, scaled_curve
 
 
 @lru_cache(maxsize=None)
@@ -265,8 +265,7 @@ class TestVerify:
         lam^-4 (to the rounding noise a passing curve's residual is made of)."""
         curve = _scaling_curves()[name]
         lam = 10.0**log_lam
-        scaled = cv.CurveSamples(lam * curve.s, lam**1.5 * curve.x, lam**1.5 * curve.y, curve.closed,
-                                 None if curve.period is None else lam * curve.period, dict(curve.meta))
+        scaled = scaled_curve(curve, lam)
         (base, ok), (got, ok_scaled) = _verify_curve(curve, "el", 1e-5), _verify_curve(scaled, "el", 1e-5)
         base, got = base["checks"]["el_residual"], got["checks"]["el_residual"]
         assert ok_scaled == ok == (name != "hypotrochoid")
@@ -510,3 +509,38 @@ def test_cli_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[0, 0, 0] []"
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    """One process runs every subcommand on the shared parser, non-default
+    flags before defaults and an argparse error among them; each stdout and
+    exit code matches a fresh interpreter's."""
+    cfg, csv = tmp_path / "cfg", tmp_path / "e.csv"
+    cfg.write_text("samples = 64\n")
+    runs = [
+        ["classify", "--g2", "0", "--g3", "-1", "--branch", "open"],
+        ["classify", "--q", "1", "--Q", "3.940854279"],
+        ["table", "--pairs", "3:4,1:2"],
+        ["table"],
+        ["--config", str(cfg), "synth", "--case", "ellipse", "--E", "2", "--self-check"],
+        ["--config", str(cfg), "synth", "--case", "ellipse", "--csv", str(csv)],
+        ["verify", str(csv), "--closed", "--suite", "el"],
+        ["verify", str(csv)],
+        ["table", "--bogus"],
+        ["scan-closure", "--qmin", "2", "--qmax", "3", "--steps", "4"],
+        ["scan-closure"],
+    ]
+    here = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code
+        here.append((code, capsys.readouterr().out))
+    src = os.path.dirname(os.path.dirname(affine_elastica.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = [subprocess.run([sys.executable, "-m", "affine_elastica.cli", *argv], env=env,
+                            capture_output=True, text=True)
+             for argv in runs]
+    assert here == [(p.returncode, p.stdout) for p in fresh]
+    assert [code for code, _ in here] == [0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0]

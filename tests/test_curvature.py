@@ -19,6 +19,7 @@ from conftest import (
     convex_support_curve,
     hypotrochoid_points,
     random_unimodular,
+    scaled_curve,
 )
 
 
@@ -208,6 +209,20 @@ class TestTranslateToCanonical:
         c = cv.reparametrize_equiaffine(convex_support_curve(rng), closed=True)
         with pytest.raises(NotCritical):
             cv.translate_to_canonical(c)
+
+    @pytest.mark.parametrize("lam", [1e-3, 1e3])
+    def test_closed_curve_scale_free(self, lam):
+        curve = sy.synthesize_closed(sy.solve_closure(3, 4), samples_per_period=400)
+        origin = cv.translate_to_canonical(curve)
+        span = np.ptp(curve.points(), axis=0).max()
+        got = cv.translate_to_canonical(scaled_curve(curve, lam))
+        assert np.max(np.abs(got - lam**1.5 * origin)) < 1e-9 * lam**1.5 * span
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e2])
+    def test_scaled_hypotrochoid_not_critical(self, lam):
+        c = cv.reparametrize_equiaffine(hypotrochoid_points(n=2000), closed=True)
+        with pytest.raises(NotCritical):
+            cv.translate_to_canonical(scaled_curve(c, lam))
 
     def test_zero_c_raises(self):
         from affine_elastica.classifier import Case, CaseLabel

@@ -1,8 +1,10 @@
 """Curve synthesis: Lame solutions, closure condition, all case families."""
 
+from math import gcd
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -27,6 +29,18 @@ TABLE = [
     (4, 5, 8.947959902, 1.009840213, 1.086362374, -1.058686673),
     (29, 37, 6.926542623, 1.129312548, 1.239778028, -1.194744029),
     (17, 24, 1.244192459, 2.097620948, 3.602731724, -2.351154225),
+]
+
+#: every closing ratio n/m in ]1, sqrt 2[ with m < 16, m and n coprime (29 pairs)
+CLOSURE_PAIRS = [
+    (m, n) for m in range(2, 16) for n in range(m + 1, 2 * m) if gcd(m, n) == 1 and n * n < 2 * m * m
+]
+
+_WINDOW_LHS = sy.closure_lhs(np.array(sy._Q_INTERVAL))
+#: every coprime pair with m <= 200 whose ratio the closure quantity takes inside _Q_INTERVAL
+WINDOW_PAIRS = [
+    (m, n) for m in range(1, 201) for n in range(m + 1, 2 * m)
+    if gcd(m, n) == 1 and _WINDOW_LHS[1] < n / m < _WINDOW_LHS[0]
 ]
 
 
@@ -148,6 +162,19 @@ class TestLameSolutions:
             )
 
 
+def _count_closure_calls(monkeypatch) -> dict:
+    """Count batch and scalar ``closure_lhs_with_d`` calls, as ``synthesis`` makes them."""
+    calls = {"batch": 0, "scalar": 0}
+    evaluate = sy.closure_lhs_with_d
+
+    def counted(Q):
+        calls["scalar" if np.ndim(Q) == 0 else "batch"] += 1
+        return evaluate(Q)
+
+    monkeypatch.setattr(sy, "closure_lhs_with_d", counted)
+    return calls
+
+
 class TestClosureCondition:
     @settings(max_examples=30, deadline=None)
     @given(qs=st.lists(st.floats(min_value=1.001, max_value=1e8), min_size=1, max_size=12))
@@ -190,13 +217,44 @@ class TestClosureCondition:
         assert sol.lattice.w2_im == pytest.approx(w2, abs=1e-6)
         assert sol.d == pytest.approx(d, abs=1e-6)
 
-    @pytest.mark.parametrize("m,n", [row[:2] for row in TABLE])
+    @pytest.mark.parametrize("m,n", sorted(set(CLOSURE_PAIRS) | {row[:2] for row in TABLE}))
     def test_solve_closure_evaluations(self, m, n, monkeypatch):
-        calls = []
+        sy._prescan.cache_clear()
+        calls = _count_closure_calls(monkeypatch)
+        sol = sy.solve_closure(m, n)
+        assert calls["batch"] == 1 and calls["scalar"] <= 8
+        assert sy.solve_closure(m, n).Q == sol.Q
+        assert calls["batch"] == 1  # the pre-scan is made once per process
+        assert abs(sy.closure_lhs(sol.Q) - n / m) <= 1e-15
+
+    @pytest.mark.parametrize("node", [0, 5, -1])
+    def test_solve_closure_at_a_prescan_node(self, node):
+        # any double in [1, 2) is n / 2^52 exactly, so a ratio can equal a node's quantity
+        Q, lhs = sy._prescan()[0][node], sy._prescan()[1][node]
+        sol = sy.solve_closure(2**52, int(lhs * 2**52))
+        assert (sol.Q, sol.lhs) == (Q, lhs)
+
+    # the first pair's root lies in the pre-scan's first cell, the last two in its last cell
+    @settings(max_examples=60, deadline=None)
+    @given(pair=st.sampled_from(WINDOW_PAIRS))
+    @example(pair=(169, 239)).via("first cell, Q = 1.016")
+    @example(pair=(17, 24)).via("first cell, Q = 1.244")
+    @example(pair=(73, 75)).via("last cell, Q = 925.9")
+    @example(pair=(151, 155)).via("last cell, Q = 990.6")
+    def test_solve_closure_property(self, pair):
+        m, n = pair
         lhs = sy.closure_lhs
-        monkeypatch.setattr(sy, "closure_lhs", lambda qv: calls.append(qv) or lhs(qv))
-        sy.solve_closure(m, n)
-        assert len(calls) <= 20
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_closure_calls(mp)
+            Q = sy.solve_closure(m, n).Q
+        # Brent stops within tol of a sign change, where the quantity moves by
+        # at most slope * tol; 1e-15 covers its rounding (about 4 ulp of n/m)
+        tol = 1e-13 + 4e-15 * Q
+        slope = (lhs(Q * (1 + 1e-6)) - lhs(Q * (1 - 1e-6))) / (2e-6 * Q)
+        assert abs(lhs(Q) - n / m) <= 1e-15 + abs(slope) * tol
+        # from Q ~ 25 up, 3 ulp of the quantity span more Q than tol, and
+        # Brent's end game pays for that noise
+        assert calls["scalar"] <= (8 if Q < 25.0 else 12)
 
     # 2 lies above the quantity at Q = 1.001, 41/40 below it at Q = 1e3
     @pytest.mark.parametrize("m,n", [(1, 2), (40, 41)])
@@ -304,11 +362,13 @@ class TestClosureCondition:
         direct = sy._lame_values(z[idx], inv, c, mu)[0]
         assert np.max(np.abs(tiled[idx] - direct)) <= 1e-9 * np.max(np.abs(tiled))
 
-    @pytest.mark.parametrize("m,n", [(3, 4), (7, 9)])
+    @pytest.mark.parametrize("m,n", [(3, 4), (5, 7), (7, 9), (8, 11), (10, 13), (11, 14), (11, 15)])
     def test_closed_curve_records_its_multiplier(self, m, n):
         c = sy.synthesize_closed(sy.solve_closure(m, n), samples_per_period=300)
         assert c.meta["floquet_arg_pi"] == -n / m
-        assert c.meta["floquet_defect"] < 1e-12
+        # with mu from the cubic, as the solve has it, rho is off the root of
+        # unity by the solve's own residual; the theta wp'(c) gave up to 3e-14
+        assert c.meta["floquet_defect"] < 5e-15
         # each period is a rotated copy of the first, so the wrap step equals
         # the step from the first period into the second
         steps = np.hypot(np.diff(c.x, append=c.x[0]), np.diff(c.y, append=c.y[0]))
