@@ -171,20 +171,18 @@ def _lame_c(g2, g3, disc, roots, w1, w2_im, sign) -> complex:
     return c
 
 
-def _mu(inv: Invariants, c: complex, from_cubic: bool = False) -> complex:
-    """mu = -wp'(c)/(2 wp(c)) - zeta(c).
+def _mu(inv: Invariants, c: complex) -> complex:
+    """mu = -wp'(c)/(2 wp(c)) - zeta(c) for a c with wp(c) = v = -g3/g2.
 
-    ``from_cubic`` takes -wp'(c)/(2 wp(c)) as the root of its square v =
-    -g3/g2 (wp'(c)^2 = 4 v^3 exactly) nearer the theta value, as
-    ``closure_lhs`` does; then the Floquet multiplier of a closed curve is
-    the one its closure solve made a root of unity.
+    The cubic gives wp'(c)^2 = 4 v^3 exactly, so -wp'(c)/(2 v) is taken as
+    the root of v nearer the theta value, as ``closure_lhs`` does; then the
+    Floquet multiplier of a closed curve is the one its closure solve made
+    a root of unity.
     """
     pc, ppc, zc, _ = weierstrass(c, inv)
+    r = cmath.sqrt(-inv.g3 / inv.g2)
     a = -ppc / (2.0 * pc)
-    if from_cubic:
-        r = cmath.sqrt(-inv.g3 / inv.g2)
-        a = r if abs(a - r) <= abs(a + r) else -r
-    return a - zc
+    return (r if abs(a - r) <= abs(a + r) else -r) - zc
 
 
 def _lame_values(z, inv: Invariants, c: complex, mu: complex, at_z=None):
@@ -269,60 +267,28 @@ def closure_lhs(Q: float | np.ndarray):
 def _prescan() -> tuple:
     """The closure quantity on a fixed geometric grid over ``_Q_INTERVAL``.
 
-    One batch call, made once per process: (Q, lhs, d) per node, with the
-    bits of the scalar call at that Q, and the node coordinates (u, v) of
-    ``_inverse_guess``.
+    One batch call, made once per process: the lists Q, lhs and d, each
+    entry with the bits of the scalar call at its Q.
     """
     Q = np.geomspace(*_Q_INTERVAL, _PRESCAN_NODES)
     lhs, d = closure_lhs_with_d(Q)
-    u, v = np.log(Q - 1.0) - 0.5 * np.log(Q), _guess_ordinate(lhs)
-    return tuple(tuple(a.tolist()) for a in (Q, lhs, d, u, v))
+    return Q.tolist(), lhs.tolist(), d.tolist()
 
 
-def _guess_ordinate(lhs):
-    """v = log(sqrt 2 - lhs)/2 - log(lhs - 1), the ordinate of ``_inverse_guess``.
+def _inverse_guess(Q, lhs, target: float) -> float:
+    """The Q where the quantity is ``target``, by inverse cubic interpolation
+    through the 4 grid nodes (Q, lhs).
 
     The quantity leaves sqrt 2 like (Q - 1)^2 / Q and tends to 1 like
-    Q^(-1/2), so v follows u = log(sqrt Q - 1/sqrt Q) up to a constant at
-    both ends of the window, and a cubic u(v) fits every grid cell.
+    Q^(-1/2), so v = log(sqrt 2 - lhs)/2 - log(lhs - 1) follows u =
+    log(sqrt Q - 1/sqrt Q) up to a constant at both ends of the window, and
+    the cubic u(v) fits every grid cell.
     """
-    return 0.5 * np.log(np.sqrt(2.0) - lhs) - np.log(lhs - 1.0)
-
-
-def _q_from_u(u: float) -> float:
-    """The Q > 1 with log(sqrt Q - 1/sqrt Q) = u."""
-    t = math.exp(u)
+    Q, lhs = np.array(Q), np.array([*lhs, target])
+    u = np.log(Q - 1.0) - 0.5 * np.log(Q)
+    v = 0.5 * np.log(np.sqrt(2.0) - lhs) - np.log(lhs - 1.0)
+    t = math.exp(np.polyval(np.polyfit(v[:-1], u, 3), v[-1]))
     return (0.5 * (t + math.sqrt(t * t + 4.0))) ** 2
-
-
-def _lagrange(xs, ys, x: float) -> float:
-    """The polynomial through the points (xs, ys), at x."""
-    total = 0.0
-    for j, (xj, yj) in enumerate(zip(xs, ys)):
-        w = yj
-        for k, xk in enumerate(xs):
-            if k != j:
-                w *= (x - xk) / (xj - xk)
-        total += w
-    return total
-
-
-def _inverse_guess(u, v, k: int, target: float) -> tuple[float, float]:
-    """Guess of the Q in grid cell (k - 1, k) where the quantity is ``target``.
-
-    Inverse cubic interpolation of u against v through the 4 nodes nearest
-    the cell; the gap to the quadratic through 3 of them, dropping the
-    outer node farther from ``target``, sizes the half-width.  Returns
-    (Q, half-width).
-    """
-    vt = float(_guess_ordinate(target))
-    j = min(max(k - 2, 0), len(u) - 4)
-    us, vs = u[j : j + 4], v[j : j + 4]
-    drop = 3 if abs(vs[3] - vt) > abs(vs[0] - vt) else 0
-    keep = [i for i in range(4) if i != drop]
-    cubic = _q_from_u(_lagrange(vs, us, vt))
-    quadratic = _q_from_u(_lagrange([vs[i] for i in keep], [us[i] for i in keep], vt))
-    return cubic, abs(cubic - quadratic)
 
 
 def solve_closure(m: int, n: int) -> ClosureSolution:
@@ -333,16 +299,15 @@ def solve_closure(m: int, n: int) -> ClosureSolution:
     and m < 1 or n < 1 raises DomainError.  The solve starts from the
     cached pre-scan (``_prescan``): its end nodes decide NotBracketed, the
     first node at or below n/m picks the grid cell, and inverse cubic
-    interpolation gives a guess.  A bracket around the guess, as wide as
-    the gap between the cubic and quadratic interpolants, is sign-checked
-    (else the part of the cell that brackets is taken), and Brent's method
-    (xtol 1e-13, rtol 4e-15) solves in it.  Every Q evaluated, the nodes
+    interpolation (``_inverse_guess``) gives a guess in it.  The sign at the
+    guess splits the cell, and Brent's method (xtol 1e-13, rtol 4e-15)
+    solves in the part that brackets.  Every Q evaluated, the nodes
     included, is kept for the solve, so no Q is evaluated twice.
     """
     if m < 1 or n < 1:
         raise DomainError(f"closure pair needs m >= 1 and n >= 1, got {m}:{n}")
     target = n / m
-    Qs, lhs, ds, u, v = _prescan()
+    Qs, lhs, ds = _prescan()
     if np.sign(lhs[0] - target) == np.sign(lhs[-1] - target):
         raise NotBracketed(f"no Q in [{Qs[0]:g}, {Qs[-1]:g}] with closure quantity {target:g}")
     known = dict(zip(Qs, zip(lhs, ds)))
@@ -356,14 +321,9 @@ def solve_closure(m: int, n: int) -> ClosureSolution:
         return evaluate(q)[0] - target
 
     k = next(i for i in range(1, len(Qs)) if lhs[i] <= target)  # the root is in cell (k - 1, k)
-    a, b = Qs[k - 1], Qs[k]
-    guess, half = _inverse_guess(u, v, k, target)
-    half += _XTOL + _RTOL * guess
-    lo, hi = max(a, guess - half), min(b, guess + half)
-    if f(lo) <= 0.0:
-        lo, hi = a, lo
-    elif f(hi) >= 0.0:
-        lo, hi = hi, b
+    j = min(max(k - 2, 0), len(Qs) - 4)
+    guess = min(max(_inverse_guess(Qs[j : j + 4], lhs[j : j + 4], target), Qs[k - 1]), Qs[k])
+    lo, hi = (Qs[k - 1], guess) if f(guess) <= 0.0 else (guess, Qs[k])
     Q = brent_root(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
     lhs_Q, d = evaluate(Q)
     inv = invariants_from_qQ(1.0, Q)
@@ -519,17 +479,15 @@ def _tile(a: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
 def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     """Coordinates for the generic families via the Lame solutions.
 
-    A closed curve (``f.closure`` = (m, n)) takes mu from the cubic
-    (``_mu``), evaluates the solutions on its first kappa-period only and
-    tiles the other 2m - 1 by the exact Floquet multiplier; any other grid
-    is evaluated as it stands.
+    A closed curve (``f.closure`` = (m, n)) evaluates the solutions on its
+    first kappa-period only and tiles the other 2m - 1 by the exact Floquet
+    multiplier; any other grid is evaluated as it stands.
     """
     c = lame_parameter_c(f.inv, prefer_negative_imag=f.c0 != 0)
-    closed = f.closure is not None
-    mu = _mu(f.inv, c, from_cubic=closed)
+    mu = _mu(f.inv, c)
     z = s.astype(complex) - f.c0
     powers, meta = None, {}
-    if closed:
+    if f.closure is not None:
         m, n = f.closure
         per = len(s) // (2 * m) if min(m, n) >= 1 else 0
         w1 = f.lat.w1
@@ -553,7 +511,7 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
         return x, y, {"route": "explicit", **meta}
 
     # general route: mirrored Floquet partner (multiplier 1/rho) supplies the missing solution
-    Hm, P1m, P1pm = _lame_values(z, f.inv, -c, _mu(f.inv, -c, from_cubic=closed), at_z)
+    Hm, P1m, P1pm = _lame_values(z, f.inv, -c, _mu(f.inv, -c), at_z)
     inverse = None if powers is None else powers.conj()
     x, y = _unimodular_pair(
         *((_tile(a, powers), _tile(b, inverse)) for a, b in ((H, Hm), (P1, P1m), (P1p, P1pm)))

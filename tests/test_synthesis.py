@@ -233,7 +233,7 @@ class TestClosureCondition:
         Q, lhs = sy._prescan()[0][node], sy._prescan()[1][node]
         sol = sy.solve_closure(2**52, int(lhs * 2**52))
         assert (sol.Q, sol.lhs) == (Q, lhs)
-
+    # the first two pairs' roots lie in the pre-scan's first cell, the last two in its last cell
     # the first pair's root lies in the pre-scan's first cell, the last two in its last cell
     @settings(max_examples=60, deadline=None)
     @given(pair=st.sampled_from(WINDOW_PAIRS))
