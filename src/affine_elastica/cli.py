@@ -241,6 +241,12 @@ def _el_residuals(curve: cv.CurveSamples) -> tuple[float, float]:
     return min(f.residual for f in fits), min(f.relative for f in fits)
 
 
+def _sqrt_residuals(curve: cv.CurveSamples) -> tuple[float, float]:
+    """Absolute rms of the full-affine EL form, and the same over max(rms(kappa^2), L^-4)^(3/4)."""
+    res = fa.el_residual_sqrt(curve)
+    return res, res / cv._kappa2_scale(curve) ** 0.75
+
+
 def _verify_curve(curve: cv.CurveSamples, suite: str, tol: float):
     report: dict = {"suite": suite, "tol": tol, "checks": {}}
     ok = True
@@ -258,8 +264,9 @@ def _verify_curve(curve: cv.CurveSamples, suite: str, tol: float):
         record("unimodularity", defect, defect < max(tol, cv.UNIMODULAR_TOL))
     if suite in ("sqrt", "fullaffine", "all"):
         try:
-            res, = _residual_over_windows(curve, lambda cu: (fa.el_residual_sqrt(cu),))
-            record("sqrt_el_residual", res, res < tol)
+            # the absolute rms scales as lambda^-3 under s -> lambda s, as does its scale
+            res, relative = _residual_over_windows(curve, _sqrt_residuals)
+            record("sqrt_el_residual", res, relative < tol, relative=relative)
         except DomainError as ex:
             record("sqrt_el_residual", str(ex), suite not in ("sqrt",))
     if suite in ("closure", "all"):

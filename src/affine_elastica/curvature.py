@@ -440,12 +440,9 @@ def curve_to_csv(c: CurveSamples, path=None) -> str:
 _ROWS_ERROR = "expected data rows of 3 columns after the header"
 
 
-def curve_from_csv(path_or_text, closed: bool = False, period: float | None = None) -> CurveSamples:
-    if isinstance(path_or_text, str) and "\n" in path_or_text:
-        text = path_or_text
-    else:
-        with open(path_or_text) as f:
-            text = f.read()
+def curve_from_csv(path, closed: bool = False) -> CurveSamples:
+    with open(path) as f:
+        text = f.read()
     header, _, body = text.partition("\n")
     if header.rstrip("\r") != "s,x,y":
         raise ValueError("expected header s,x,y")
@@ -457,7 +454,7 @@ def curve_from_csv(path_or_text, closed: bool = False, period: float | None = No
         raise ValueError(f"{_ROWS_ERROR}: {ex}") from None
     if arr.shape[1] != 3:
         raise ValueError(_ROWS_ERROR)
-    return CurveSamples(arr[:, 0], arr[:, 1], arr[:, 2], closed=closed, period=period)
+    return CurveSamples(arr[:, 0], arr[:, 1], arr[:, 2], closed=closed)
 
 
 def curve_to_json(c: CurveSamples, path=None) -> str:
@@ -476,12 +473,9 @@ def curve_to_json(c: CurveSamples, path=None) -> str:
     return text
 
 
-def curve_from_json(path_or_text) -> CurveSamples:
-    if isinstance(path_or_text, str) and path_or_text.lstrip().startswith("{"):
-        payload = json.loads(path_or_text)
-    else:
-        with open(path_or_text) as f:
-            payload = json.load(f)
+def curve_from_json(path) -> CurveSamples:
+    with open(path) as f:
+        payload = json.load(f)
     if not isinstance(payload, dict) or not {"s", "x", "y", "closed", "period"} <= payload.keys():
         raise ValueError("expected a JSON object with keys s, x, y, closed and period")
     meta = payload.get("meta", {})

@@ -155,24 +155,19 @@ class LatticeData:
     roots: tuple[complex, complex, complex]
     eta1: float
 
-    @property
-    def w2(self) -> complex:
-        return 1j * self.w2_im
 
-
-def cubic_roots(g2, g3) -> np.ndarray:
+def cubic_roots(g2: float, g3: float) -> np.ndarray:
     """Roots of 4 t^3 - g2 t - g3 = 0 in the ``LatticeData.roots`` order.
 
     For g2^3 > 27 g3^2 the three real roots, descending; otherwise
     (-r/2 + ib, r, -r/2 - ib) with r the real root and b > 0 (b = 0 only at
-    a repeated root).  A complex array; for 1-d g2 and g3, one row per pair,
-    with the bits of that pair alone.  Closed forms, trigonometric for three
-    real roots and Cardano's for one (W. Kahan, "To solve a real cubic
-    equation", 1986; Numerical Recipes 5.6), each polished by two Newton steps.
+    a repeated root).  A complex array of 3, for one (g2, g3) pair; a batch
+    of lattices maps ``_cubic_roots`` over its pairs.  Closed forms,
+    trigonometric for three real roots and Cardano's for one (W. Kahan, "To
+    solve a real cubic equation", 1986; Numerical Recipes 5.6), each
+    polished by two Newton steps.
     """
-    g2, g3 = np.asarray(g2, dtype=float), np.asarray(g3, dtype=float)
-    out = np.array(list(map(_cubic_roots, g2.reshape(-1).tolist(), g3.reshape(-1).tolist())), dtype=complex)
-    return out if g2.ndim else out[0]
+    return np.array(_cubic_roots(float(g2), float(g3)))
 
 
 def _cubic_roots(g2: float, g3: float) -> tuple[complex, complex, complex]:

@@ -385,10 +385,9 @@ class FamilySpec:
     parameters in every curve's metadata.  ``poles(s)`` lists the real
     curvature singularities around a grid, which no sample may touch on the
     length ``pole_scale``; ``rho_complex`` is the distance from the real line
-    to the nearest complex one.  ``route(spec, s, force_general)`` returns
-    (x, y, metadata naming the route); only the Lame route reads
-    force_general and ``closure``, the (m, n) of a closed curve whose grid
-    holds 2m equal kappa-periods.
+    to the nearest complex one.  ``route(spec, s)`` returns (x, y, metadata
+    naming the route); only the Lame route reads ``closure``, the (m, n) of
+    a closed curve whose grid holds 2m equal kappa-periods.
     """
 
     meta: dict
@@ -476,7 +475,7 @@ def _tile(a: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
     return a if powers is None else (powers[:, None] * a).ravel()
 
 
-def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
+def _lame_route(f: FamilySpec, s: np.ndarray):
     """Coordinates for the generic families via the Lame solutions.
 
     A closed curve (``f.closure`` = (m, n)) evaluates the solutions on its
@@ -489,10 +488,9 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     powers, meta = None, {}
     if f.closure is not None:
         m, n = f.closure
-        per = len(s) // (2 * m) if min(m, n) >= 1 else 0
-        w1 = f.lat.w1
-        if per < 2 or per * 2 * m != len(s) or abs(per * (s[1] - s[0]) - 2.0 * w1) > 1e-9 * w1:
-            raise DomainError(f"a {m}:{n} closed grid needs {2 * m} equal periods of 2 w1")
+        per = len(s) // (2 * m)
+        if per < 2:
+            raise DomainError(f"a closed curve needs at least 2 samples per period, got {per}")
         j, defect = _floquet_multiplier(f.lat, c, mu, m, n)
         powers, z = _floquet_powers(j, m), z[:per]
         meta = {"floquet_arg_pi": j / m, "floquet_defect": defect}
@@ -503,7 +501,7 @@ def _lame_route(f: FamilySpec, s: np.ndarray, force_general: bool):
     scale = np.median(np.abs(P1) * np.abs(P1p)) + 1e-300
     independent = np.median(np.abs(wri)) > _DEPENDENCE_RTOL * scale
 
-    if independent and not force_general:
+    if independent:
         # Wronskian of the (Re phi1, Im phi1) pair is Im(conj(phi1) phi1')
         det0 = _constant_wronskian(wri, scale)
         H = _tile(H, powers)
@@ -538,7 +536,7 @@ def _solution_pair(funcs: np.ndarray, d1: np.ndarray, d2: np.ndarray):
     return combo @ funcs, combo @ d1, combo @ d2
 
 
-def _length_constrained_route(f: FamilySpec, s: np.ndarray, force_general: bool, A: float):
+def _length_constrained_route(f: FamilySpec, s: np.ndarray, A: float):
     """Zeta-based closed form of the length-constrained family, g2 = A^2/12.
 
     The rows (-zeta + A s/12, A zeta z/6 + wp - zeta^2 - (A z/12)^2) at
@@ -556,7 +554,7 @@ def _length_constrained_route(f: FamilySpec, s: np.ndarray, force_general: bool,
     return x, y, {"route": "general"}
 
 
-def _sqrt_line_route(f: FamilySpec, s: np.ndarray, force_general: bool, positive: bool = False):
+def _sqrt_line_route(f: FamilySpec, s: np.ndarray, positive: bool = False):
     """Families whose position is +-sqrt(|kappa|) (1, s) up to a linear map.
 
     ``positive`` marks the family whose curvature is >= 0, else it is <= 0.
@@ -568,7 +566,7 @@ def _sqrt_line_route(f: FamilySpec, s: np.ndarray, force_general: bool, positive
     return x, y, {"route": "sqrt-line"}
 
 
-def _d_route(f: FamilySpec, s: np.ndarray, force_general: bool, tfun, E: float):
+def _d_route(f: FamilySpec, s: np.ndarray, tfun, E: float):
     """Closed-form coordinates of a g3 < 0 degenerate family, t = tfun(b s).
 
     The solutions e^(+-a s)(1 -+ 3 sqrt2 t + 3 t^2), a = sqrt2 b, are the
@@ -585,7 +583,7 @@ def _d_route(f: FamilySpec, s: np.ndarray, force_general: bool, tfun, E: float):
     return x, y, {"route": "closed-form"}
 
 
-def _e_route(f: FamilySpec, s: np.ndarray, force_general: bool, E: float):
+def _e_route(f: FamilySpec, s: np.ndarray, E: float):
     """Closed-form coordinates of the g3 > 0 degenerate open family, t = tan(b s).
 
     X = (4/al) sin(al s) - (3/b) t cos(al s) and Y = (4/al) cos(al s) +
@@ -600,19 +598,19 @@ def _e_route(f: FamilySpec, s: np.ndarray, force_general: bool, E: float):
     return x, y, {"route": "closed-form"}
 
 
-def _f_route(f: FamilySpec, s: np.ndarray, force_general: bool):
+def _f_route(f: FamilySpec, s: np.ndarray):
     """g2 = 0 family: affine image of (zeta(s), wp(s) - zeta(s)^2)."""
     pv, _, zv, _ = weierstrass(s.astype(complex), f.inv)
     x, y = _unimodular_scale(zv.real, (pv - zv * zv).real, -f.inv.g3)
     return x, y, {"route": "closed-form"}
 
 
-def _g_route(f: FamilySpec, s: np.ndarray, force_general: bool):
+def _g_route(f: FamilySpec, s: np.ndarray):
     al = 20.0 ** -0.5
     return al * s**4, al / s, {"route": "closed-form"}
 
 
-def _ellipse_route(f: FamilySpec, s: np.ndarray, force_general: bool, kappa0: float):
+def _ellipse_route(f: FamilySpec, s: np.ndarray, kappa0: float):
     R = kappa0 ** -0.75
     om = np.sqrt(kappa0)
     return R * np.cos(om * s), R * np.sin(om * s), {"route": "closed-form"}
@@ -729,20 +727,20 @@ def _length_constrained_family(A: float, g3: float, c0) -> FamilySpec:
     odd ones for c0 = w2 on a rhombic lattice and none for c0 = w2 on a
     rectangular one.
     """
+    if c0 not in ("0", "w2"):
+        raise DomainError(f"c0 must be '0' or 'w2', got {c0!r}")
     inv = Invariants(A * A / 12.0, g3)
     if inv.is_degenerate:
         raise ValueError("choose g3 with a non-degenerate discriminant")
-    c0_w2 = str(c0) in ("w2", "W2") or (isinstance(c0, complex) and c0.imag != 0)
-    if not c0_w2:
+    if c0 == "0":
         grid, poles = (0.4, 1.6, 4000), _EVEN
     elif inv.discriminant < 0:
         grid, poles = (-0.6, 0.6, 4000), (1.0, True)
     else:
         grid, poles = (0.0, 4.0, 4000), None
-    meta = {"case": "length-constrained", "A": A, "g2": inv.g2, "g3": g3,
-            "c0": "w2" if c0_w2 else "0"}
+    meta = {"case": "length-constrained", "A": A, "g2": inv.g2, "g3": g3, "c0": c0}
     route = partial(_length_constrained_route, A=A)
-    return _wp_spec(meta, inv, grid, route, poles, c0_w2, shift=A / 2.0)
+    return _wp_spec(meta, inv, grid, route, poles, c0 == "w2", shift=A / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -768,12 +766,12 @@ def _grid_from(default, grid, n, endpoint: bool = True) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
-def _sample(f: FamilySpec, grid=None, n=None, force_general=False, closed=False, period=None,
-            **extra) -> CurveSamples:
+def _sample(f: FamilySpec, grid=None, n=None, **extra) -> CurveSamples:
     """The one synthesis sequence: grid, pole check, route, metadata and filter window.
 
     The derivative-filter window ``fd_window`` is sized by the nearest
     curvature singularity, real or complex; ``extra`` goes into the metadata.
+    A spec with a period is closed on its default grid.
     """
     s = _grid_from(f.grid, grid, n, endpoint=f.period is None)
     if len(s) < 7:  # the CurveSamples minimum, checked before anything indexes s
@@ -785,41 +783,27 @@ def _sample(f: FamilySpec, grid=None, n=None, force_general=False, closed=False,
         if gap < _POLE_MARGIN * f.pole_scale:
             raise GridHitsPole(f"grid touches a {f.meta['case']} pole")
         rho = min(rho, gap)
-    x, y, route_meta = f.route(f, s, force_general)
+    x, y, route_meta = f.route(f, s)
 
     meta = {**f.meta, **route_meta, **extra}
     if f.sign_flip_at_poles:
         meta["sign_flip_at_poles"] = True  # smooth arcs alternate sign between poles
     if np.isfinite(rho):
         meta["fd_window"] = filter_window(rho, float(s[1] - s[0]))
-    return CurveSamples(s, x, y, closed=closed, period=period, meta=meta)
+    return CurveSamples(s, x, y, closed=f.period is not None and grid is None, period=f.period, meta=meta)
 
 
-def synthesize(
-    label: CaseLabel,
-    grid=None,
-    n: int | None = None,
-    force_general: bool = False,
-    closure: tuple[int, int] | None = None,
-) -> CurveSamples:
+def synthesize(label: CaseLabel, grid=None, n: int | None = None) -> CurveSamples:
     """Equi-affine samples of the critical curve described by ``label``.
 
     ``grid`` is an (lo, hi) tuple, an (lo, hi, n) tuple or an explicit
-    uniform array; omitted, a case-appropriate pole-avoiding default is
-    used.  The output satisfies |gamma', gamma''| = 1 and its recomputed
-    curvature matches the closed form for the case.  ``closure`` = (m, n)
-    marks a grid of 2m equal kappa-periods of a curve closing with m:n; the
-    curve is closed with period 4 m w1, and the Lame route evaluates one
-    period and tiles the rest by the Floquet multiplier.  Otherwise only a
-    family with a period (the ellipse) on its default grid is closed.
+    uniform array; omitted, a case-appropriate pole-avoiding default of
+    ``n`` samples is used.  The output satisfies |gamma', gamma''| = 1 and
+    its recomputed curvature matches the closed form for the case.  Only a
+    family with a period (the ellipse) on its default grid is closed; closed
+    curves of the other families come from ``synthesize_closed``.
     """
-    f = _family(label)
-    if closure is None:
-        return _sample(f, grid, n, force_general, f.period is not None and grid is None, f.period)
-    if f.lat is None:
-        raise DomainError(f"case {label.tag.value} has no period lattice to close over")
-    period = 4.0 * closure[0] * f.lat.w1  # ClosureSolution.period
-    return _sample(replace(f, closure=closure), grid, n, force_general, True, period)
+    return _sample(_family(label), grid, n)
 
 
 def synthesize_arcs(label: CaseLabel, n_arcs: int = 3) -> list[CurveSamples]:
@@ -850,16 +834,19 @@ def synthesize_closed(sol: ClosureSolution, samples_per_period: int = 2000) -> C
     """One full closed curve of a closure solution, grid excluding the wrap.
 
     The grid holds ``samples_per_period`` points in each of the 2m
-    kappa-periods; the theta series runs on the first period only, and the
-    metadata records the Floquet multiplier used (``floquet_arg_pi``, its
-    argument over pi) and its distance from the computed one
-    (``floquet_defect``).
+    kappa-periods; the theta series runs on the first period only and tiles
+    the others by the Floquet multiplier.  The metadata records the
+    multiplier used (``floquet_arg_pi``, its argument over pi) and its
+    distance from the computed one (``floquet_defect``).  Raises DomainError
+    when a period gets fewer than 2 samples or the solution's family has no
+    period lattice.
     """
     label = classify(sol.inv, Branch.closed_branch)
-    T = sol.period
-    npts = samples_per_period * 2 * sol.m
-    s = np.linspace(0.0, T, npts, endpoint=False)
-    out = synthesize(label, grid=s, closure=(sol.m, sol.n))
+    f = _family(label)
+    if f.lat is None:
+        raise DomainError(f"case {label.tag.value} has no period lattice to close over")
+    grid = (0.0, sol.period, samples_per_period * 2 * sol.m)
+    out = _sample(replace(f, grid=grid, period=sol.period, closure=(sol.m, sol.n)))
     out.meta.update(sol.to_json_dict())
     return out
 
@@ -871,7 +858,8 @@ def synthesize_length_constrained(
 
     The curvature is -6 wp(s - c0) + A/2 with g2 = A^2 / 12 and free g3;
     coordinates come from the zeta-based closed form, reduced to two
-    independent real solutions and unimodularized.  ``c0`` is "0" or "w2".
+    independent real solutions and unimodularized.  ``c0`` is "0" or "w2"
+    (else DomainError).
     """
     return _sample(_length_constrained_family(A, g3, c0), grid, n)
 

@@ -272,6 +272,20 @@ class TestVerify:
         assert got["relative"] == pytest.approx(base["relative"], rel=0.25)
         assert got["value"] * lam**4 == pytest.approx(base["value"], rel=0.25)
 
+    @pytest.mark.parametrize("lam", [1.0, 1e4])
+    def test_sqrt_verdict_scale_free_on_a_failing_curve(self, lam):
+        """The 3:4 curve is not critical for full-affine length at any scale;
+        its absolute residual (24 at lam = 1) falls as lam^-3, below tol at 1e4."""
+        report, ok = _verify_curve(scaled_curve(_scaling_curves()["closed 3:4"], lam), "sqrt", 1e-5)
+        assert not ok
+        assert report["checks"]["sqrt_el_residual"]["relative"] > 1.0  # 4.8
+
+    @pytest.mark.parametrize("lam", [1e-2, 1e-1, 1.0, 1e1, 1e2])
+    def test_sqrt_verdict_scale_free_on_the_ellipse(self, lam):
+        report, ok = _verify_curve(scaled_curve(cv.ellipse_samples(2.0, 0.5, 4096), lam), "sqrt", 1e-5)
+        assert ok
+        assert report["checks"]["sqrt_el_residual"]["relative"] < 1e-10  # 1.7e-12
+
     def test_ellipse_all_suites(self, tmp_path, capsys):
         e = cv.ellipse_samples(2.0, 0.5, 4096)
         p = tmp_path / "e.json"
@@ -442,6 +456,9 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
         *(({"s.cfg": f"samples = {k}\n"}, ["--config", "{tmp}/s.cfg", "synth", *how],
            "at least 7 samples")
           for how in (["--q", "1", "--Q", "3"], ["--closure", "3", "4"]) for k in (0, 1)),
+        # 8 samples clear the curve minimum, 1 per kappa-period does not
+        ({"s.cfg": "samples = 1\n"}, ["--config", "{tmp}/s.cfg", "synth", "--closure", "4", "5"],
+         "at least 2 samples per period"),
         *(({"w.json": _json_curve(f'{{"fd_window": {w}}}')}, ["verify", "{tmp}/w.json"],
            "fd_window must be an odd integer") for w in _BAD_WINDOWS),
         ({"m.json": _json_curve("[]")}, ["verify", "{tmp}/m.json"], "meta to be a JSON object"),
@@ -463,7 +480,7 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
          "ellipse-E-zero", "Da-E-positive", "E-E-negative",
          "E-E-overflows", "ellipse-E-overflows", "Dc-E-overflows", "g2-cube-overflows",
          "table-zero-pair", "closure-zero-pair", "grid-empty", "grid-zero", "grid-reversed",
-         "samples-0-open", "samples-1-open", "samples-0-closed", "samples-1-closed",
+         "samples-0-open", "samples-1-open", "samples-0-closed", "samples-1-closed", "samples-1-per-period",
          *(f"fd-window-{w}" for w in _BAD_WINDOWS), "meta-not-object", *_BAD_JSON_FIELDS,
          *(f"config-{key}-{val}" for key in ("tol", "svg_size") for val in ("nan", "-1", "0", "inf")),
          "scan-qmax-inf", "scan-qmin-nan", "scan-qmin-negative", "scan-steps-negative", "scan-degenerate-q",

@@ -374,9 +374,10 @@ class TestFourVertex:
 
 
 class TestSerialization:
-    def test_csv_roundtrip_bit_exact(self, circle):
-        text = cv.curve_to_csv(circle)
-        c2 = cv.curve_from_csv(text, closed=True)
+    def test_csv_roundtrip_bit_exact(self, circle, tmp_path):
+        path = tmp_path / "c.csv"
+        cv.curve_to_csv(circle, path)
+        c2 = cv.curve_from_csv(path, closed=True)
         assert np.array_equal(c2.s, circle.s)
         assert np.array_equal(c2.x, circle.x)
         assert np.array_equal(c2.y, circle.y)
@@ -399,20 +400,24 @@ class TestSerialization:
             w.writerow([f"{v:.17g}" for v in row])
         assert cv.curve_to_csv(extreme) == buf.getvalue()
 
-    def test_csv_roundtrip_extreme_values(self, extreme):
-        c2 = cv.curve_from_csv(cv.curve_to_csv(extreme))
+    def test_csv_roundtrip_extreme_values(self, extreme, tmp_path):
+        path = tmp_path / "e.csv"
+        cv.curve_to_csv(extreme, path)
+        c2 = cv.curve_from_csv(path)
         for k in "sxy":
             assert np.array_equal(getattr(c2, k), getattr(extreme, k))
         assert np.signbit(c2.x[1]) and np.signbit(c2.y[1])
 
     @pytest.mark.parametrize("text", ["s,x,y\n", "s,x,y\n\n  \n"])
-    def test_csv_without_rows_raises_without_warning(self, text):
+    def test_csv_without_rows_raises_without_warning(self, text, tmp_path):
         import warnings
 
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="3 columns"):
-                cv.curve_from_csv(text)
+                cv.curve_from_csv(path)
 
     def test_json_roundtrip(self, circle, tmp_path):
         path = tmp_path / "c.json"

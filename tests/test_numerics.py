@@ -187,7 +187,6 @@ def _solve_counted(solver, f, a, b, **tol):
     return root, xs
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("m,n", TABLE_PAIRS + CLOSURE_PAIRS)
 def test_brent_root_repeats_brentq_on_closure(m, n):
     def f(q):

@@ -381,21 +381,18 @@ class TestClosureCondition:
         with pytest.raises(SynthesisError, match="does not close"):
             sy.synthesize_closed(sol, samples_per_period=200)
 
-    def test_closure_grid_must_hold_whole_periods(self):
-        sol = sy.solve_closure(3, 4)
-        label = classify(sol.inv, Branch.closed_branch)
-        for s in (np.linspace(0.0, sol.period, 6 * 200 + 1, endpoint=False),
-                  np.linspace(0.0, 0.9 * sol.period, 6 * 200, endpoint=False)):
-            with pytest.raises(DomainError, match="equal periods"):
-                sy.synthesize(label, grid=s, closure=(3, 4))
+    def test_closed_curve_needs_a_period_lattice(self):
+        import dataclasses
 
-    def test_general_route_tiles_the_mirrored_partner(self):
+        sol = dataclasses.replace(sy.solve_closure(3, 4), inv=el.Invariants(3.0, 1.0))  # an ellipse
+        with pytest.raises(DomainError, match="no period lattice"):
+            sy.synthesize_closed(sol, samples_per_period=200)
+
+    def test_general_route_tiles_the_mirrored_partner(self, monkeypatch):
         sol = sy.solve_closure(3, 4)
-        label = classify(sol.inv, Branch.closed_branch)
-        s = np.linspace(0.0, sol.period, 6 * 500, endpoint=False)
-        c1 = sy.synthesize(label, grid=s, closure=(3, 4))
-        c2 = sy.synthesize(label, grid=s, closure=(3, 4),
-                           force_general=True)
+        c1 = sy.synthesize_closed(sol, samples_per_period=500)
+        monkeypatch.setattr(sy, "_DEPENDENCE_RTOL", np.inf)  # no pair counts as independent
+        c2 = sy.synthesize_closed(sol, samples_per_period=500)
         assert c2.meta["route"] == "general"
         P = np.column_stack([c1.x, c1.y, np.ones(c1.n)])
         cx, *_ = np.linalg.lstsq(P, c2.x, rcond=None)
@@ -587,12 +584,13 @@ class TestCaseSpecificForms:
         y_cross = y[j] + t * (y[j + 1] - y[j])
         assert y_cross == pytest.approx(1.0319, abs=1e-3)
 
-    def test_equivalent_routes_match_up_to_affine_map(self):
+    def test_equivalent_routes_match_up_to_affine_map(self, monkeypatch):
         # when the explicit real/imaginary split applies, it must agree with
         # the general complex-combination route up to a real affine map
         label = classify(el.invariants_from_qQ(1.0, 3.0), Branch.closed_branch)
         c1 = sy.synthesize(label)
-        c2 = sy.synthesize(label, force_general=True)
+        monkeypatch.setattr(sy, "_DEPENDENCE_RTOL", np.inf)  # no pair counts as independent
+        c2 = sy.synthesize(label)
         assert c1.meta["route"] == "explicit"
         assert c2.meta["route"] == "general"
         P = np.column_stack([c1.x, c1.y, np.ones(c1.n)])
@@ -619,7 +617,7 @@ class TestLengthConstrained:
     @pytest.mark.parametrize("A,g3", [(1.0, -0.15), (1.0, 0.1), (-1.0, -0.15), (1.0, 0.002)])
     def test_families(self, A, g3, c0):
         c = sy.synthesize_length_constrained(A, g3, c0=c0)
-        assert "fd_window" in c.meta
+        assert "fd_window" in c.meta and c.meta["c0"] == c0
         assert cv.unimodularity_defect(c) < 1e-6
         kex = sy.length_constrained_kappa(A, g3, c0, c.s)
         kappa = cv.frame_and_curvature(c).kappa
@@ -637,6 +635,13 @@ class TestLengthConstrained:
         kappa = cv.frame_and_curvature(c).kappa
         sel = c.interior()
         assert np.max(np.abs(kappa[sel] - kex[sel])) < 1e-4
+
+    @pytest.mark.parametrize("c0", ["w3", "W2", " 0", 0, 1j])
+    def test_unknown_c0_rejected(self, c0):
+        with pytest.raises(DomainError, match="c0 must be '0' or 'w2'"):
+            sy.synthesize_length_constrained(1.0, -0.15, c0=c0)
+        with pytest.raises(DomainError, match="c0 must be '0' or 'w2'"):
+            sy.length_constrained_kappa(1.0, -0.15, c0, np.linspace(0.5, 1.0, 8))
 
     def test_degenerate_g3_rejected(self):
         with pytest.raises(ValueError):
@@ -660,7 +665,6 @@ class TestEuclideanDisplay:
         out = sy.euclidean_display_transform(circ)
         assert np.max(np.abs(out.x - circ.x)) < 1e-12
 
-    @pytest.mark.slow
     def test_many_maxima_on_circle(self):
         sol = sy.solve_closure(17, 24)
         c = sy.synthesize_closed(sol, samples_per_period=600)
