@@ -157,7 +157,7 @@ _NORMAL_FORM_LAM2 = {
 }
 
 
-def rescale_to_normal_form(inv: Invariants, label: CaseLabel) -> tuple[float, CaseLabel]:
+def rescale_to_normal_form(label: CaseLabel) -> tuple[float, CaseLabel]:
     """Equi-affine rescaling factor lam and the normalized label.
 
     The rescaling acts as kappa -> lam^2 kappa, s -> s / lam, so

@@ -165,13 +165,16 @@ def cmd_table(args, cfg) -> int:
 
 def cmd_synth(args, cfg) -> int:
     if args.closure:
+        if args.grid:
+            raise DomainError("--grid does not apply to --closure, whose curve spans its whole period")
         m, n = args.closure
         sol = sy.solve_closure(int(m), int(n))
         per_period = 2000 if cfg["samples"] is None else cfg["samples"]
         curve = sy.synthesize_closed(sol, samples_per_period=per_period)
     elif args.length_constrained:
         curve = sy.synthesize_length_constrained(
-            A=args.A, g3=args.g3 if args.g3 is not None else -0.15, c0=args.c0
+            A=args.A, g3=args.g3 if args.g3 is not None else -0.15, c0=args.c0,
+            grid=_grid_from_args(args), n=cfg["samples"],
         )
     else:
         label = _case_label_from_tag(args) if args.case is not None else _label_from_args(args)
@@ -215,88 +218,87 @@ def _conic_points(coef, curve, i, n=400) -> np.ndarray:
     return np.column_stack([x0 + r[hit] * ux[hit], y0 + r[hit] * uy[hit]])
 
 
-_SUITES = ("el", "sqrt", "closure", "fullaffine", "all")
-
-
-def _residual_over_windows(curve: cv.CurveSamples, fn) -> tuple:
-    """Best residual estimates over a few derivative-filter windows.
-
-    Bare sample files carry no filter hint; every window yields a valid
-    upper estimate of the same residuals, so each residual of the tuple fn
-    returns is minimized over the windows.  A curve too short for every
-    probe window gets the default window.
-    """
+def _probe_curves(curve: cv.CurveSamples) -> list[cv.CurveSamples]:
+    """The curve once per derivative-filter window, or alone when closed, hinted
+    or too short for every window: without a hint each window yields a valid
+    upper estimate of the same residuals, so each residual is minimized over them."""
     wins = [w for w in (101, 151, 201, 301, 401) if w < curve.n // 2]
     if curve.closed or "fd_window" in curve.meta or not wins:
-        return fn(curve)
-    return tuple(map(min, zip(*(
-        fn(cv.CurveSamples(curve.s, curve.x, curve.y, curve.closed, curve.period, {"fd_window": w}))
-        for w in wins
-    ))))
+        return [curve]
+    return [cv.CurveSamples(curve.s, curve.x, curve.y, curve.closed, curve.period, {"fd_window": w})
+            for w in wins]
 
 
-def _el_residuals(curve: cv.CurveSamples) -> tuple[float, float]:
-    """Absolute and relative residual, each the smaller of the two EL fits."""
-    fits = (cv.el_residual_area_constrained(curve), cv.el_residual_area_and_length(curve))
-    return min(f.residual for f in fits), min(f.relative for f in fits)
+def _el_residual(curve, probes, tol):
+    # each estimate is the smaller of the two EL fits; the absolute rms scales
+    # as lambda^-4 under s -> lambda s, so the verdict is on the relative one
+    fits = [(cv.el_residual_area_constrained(p), cv.el_residual_area_and_length(p)) for p in probes]
+    relative = min(min(f.relative for f in pair) for pair in fits)
+    best = min(min(f.residual for f in pair) for pair in fits)
+    return {"el_residual": {"value": best, "relative": relative, "pass": relative < tol}}
 
 
-def _sqrt_residuals(curve: cv.CurveSamples) -> tuple[float, float]:
-    """Absolute rms of the full-affine EL form, and the same over max(rms(kappa^2), L^-4)^(3/4)."""
-    res = fa.el_residual_sqrt(curve)
-    return res, res / cv._kappa2_scale(curve) ** 0.75
+def _unimodularity(curve, probes, tol):
+    defect = cv.unimodularity_defect(curve)
+    return {"unimodularity": {"value": defect, "pass": defect < max(tol, cv.UNIMODULAR_TOL)}}
+
+
+def _sqrt_el_residual(curve, probes, tol):
+    # the absolute rms scales as lambda^-3 under s -> lambda s, as does
+    # max(rms(kappa^2), L^-4)^(3/4), the scale of the relative one
+    res = [fa.el_residual_sqrt(p) for p in probes]
+    relative = min(r / cv._kappa2_scale(p) ** 0.75 for r, p in zip(res, probes))
+    return {"sqrt_el_residual": {"value": min(res), "relative": relative, "pass": relative < tol}}
+
+
+def _closure_gap(curve, probes, tol):
+    if not curve.closed:
+        raise DomainError("open curve")
+    # the wrap step p[-1] -> p[0] is one more grid step, as long as its
+    # neighbours; a curve that stops k steps short wraps in about k + 1
+    before, wrap, after = np.hypot(*np.diff(curve.points()[[-2, -1, 0, 1]], axis=0).T)
+    ratio = float(wrap / max(before, after))
+    return {"closure_gap_rel": {"value": ratio, "pass": ratio < 1.5}}
+
+
+def _full_affine(curve, probes, tol):
+    fdat = fa.full_affine_invariants(curve)
+    if not curve.closed:
+        return {}
+    total = float(np.sum(fdat.kappa_F * np.gradient(fdat.s_F)))
+    return {"total_full_affine_curvature": {"value": total, "pass": abs(total) < max(tol, 1e-4)}}
+
+
+#: the checks in report order: name, the suites that run it, the suites where
+#: it must apply, and the function from (curve, probes, tol) to its records.
+#: A check that cannot apply (it raises DomainError) records the error's text
+#: under its name, and fails in the suites where it must apply.
+_CHECKS = (
+    ("el_residual", ("el", "all"), ("el", "all"), _el_residual),
+    ("unimodularity", ("el", "all"), ("el", "all"), _unimodularity),
+    ("sqrt_el_residual", ("sqrt", "fullaffine", "all"), ("sqrt", "all"), _sqrt_el_residual),
+    ("closure_gap_rel", ("closure", "all"), ("closure",), _closure_gap),
+    ("full_affine", ("fullaffine", "all"), ("fullaffine", "all"), _full_affine),
+)
 
 
 def _verify_curve(curve: cv.CurveSamples, suite: str, tol: float):
-    report: dict = {"suite": suite, "tol": tol, "checks": {}}
-    ok = True
-
-    def record(name, value, passed, **extra):
-        nonlocal ok
-        report["checks"][name] = {"value": value, **extra, "pass": bool(passed)}
-        ok = ok and passed
-
-    if suite in ("el", "all"):
-        # the absolute rms scales as lambda^-4 under s -> lambda s; the verdict is on the relative one
-        best, relative = _residual_over_windows(curve, _el_residuals)
-        record("el_residual", best, relative < tol, relative=relative)
-        defect = cv.unimodularity_defect(curve)
-        record("unimodularity", defect, defect < max(tol, cv.UNIMODULAR_TOL))
-    if suite in ("sqrt", "fullaffine", "all"):
-        try:
-            # the absolute rms scales as lambda^-3 under s -> lambda s, as does its scale
-            res, relative = _residual_over_windows(curve, _sqrt_residuals)
-            record("sqrt_el_residual", res, relative < tol, relative=relative)
-        except DomainError as ex:
-            record("sqrt_el_residual", str(ex), suite not in ("sqrt",))
-    if suite in ("closure", "all"):
-        if curve.closed:
-            # the wrap step p[-1] -> p[0] is one more grid step, as long as its
-            # neighbours; a curve that stops k steps short wraps in about k + 1
-            before, wrap, after = np.hypot(*np.diff(curve.points()[[-2, -1, 0, 1]], axis=0).T)
-            ratio = float(wrap / max(before, after))
-            record("closure_gap_rel", ratio, ratio < 1.5)
-        else:
-            record("closure_gap_rel", "open curve", suite != "closure")
-    if suite in ("fullaffine", "all"):
-        try:
-            fdat = fa.full_affine_invariants(curve)
-            if curve.closed:
-                total = float(
-                    np.sum(fdat.kappa_F * np.gradient(fdat.s_F))
-                )
-                record("total_full_affine_curvature", total, abs(total) < max(tol, 1e-4))
-        except DomainError as ex:
-            record("full_affine", str(ex), suite != "fullaffine")
-    return report, ok
+    probes = _probe_curves(curve)
+    checks = {}
+    for name, suites, required, check in _CHECKS:
+        if suite in suites:
+            try:
+                checks.update(check(curve, probes, tol))
+            except DomainError as ex:
+                checks[name] = {"value": str(ex), "pass": suite not in required}
+    return {"suite": suite, "tol": tol, "checks": checks}, all(c["pass"] for c in checks.values())
 
 
 def cmd_verify(args, cfg) -> int:
-    path = args.file
-    if path.endswith(".json"):
-        curve = cv.curve_from_json(path)
+    if args.file.endswith(".json"):
+        curve = cv.curve_from_json(args.file)
     else:
-        curve = cv.curve_from_csv(path, closed=args.closed)
+        curve = cv.curve_from_csv(args.file, closed=args.closed)
     report, ok = _verify_curve(curve, args.suite, cfg["tol"])
     print(json.dumps(report, indent=1))
     return 0 if ok else 1
@@ -369,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite on a curve file")
     p.set_defaults(run=cmd_verify)
     p.add_argument("file")
-    p.add_argument("--suite", choices=_SUITES, default="all")
+    p.add_argument("--suite", choices=("el", "sqrt", "closure", "fullaffine", "all"), default="all")
     p.add_argument("--closed", action="store_true", help="treat CSV input as closed")
 
     p = sub.add_parser("scan-closure", help="scan the closure quantity over Q")

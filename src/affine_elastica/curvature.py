@@ -10,6 +10,7 @@ with the spectrally accurate periodic trapezoid for closed curves.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import sys
@@ -489,11 +490,14 @@ def curve_from_json(path) -> CurveSamples:
         raise ValueError(f"closed must be true or false, got {closed!r}")
     if period is not None and not (type(period) in (int, float) and 0 < period <= sys.float_info.max):
         raise ValueError(f"period must be null or a finite positive number, got {period!r}")
-    return CurveSamples(
-        np.array(payload["s"]),
-        np.array(payload["x"]),
-        np.array(payload["y"]),
-        closed=closed,
-        period=period,
-        meta=meta,
-    )
+    s, x, y = (_json_numbers(payload, key) for key in "sxy")
+    return CurveSamples(s, x, y, closed=closed, period=period, meta=meta)
+
+
+def _json_numbers(payload: dict, key: str) -> np.ndarray:
+    """``payload[key]`` as a 1-d array; a ValueError names the key unless it holds numbers only."""
+    with contextlib.suppress(ValueError):  # np.array raises it on a ragged nesting of lists
+        arr = np.array(payload[key])
+        if arr.ndim == 1 and arr.dtype.kind in "iuf":
+            return arr
+    raise ValueError(f"s, x and y must be 1-d arrays of numbers; {key} is not")

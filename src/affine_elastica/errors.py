@@ -67,10 +67,6 @@ class NotBracketed(SynthesisError):
     """Root finding failed to bracket a solution on the solver's Q interval."""
 
 
-class PathThroughZero(SynthesisError):
-    """Integration path passes through a zero of the first solution."""
-
-
 class BlowUp(SynthesisError):
     """Curvature blew up inside the requested integration range."""
 

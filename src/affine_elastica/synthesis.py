@@ -95,10 +95,6 @@ class ClosureSolution:
     lhs: float
 
     @property
-    def c(self) -> complex:
-        return self.lattice.w1 + 1j * self.d
-
-    @property
     def period(self) -> float:
         return 4.0 * self.m * self.lattice.w1
 

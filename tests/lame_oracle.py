@@ -9,8 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from affine_elastica.elliptic import Invariants, wp
-from affine_elastica.errors import PathThroughZero
+from affine_elastica.errors import SynthesisError
 from affine_elastica.synthesis import _lame_values, _mu
+
+
+class PathThroughZero(SynthesisError):
+    """Integration path passes through a zero of the first solution."""
+
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 

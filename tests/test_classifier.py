@@ -91,7 +91,7 @@ class TestRescale:
     def test_a1(self):
         inv = invariants_from_qQ(4.0, 9.0)
         label = classify(inv, Branch.closed_branch)
-        lam, norm = rescale_to_normal_form(inv, label)
+        lam, norm = rescale_to_normal_form(label)
         assert lam == pytest.approx(0.5, abs=1e-12)
         assert norm.tag is Case.A1
         assert norm.params["q"] == pytest.approx(1.0, abs=1e-9)
@@ -100,40 +100,40 @@ class TestRescale:
     def test_a3(self):
         inv = invariants_from_qQ(-2.0, 5.0)
         label = classify(inv, Branch.closed_branch)
-        lam, norm = rescale_to_normal_form(inv, label)
+        lam, norm = rescale_to_normal_form(label)
         assert norm.params["q"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_b_maximum_curvature(self):
         inv = invariants_from_qQ(0.3, 0.7)
         label = classify(inv, Branch.open_branch)
-        lam, norm = rescale_to_normal_form(inv, label)
+        lam, norm = rescale_to_normal_form(label)
         assert norm.params["P"] == pytest.approx(-1.0, abs=1e-9)
         assert -1.0 < norm.params["q"] < 0.5
 
     def test_c_tau_rescaling_parameter(self):
         inv = invariants_from_Ptau(0.0, 5.0)
         label = classify(inv)
-        lam, norm = rescale_to_normal_form(inv, label)
+        lam, norm = rescale_to_normal_form(label)
         assert norm.tag is Case.C3
         assert norm.params["tau"] == pytest.approx(1.0, abs=1e-9)
 
     def test_c_generic(self):
         inv = invariants_from_Ptau(-2.0, 5.0)
         label = classify(inv)
-        lam, norm = rescale_to_normal_form(inv, label)
+        lam, norm = rescale_to_normal_form(label)
         assert norm.params["P"] == pytest.approx(-1.0, abs=1e-9)
         assert norm.params["tau"] == pytest.approx(2.5, abs=1e-9)
 
     def test_g_scale_free(self):
         label = classify(Invariants(0.0, 0.0))
-        lam, norm = rescale_to_normal_form(Invariants(0.0, 0.0), label)
+        lam, norm = rescale_to_normal_form(label)
         assert lam == 1.0
         assert norm.tag is Case.G
 
     def test_f_normalizes_g3(self):
         inv = Invariants(0.0, -8.0)
         label = classify(inv)
-        lam, norm = rescale_to_normal_form(inv, label)
+        lam, norm = rescale_to_normal_form(label)
         assert norm.params["g3"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_idempotent_on_labels(self):
@@ -143,8 +143,8 @@ class TestRescale:
             (Invariants(0.0, 5.0), Branch.open_branch),
         ]:
             label = classify(inv, branch)
-            lam, norm = rescale_to_normal_form(inv, label)
-            lam2, norm2 = rescale_to_normal_form(Invariants(norm.g2, norm.g3), norm)
+            lam, norm = rescale_to_normal_form(label)
+            lam2, norm2 = rescale_to_normal_form(norm)
             assert norm2.tag is norm.tag
             assert lam2 == pytest.approx(1.0, abs=1e-9)
 
@@ -230,7 +230,7 @@ class TestRoundTripProperties:
         def normal_form(g2, g3):
             inv = Invariants(g2, g3)
             try:
-                return rescale_to_normal_form(inv, classify(inv, branch))
+                return rescale_to_normal_form(classify(inv, branch))
             except (BranchUnavailable, DegenerateDiscriminant) as ex:
                 return type(ex)
 

@@ -2,9 +2,11 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,13 @@ class TestClassify:
         payload = json.loads(out)
         assert payload["tag"] == "A1"
         assert payload["params"]["Q"] == pytest.approx(3.940854279)
+
+    def test_from_P_tau(self, capsys):
+        code, out, _ = run(["classify", "--P", "1", "--tau", "2", "--branch", "open"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["tag"] == "C1"
+        assert payload["params"] == {"P": 1.0, "tau": 2.0}
 
     def test_missing_invariants_is_domain_error(self, capsys):
         code, _, err = run(["classify", "--g2", "1"], capsys)
@@ -135,6 +144,30 @@ class TestSynth:
         assert code == 0
         c = cv.curve_from_json(str(p))
         assert cv.unimodularity_defect(c) < 1e-6
+
+    @pytest.mark.parametrize("how", [["--q", "1", "--Q", "3"], ["--length-constrained"]])
+    def test_grid_sets_the_sample_range(self, how, tmp_path, capsys):
+        p = tmp_path / "g.csv"
+        assert run(["synth", *how, "--grid", "0.5", "1.0", "--csv", str(p)], capsys)[0] == 0
+        c = cv.curve_from_csv(str(p))
+        assert (c.s[0], c.s[-1]) == (0.5, 1.0)
+
+    def test_length_constrained_samples_from_config(self, tmp_path, capsys):
+        cfg, p = tmp_path / "cfg", tmp_path / "lc.csv"
+        cfg.write_text("samples = 500\n")
+        assert run(["--config", str(cfg), "synth", "--length-constrained", "--csv", str(p)], capsys)[0] == 0
+        assert cv.curve_from_csv(str(p)).n == 500
+
+    def test_euclidean_display(self, tmp_path, capsys):
+        cfg, p = tmp_path / "cfg", tmp_path / "d.json"
+        cfg.write_text("samples = 400\n")
+        argv = ["--config", str(cfg), "synth", "--closure", "3", "4", "--euclidean-display", "--json", str(p)]
+        assert run(argv, capsys)[0] == 0
+        got = cv.curve_from_json(str(p))
+        closed = sy.synthesize_closed(sy.solve_closure(3, 4), samples_per_period=400)
+        want = sy.euclidean_display_transform(closed)
+        assert got.meta["display_normalized"] is True
+        assert np.array_equal(got.points(), want.points())
 
     def test_closure_selfcheck(self, tmp_path, capsys):
         p = tmp_path / "c34.csv"
@@ -286,6 +319,40 @@ class TestVerify:
         assert ok
         assert report["checks"]["sqrt_el_residual"]["relative"] < 1e-10  # 1.7e-12
 
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_all_suite_fails_a_nonconvex_arc(self, flag, tmp_path, capsys):
+        """`all` claims criticality for the full-affine functional too, which
+        a B1 arc, whose curvature changes sign, cannot have; closure_gap_rel
+        stays excused on the open arc."""
+        p = tmp_path / f"b1.{flag[2:]}"
+        assert run(["synth", "--q", "0.6", "--Q", "1.2", "--branch", "open", flag, str(p)], capsys)[0] == 0
+        code, out, _ = run(["verify", str(p), "--suite", "all"], capsys)
+        checks = json.loads(out)["checks"]
+        assert code == 1
+        assert {name: chk["pass"] for name, chk in checks.items()} == {
+            "el_residual": True, "unimodularity": True, "sqrt_el_residual": False,
+            "closure_gap_rel": True, "full_affine": False}
+        assert checks["closure_gap_rel"]["value"] == "open curve"
+
+    @pytest.mark.parametrize("suite,calls", [("el", 17), ("sqrt", 20), ("fullaffine", 23), ("all", 23)])
+    def test_suites_share_the_probe_curves(self, suite, calls, tmp_path, capsys, monkeypatch):
+        """A bare open arc is probed at 5 filter windows.  el differentiates x,
+        y and kappa of each probe and x, y of the curve (unimodularity); sqrt
+        x, y, kappa and kappa_F of each probe; fullaffine adds x, y and kappa
+        of the curve; all differentiates each probe once for both residuals."""
+        p = tmp_path / "a1.csv"
+        argv = ["synth", "--q", "0.6", "--Q", "1.2", "--branch", "closed", "--csv", str(p)]
+        assert run(argv, capsys)[0] == 0
+        seen = []
+        for mod in (cv, fa):
+            def counted(*args, _diff=mod.diff_samples, **kwargs):
+                seen.append(args)
+                return _diff(*args, **kwargs)
+
+            monkeypatch.setattr(mod, "diff_samples", counted)
+        _verify_curve(cv.curve_from_csv(str(p)), suite, 1e-5)
+        assert len(seen) == calls
+
     def test_ellipse_all_suites(self, tmp_path, capsys):
         e = cv.ellipse_samples(2.0, 0.5, 4096)
         p = tmp_path / "e.json"
@@ -374,6 +441,9 @@ class TestScanClosure:
             v2 = float(lines2[q].split(",")[1])
             assert abs(v1 - v2) < 1e-8
 
+    def test_zero_steps_prints_the_header_only(self, capsys):
+        assert run(["scan-closure", "--steps", "0"], capsys) == (0, "Q,lhs,d\n", "")
+
     def test_window_endpoints(self, capsys):
         # the closure quantity drifts toward sqrt(2) near Q = 1 and toward 1
         # for large Q (the conjectured admissible window; recorded, not asserted
@@ -422,6 +492,8 @@ _BAD_JSON_FIELDS = {
     "period-infinite": (("true", "1e400", None), "period must be null or a finite positive number"),
     "period-bool": (("true", "true", None), "period must be null or a finite positive number"),
     "s-2d": (("false", "null", str([[k, k + 1] for k in range(8)])), "s, x and y must be 1-d arrays"),
+    "s-object": (("false", "null", '{"a": 1}'), "arrays of numbers; s is not"),
+    "s-null-entry": (("false", "null", "[0, 1, 2, null, 4, 5, 6, 7]"), "arrays of numbers; s is not"),
 }
 
 
@@ -453,6 +525,8 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
         ({}, ["synth", "--q", "1", "--Q", "3", "--grid", "2", "2"], "--grid needs finite LO < HI"),
         ({}, ["synth", "--q", "1", "--Q", "3", "--grid", "0", "0"], "--grid needs finite LO < HI"),
         ({}, ["synth", "--q", "1", "--Q", "3", "--grid", "1", "0"], "--grid needs finite LO < HI"),
+        ({}, ["synth", "--closure", "3", "4", "--grid", "0", "1"], "--grid does not apply to --closure"),
+        ({}, ["synth", "--case", "A1"], "generic tags need invariants"),
         *(({"s.cfg": f"samples = {k}\n"}, ["--config", "{tmp}/s.cfg", "synth", *how],
            "at least 7 samples")
           for how in (["--q", "1", "--Q", "3"], ["--closure", "3", "4"]) for k in (0, 1)),
@@ -480,6 +554,7 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
          "ellipse-E-zero", "Da-E-positive", "E-E-negative",
          "E-E-overflows", "ellipse-E-overflows", "Dc-E-overflows", "g2-cube-overflows",
          "table-zero-pair", "closure-zero-pair", "grid-empty", "grid-zero", "grid-reversed",
+         "closure-grid", "generic-tag-without-invariants",
          "samples-0-open", "samples-1-open", "samples-0-closed", "samples-1-closed", "samples-1-per-period",
          *(f"fd-window-{w}" for w in _BAD_WINDOWS), "meta-not-object", *_BAD_JSON_FIELDS,
          *(f"config-{key}-{val}" for key in ("tol", "svg_size") for val in ("nan", "-1", "0", "inf")),
@@ -561,3 +636,14 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):
              for argv in runs]
     assert here == [(p.returncode, p.stdout) for p in fresh]
     assert [code for code, _ in here] == [0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    """Every command of the README's CLI block exits 0, run in order in an empty directory."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("affine-elastica ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(shlex.split(line)[1:], capsys)[0] == 0, line

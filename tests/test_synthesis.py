@@ -17,10 +17,9 @@ from affine_elastica.errors import (
     DomainError,
     GridHitsPole,
     NotBracketed,
-    PathThroughZero,
     SynthesisError,
 )
-from lame_oracle import LameSolutionParams, lame_phi1, lame_phi1_prime, lame_phi2
+from lame_oracle import LameSolutionParams, PathThroughZero, lame_phi1, lame_phi1_prime, lame_phi2
 
 A1_ROW = dict(m=3, n=4, Q=3.940854279, w1=1.424009578, w2=1.670043233, d=-1.540700057)
 
