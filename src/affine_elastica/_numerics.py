@@ -1,7 +1,9 @@
-"""Shared numerical kernels: derivatives, quadrature, R_F and a root solver.
+"""Shared numerical kernels: derivatives, quadrature, resampling, R_F and a root solver.
 
 Curve samples are differentiated by ``diff_samples``: filtered Fourier
 symbols for closed curves, long local least-squares stencils for open ones.
+``resample_uniform`` moves samples at increasing nodes onto a uniform grid
+by one spline; it is the only kernel here that imports scipy, on first use.
 ``carlson_rf`` (K(m) and the Lame parameter c) and ``brent_root``
 (the closure solve) spare the CLI any scipy import.
 """
@@ -179,6 +181,26 @@ def cumulative_uniform(vals: np.ndarray, h: float) -> np.ndarray:
             9.0 * vals[i] + 19.0 * vals[i - 1] - 5.0 * vals[i - 2] + vals[i - 3]
         )
     return out
+
+
+def resample_uniform(nodes: np.ndarray, values: np.ndarray, n: int, periodic: bool = False):
+    """Uniform grid of n points over [nodes[0], nodes[-1]] and one spline's values on it.
+
+    ``values`` holds one row per node, of any trailing shape; a periodic
+    spline takes the wrap node nodes[-1] as the first sample again, so
+    ``values`` then has no row for it and the grid leaves it off.  The
+    spline is quintic from 8 samples up, else cubic.  scipy.interpolate is
+    imported on first use only.
+    """
+    from scipy.interpolate import make_interp_spline
+
+    values = np.asarray(values, dtype=float)
+    k = 5 if len(values) >= 8 else 3
+    if periodic:
+        values = np.concatenate([values, values[:1]])
+    spline = make_interp_spline(nodes, values, k=k, bc_type="periodic" if periodic else None)
+    grid = np.linspace(nodes[0], nodes[-1], n, endpoint=not periodic)
+    return grid, spline(grid)
 
 
 # Carlson's bound r on the truncation error of the fifth-order series;

@@ -22,6 +22,7 @@ from ._numerics import (
     cumulative_uniform,
     diff_samples,
     integrate_samples,
+    resample_uniform,
     trusted_interior,
 )
 from .errors import InflectionPoint, NegativeCurvature, NotCritical, ZeroC
@@ -80,8 +81,8 @@ class CurveSamples:
         if n < 7:
             raise ValueError("need at least 7 samples")
         hs = np.diff(self.s)
-        if not np.allclose(hs, hs[0], rtol=1e-9, atol=1e-12 * max(1.0, abs(hs[0]))):
-            raise ValueError("s grid must be uniform")
+        if not (hs[0] > 0.0 and np.allclose(hs, hs[0], rtol=1e-9, atol=1e-12 * max(1.0, hs[0]))):
+            raise ValueError("s grid must be uniform with a positive step")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("non-finite samples")
         if self.closed and self.period is None:
@@ -201,18 +202,19 @@ def reparametrize_equiaffine(
 
     ``points`` is an (n, 2) array sampled at uniform parameter values (or at
     the explicitly supplied ``t``).  For closed inputs the first point must
-    not be repeated.  ds = |dgamma, d2gamma|^(1/3) dt; the output grid is
-    uniform in s with |gamma', gamma''| = 1 up to interpolation error.
+    not be repeated.  ds = |dgamma, d2gamma|^(1/3) dt is integrated to s at
+    the input nodes, and one spline of (x, y) over those s nodes (periodic
+    when closed, with the period as the wrap node) gives the uniform output
+    grid, on which |gamma', gamma''| = 1 up to interpolation error.
 
     Raises InflectionPoint when |dgamma, d2gamma| changes sign or nearly
     vanishes, and ValueError for fewer than 5 points (4 when closed).
     """
-    from scipy.interpolate import make_interp_spline  # loaded on first use only
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
     n = len(pts)
-    # s(t) needs 4 nodes; an open window of under 5 fits a line, so gamma'' = 0
+    # a cubic spline needs 4 samples; an open window of under 5 fits a line, so gamma'' = 0
     need = 4 if closed else 5
     if n < need:
         raise ValueError(f"need at least {need} points")
@@ -235,37 +237,11 @@ def reparametrize_equiaffine(
         w = np.abs(w[::-1])
 
     sdot = np.abs(w) ** (1.0 / 3.0)
-    s_of_t = cumulative_uniform(sdot, ht)
-
-    k = 5 if n >= 8 else 3
-    tt, sd, xs, ys = t, sdot, pts[:, 0], pts[:, 1]
-    if closed:  # a periodic spline takes the wrap node t[-1] + ht, valued as node 0
-        tt = np.append(t, t[-1] + ht)
-        sd, xs, ys = (np.append(v, v[0]) for v in (sdot, xs, ys))
-    bc = "periodic" if closed else None
-    sp_sdot = make_interp_spline(tt, sd, k=3, bc_type=bc)
-    spx = make_interp_spline(tt, xs, k=k, bc_type=bc)
-    spy = make_interp_spline(tt, ys, k=k, bc_type=bc)
-    if closed:
-        total = s_of_t[-1] + float(sp_sdot.integrate(t[-1], tt[-1]))
-        ss = np.append(s_of_t, total)
-    else:
-        total, ss = float(s_of_t[-1]), s_of_t
-    s_spline = make_interp_spline(tt, ss, k=3)
-
-    if n_samples is None:
-        n_samples = max(n, 2048)
-    s_new = np.linspace(0.0, total, n_samples, endpoint=not closed)
-
-    # invert the monotone map s(t): spline seed, then Newton with s'(t)
-    t_new = make_interp_spline(ss, tt, k=3)(s_new)
-    for _ in range(3):
-        t_new = t_new - (s_spline(t_new) - s_new) / sp_sdot(t_new)
-        t_new = np.clip(t_new, tt[0], tt[-1])
-
-    out = CurveSamples(
-        s_new, spx(t_new), spy(t_new), closed=closed, period=total if closed else None
-    )
+    # s at the nodes, and when closed at the wrap node t[-1] + ht: over the periodic
+    # extension the 4-point rule sums to the periodic trapezoid ht sum(sdot)
+    s = cumulative_uniform(np.concatenate([sdot, sdot[:3]]) if closed else sdot, ht)[: n + 1]
+    s_new, xy = resample_uniform(s, pts, max(n, 2048) if n_samples is None else n_samples, closed)
+    out = CurveSamples(s_new, xy[:, 0], xy[:, 1], closed=closed, period=float(s[-1]) if closed else None)
     out.meta["reparametrized"] = True
     return out
 

@@ -19,6 +19,7 @@ from ._numerics import (
     diff_samples,
     filter_window,
     integrate_samples,
+    resample_uniform,
     trusted_interior,
 )
 from .curvature import CurveSamples, _derivs, _kappa_derivs, _lstsq_fit, frame_and_curvature, support_function
@@ -126,13 +127,15 @@ def full_affine_invariants(c: CurveSamples) -> FullAffineData:
 
 
 def el_residual_sqrt(c: CurveSamples) -> float:
-    """RMS of (kappa_F)''' + kappa (kappa_F)'; zero iff critical for full-affine length."""
-    sel = c.interior()
-    kappa, kF = _convex_kappa_F(c, sel)
+    """RMS of (kappa_F)''' + kappa (kappa_F)'; zero iff critical for full-affine length.
+
+    Raises NonConvex unless kappa > 0 on every node: the filter reads an open arc's ends too.
+    """
+    kappa, kF = _convex_kappa_F(c, slice(None))
     win = c.meta.get("fd_window")
     kF1, kF3 = diff_samples(kF, c.h, (1, 3), periodic=c.closed, window=win)
     res = kF3 + kappa * kF1
-    return float(np.sqrt(np.mean(res[sel] ** 2)))
+    return float(np.sqrt(np.mean(res[c.interior()] ** 2)))
 
 
 def linear_position_certificate(c: CurveSamples) -> LinearPositionCertificate:
@@ -161,21 +164,15 @@ def el_residual_full_affine_form(fd: FullAffineData, window: int | None = None) 
 
     The equation is d3k/dsF3 + 3 k d2k/dsF2 + (dk/dsF)^2 + (2 k^2 + 1)
     dk/dsF = 0 with k = kappa_F and derivatives taken with respect to the
-    full-affine arc-length.  Non-uniform s_F grids are resampled through a
-    cubic spline first.
+    full-affine arc-length.  A non-uniform s_F grid is first resampled to
+    as many uniform nodes over [s_F[0], s_F[-1]] by ``resample_uniform``.
     """
     sF = np.asarray(fd.s_F, float)
     kF = np.asarray(fd.kappa_F, float)
     hs = np.diff(sF)
-    h = float(hs[0])
-    if not np.allclose(hs, h, rtol=1e-9, atol=1e-12 * max(abs(h), 1e-300)):
-        from scipy.interpolate import CubicSpline  # loaded on first use only
-        n = len(sF)
-        spl = CubicSpline(sF, kF)
-        sFu = np.linspace(sF[0], sF[-1], n)
-        kF = spl(sFu)
-        h = float(sFu[1] - sFu[0])
-    d1, d2, d3 = diff_samples(kF, h, (1, 2, 3), periodic=fd.closed, window=window)
+    if not np.allclose(hs, hs[0], rtol=1e-9, atol=1e-12 * max(abs(hs[0]), 1e-300)):
+        sF, kF = resample_uniform(sF, kF, len(sF))
+    d1, d2, d3 = diff_samples(kF, float(sF[1] - sF[0]), (1, 2, 3), periodic=fd.closed, window=window)
     res = d3 + 3.0 * kF * d2 + d1**2 + (2.0 * kF**2 + 1.0) * d1
     sel = trusted_interior(len(kF), fd.closed, window)
     return float(np.sqrt(np.mean(res[sel] ** 2)))

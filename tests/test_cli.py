@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from functools import lru_cache
 from pathlib import Path
 
@@ -334,6 +335,27 @@ class TestVerify:
             "closure_gap_rel": True, "full_affine": False}
         assert checks["closure_gap_rel"]["value"] == "open curve"
 
+    def test_full_affine_suites_fail_an_arc_with_nonpositive_ends(self, tmp_path, capsys):
+        """A C1 arc cut to samples 773..3226 has kappa > 0 from 793 to 3206,
+        on its trusted interior but not at its ends, which the derivative
+        filter of kappa_F reads: every suite that takes kappa_F fails with
+        strict JSON and no warning."""
+        p, cut = tmp_path / "c1.csv", tmp_path / "cut.csv"
+        assert run(["synth", "--P", "1", "--tau", "2", "--branch", "open", "--csv", str(p)], capsys)[0] == 0
+        rows = p.read_text().splitlines(keepends=True)
+        cut.write_text(rows[0] + "".join(rows[1 + 773 : 1 + 3227]))
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        for suite in ("sqrt", "fullaffine", "all"):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                code, out, err = run(["verify", str(cut), "--suite", suite], capsys)
+            assert (code, err, seen) == (1, "", []), suite
+            check = json.loads(out, parse_constant=reject)["checks"]["sqrt_el_residual"]
+            assert check["value"] == "operation requires strictly positive curvature"
+
     @pytest.mark.parametrize("suite,calls", [("el", 17), ("sqrt", 20), ("fullaffine", 23), ("all", 23)])
     def test_suites_share_the_probe_curves(self, suite, calls, tmp_path, capsys, monkeypatch):
         """A bare open arc is probed at 5 filter windows.  el differentiates x,
@@ -506,11 +528,21 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
     [
         ({}, ["verify", "{tmp}/missing.csv"], "No such file"),
         ({}, ["--config", "{tmp}/missing.cfg", "classify", "--g2", "0", "--g3", "-1"], "No such file"),
+        # comment and blank lines are skipped, but still counted
+        ({"c.cfg": "# tolerances\n\ntol = 1e-4  # looser\nsamples 64\n"},
+         ["--config", "{tmp}/c.cfg", "classify", "--g2", "0", "--g3", "-1"], "config line 4: expected key = value"),
         ({"short.csv": "s,x,y\n0,0\n1,1\n"}, ["verify", "{tmp}/short.csv"], "3 columns"),
         ({"empty.csv": "s,x,y\n"}, ["verify", "{tmp}/empty.csv"], "3 columns"),
         ({"ragged.csv": "s,x,y\n0,0,0\n1,1\n"}, ["verify", "{tmp}/ragged.csv"], "3 columns"),
         ({"text.csv": "s,x,y\n0,a,0\n"}, ["verify", "{tmp}/text.csv"], "3 columns"),
         ({"noheader.csv": "0,0,0\n"}, ["verify", "{tmp}/noheader.csv"], "header s,x,y"),
+        ({"flat.csv": "s,x,y\n" + "".join(f"0,{k},{k * k}\n" for k in range(8))},
+         ["verify", "{tmp}/flat.csv"], "s grid must be uniform with a positive step"),
+        ({"down.csv": "s,x,y\n" + "".join(f"{-k},{k},{k * k}\n" for k in range(8))},
+         ["verify", "{tmp}/down.csv", "--closed"], "s grid must be uniform with a positive step"),
+        ({"nan.csv": "s,x,y\n" + "".join(f"{k},{k},nan\n" for k in range(8))},
+         ["verify", "{tmp}/nan.csv"], "non-finite samples"),
+        ({"short-s.json": _json_curve(s=str(list(range(7))))}, ["verify", "{tmp}/short-s.json"], "equal length"),
         ({"bad.json": '{"s": [0, 1]}'}, ["verify", "{tmp}/bad.json"], "JSON object"),
         ({}, ["classify", "--g2", "nan", "--g3", "1"], "finite"),
         ({}, ["synth", "--case", "ellipse", "--E", "0"], "--E must be finite and positive"),
@@ -549,8 +581,9 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
         ({}, ["scan-closure", "--qmin", "1.0000000001", "--qmax", "1.001", "--steps", "2"], "degenerate"),
         *(({}, ["table", "--pairs", pairs], "--pairs needs M:N[,M:N...]") for pairs in ("3", "3:x", "")),
     ],
-    ids=["missing-csv", "missing-config", "short-row", "header-only", "ragged-row", "text-field",
-         "no-header", "json-keys", "nan-invariant",
+    ids=["missing-csv", "missing-config", "config-no-equals", "short-row", "header-only", "ragged-row",
+         "text-field", "no-header", "s-constant", "s-decreasing", "y-nan", "s-shorter-than-x", "json-keys",
+         "nan-invariant",
          "ellipse-E-zero", "Da-E-positive", "E-E-negative",
          "E-E-overflows", "ellipse-E-overflows", "Dc-E-overflows", "g2-cube-overflows",
          "table-zero-pair", "closure-zero-pair", "grid-empty", "grid-zero", "grid-reversed",
@@ -588,19 +621,31 @@ def test_wrong_wp_at_half_period_exits_2(monkeypatch, capsys):
     assert err.startswith("error:") and "largest real root" in err
 
 
-def test_cli_loads_no_scipy():
+def test_cli_loads_no_scipy(tmp_path):
+    """Every subcommand, a closed self-check and every verify suite on an
+    open arc's CSV and JSON run without importing scipy."""
     src = os.path.dirname(os.path.dirname(affine_elastica.__file__))
+    csv, js = str(tmp_path / "b1.csv"), str(tmp_path / "b1.json")
+    runs = [
+        ["classify", "--q", "1", "--Q", "3.940854279"],
+        ["table"],
+        ["scan-closure", "--steps", "5"],
+        ["synth", "--closure", "3", "4", "--self-check"],
+        ["synth", "--q", "0.6", "--Q", "1.2", "--branch", "open", "--csv", csv, "--json", js],
+        ["verify", csv, "--suite", "all"],
+        ["verify", js, "--suite", "all"],
+    ]
     code = (
         "import io, sys, contextlib\n"
         "from affine_elastica.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rcs = [main(['classify', '--q', '1', '--Q', '3.940854279']), main(['table']),\n"
-        "           main(['scan-closure', '--steps', '5'])]\n"
+        f"    rcs = [main(argv) for argv in {runs!r}]\n"
         "print(rcs, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[0, 0, 0] []"
+    # the B1 arc's curvature changes sign, so `all` fails it
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 1, 1] []"
 
 
 def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):

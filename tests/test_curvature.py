@@ -86,6 +86,16 @@ class TestReparametrize:
         c = cv.reparametrize_equiaffine(np.column_stack([t, t**2 / 2]), t=t)
         assert np.max(np.abs(cv.frame_and_curvature(c).kappa[c.interior()])) < 1e-8
 
+    def test_coarse_nonuniform_ellipse(self):
+        # 64 points at uneven angles: the s nodes are uneven too, and one
+        # periodic spline over them must still give the constant curvature
+        a, b = 2.0, 0.5
+        tau = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        t = tau + 0.3 * np.sin(tau)
+        c = cv.reparametrize_equiaffine(np.column_stack([a * np.cos(t), b * np.sin(t)]), closed=True)
+        assert abs(c.period - 2 * np.pi * (a * b) ** (1 / 3)) < 1e-12
+        assert np.max(np.abs(cv.frame_and_curvature(c).kappa - (a * b) ** (-2 / 3))) < 1e-4
+
     @pytest.mark.parametrize("n,closed", [(2, False), (3, False), (4, False), (2, True), (3, True)])
     def test_too_few_points(self, n, closed):
         t = np.arange(n) * 2 * np.pi / (n if closed else 2 * n)

@@ -122,6 +122,15 @@ class TestFullAffineForm:
         kF = (3.0 / np.sqrt(2.0)) * np.tanh(np.sqrt(2.0) * sF)
         assert fa.el_residual_full_affine_form(fa.FullAffineData(sF, kF)) < 1e-3
 
+    def test_nonuniform_grid_as_accurate_as_uniform(self):
+        u = np.linspace(-1.2, 1.2, 3001)
+        kF = lambda sF: (3.0 / np.sqrt(2.0)) * np.tanh(np.sqrt(2.0) * sF)
+        sF = u + 0.05 * np.sin(u)
+        uneven = fa.el_residual_full_affine_form(fa.FullAffineData(sF, kF(sF)))
+        sF = np.linspace(sF[0], sF[-1], len(sF))
+        even = fa.el_residual_full_affine_form(fa.FullAffineData(sF, kF(sF)))
+        assert uneven < 1e-9 and uneven < 2.0 * even  # 4.1e-10 and 4.0e-10
+
     def test_consistency_with_arc_length_form(self, ellipse, rng):
         # the two formulations of the criticality equation vanish together:
         # both near zero on a critical curve, both large on a generic one
@@ -244,6 +253,13 @@ class TestSL2:
         for t in (0.0, 0.4, 1.1):
             dP = (fa.sl2_geodesic(v, t + h).as_matrix() - fa.sl2_geodesic(v, t - h).as_matrix()) / (2 * h)
             assert -np.linalg.det(dP) == pytest.approx(-np.linalg.det(v), abs=1e-6)
+
+    def test_nilpotent_direction_is_linear(self):
+        # det v = 0: exp(t v) = I + t v, with unit determinant and zero speed
+        for v in ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [-1.0, -1.0]]):
+            g = fa.sl2_geodesic(np.array(v), 0.7)
+            assert np.array_equal(g.as_matrix(), np.eye(2) + 0.7 * np.array(v))
+            assert g.det == pytest.approx(1.0, abs=1e-15)
 
     def test_traceful_rejected(self):
         with pytest.raises(ValueError):
