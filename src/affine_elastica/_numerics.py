@@ -5,7 +5,8 @@ symbols for closed curves, long local least-squares stencils for open ones.
 ``resample_uniform`` moves samples at increasing nodes onto a uniform grid
 by one spline; it is the only kernel here that imports scipy, on first use.
 ``carlson_rf`` (K(m) and the Lame parameter c) and ``brent_root``
-(the closure solve) spare the CLI any scipy import.
+(the closure solve) spare the CLI any scipy import.  ``format_g17_rows``
+writes the text of sample rows for the CSV writer.
 """
 
 from __future__ import annotations
@@ -286,3 +287,110 @@ def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
         fcur = float(f(xcur))
     raise RuntimeError("no convergence in 100 iterations")
+
+
+# ---------------------------------------------------------------------------
+# "%.17g" text of sample rows
+
+_BLOCK_ROWS = 2048  # rows formatted at a time; keeps the temporaries near 1 MB
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for binary64
+_SLOT = 40  # bytes per value: "-0.000", then 17 digits, each but the last followed by "."
+_SEP = 39  # slot byte of the separator, after the last digit
+
+
+@lru_cache(maxsize=1)
+def _g17_tables():
+    """Tables of ``format_g17_rows``, built on first use.
+
+    ``heads`` holds the first word of a slot, "-0.000d.", for d = 0..9,
+    ``quads`` holds "d.d.d.d." for 0000..9999 as uint64 words and ``trail``
+    the trailing zeros of each (4 for 0000).  ``keep`` holds the byte mask of
+    a slot, as 5 uint64 words, for each (sign, exponent + 4, significant
+    digits - 1).  ``p10`` holds 10^q, q <= 20, exact in binary64, with its
+    Veltkamp halves.
+    """
+    quads = np.arange(10000)
+    text = np.full((10000, 8), ord("."), np.uint8)
+    text[:, ::2] = quads[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    trail = sum(quads % 10**k == 0 for k in range(1, 5)).astype(np.uint8)
+    neg, x, nd = (a.reshape(-1, 1) for a in np.meshgrid([0, 1], np.arange(-4, 16), np.arange(1, 18), indexing="ij"))
+    b = np.arange(_SLOT)
+    digit = (b - 6) // 2  # the digit at slot byte b >= 6, or that the point at b follows
+    inside = (b >= 6) & (b < _SEP)
+    keep = (b == 0) & (neg == 1)
+    keep |= (b >= 1) & (b <= 1 - x) & (x < 0)  # "0." and the zeros before the digits
+    keep |= inside & (b % 2 == 0) & ((digit < nd) | (digit <= x))
+    keep |= inside & (b % 2 == 1) & (digit == x) & (nd > x + 1)
+    keep |= b == _SEP
+    p10 = np.array([float(10**q) for q in range(21)])
+    split = _SPLIT * p10
+    p10_hi = split - (split - p10)
+    heads = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+    return heads, text.view(np.uint64).ravel(), trail, keep.view(np.uint64), p10, p10_hi, p10 - p10_hi
+
+
+def _g17_slots(v: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of "%.17g" text for the values v, and the mask of their bytes to keep.
+
+    A value with 1e-4 <= |v| < 1e16 prints in fixed notation.  Its 17
+    digits are those of N = round_half_even(|v| 10^q), q = 16 - floor(log10
+    |v|) <= 20.  10^q is exact, so Dekker's two-product (Numer. Math. 18,
+    1971) gives |v| 10^q = hi + lo with no error; hi is an even integer
+    above 2^53, so N = hi + rint(lo) is exact, ties included.  N never
+    rounds up to 10^17: below each power of ten, the largest double lies
+    8.7 or more units of the 17th digit under it.  With X = floor(log10
+    |v|), the mask keeps the sign, "0." and -X - 1 zeros when X < 0, the
+    digits, and the point after digit X when a digit after it is not a
+    trailing zero.  Every other value, and any whose log10 missed its
+    decade, is formatted by "%" in its slot.
+    """
+    heads, quads, trail, keep_table, p10, p10_hi, p10_lo = _g17_tables()
+    a = np.abs(v)
+    ok = (a >= 1e-4) & (a < 1e16)
+    a = np.where(ok, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)  # a clip only moves e towards the decade
+    b, b_hi, b_lo = p10[16 - e], p10_hi[16 - e], p10_lo[16 - e]
+    hi = a * b
+    split = _SPLIT * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    ok &= ((hi > 1e16) | ((hi == 1e16) & (lo >= 0.0))) & ((hi < 1e17) | ((hi == 1e17) & (lo < 0.0)))
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    lead, rest = np.divmod(n, 10**16)
+    g1, rest = np.divmod(rest, 10**12)
+    g2, rest = np.divmod(rest, 10**8)
+    g3, g4 = np.divmod(rest, 10**4)
+    slots = np.empty((len(v), _SLOT // 8), np.uint64)
+    text = slots.view(np.uint8)
+    for col, (table, i) in enumerate(((heads, lead), (quads, g1), (quads, g2), (quads, g3), (quads, g4))):
+        np.take(table, i, out=slots[:, col], mode="clip")  # lead > 9 only where ~ok
+    text[:, _SEP] = seps
+    zeros = trail[g4] + (g4 == 0) * (trail[g3] + (g3 == 0) * (trail[g2] + (g2 == 0) * trail[g1]))
+    key = (np.signbit(v) * 20 + (e + 4)) * 17 + (16 - zeros)
+    key[~ok] = 0
+    keep = np.take(keep_table, key, axis=0).view(bool)
+    fall = np.flatnonzero(~ok)
+    if len(fall):  # "%" text, NUL-padded to 24 bytes, in front of the separator
+        other = np.array(["%.17g" % x for x in v[fall].tolist()], dtype="S24").view(np.uint8)
+        text[fall, :24] = other.reshape(-1, 24)
+        keep[fall, :24] = text[fall, :24] != 0
+        keep[fall, 24:_SEP] = False
+    return text, keep
+
+
+def format_g17_rows(values: np.ndarray) -> bytes:
+    r"""ASCII text of the rows of a 2-d array: "%.17g" per value, "," between, "\n" after each row.
+
+    The bytes are those of ``"%.17g,...,%.17g\n" % tuple(row)`` for each row.
+    """
+    values = np.asarray(values, dtype=float)
+    rows, cols = values.shape
+    seps = np.full((_BLOCK_ROWS, cols), ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    out = []
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = values[start : start + _BLOCK_ROWS]
+        text, keep = _g17_slots(block.ravel(), seps[: len(block)].ravel())
+        out.append(np.compress(keep.ravel(), text.ravel()).tobytes())
+    return b"".join(out)

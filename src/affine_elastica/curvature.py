@@ -21,6 +21,7 @@ import numpy as np
 from ._numerics import (
     cumulative_uniform,
     diff_samples,
+    format_g17_rows,
     integrate_samples,
     resample_uniform,
     trusted_interior,
@@ -405,13 +406,12 @@ def ellipse_samples(a: float, b: float, n: int = 4096) -> CurveSamples:
 
 
 def curve_to_csv(c: CurveSamples, path=None) -> str:
-    """CSV with 17-significant-digit columns s, x, y (LF endings)."""
-    values = np.column_stack((c.s, c.x, c.y)).ravel().tolist()
-    text = "s,x,y\n" + "%.17g,%.17g,%.17g\n" * c.n % tuple(values)
+    """CSV text: the header s,x,y, then one row "%.17g,%.17g,%.17g" per sample, LF endings."""
+    data = b"s,x,y\n" + format_g17_rows(np.column_stack((c.s, c.x, c.y)))
     if path is not None:
-        with open(path, "w", newline="") as f:
-            f.write(text)
-    return text
+        with open(path, "wb") as f:
+            f.write(data)
+    return data.decode("ascii")
 
 
 _ROWS_ERROR = "expected data rows of 3 columns after the header"
@@ -435,15 +435,21 @@ def curve_from_csv(path, closed: bool = False) -> CurveSamples:
 
 
 def curve_to_json(c: CurveSamples, path=None) -> str:
-    payload = {
+    """The text of ``json.dumps(payload, indent=1)``; payload holds closed, period, meta, s, x and y.
+
+    indent sends json to its pure-Python encoder; the sample lists are
+    joined here in the same layout, from the ``float.__repr__`` json uses.
+    """
+    head = {
         "closed": c.closed,
         "period": c.period,
         "meta": {k: v for k, v in c.meta.items() if isinstance(v, (str, int, float, bool, type(None)))},
-        "s": [float(v) for v in c.s],
-        "x": [float(v) for v in c.x],
-        "y": [float(v) for v in c.y],
     }
-    text = json.dumps(payload, indent=1)
+    lists = "".join(
+        f',\n "{key}": [\n  ' + ",\n  ".join(map(float.__repr__, getattr(c, key).tolist())) + "\n ]"
+        for key in "sxy"
+    )
+    text = json.dumps(head, indent=1)[: -len("\n}")] + lists + "\n}"
     if path is not None:
         with open(path, "w") as f:
             f.write(text)

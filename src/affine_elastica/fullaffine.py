@@ -112,11 +112,16 @@ class ConstrainedSqrtResiduals:
 
 
 def _convex_kappa_F(c: CurveSamples, sel) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature and full-affine curvature; raises NonConvex unless kappa > 0 on sel."""
+    """Curvature and full-affine curvature; raises NonConvex unless kappa > 0 on sel.
+
+    kappa_F is taken on sel only and is NaN off it, where kappa may be <= 0.
+    """
     kappa, k1, _ = _kappa_derivs(c)
     if np.min(kappa[sel]) <= 0.0:
         raise NonConvex("operation requires strictly positive curvature")
-    return kappa, k1 / (2.0 * kappa**1.5)
+    kappa_F = np.full_like(kappa, np.nan)
+    kappa_F[sel] = k1[sel] / (2.0 * kappa[sel] ** 1.5)
+    return kappa, kappa_F
 
 
 def full_affine_invariants(c: CurveSamples) -> FullAffineData:

@@ -399,6 +399,16 @@ class TestVerify:
         report = json.loads(out, parse_constant=reject)
         assert np.isfinite(report["checks"]["el_residual"]["value"])
 
+    def test_closure_stdout_is_the_csv_file(self, tmp_path, capsys):
+        """12,000 rows, six blocks of the CSV writer; the file reads back bit for bit."""
+        p = tmp_path / "c34.csv"
+        code, out, _ = run(["synth", "--closure", "3", "4"], capsys)
+        assert code == 0 and run(["synth", "--closure", "3", "4", "--csv", str(p)], capsys)[0] == 0
+        assert p.read_bytes() == out.encode()
+        want = sy.synthesize_closed(sy.solve_closure(3, 4), samples_per_period=2000)
+        got = cv.curve_from_csv(str(p), closed=True)
+        assert got.n == 12000 and np.array_equal(got.s, want.s) and np.array_equal(got.points(), want.points())
+
     def test_closure_suite_sees_a_curve_that_stops_short(self, tmp_path, capsys):
         p = tmp_path / "c34.csv"
         assert run(["synth", "--closure", "3", "4", "--csv", str(p)], capsys)[0] == 0

@@ -418,6 +418,50 @@ class TestSerialization:
             assert np.array_equal(getattr(c2, k), getattr(extreme, k))
         assert np.signbit(c2.x[1]) and np.signbit(c2.y[1])
 
+    @pytest.mark.parametrize("n", [7, 2047, 2048, 2049])
+    def test_csv_file_holds_the_text_and_round_trips(self, n, rng, tmp_path):
+        """Row counts around the writer's 2048-row blocks."""
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 20.0, n)
+        c = cv.CurveSamples(-3.0 + 0.1 * np.arange(n), x, -x[::-1] / 3.0)
+        path = tmp_path / "c.csv"
+        text = cv.curve_to_csv(c, path)
+        assert text == "s,x,y\n" + "".join(f"{a:.17g},{b:.17g},{d:.17g}\n" for a, b, d in zip(c.s, c.x, c.y))
+        assert path.read_bytes() == text.encode()
+        c2 = cv.curve_from_csv(path)
+        for k in "sxy":
+            assert np.array_equal(getattr(c2, k), getattr(c, k))
+
+    def test_multi_block_closed_csv_round_trips(self, tmp_path):
+        c = cv.ellipse_samples(2.0, 0.5, 5000)
+        path = tmp_path / "e.csv"
+        text = cv.curve_to_csv(c, path)
+        assert path.read_bytes() == text.encode()
+        c2 = cv.curve_from_csv(path, closed=True)
+        assert np.array_equal(c2.points(), c.points()) and np.array_equal(c2.s, c.s)
+
+    def _json_payload(self, c):
+        """The payload curve_to_json once passed to json.dumps(indent=1)."""
+        return {
+            "closed": c.closed,
+            "period": c.period,
+            "meta": {k: v for k, v in c.meta.items() if isinstance(v, (str, int, float, bool, type(None)))},
+            **{k: [float(v) for v in getattr(c, k)] for k in "sxy"},
+        }
+
+    def test_json_text_is_json_dumps(self, circle, extreme, tmp_path):
+        import json
+
+        arc = cv.CurveSamples(circle.s[:700], circle.x[:700], circle.y[:700])
+        arc.meta.update(name='arc "7" \u00e9\n', fd_window=101, scale=0.1, big=1e300, flag=True, none=None,
+                        dropped=[1, 2], array=np.ones(3))
+        for c in (circle, arc, extreme):
+            path = tmp_path / "c.json"
+            text = cv.curve_to_json(c, path)
+            assert text == json.dumps(self._json_payload(c), indent=1)
+            assert path.read_text() == text
+        assert json.loads(cv.curve_to_json(arc))["period"] is None
+        assert json.loads(cv.curve_to_json(extreme))["x"][1:3] == [-0.0, 1e-300]
+
     @pytest.mark.parametrize("text", ["s,x,y\n", "s,x,y\n\n  \n"])
     def test_csv_without_rows_raises_without_warning(self, text, tmp_path):
         import warnings

@@ -1,11 +1,16 @@
 """Full-affine invariants, criticality residuals and SL(2) congruences."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 from affine_elastica import curvature as cv
 from affine_elastica import fullaffine as fa
+from affine_elastica import synthesis as sy
+from affine_elastica.classifier import Branch, classify
+from affine_elastica.elliptic import invariants_from_Ptau
 from affine_elastica._numerics import cumulative_uniform, integrate_samples
 from affine_elastica.errors import BlowUp, NonConvex
 from conftest import (
@@ -226,6 +231,36 @@ class TestFitsMatchDirectLstsq:
         coef, rms = _direct_lstsq([x, y, np.ones(len(x))], kF)
         got = fa.linear_position_certificate(example_curve)
         assert (got.A, got.B, got.C, got.fit_residual) == (*coef.tolist(), rms)
+
+
+class TestArcWithNonpositiveEnds:
+    """A C1 arc cut to samples 773..3226 has kappa > 0 on its trusted
+    interior but not at its ends.  The fits that read kappa_F on the interior
+    take kappa^1.5 there only, without a warning, and return what kappa_F
+    taken on every node gave."""
+
+    @pytest.fixture(scope="class")
+    def arc(self):
+        c = sy.synthesize(classify(invariants_from_Ptau(1.0, 2.0), Branch.open_branch))
+        return cv.CurveSamples(c.s[773:3227], c.x[773:3227], c.y[773:3227])
+
+    def test_ends_are_not_convex(self, arc):
+        kappa = cv.frame_and_curvature(arc).kappa
+        assert kappa.min() <= 0.0 < kappa[arc.interior()].min()
+
+    @pytest.mark.parametrize("fit", [fa.linear_position_certificate, fa.constrained_sqrt_residuals])
+    def test_fit_without_warning_as_before(self, arc, fit, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit(arc)
+
+        def kappa_F_on_every_node(c, sel):
+            kappa, k1, _ = cv._kappa_derivs(c)
+            with np.errstate(invalid="ignore"):
+                return kappa, k1 / (2.0 * kappa**1.5)
+
+        monkeypatch.setattr(fa, "_convex_kappa_F", kappa_F_on_every_node)
+        assert fit(arc) == got
 
 
 class TestSL2:

@@ -1,6 +1,7 @@
 """Shared numerics: the open-arc derivative filter (exactness, constant
-annihilation, closed form), Carlson's R_F against scipy.special and the
-Brent solver against scipy.optimize.brentq."""
+annihilation, closed form), Carlson's R_F against scipy.special, the
+Brent solver against scipy.optimize.brentq and the "%.17g" row writer
+against "%" itself."""
 
 import cmath
 import math
@@ -8,6 +9,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as C
 from scipy.optimize import brentq
@@ -22,6 +25,7 @@ from affine_elastica._numerics import (
     diff_samples,
     diff_smoothed,
     diff_spectral,
+    format_g17_rows,
 )
 from affine_elastica.errors import NoSuchC
 
@@ -243,3 +247,86 @@ def test_multi_order_smoothed_derivative_repeats_single_orders(rng):
 def test_one_transform_for_many_orders(rfft_calls):
     diff_spectral(np.sin(np.linspace(0.0, 6.0, 300, endpoint=False)), 0.02, (1, 2, 3, 4))
     assert rfft_calls == [300]
+
+
+def _percent_rows(values: np.ndarray) -> bytes:
+    """The reference format_g17_rows keeps: "%.17g" by "%" over every value."""
+    rows, cols = values.shape
+    return ((",".join(["%.17g"] * cols) + "\n") * rows % tuple(values.ravel().tolist())).encode()
+
+
+def _first_difference(got: bytes, want: bytes) -> str:
+    for i, (a, b) in enumerate(zip(got.split(b"\n"), want.split(b"\n"))):
+        if a != b:
+            return f"row {i}: {a!r} != {b!r}"
+    return f"{len(got)} bytes != {len(want)} bytes"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3), min_size=1, max_size=50))
+def test_g17_rows_are_percent_format(rows):
+    values = np.array(rows).reshape(-1, 3)
+    got, want = format_g17_rows(values), _percent_rows(values)
+    assert got == want, _first_difference(got, want)
+
+
+def _g17_corpus(rng) -> np.ndarray:
+    """About 1.7 million doubles from 1e-320 to 1e300 of both signs.
+
+    Besides log-uniform draws over that range and over the fixed-notation
+    decades [1e-4, 1e16), it holds every exact 17-digit tie k / 2^(q+1), k
+    odd, for q = 1..20, and the doubles next to them; 50 doubles on each
+    side of every power of ten, where log10 can miss the decade and a
+    rounding up into the next one would show; 2^53 +- k; short decimals,
+    whose trailing zeros are trimmed; +-0 and 5e-324.
+    """
+    parts = [10.0 ** rng.uniform(-320.0, 300.0, 300_000), 10.0 ** rng.uniform(-4.0, 16.0, 300_000)]
+    for q in range(1, 21):
+        lo, hi = 10 ** (16 - q) * 2 ** (q + 1), min(10 ** (17 - q) * 2 ** (q + 1), 2**53)
+        ties = (2 * rng.integers(lo // 2, hi // 2, 2_000) + 1) / 2.0 ** (q + 1)
+        parts += [ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)]
+    below = above = 10.0 ** np.arange(-320, 301)
+    parts.append(below)
+    for _ in range(50):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        parts += [below, above]
+    parts.append(2.0**53 + np.arange(-1000.0, 1001.0))
+    parts.append(rng.integers(1, 10_000, 50_000) * 10.0 ** rng.integers(-8, 12, 50_000))
+    parts.append(np.array([
+        0.0, 5e-324, 1e-4, 1e16, 9.9999999999999995e-05, 9999999999999999.5,
+        1234567890123456.25, 1234567890123457.25, 1234567890123456.75,
+    ]))
+    values = np.concatenate(parts)
+    return np.concatenate([values, -values, [-0.0]])
+
+
+def test_g17_corpus_is_percent_format(rng):
+    values = _g17_corpus(rng)
+    assert len(values) >= 1_000_000
+    rows = rng.permutation(np.concatenate([values, np.zeros(-len(values) % 3)])).reshape(-1, 3)
+    got, want = format_g17_rows(rows), _percent_rows(rows)
+    assert got == want, _first_difference(got, want)
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (1234567890123456.25, "1234567890123456.2"),
+        (1234567890123457.25, "1234567890123457.2"),
+        (1234567890123456.75, "1234567890123456.8"),
+        (9999999999999999.5, "10000000000000000"),
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (0.0001, "0.0001"),
+        (-123456789.0, "-123456789"),
+    ],
+)
+def test_g17_ties_and_carries(value, text):
+    assert format_g17_rows(np.array([[value]])) == (text + "\n").encode()
+
+
+@pytest.mark.parametrize("cols", [1, 2, 5])
+def test_g17_any_number_of_columns(cols, rng):
+    values = rng.standard_normal((4100, cols)) * 10.0 ** rng.uniform(-6.0, 18.0, (4100, cols))
+    got, want = format_g17_rows(values), _percent_rows(values)
+    assert got == want, _first_difference(got, want)
