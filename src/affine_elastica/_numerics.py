@@ -2,11 +2,16 @@
 
 Curve samples are differentiated by ``diff_samples``: filtered Fourier
 symbols for closed curves, long local least-squares stencils for open ones.
-``resample_uniform`` moves samples at increasing nodes onto a uniform grid
-by one spline; it is the only kernel here that imports scipy, on first use.
-``carlson_rf`` (K(m) and the Lame parameter c) and ``brent_root``
-(the closure solve) spare the CLI any scipy import.  ``format_g17_rows``
-writes the text of sample rows for the CSV writer.
+The Fourier transforms are np.fft's, except at lengths with a prime factor
+above ``_BATCH_PRIME`` (closed grids are 2m x samples per period long, so a
+prime sample count gives one): there ``_rfft``/``_irfft`` run the prime
+factor as one batched transform (four-step), which pocketfft would
+otherwise take by Bluestein over the whole length.  ``resample_uniform``
+moves samples at increasing nodes onto a uniform grid by one spline; it is
+the only kernel here that imports scipy, on first use.  ``carlson_rf``
+(K(m) and the Lame parameter c) and ``brent_root`` (the closure solve)
+spare the CLI any scipy import.  ``format_g17_rows`` writes the text of
+sample rows for the CSV writer.
 """
 
 from __future__ import annotations
@@ -23,6 +28,105 @@ import numpy as np
 # below that keeps them for the (i k)^order symbol to amplify.
 _SPECTRAL_FLOOR = 1e-12
 
+# Lengths whose largest prime factor exceeds this run the batched transform
+# below.  Up to it numpy's pocketfft handles the factor by a generic radix
+# pass and is faster; past it pocketfft runs Bluestein over the whole length
+# and the batched transform wins (crossover near 200-230 with numpy 2.4).
+_BATCH_PRIME = 250
+
+
+def _largest_prime_factor(n: int) -> int:
+    big, d = 1, 2
+    while d * d <= n:
+        while n % d == 0:
+            big, n = d, n // d
+        d += 1
+    return max(big, n)
+
+
+@lru_cache(maxsize=2)
+def _batch_plan(n: int):
+    """Factors and twiddles for a real transform of length n, or None for np.fft.
+
+    An even n packs y[0::2] + i y[1::2] into one complex transform of length
+    N = n/2, an odd n transforms at N = n.  N = r p with p its largest prime
+    factor runs four-step (see _four_step).  Returns (r, p, twiddles, pack):
+    twiddles[i, k] = w^(i k), w = exp(-2 pi i / N), of shape (r, p), and
+    pack[k] = (1 - i exp(-2 pi i k/n)) / 2 for k <= n/2, which splits the
+    packed spectrum into the real one (None when n is odd).  The tables take
+    16 n bytes.
+    """
+    big = n // 2 if n % 2 == 0 else n
+    p = _largest_prime_factor(big)
+    if p <= _BATCH_PRIME or p == big:  # smooth, or nothing to batch over
+        return None
+    r = big // p
+    twiddles = np.exp(-2j * np.pi / big * (np.outer(np.arange(r), np.arange(p)) % big))
+    pack = None
+    if n % 2 == 0:
+        pack = 0.5 - 0.5j * np.exp(-1j * np.pi / big * np.arange(big + 1))
+        pack[-1] = 0.5 + 0.5j  # exactly, so the Nyquist mode comes out real
+    return r, p, twiddles, pack
+
+
+def _four_step(z: np.ndarray, r: int, p: int, twiddles: np.ndarray) -> np.ndarray:
+    """DFT of complex z of length r p (Bailey's four-step).
+
+    With input index i + r j and output index k2 + p k1 (i, k1 < r; j, k2 < p)
+    the DFT is r length-p transforms over j, the twiddles w^(i k2) and p
+    length-r transforms over i; numpy runs each batch on one plan.
+    """
+    a = np.fft.fft(z.reshape(p, r).T, axis=1)
+    a *= twiddles
+    return np.ascontiguousarray(np.fft.fft(a, axis=0)).reshape(-1)
+
+
+def _rfft(y: np.ndarray) -> np.ndarray:
+    """np.fft.rfft(y), batched over the large prime factor of len(y) (see _batch_plan)."""
+    n = len(y)
+    plan = _batch_plan(n)
+    if plan is None:
+        return np.fft.rfft(y)
+    r, p, twiddles, pack = plan
+    if pack is None:
+        return _four_step(y.astype(complex), r, p, twiddles)[: n // 2 + 1]
+    z = _four_step(np.ascontiguousarray(y).view(complex), r, p, twiddles)
+    # Y[k] = Z[k] / 2 + conj(Z[N - k]) / 2 - i/2 exp(-2 pi i k/n) (Z[k] - conj(Z[N - k]))
+    z = np.append(z, z[0])
+    zc = z[::-1].conj()
+    z -= zc
+    z *= pack
+    z += zc
+    return z
+
+
+def _irfft(f: np.ndarray, n: int) -> np.ndarray:
+    """np.fft.irfft(f, n) for len(f) = n // 2 + 1, batched as _rfft is.
+
+    The inverse DFT is conj(DFT(conj(.))) / N, so the conjugate spectrum is
+    packed as _rfft packs and transformed forward on the same tables.
+    """
+    plan = _batch_plan(n)
+    if plan is None:
+        return np.fft.irfft(f, n)
+    r, p, twiddles, pack = plan
+    if pack is None:
+        full = np.concatenate((f.conj(), f[:0:-1]))
+        full[0] = f[0].real
+        return _four_step(full, r, p, twiddles).real / n
+    fc = f[::-1]
+    z = f.conj()
+    z -= fc
+    z *= pack
+    z += fc
+    z = z[:-1]
+    # only z[0] reads f[0] and f[n/2], whose imaginary parts irfft ignores
+    a, b = f[0].real, f[-1].real
+    z[0] = complex(0.5 * (a + b), 0.5 * (b - a))
+    out = _four_step(z, r, p, twiddles).view(float).reshape(-1, 2)
+    out *= (1.0 / len(z), -1.0 / len(z))
+    return out.reshape(-1)
+
 
 def diff_spectral(y: np.ndarray, h: float, order: int | tuple[int, ...]):
     """Derivative of smooth periodic samples by filtered Fourier symbol.
@@ -36,7 +140,7 @@ def diff_spectral(y: np.ndarray, h: float, order: int | tuple[int, ...]):
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
-    fh = np.fft.rfft(y)
+    fh = _rfft(y)
     mag = np.abs(fh)
     mmax = float(mag.max())
     if mmax > 0.0:
@@ -51,7 +155,7 @@ def diff_spectral(y: np.ndarray, h: float, order: int | tuple[int, ...]):
         fm = fh * (1j * k) ** m
         if n % 2 == 0 and m % 2 == 1:
             fm[-1] = 0.0  # Nyquist mode has no odd-derivative counterpart
-        return np.fft.irfft(fm, n)
+        return _irfft(fm, n)
 
     return derivative(order) if np.ndim(order) == 0 else tuple(derivative(m) for m in order)
 

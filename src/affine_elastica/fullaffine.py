@@ -50,11 +50,16 @@ _W_RTOL = 1e-4  # relative size of kappa_F's variation below which a curve is a 
 
 @dataclass
 class FullAffineData:
-    """Full-affine arc-length grid and curvature along a convex curve."""
+    """Full-affine arc-length grid and curvature along a convex curve.
+
+    A closed curve's s_F holds no wrap node; ``period`` is the s_F length of
+    one turn, which a non-uniform closed grid needs to be resampled.
+    """
 
     s_F: np.ndarray
     kappa_F: np.ndarray
     closed: bool = False
+    period: float | None = None
 
 
 @dataclass(frozen=True)
@@ -127,8 +132,13 @@ def _convex_kappa_F(c: CurveSamples, sel) -> tuple[np.ndarray, np.ndarray]:
 def full_affine_invariants(c: CurveSamples) -> FullAffineData:
     """Cumulative full-affine arc-length and pointwise full-affine curvature."""
     kappa, kappa_F = _convex_kappa_F(c, slice(None))
-    s_F = cumulative_uniform(np.sqrt(kappa), c.h)
-    return FullAffineData(s_F=s_F, kappa_F=kappa_F, closed=c.closed)
+    root = np.sqrt(kappa)
+    if not c.closed:
+        return FullAffineData(s_F=cumulative_uniform(root, c.h), kappa_F=kappa_F)
+    # over the periodic extension the 4-point rule sums to the periodic
+    # trapezoid h sum(sqrt(kappa)), the s_F of the wrap node
+    s_F = cumulative_uniform(np.concatenate([root, root[:3]]), c.h)[: c.n + 1]
+    return FullAffineData(s_F=s_F[:-1], kappa_F=kappa_F, closed=True, period=float(s_F[-1]))
 
 
 def el_residual_sqrt(c: CurveSamples) -> float:
@@ -170,13 +180,17 @@ def el_residual_full_affine_form(fd: FullAffineData, window: int | None = None) 
     The equation is d3k/dsF3 + 3 k d2k/dsF2 + (dk/dsF)^2 + (2 k^2 + 1)
     dk/dsF = 0 with k = kappa_F and derivatives taken with respect to the
     full-affine arc-length.  A non-uniform s_F grid is first resampled to
-    as many uniform nodes over [s_F[0], s_F[-1]] by ``resample_uniform``.
+    as many uniform nodes by ``resample_uniform``: over [s_F[0], s_F[-1]],
+    or periodically over one period when closed.
     """
     sF = np.asarray(fd.s_F, float)
     kF = np.asarray(fd.kappa_F, float)
     hs = np.diff(sF)
     if not np.allclose(hs, hs[0], rtol=1e-9, atol=1e-12 * max(abs(hs[0]), 1e-300)):
-        sF, kF = resample_uniform(sF, kF, len(sF))
+        if fd.closed and fd.period is None:
+            raise ValueError("a closed non-uniform s_F grid needs its period")
+        nodes = np.append(sF, sF[0] + fd.period) if fd.closed else sF
+        sF, kF = resample_uniform(nodes, kF, len(kF), periodic=fd.closed)
     d1, d2, d3 = diff_samples(kF, float(sF[1] - sF[0]), (1, 2, 3), periodic=fd.closed, window=window)
     res = d3 + 3.0 * kF * d2 + d1**2 + (2.0 * kF**2 + 1.0) * d1
     sel = trusted_interior(len(kF), fd.closed, window)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from affine_elastica import _numerics
 from affine_elastica import curvature as cv
 
 
@@ -81,8 +82,12 @@ def rng():
 
 @pytest.fixture
 def rfft_calls(monkeypatch):
-    """Lengths of the np.fft.rfft calls made while the test runs."""
+    """Lengths of the forward transforms diff_spectral makes while the test runs.
+
+    It counts ``_numerics._rfft``, which every length passes through, also
+    one whose large prime factor bypasses ``np.fft.rfft``.
+    """
     calls = []
-    rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: calls.append(len(a)) or rfft(a, *args, **kw))
+    rfft = _numerics._rfft
+    monkeypatch.setattr(_numerics, "_rfft", lambda a: calls.append(len(a)) or rfft(a))
     return calls

@@ -193,10 +193,15 @@ class TestSynth:
         assert json.loads(out)["checks"]["el_residual"]["relative"] < 1e-5
 
     def test_closed_self_check_transforms_each_signal_once(self, rfft_calls):
-        curve = sy.synthesize_closed(sy.solve_closure(3, 4), samples_per_period=400)
-        _, ok = _verify_curve(curve, "el", 1e-5)
-        assert ok
-        assert len(rfft_calls) <= 3  # x, y and kappa
+        # 1999 samples per period give n = 11994 = 2 * 3 * 1999, whose transforms
+        # are batched over the prime 1999 instead of calling np.fft.rfft
+        for samples in (400, 1999):
+            curve = sy.synthesize_closed(sy.solve_closure(3, 4), samples_per_period=samples)
+            _, ok = _verify_curve(curve, "el", 1e-5)
+            assert ok
+            assert 1 <= len(rfft_calls) <= 3  # x, y and kappa
+            assert set(rfft_calls) == {curve.n}
+            rfft_calls.clear()
 
     def test_degenerate_case_selfcheck(self, tmp_path, capsys):
         p = tmp_path / "da.csv"
@@ -632,15 +637,19 @@ def test_wrong_wp_at_half_period_exits_2(monkeypatch, capsys):
 
 
 def test_cli_loads_no_scipy(tmp_path):
-    """Every subcommand, a closed self-check and every verify suite on an
-    open arc's CSV and JSON run without importing scipy."""
+    """Every subcommand, closed self-checks (one at a length whose transforms
+    are batched over a large prime, with the marked overlays) and every verify
+    suite on an open arc's CSV and JSON run without importing scipy."""
     src = os.path.dirname(os.path.dirname(affine_elastica.__file__))
     csv, js = str(tmp_path / "b1.csv"), str(tmp_path / "b1.json")
+    cfg, svg = tmp_path / "cfg", str(tmp_path / "m.svg")
+    cfg.write_text("samples = 1999\n")  # n = 2 * 11 * 1999
     runs = [
         ["classify", "--q", "1", "--Q", "3.940854279"],
         ["table"],
         ["scan-closure", "--steps", "5"],
         ["synth", "--closure", "3", "4", "--self-check"],
+        ["--config", str(cfg), "synth", "--closure", "11", "14", "--self-check", "--mark", "5", "--svg", svg],
         ["synth", "--q", "0.6", "--Q", "1.2", "--branch", "open", "--csv", csv, "--json", js],
         ["verify", csv, "--suite", "all"],
         ["verify", js, "--suite", "all"],
@@ -655,7 +664,7 @@ def test_cli_loads_no_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     # the B1 arc's curvature changes sign, so `all` fails it
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 1, 1] []"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 1, 1] []"
 
 
 def test_parser_reuse_matches_fresh_processes(tmp_path, capsys):

@@ -139,6 +139,18 @@ class TestFrameAndCurvature:
         cv.el_residual_area_and_length(c)
         assert len(rfft_calls) == 5  # kappa once, for both fits
 
+    def test_coordinates_differentiated_apart_at_a_rough_length(self):
+        # x and y differ in scale by 1e6; each coordinate's rounding noise must
+        # stay under its own spectral cut, which a transform of x + i y shared
+        # by both would not keep.  n = 11994 = 2 * 3 * 1999 takes the batched path
+        c = cv.ellipse_samples(1e3, 1e-3, 11994)
+        d = cv._derivs(c, orders=(1, 2, 3))
+        for m in (1, 2, 3):
+            want = (1e3 * np.cos(c.s + m * np.pi / 2), 1e-3 * np.sin(c.s + m * np.pi / 2))
+            for k in (0, 1):
+                err = np.max(np.abs(d[m][:, k] - want[k]))
+                assert err <= 1e-12 * np.max(np.abs(want[k])), (m, k)
+
     def test_frame_ode_residual(self, ellipse_2_half):
         # N' + kappa T = 0 along the curve
         from affine_elastica._numerics import diff_samples

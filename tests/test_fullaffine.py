@@ -11,7 +11,7 @@ from affine_elastica import fullaffine as fa
 from affine_elastica import synthesis as sy
 from affine_elastica.classifier import Branch, classify
 from affine_elastica.elliptic import invariants_from_Ptau
-from affine_elastica._numerics import cumulative_uniform, integrate_samples
+from affine_elastica._numerics import cumulative_uniform, diff_samples, integrate_samples
 from affine_elastica.errors import BlowUp, NonConvex
 from conftest import (
     convex_support_curve,
@@ -146,6 +146,25 @@ class TestFullAffineForm:
         n1 = fa.el_residual_sqrt(c)
         n2 = fa.el_residual_full_affine_form(fa.full_affine_invariants(c))
         assert n1 > 1e-2 and n2 > 1e-2
+
+    def test_closed_nonuniform_grid_resampled_over_its_period(self):
+        # the s_F grid of a generic closed curve is non-uniform; resampled over
+        # [s_F[0], s_F[-1]] as if it held the wrap node the rms read 6274.
+        # Reference: the chain rule d/ds_F = kappa^(-1/2) d/ds on the uniform s
+        # grid, the rms weighted by ds_F / ds = sqrt(kappa)
+        c = cv.reparametrize_equiaffine(convex_support_curve(np.random.default_rng(0)), closed=True)
+        fd = fa.full_affine_invariants(c)
+        root = np.sqrt(cv.frame_and_curvature(c).kappa)
+        assert fd.period == pytest.approx(c.h * np.sum(root), rel=1e-12)
+        k = fd.kappa_F
+        d1 = diff_samples(k, c.h, 1, periodic=True) / root
+        d2 = diff_samples(d1, c.h, 1, periodic=True) / root
+        d3 = diff_samples(d2, c.h, 1, periodic=True) / root
+        res = d3 + 3.0 * k * d2 + d1**2 + (2.0 * k**2 + 1.0) * d1
+        reference = np.sqrt(np.sum(res**2 * root) / np.sum(root))  # 3270
+        assert fa.el_residual_full_affine_form(fd) == pytest.approx(reference, rel=1e-8)
+        with pytest.raises(ValueError, match="period"):
+            fa.el_residual_full_affine_form(fa.FullAffineData(fd.s_F, k, closed=True))
 
 
 class TestReconstruction:

@@ -1,7 +1,7 @@
 """Shared numerics: the open-arc derivative filter (exactness, constant
-annihilation, closed form), Carlson's R_F against scipy.special, the
-Brent solver against scipy.optimize.brentq and the "%.17g" row writer
-against "%" itself."""
+annihilation, closed form), the batched real transforms against np.fft,
+Carlson's R_F against scipy.special, the Brent solver against
+scipy.optimize.brentq and the "%.17g" row writer against "%" itself."""
 
 import cmath
 import math
@@ -19,6 +19,9 @@ from scipy.special import ellipk, elliprf
 from affine_elastica import elliptic as el
 from affine_elastica import synthesis as sy
 from affine_elastica._numerics import (
+    _batch_plan,
+    _irfft,
+    _rfft,
     _smooth_weights,
     brent_root,
     carlson_rf,
@@ -247,6 +250,47 @@ def test_multi_order_smoothed_derivative_repeats_single_orders(rng):
 def test_one_transform_for_many_orders(rfft_calls):
     diff_spectral(np.sin(np.linspace(0.0, 6.0, 300, endpoint=False)), 0.02, (1, 2, 3, 4))
     assert rfft_calls == [300]
+
+
+def _assert_transforms_match_numpy(n, rng):
+    """_rfft and _irfft against np.fft to 4e-15 of the largest output, and a round trip."""
+    y = rng.standard_normal(n)
+    want = np.fft.rfft(y)
+    got = _rfft(y)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+    # irfft ignores the imaginary parts of the zero and (even n) Nyquist modes
+    f = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    want = np.fft.irfft(f, n)
+    got = _irfft(f, n)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+    assert np.max(np.abs(_irfft(_rfft(y), n) - y)) <= 1e-14 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize(
+    "n,batched",
+    [
+        (2 * 577, False),  # one complex transform of prime length: nothing to batch
+        (4 * 577, True),
+        (3 * 1999, True),  # odd: a full-length complex transform
+        (2 * 11 * 1999, True),
+        (2 * 97**2, False),  # pocketfft's generic radix pass handles 97
+        (2 * 257**2, True),  # the length-r transforms have the large prime too
+        (1999, False),
+        (4096, False),
+    ],
+)
+def test_batched_transforms_match_numpy(n, batched, rng):
+    assert (_batch_plan(n) is not None) == batched
+    _assert_transforms_match_numpy(n, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([251, 257, 577, 1009, 1999]), r=st.integers(1, 24),
+       seed=st.integers(0, 2**32 - 1))
+def test_transforms_match_numpy_at_any_length(p, r, seed):
+    _assert_transforms_match_numpy(r * p, np.random.default_rng(seed))
 
 
 def _percent_rows(values: np.ndarray) -> bytes:
