@@ -2,10 +2,10 @@
 
 Curve samples are differentiated by ``diff_samples``: filtered Fourier
 symbols for closed curves, long local least-squares stencils for open ones.
-The Fourier transforms are np.fft's, except at lengths with a prime factor
-above ``_BATCH_PRIME`` (closed grids are 2m x samples per period long, so a
-prime sample count gives one): there ``_rfft``/``_irfft`` run the prime
-factor as one batched transform (four-step), which pocketfft would
+The Fourier transforms are np.fft's, except at even lengths with a prime
+factor above ``_BATCH_PRIME`` (closed grids are 2m x samples per period
+long, so a prime sample count gives one): there ``_rfft``/``_irfft`` run the
+prime factor as one batched transform (four-step), which pocketfft would
 otherwise take by Bluestein over the whole length.  ``resample_uniform``
 moves samples at increasing nodes onto a uniform grid by one spline; it is
 the only kernel here that imports scipy, on first use.  ``carlson_rf``
@@ -49,23 +49,23 @@ def _batch_plan(n: int):
     """Factors and twiddles for a real transform of length n, or None for np.fft.
 
     An even n packs y[0::2] + i y[1::2] into one complex transform of length
-    N = n/2, an odd n transforms at N = n.  N = r p with p its largest prime
-    factor runs four-step (see _four_step).  Returns (r, p, twiddles, pack):
+    N = n/2; N = r p with p its largest prime factor runs four-step (see
+    _four_step).  An odd n goes to np.fft: closed grids are 2m x samples per
+    period long, so no caller makes one.  Returns (r, p, twiddles, pack):
     twiddles[i, k] = w^(i k), w = exp(-2 pi i / N), of shape (r, p), and
     pack[k] = (1 - i exp(-2 pi i k/n)) / 2 for k <= n/2, which splits the
-    packed spectrum into the real one (None when n is odd).  The tables take
-    16 n bytes.
+    packed spectrum into the real one.  The tables take 16 n bytes.
     """
-    big = n // 2 if n % 2 == 0 else n
+    if n % 2:
+        return None
+    big = n // 2
     p = _largest_prime_factor(big)
     if p <= _BATCH_PRIME or p == big:  # smooth, or nothing to batch over
         return None
     r = big // p
     twiddles = np.exp(-2j * np.pi / big * (np.outer(np.arange(r), np.arange(p)) % big))
-    pack = None
-    if n % 2 == 0:
-        pack = 0.5 - 0.5j * np.exp(-1j * np.pi / big * np.arange(big + 1))
-        pack[-1] = 0.5 + 0.5j  # exactly, so the Nyquist mode comes out real
+    pack = 0.5 - 0.5j * np.exp(-1j * np.pi / big * np.arange(big + 1))
+    pack[-1] = 0.5 + 0.5j  # exactly, so the Nyquist mode comes out real
     return r, p, twiddles, pack
 
 
@@ -88,8 +88,6 @@ def _rfft(y: np.ndarray) -> np.ndarray:
     if plan is None:
         return np.fft.rfft(y)
     r, p, twiddles, pack = plan
-    if pack is None:
-        return _four_step(y.astype(complex), r, p, twiddles)[: n // 2 + 1]
     z = _four_step(np.ascontiguousarray(y).view(complex), r, p, twiddles)
     # Y[k] = Z[k] / 2 + conj(Z[N - k]) / 2 - i/2 exp(-2 pi i k/n) (Z[k] - conj(Z[N - k]))
     z = np.append(z, z[0])
@@ -110,10 +108,6 @@ def _irfft(f: np.ndarray, n: int) -> np.ndarray:
     if plan is None:
         return np.fft.irfft(f, n)
     r, p, twiddles, pack = plan
-    if pack is None:
-        full = np.concatenate((f.conj(), f[:0:-1]))
-        full[0] = f[0].real
-        return _four_step(full, r, p, twiddles).real / n
     fc = f[::-1]
     z = f.conj()
     z -= fc
@@ -257,13 +251,6 @@ def diff_samples(
     if np.ndim(order) == 0:
         return diff_smoothed(y, h, order, window=window)
     return tuple(diff_smoothed(y, h, m, window=window) for m in order)
-
-
-def integrate_samples(vals: np.ndarray, h: float, periodic: bool = False) -> float:
-    """Definite integral of uniform samples (periodic: spectral trapezoid)."""
-    if periodic:
-        return float(h * np.sum(vals))
-    return float(cumulative_uniform(vals, h)[-1])
 
 
 def cumulative_uniform(vals: np.ndarray, h: float) -> np.ndarray:

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import Invariants, cubic_roots
-from .errors import BranchUnavailable, DegenerateDiscriminant
+from .errors import BranchUnavailable
 
-__all__ = ["Case", "Branch", "CaseLabel", "classify", "rescale_to_normal_form"]
+__all__ = ["Case", "Branch", "CaseLabel", "classify"]
 
 # Every floor below is weight-homogeneous (g2 ~ lambda^4, g3 ~ lambda^6,
 # curvatures ~ lambda^2), so tags do not depend on the units of the input.
@@ -57,10 +57,6 @@ class Case(str, enum.Enum):
 class Branch(str, enum.Enum):
     closed_branch = "closed"
     open_branch = "open"
-
-
-# families whose curvature follows the bounded oval of the cubic
-_CLOSED_FAMILIES = {Case.A1, Case.A2, Case.A3, Case.Ellipse, Case.Dc}
 
 
 @dataclass
@@ -136,42 +132,3 @@ def classify(inv: Invariants, branch: Branch = Branch.open_branch) -> CaseLabel:
     else:
         tag = Case.C4 if g2 < 0 else Case.C5
     return CaseLabel(tag, {"P": P, "tau": tau}, g2, g3)
-
-
-def _scaled_invariants(g2: float, g3: float, lam: float) -> tuple[float, float]:
-    return g2 * lam**4, g3 * lam**6
-
-
-#: lam^2 of the equi-affine rescaling to each case's normal form, from its params
-_NORMAL_FORM_LAM2 = {
-    Case.A1: lambda p: 1.0 / p["q"],
-    Case.A2: lambda p: 1.0 / p["Q"],
-    Case.A3: lambda p: -1.0 / p["q"],
-    **dict.fromkeys((Case.B1, Case.B2, Case.B3), lambda p: -1.0 / p["P"]),
-    **dict.fromkeys((Case.C1, Case.C2, Case.C4, Case.C5), lambda p: 1.0 / abs(p["P"])),
-    Case.C3: lambda p: 1.0 / p["tau"],
-    **dict.fromkeys((Case.Da, Case.Dc, Case.E_case), lambda p: 1.0 / abs(p["E"])),
-    Case.Ellipse: lambda p: 1.0 / (3.0 * p["E"]),
-    Case.F: lambda p: abs(p["g3"]) ** (-1.0 / 3.0),
-    Case.G: lambda p: 1.0,
-}
-
-
-def rescale_to_normal_form(label: CaseLabel) -> tuple[float, CaseLabel]:
-    """Equi-affine rescaling factor lam and the normalized label.
-
-    The rescaling acts as kappa -> lam^2 kappa, s -> s / lam, so
-    g2 -> lam^4 g2 and g3 -> lam^6 g3.  Normal forms: q = 1 (A1), Q = 1
-    (A2), q = -1 (A3), P = -1 (B), P in {1, 0, -1} with tau = 1 when P = 0
-    (C), E = +-1 (D/E), g3 = +-1 (F), kappa = 1 (ellipse); G is scale
-    invariant.
-    """
-    tag = label.tag
-    lam2 = _NORMAL_FORM_LAM2[tag](label.params)
-    if lam2 <= 0:
-        raise DegenerateDiscriminant("cannot normalize a vanishing case parameter")
-    lam = float(np.sqrt(lam2))
-    g2n, g3n = _scaled_invariants(label.g2, label.g3, lam)
-    branch = Branch.closed_branch if tag in _CLOSED_FAMILIES else Branch.open_branch
-    normalized = classify(Invariants(g2n, g3n), branch)
-    return lam, normalized

@@ -37,6 +37,17 @@ def _positive(name: str, text) -> float:
     return val
 
 
+def _positive_int(name: str, text: str) -> int:
+    """``text`` as an int, which must be positive (else DomainError naming ``name``)."""
+    try:
+        val = int(text)
+    except ValueError:
+        val = 0
+    if val < 1:
+        raise DomainError(f"{name} must be a positive integer, got {text}")
+    return val
+
+
 def _load_config(path: str | None) -> dict:
     cfg = {"tol": _positive("AFFINE_ELASTICA_TOL", os.environ.get("AFFINE_ELASTICA_TOL", _DEFAULT_TOL)),
            "samples": None, "svg_size": 720.0}
@@ -52,7 +63,7 @@ def _load_config(path: str | None) -> dict:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise DomainError(f"config line {line_no}: unknown key {key!r}")
-            cfg[key] = _positive(f"config line {line_no}: {key}", val) if key != "samples" else int(val)
+            cfg[key] = (_positive_int if key == "samples" else _positive)(f"config line {line_no}: {key}", val)
     return cfg
 
 
@@ -265,7 +276,8 @@ def _full_affine(curve, probes, tol):
     fdat = fa.full_affine_invariants(curve)
     if not curve.closed:
         return {}
-    total = float(np.sum(fdat.kappa_F * np.gradient(fdat.s_F)))
+    # d s_F = sqrt(kappa) ds, and over one period the periodic trapezoid is spectrally accurate
+    total = float(curve.h * np.sum(fdat.kappa_F * np.sqrt(cv.frame_and_curvature(curve).kappa)))
     return {"total_full_affine_curvature": {"value": total, "pass": abs(total) < max(tol, 1e-4)}}
 
 

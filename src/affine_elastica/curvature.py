@@ -22,32 +22,26 @@ from ._numerics import (
     cumulative_uniform,
     diff_samples,
     format_g17_rows,
-    integrate_samples,
     resample_uniform,
     trusted_interior,
 )
-from .errors import InflectionPoint, NegativeCurvature, NotCritical, ZeroC
+from .errors import InflectionPoint
 
 __all__ = [
     "CurveSamples",
     "FrameField",
     "SupportData",
-    "Functionals",
     "ELFit",
     "reparametrize_equiaffine",
     "frame_and_curvature",
     "support_function",
-    "translate_to_canonical",
     "el_residual_general",
     "el_residual_area_constrained",
     "el_residual_area_and_length",
-    "functionals",
-    "sextactic_sign_changes",
     "curve_to_csv",
     "curve_from_csv",
     "curve_to_json",
     "curve_from_json",
-    "ellipse_samples",
 ]
 
 UNIMODULAR_TOL = 1e-6
@@ -127,14 +121,6 @@ class SupportData:
 
     rho: np.ndarray
     phi: np.ndarray
-
-
-@dataclass
-class Functionals:
-    length: float
-    total_curvature: float
-    area: float
-    full_affine_length: float | None
 
 
 @dataclass
@@ -260,29 +246,6 @@ def support_function(c: CurveSamples, origin=(0.0, 0.0)) -> SupportData:
     return SupportData(rho=rho, phi=phi)
 
 
-def translate_to_canonical(c: CurveSamples) -> np.ndarray:
-    """Origin that turns the support function into kappa / C.
-
-    Requires kappa'' + kappa^2 = C with C != 0 to tolerance; the returned
-    origin makes the constant field kappa N - kappa' T equal to -C P.  Both
-    checks are unit-free: NotCritical when the fit's relative residual
-    exceeds 1e-4, ZeroC when |C| is below 1e-8 of ``_kappa2_scale``.
-    """
-    kappa, k1, k2 = _kappa_derivs(c)
-    fit = el_residual_area_constrained(c)
-    if fit.relative > 1e-4:
-        raise NotCritical(
-            f"kappa'' + kappa^2 is not constant (relative rms residual {fit.relative:.3e})"
-        )
-    if abs(fit.C) < 1e-8 * _kappa2_scale(c):
-        raise ZeroC("fitted constant C is numerically zero")
-    fr = frame_and_curvature(c)
-    M = kappa[:, None] * fr.N - k1[:, None] * fr.T
-    cand = c.points() + M / fit.C
-    sel = c.interior()
-    return np.array([np.mean(cand[sel, 0]), np.mean(cand[sel, 1])])
-
-
 def _lstsq_fit(target: np.ndarray, columns: list[np.ndarray], sel: slice):
     A = np.column_stack([col[sel] for col in columns])
     b = target[sel]
@@ -349,56 +312,6 @@ def el_residual_area_and_length(c: CurveSamples) -> ELFit:
     coef, rms, under = _lstsq_fit(lhs, [ones, kappa], c.interior())
     return ELFit(C=float(coef[0]), A=float(coef[1]), residual=rms, relative=rms / _kappa2_scale(c),
                  underdetermined=under)
-
-
-def functionals(c: CurveSamples, full_affine: bool = True) -> Functionals:
-    """Arc-length, total curvature, bounded area and full-affine length.
-
-    Area uses the shoelace rule on the samples (closed curves only).  The
-    full-affine length integrates sqrt(kappa) and raises NegativeCurvature
-    when min kappa <= 0 (pass full_affine=False to skip it).
-    """
-    fr = frame_and_curvature(c)
-    h = c.h
-    if c.closed:
-        length = float(c.period)
-        total = integrate_samples(fr.kappa, h, periodic=True)
-        x, y = c.x, c.y
-        area = 0.5 * float(
-            np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-        )
-    else:
-        length = float(c.s[-1] - c.s[0])
-        total = integrate_samples(fr.kappa, h)
-        area = float("nan")
-    fal: float | None = None
-    if full_affine:
-        if np.min(fr.kappa) <= 0.0:
-            raise NegativeCurvature("full-affine length needs kappa > 0")
-        fal = integrate_samples(np.sqrt(fr.kappa), h, periodic=c.closed)
-    return Functionals(length=length, total_curvature=total, area=area, full_affine_length=fal)
-
-
-def sextactic_sign_changes(c: CurveSamples) -> int:
-    """Number of sign changes of kappa' around a closed curve."""
-    if not c.closed:
-        raise ValueError("sextactic count is defined for closed curves")
-    _, k1, _ = _kappa_derivs(c)
-    scale = float(np.max(np.abs(k1)))
-    if scale == 0.0:
-        return 0
-    sig = np.sign(k1[np.abs(k1) > 1e-8 * scale])
-    if len(sig) == 0:
-        return 0
-    return int(np.sum(sig != np.roll(sig, 1)))
-
-
-def ellipse_samples(a: float, b: float, n: int = 4096) -> CurveSamples:
-    """Analytic equi-affine samples of the ellipse with semi-axes (a, b)."""
-    omega = (a * b) ** (-1.0 / 3.0)
-    period = 2.0 * np.pi / omega
-    s = np.linspace(0.0, period, n, endpoint=False)
-    return CurveSamples(s, a * np.cos(omega * s), b * np.sin(omega * s), closed=True, period=period)
 
 
 # ---------------------------------------------------------------------------

@@ -31,18 +31,6 @@ class InflectionPoint(DomainError):
     """|gamma', gamma''| changes sign or is too small to normalize."""
 
 
-class NotCritical(DomainError):
-    """Curve does not satisfy kappa'' + kappa^2 = const to tolerance."""
-
-
-class ZeroC(DomainError):
-    """The fitted constant C is too close to zero for the requested step."""
-
-
-class NegativeCurvature(DomainError):
-    """Operation requires strictly positive equi-affine curvature."""
-
-
 class BranchUnavailable(DomainError):
     """The requested phase-plane branch does not exist for these invariants."""
 
@@ -65,10 +53,6 @@ class NoSuchC(SynthesisError):
 
 class NotBracketed(SynthesisError):
     """Root finding failed to bracket a solution on the solver's Q interval."""
-
-
-class BlowUp(SynthesisError):
-    """Curvature blew up inside the requested integration range."""
 
 
 class EllipseFitFailed(SynthesisError):

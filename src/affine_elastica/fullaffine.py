@@ -3,9 +3,11 @@
 The full-affine arc-length element is sqrt(kappa) ds and the full-affine
 curvature is kappa' / (2 kappa^(3/2)); both are invariant under all
 invertible linear maps plus translations.  A curve's pointed osculating
-parabolas trace a path in the equi-affine group whose SL(2) part carries
-the bi-invariant metric g(v, v) = -det(v) of Lorentzian signature; the
-pseudo-arc-length of that path reproduces the full-affine arc-length.
+parabolas trace a path in the equi-affine group (``congruence_path``) whose
+SL(2) part carries the bi-invariant metric g(v, v) = -det(v) of Lorentzian
+signature; the pseudo-arc-length of that path reproduces the full-affine
+arc-length, which the tests check with their oracle
+``congruence_arclength`` (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ import numpy as np
 from ._numerics import (
     cumulative_uniform,
     diff_samples,
-    filter_window,
-    integrate_samples,
     resample_uniform,
     trusted_interior,
 )
 from .curvature import CurveSamples, _derivs, _kappa_derivs, _lstsq_fit, frame_and_curvature, support_function
-from .errors import BlowUp, NonConvex
+from .errors import NonConvex
 
 __all__ = [
     "FullAffineData",
@@ -35,12 +35,9 @@ __all__ = [
     "el_residual_sqrt",
     "linear_position_certificate",
     "el_residual_full_affine_form",
-    "curve_from_full_affine_curvature",
     "constrained_sqrt_residuals",
-    "sl2_geodesic",
     "osculating_parabola",
     "congruence_path",
-    "congruence_arclength",
     "osculating_conic",
 ]
 
@@ -197,78 +194,6 @@ def el_residual_full_affine_form(fd: FullAffineData, window: int | None = None) 
     return float(np.sqrt(np.mean(res[sel] ** 2)))
 
 
-def curve_from_full_affine_curvature(
-    kF, s_range=(-3.0, 3.0), n: int = 4001, kappa_cap: float = 1.0e6
-) -> CurveSamples:
-    """Reconstruct a curve whose full-affine curvature is the given function.
-
-    ``kF`` maps full-affine arc-length to curvature.  Integrates the
-    coupled system kappa' = 2 kappa^(3/2) kF(s_F), s_F' = sqrt(kappa) and
-    the frame equations with the gauge kappa(0) = 1, gamma(0) = 0 and the
-    standard frame at s = 0.  Raises BlowUp (reporting the reached s) if
-    kappa leaves [1/cap, cap] inside the range.
-    """
-    from scipy.integrate import solve_ivp  # loaded on first use only
-
-    def rhs(s, u):
-        kappa, sF, x, y, tx, ty, nx, ny = u
-        rk = np.sqrt(kappa)
-        return [
-            2.0 * kappa * rk * kF(sF),
-            rk,
-            tx,
-            ty,
-            nx,
-            ny,
-            -kappa * tx,
-            -kappa * ty,
-        ]
-
-    def blow(s, u):
-        return np.log(max(u[0], 1e-300) / 1.0) ** 2 - np.log(kappa_cap) ** 2
-
-    blow.terminal = True
-
-    s_lo, s_hi = float(s_range[0]), float(s_range[1])
-    if not s_lo <= 0.0 <= s_hi:
-        raise ValueError("the range must contain the gauge point s = 0")
-    s = np.linspace(s_lo, s_hi, n)
-    u0 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
-    out = np.empty((8, n))
-    span = s_hi - s_lo
-    for side in (-1, 1):
-        mask = s < 0 if side < 0 else s >= 0
-        if not np.any(mask):
-            continue
-        t_eval = s[mask][::-1] if side < 0 else s[mask]
-        t_end = s_lo if side < 0 else s_hi
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_end),
-            u0,
-            t_eval=t_eval,
-            rtol=1e-13,
-            atol=1e-15,
-            # small steps keep the dense-output seams below the rounding
-            # floor; downstream derivative filters see smooth samples
-            max_step=max(span / 1000.0, 1e-3),
-            method="DOP853",
-            events=blow,
-        )
-        if sol.status == 1:
-            raise BlowUp(f"curvature left the admissible range near s = {sol.t[-1]:.6g}")
-        out[:, mask] = sol.y[:, ::-1] if side < 0 else sol.y
-    cs = CurveSamples(s, out[2], out[3], closed=False)
-    cs.meta["kappa0"] = 1.0
-    # verification window sized by the distance to the curvature blow-up,
-    # estimated from the endpoint data: kappa ~ (kF_inf (s* - s))^-2
-    kmax = float(np.max(out[0]))
-    kf_end = max(abs(float(kF(out[1, 0]))), abs(float(kF(out[1, -1]))), 1e-9)
-    rho = min(1.0 / (kf_end * np.sqrt(kmax)), span / 3.0)
-    cs.meta["fd_window"] = filter_window(rho, float(s[1] - s[0]))
-    return cs
-
-
 def constrained_sqrt_residuals(c: CurveSamples) -> ConstrainedSqrtResiduals:
     """Fit the constrained criticality forms of the full-affine length.
 
@@ -295,38 +220,6 @@ def constrained_sqrt_residuals(c: CurveSamples) -> ConstrainedSqrtResiduals:
     return ConstrainedSqrtResiduals(*out)
 
 
-_SL2_DIRS = {
-    "e1": np.array([[1.0, 0.0], [0.0, -1.0]]),
-    "e2": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "e3": np.array([[0.0, 1.0], [-1.0, 0.0]]),
-}
-
-
-def sl2_geodesic(v, t: float) -> SL2Point:
-    """Geodesic exp(t v) of the -det metric from the identity.
-
-    ``v`` is "e1", "e2", "e3" or any traceless 2x2 array.  The closed-form
-    exponential is hyperbolic for det v < 0, trigonometric for det v > 0
-    and linear for det v = 0; the speed g(v, v) = -det v is constant along
-    the geodesic.
-    """
-    if isinstance(v, str):
-        v = _SL2_DIRS[v]
-    v = np.asarray(v, dtype=float)
-    if abs(v[0, 0] + v[1, 1]) > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
-        raise ValueError("direction must be traceless")
-    D = float(np.linalg.det(v))
-    if D < 0:
-        th = np.sqrt(-D)
-        M = np.cosh(th * t) * np.eye(2) + np.sinh(th * t) / th * v
-    elif D > 0:
-        th = np.sqrt(D)
-        M = np.cos(th * t) * np.eye(2) + (np.sin(th * t) / th if th else t) * v
-    else:
-        M = np.eye(2) + t * v
-    return SL2Point(M[0, 0], M[0, 1], M[1, 0], M[1, 1])
-
-
 def osculating_parabola(c: CurveSamples, i: int) -> tuple[SL2Point, np.ndarray]:
     """Equi-affine map sending the standard pointed parabola to the osculating one.
 
@@ -347,32 +240,6 @@ def congruence_path(c: CurveSamples) -> PointedParabolaPath:
     mats[:, :, 0] = fr.T
     mats[:, :, 1] = fr.N
     return PointedParabolaPath(mats=mats, translations=c.points(), t=c.s.copy())
-
-
-def congruence_arclength(c: CurveSamples) -> float:
-    """Pseudo-Riemannian length of the SL(2) part of the parabola congruence.
-
-    Differentiates the congruence entries numerically, integrates
-    sqrt(|-det(dP/ds)|) over the trusted nodes and raises NonConvex if the
-    causal character of the velocity changes along the way (the velocity is
-    time-like where kappa > 0 and space-like where kappa < 0).
-    """
-    path = congruence_path(c)
-    win = c.meta.get("fd_window")
-    dmats = np.empty_like(path.mats)
-    for r in range(2):
-        for cc in range(2):
-            dmats[:, r, cc] = diff_samples(
-                path.mats[:, r, cc], c.h, 1, periodic=c.closed, window=win
-            )
-    minus_det = -(dmats[:, 0, 0] * dmats[:, 1, 1] - dmats[:, 0, 1] * dmats[:, 1, 0])
-    sel = c.interior()
-    vals = minus_det[sel]
-    scale = float(np.max(np.abs(vals)))
-    signs = np.sign(vals[np.abs(vals) > 1e-9 * scale])
-    if len(signs) and np.any(signs != signs[0]):
-        raise NonConvex("congruence velocity changes causal character")
-    return integrate_samples(np.sqrt(np.abs(vals)), c.h, periodic=c.closed)
 
 
 def osculating_conic(c: CurveSamples, i: int) -> np.ndarray:

@@ -62,16 +62,12 @@ __all__ = [
     "ClosureSolution",
     "lame_parameter_c",
     "synthesize",
-    "synthesize_arcs",
     "synthesize_closed",
     "synthesize_length_constrained",
-    "length_constrained_kappa",
     "closure_lhs",
     "closure_lhs_with_d",
     "solve_closure",
-    "a3_nonperiodicity",
     "euclidean_display_transform",
-    "analytic_kappa",
 ]
 
 _POLE_MARGIN = 1e-6  # relative grid-to-pole distance that raises GridHitsPole
@@ -325,33 +321,6 @@ def solve_closure(m: int, n: int) -> ClosureSolution:
     inv = invariants_from_qQ(1.0, Q)
     lat = half_periods(inv)
     return ClosureSolution(m=m, n=n, Q=float(Q), inv=inv, lattice=lat, d=d, lhs=lhs_Q)
-
-
-def a3_nonperiodicity(Q: float) -> float:
-    """Non-periodicity bracket for the negative-minimum family (q = -1).
-
-    Evaluates w1 sqrt(-g3/g2) - zeta(w1) d + w1 zeta(w2 + d) - w1 zeta(w2)
-    with wp(w2 + d) = -g3/g2.  This quantity is real; a nonzero value rules
-    out closed curves in this family because after multiplication by 2i/pi
-    it is the imaginary part the closure quantity acquires (the coordinate
-    multiplier leaves the unit circle).  The square root takes the
-    principal branch; only non-vanishing is meaningful.
-    """
-    if not Q > 2.0:
-        raise ValueError("the q = -1 normalization requires Q > 2")
-    inv = invariants_from_qQ(-1.0, Q)
-    lat = half_periods(inv)
-    v = -inv.g3 / inv.g2
-    c = lame_parameter_c(inv)
-    if abs(c.imag - lat.w2_im) > 1e-9 * lat.w2_im:
-        raise NoSuchC("expected c on the horizontal segment through w2")
-    d = c.real
-    w2 = 1j * lat.w2_im
-    zeta_w2d, zeta_w2 = zeta_w(np.array([w2 + d, w2]), inv).tolist()  # one theta evaluation
-    val = lat.w1 * np.sqrt(v) - lat.eta1 * d + lat.w1 * zeta_w2d - lat.w1 * zeta_w2
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise NoSuchC("non-periodicity bracket is not real to rounding")
-    return float(val.real)
 
 
 # ---------------------------------------------------------------------------
@@ -743,11 +712,6 @@ def _length_constrained_family(A: float, g3: float, c0) -> FamilySpec:
 # synthesis
 
 
-def analytic_kappa(label: CaseLabel, s: np.ndarray) -> np.ndarray:
-    """Closed-form curvature of the case family on the given grid."""
-    return _family(label).kappa(np.asarray(s, dtype=float))
-
-
 def _grid_from(default, grid, n, endpoint: bool = True) -> np.ndarray:
     """The sample grid; an (lo, hi[, n]) range needs finite lo < hi (else DomainError)."""
     if grid is None:
@@ -762,12 +726,12 @@ def _grid_from(default, grid, n, endpoint: bool = True) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
-def _sample(f: FamilySpec, grid=None, n=None, **extra) -> CurveSamples:
+def _sample(f: FamilySpec, grid=None, n=None) -> CurveSamples:
     """The one synthesis sequence: grid, pole check, route, metadata and filter window.
 
     The derivative-filter window ``fd_window`` is sized by the nearest
-    curvature singularity, real or complex; ``extra`` goes into the metadata.
-    A spec with a period is closed on its default grid.
+    curvature singularity, real or complex.  A spec with a period is closed
+    on its default grid.
     """
     s = _grid_from(f.grid, grid, n, endpoint=f.period is None)
     if len(s) < 7:  # the CurveSamples minimum, checked before anything indexes s
@@ -781,7 +745,7 @@ def _sample(f: FamilySpec, grid=None, n=None, **extra) -> CurveSamples:
         rho = min(rho, gap)
     x, y, route_meta = f.route(f, s)
 
-    meta = {**f.meta, **route_meta, **extra}
+    meta = {**f.meta, **route_meta}
     if f.sign_flip_at_poles:
         meta["sign_flip_at_poles"] = True  # smooth arcs alternate sign between poles
     if np.isfinite(rho):
@@ -800,30 +764,6 @@ def synthesize(label: CaseLabel, grid=None, n: int | None = None) -> CurveSample
     curves of the other families come from ``synthesize_closed``.
     """
     return _sample(_family(label), grid, n)
-
-
-def synthesize_arcs(label: CaseLabel, n_arcs: int = 3) -> list[CurveSamples]:
-    """Consecutive smooth arcs of a square-root-line family curve.
-
-    The curvature of these families (minimum curvature zero, bounded
-    oscillation) vanishes at odd multiples of the real half-period; the
-    position formula flips sign there, so each smooth arc is emitted
-    separately with alternating sign, matching the ``sign_flip_at_poles``
-    convention recorded in the metadata.  Arc ell spans 2000 samples over
-    [(2 ell - 1) w1, (2 ell + 1) w1], less 0.08 w1 at each end.
-    """
-    f = _family(label)
-    if not f.sign_flip_at_poles:
-        raise ValueError("multi-arc synthesis applies to the zero-minimum family")
-    w1 = f.lat.w1
-    arcs = []
-    for ell in range(n_arcs):
-        lo = (2 * ell - 1) * w1 + 0.08 * w1
-        hi = (2 * ell + 1) * w1 - 0.08 * w1
-        arc = _sample(f, (lo, hi, 2000), arc_index=ell)
-        sign = -1.0 if ell % 2 else 1.0
-        arcs.append(CurveSamples(arc.s, sign * arc.x, sign * arc.y, closed=False, meta=arc.meta))
-    return arcs
 
 
 def synthesize_closed(sol: ClosureSolution, samples_per_period: int = 2000) -> CurveSamples:
@@ -858,11 +798,6 @@ def synthesize_length_constrained(
     (else DomainError).
     """
     return _sample(_length_constrained_family(A, g3, c0), grid, n)
-
-
-def length_constrained_kappa(A: float, g3: float, c0, s) -> np.ndarray:
-    """Closed-form curvature -6 wp(s - c0) + A/2 of the constrained family."""
-    return _length_constrained_family(A, g3, c0).kappa(np.asarray(s, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ def convex_support_curve(rng, n=6000, n_modes=4, amp=0.06):
     return np.column_stack([x, y])
 
 
+def ellipse_samples(a: float, b: float, n: int = 4096) -> cv.CurveSamples:
+    """Analytic equi-affine samples of the ellipse with semi-axes (a, b)."""
+    omega = (a * b) ** (-1.0 / 3.0)
+    period = 2.0 * np.pi / omega
+    s = np.linspace(0.0, period, n, endpoint=False)
+    return cv.CurveSamples(s, a * np.cos(omega * s), b * np.sin(omega * s), closed=True, period=period)
+
+
 def log_spiral_samples(b=0.15, s_lo=0.0, s_hi=12.0, n=4000):
     """Analytic equi-affine samples of the logarithmic spiral r = exp(b theta)."""
     a = (1.0 + b * b) ** (1.0 / 3.0)

@@ -1,0 +1,370 @@
+"""Test-only oracles: closed forms, quadratures, reconstructions and the
+diagnostics that the tests compare the package against.
+
+No command or library path needs these; each is the reference for a claim
+the tests make: the case families' closed-form curvature, the non-periodicity
+bracket of the negative-minimum family, the A2 arcs, the canonical origin of
+a critical curve, the integral functionals, the sextactic count, the curve
+rebuilt from its full-affine curvature, the congruence arc-length, the
+SL(2) geodesics and the normal form of a case.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from affine_elastica import curvature as cv
+from affine_elastica import fullaffine as fa
+from affine_elastica import synthesis as sy
+from affine_elastica._numerics import cumulative_uniform, diff_samples, filter_window
+from affine_elastica.classifier import Branch, Case, CaseLabel, classify
+from affine_elastica.elliptic import Invariants, half_periods, invariants_from_qQ, zeta_w
+from affine_elastica.errors import DegenerateDiscriminant, DomainError, NoSuchC, NonConvex, SynthesisError
+
+
+class NotCritical(DomainError):
+    """Curve does not satisfy kappa'' + kappa^2 = const to tolerance."""
+
+
+class ZeroC(DomainError):
+    """The fitted constant C is too close to zero for the requested step."""
+
+
+class NegativeCurvature(DomainError):
+    """Operation requires strictly positive equi-affine curvature."""
+
+
+class BlowUp(SynthesisError):
+    """Curvature blew up inside the requested integration range."""
+
+
+def integrate_samples(vals: np.ndarray, h: float, periodic: bool = False) -> float:
+    """Definite integral of uniform samples (periodic: spectral trapezoid)."""
+    if periodic:
+        return float(h * np.sum(vals))
+    return float(cumulative_uniform(vals, h)[-1])
+
+
+# ---------------------------------------------------------------------------
+# synthesis
+
+
+def analytic_kappa(label: CaseLabel, s: np.ndarray) -> np.ndarray:
+    """Closed-form curvature of the case family on the given grid."""
+    return sy._family(label).kappa(np.asarray(s, dtype=float))
+
+
+def length_constrained_kappa(A: float, g3: float, c0, s) -> np.ndarray:
+    """Closed-form curvature -6 wp(s - c0) + A/2 of the constrained family."""
+    return sy._length_constrained_family(A, g3, c0).kappa(np.asarray(s, dtype=float))
+
+
+def a3_nonperiodicity(Q: float) -> float:
+    """Non-periodicity bracket for the negative-minimum family (q = -1).
+
+    Evaluates w1 sqrt(-g3/g2) - zeta(w1) d + w1 zeta(w2 + d) - w1 zeta(w2)
+    with wp(w2 + d) = -g3/g2.  This quantity is real; a nonzero value rules
+    out closed curves in this family because after multiplication by 2i/pi
+    it is the imaginary part the closure quantity acquires (the coordinate
+    multiplier leaves the unit circle).  The square root takes the
+    principal branch; only non-vanishing is meaningful.
+    """
+    if not Q > 2.0:
+        raise ValueError("the q = -1 normalization requires Q > 2")
+    inv = invariants_from_qQ(-1.0, Q)
+    lat = half_periods(inv)
+    v = -inv.g3 / inv.g2
+    c = sy.lame_parameter_c(inv)
+    if abs(c.imag - lat.w2_im) > 1e-9 * lat.w2_im:
+        raise NoSuchC("expected c on the horizontal segment through w2")
+    d = c.real
+    w2 = 1j * lat.w2_im
+    zeta_w2d, zeta_w2 = zeta_w(np.array([w2 + d, w2]), inv).tolist()  # one theta evaluation
+    val = lat.w1 * np.sqrt(v) - lat.eta1 * d + lat.w1 * zeta_w2d - lat.w1 * zeta_w2
+    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
+        raise NoSuchC("non-periodicity bracket is not real to rounding")
+    return float(val.real)
+
+
+def synthesize_arcs(label: CaseLabel, n_arcs: int = 3) -> list[cv.CurveSamples]:
+    """Consecutive smooth arcs of a square-root-line family curve.
+
+    The curvature of these families (minimum curvature zero, bounded
+    oscillation) vanishes at odd multiples of the real half-period; the
+    position formula flips sign there, so each smooth arc is emitted
+    separately with alternating sign, matching the ``sign_flip_at_poles``
+    convention recorded in the metadata, and numbered by ``arc_index``.  Arc
+    ell spans 2000 samples over [(2 ell - 1) w1, (2 ell + 1) w1], less
+    0.08 w1 at each end.
+    """
+    f = sy._family(label)
+    if not f.sign_flip_at_poles:
+        raise ValueError("multi-arc synthesis applies to the zero-minimum family")
+    w1 = f.lat.w1
+    arcs = []
+    for ell in range(n_arcs):
+        lo = (2 * ell - 1) * w1 + 0.08 * w1
+        hi = (2 * ell + 1) * w1 - 0.08 * w1
+        arc = sy._sample(f, (lo, hi, 2000))
+        arc.meta["arc_index"] = ell
+        sign = -1.0 if ell % 2 else 1.0
+        arcs.append(cv.CurveSamples(arc.s, sign * arc.x, sign * arc.y, closed=False, meta=arc.meta))
+    return arcs
+
+
+# ---------------------------------------------------------------------------
+# curvature
+
+
+@dataclass
+class Functionals:
+    length: float
+    total_curvature: float
+    area: float
+    full_affine_length: float | None
+
+
+def functionals(c: cv.CurveSamples, full_affine: bool = True) -> Functionals:
+    """Arc-length, total curvature, bounded area and full-affine length.
+
+    Area uses the shoelace rule on the samples (closed curves only).  The
+    full-affine length integrates sqrt(kappa) and raises NegativeCurvature
+    when min kappa <= 0 (pass full_affine=False to skip it).
+    """
+    fr = cv.frame_and_curvature(c)
+    h = c.h
+    if c.closed:
+        length = float(c.period)
+        total = integrate_samples(fr.kappa, h, periodic=True)
+        x, y = c.x, c.y
+        area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    else:
+        length = float(c.s[-1] - c.s[0])
+        total = integrate_samples(fr.kappa, h)
+        area = float("nan")
+    fal: float | None = None
+    if full_affine:
+        if np.min(fr.kappa) <= 0.0:
+            raise NegativeCurvature("full-affine length needs kappa > 0")
+        fal = integrate_samples(np.sqrt(fr.kappa), h, periodic=c.closed)
+    return Functionals(length=length, total_curvature=total, area=area, full_affine_length=fal)
+
+
+def translate_to_canonical(c: cv.CurveSamples) -> np.ndarray:
+    """Origin that turns the support function into kappa / C.
+
+    Requires kappa'' + kappa^2 = C with C != 0 to tolerance; the returned
+    origin makes the constant field kappa N - kappa' T equal to -C P.  Both
+    checks are unit-free: NotCritical when the fit's relative residual
+    exceeds 1e-4, ZeroC when |C| is below 1e-8 of ``_kappa2_scale``.
+    """
+    kappa, k1, k2 = cv._kappa_derivs(c)
+    fit = cv.el_residual_area_constrained(c)
+    if fit.relative > 1e-4:
+        raise NotCritical(
+            f"kappa'' + kappa^2 is not constant (relative rms residual {fit.relative:.3e})"
+        )
+    if abs(fit.C) < 1e-8 * cv._kappa2_scale(c):
+        raise ZeroC("fitted constant C is numerically zero")
+    fr = cv.frame_and_curvature(c)
+    M = kappa[:, None] * fr.N - k1[:, None] * fr.T
+    cand = c.points() + M / fit.C
+    sel = c.interior()
+    return np.array([np.mean(cand[sel, 0]), np.mean(cand[sel, 1])])
+
+
+def sextactic_sign_changes(c: cv.CurveSamples) -> int:
+    """Number of sign changes of kappa' around a closed curve."""
+    if not c.closed:
+        raise ValueError("sextactic count is defined for closed curves")
+    _, k1, _ = cv._kappa_derivs(c)
+    scale = float(np.max(np.abs(k1)))
+    if scale == 0.0:
+        return 0
+    sig = np.sign(k1[np.abs(k1) > 1e-8 * scale])
+    if len(sig) == 0:
+        return 0
+    return int(np.sum(sig != np.roll(sig, 1)))
+
+
+# ---------------------------------------------------------------------------
+# full-affine
+
+
+def curve_from_full_affine_curvature(
+    kF, s_range=(-3.0, 3.0), n: int = 4001, kappa_cap: float = 1.0e6
+) -> cv.CurveSamples:
+    """Reconstruct a curve whose full-affine curvature is the given function.
+
+    ``kF`` maps full-affine arc-length to curvature.  Integrates the
+    coupled system kappa' = 2 kappa^(3/2) kF(s_F), s_F' = sqrt(kappa) and
+    the frame equations with the gauge kappa(0) = 1, gamma(0) = 0 and the
+    standard frame at s = 0.  Raises BlowUp (reporting the reached s) if
+    kappa leaves [1/cap, cap] inside the range.
+    """
+    from scipy.integrate import solve_ivp
+
+    def rhs(s, u):
+        kappa, sF, x, y, tx, ty, nx, ny = u
+        rk = np.sqrt(kappa)
+        return [
+            2.0 * kappa * rk * kF(sF),
+            rk,
+            tx,
+            ty,
+            nx,
+            ny,
+            -kappa * tx,
+            -kappa * ty,
+        ]
+
+    def blow(s, u):
+        return np.log(max(u[0], 1e-300) / 1.0) ** 2 - np.log(kappa_cap) ** 2
+
+    blow.terminal = True
+
+    s_lo, s_hi = float(s_range[0]), float(s_range[1])
+    if not s_lo <= 0.0 <= s_hi:
+        raise ValueError("the range must contain the gauge point s = 0")
+    s = np.linspace(s_lo, s_hi, n)
+    u0 = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+    out = np.empty((8, n))
+    span = s_hi - s_lo
+    for side in (-1, 1):
+        mask = s < 0 if side < 0 else s >= 0
+        if not np.any(mask):
+            continue
+        t_eval = s[mask][::-1] if side < 0 else s[mask]
+        t_end = s_lo if side < 0 else s_hi
+        sol = solve_ivp(
+            rhs,
+            (0.0, t_end),
+            u0,
+            t_eval=t_eval,
+            rtol=1e-13,
+            atol=1e-15,
+            # small steps keep the dense-output seams below the rounding
+            # floor; downstream derivative filters see smooth samples
+            max_step=max(span / 1000.0, 1e-3),
+            method="DOP853",
+            events=blow,
+        )
+        if sol.status == 1:
+            raise BlowUp(f"curvature left the admissible range near s = {sol.t[-1]:.6g}")
+        out[:, mask] = sol.y[:, ::-1] if side < 0 else sol.y
+    cs = cv.CurveSamples(s, out[2], out[3], closed=False)
+    cs.meta["kappa0"] = 1.0
+    # verification window sized by the distance to the curvature blow-up,
+    # estimated from the endpoint data: kappa ~ (kF_inf (s* - s))^-2
+    kmax = float(np.max(out[0]))
+    kf_end = max(abs(float(kF(out[1, 0]))), abs(float(kF(out[1, -1]))), 1e-9)
+    rho = min(1.0 / (kf_end * np.sqrt(kmax)), span / 3.0)
+    cs.meta["fd_window"] = filter_window(rho, float(s[1] - s[0]))
+    return cs
+
+
+def congruence_arclength(c: cv.CurveSamples) -> float:
+    """Pseudo-Riemannian length of the SL(2) part of the parabola congruence.
+
+    Differentiates the congruence entries numerically, integrates
+    sqrt(|-det(dP/ds)|) over the trusted nodes and raises NonConvex if the
+    causal character of the velocity changes along the way (the velocity is
+    time-like where kappa > 0 and space-like where kappa < 0).
+    """
+    path = fa.congruence_path(c)
+    win = c.meta.get("fd_window")
+    dmats = np.empty_like(path.mats)
+    for r in range(2):
+        for cc in range(2):
+            dmats[:, r, cc] = diff_samples(
+                path.mats[:, r, cc], c.h, 1, periodic=c.closed, window=win
+            )
+    minus_det = -(dmats[:, 0, 0] * dmats[:, 1, 1] - dmats[:, 0, 1] * dmats[:, 1, 0])
+    sel = c.interior()
+    vals = minus_det[sel]
+    scale = float(np.max(np.abs(vals)))
+    signs = np.sign(vals[np.abs(vals) > 1e-9 * scale])
+    if len(signs) and np.any(signs != signs[0]):
+        raise NonConvex("congruence velocity changes causal character")
+    return integrate_samples(np.sqrt(np.abs(vals)), c.h, periodic=c.closed)
+
+
+_SL2_DIRS = {
+    "e1": np.array([[1.0, 0.0], [0.0, -1.0]]),
+    "e2": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "e3": np.array([[0.0, 1.0], [-1.0, 0.0]]),
+}
+
+
+def sl2_geodesic(v, t: float) -> fa.SL2Point:
+    """Geodesic exp(t v) of the -det metric from the identity.
+
+    ``v`` is "e1", "e2", "e3" or any traceless 2x2 array.  The closed-form
+    exponential is hyperbolic for det v < 0, trigonometric for det v > 0
+    and linear for det v = 0; the speed g(v, v) = -det v is constant along
+    the geodesic.
+    """
+    if isinstance(v, str):
+        v = _SL2_DIRS[v]
+    v = np.asarray(v, dtype=float)
+    if abs(v[0, 0] + v[1, 1]) > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
+        raise ValueError("direction must be traceless")
+    D = float(np.linalg.det(v))
+    if D < 0:
+        th = np.sqrt(-D)
+        M = np.cosh(th * t) * np.eye(2) + np.sinh(th * t) / th * v
+    elif D > 0:
+        th = np.sqrt(D)
+        M = np.cos(th * t) * np.eye(2) + (np.sin(th * t) / th if th else t) * v
+    else:
+        M = np.eye(2) + t * v
+    return fa.SL2Point(M[0, 0], M[0, 1], M[1, 0], M[1, 1])
+
+
+# ---------------------------------------------------------------------------
+# classifier
+
+
+# families whose curvature follows the bounded oval of the cubic
+_CLOSED_FAMILIES = {Case.A1, Case.A2, Case.A3, Case.Ellipse, Case.Dc}
+
+
+def _scaled_invariants(g2: float, g3: float, lam: float) -> tuple[float, float]:
+    return g2 * lam**4, g3 * lam**6
+
+
+#: lam^2 of the equi-affine rescaling to each case's normal form, from its params
+_NORMAL_FORM_LAM2 = {
+    Case.A1: lambda p: 1.0 / p["q"],
+    Case.A2: lambda p: 1.0 / p["Q"],
+    Case.A3: lambda p: -1.0 / p["q"],
+    **dict.fromkeys((Case.B1, Case.B2, Case.B3), lambda p: -1.0 / p["P"]),
+    **dict.fromkeys((Case.C1, Case.C2, Case.C4, Case.C5), lambda p: 1.0 / abs(p["P"])),
+    Case.C3: lambda p: 1.0 / p["tau"],
+    **dict.fromkeys((Case.Da, Case.Dc, Case.E_case), lambda p: 1.0 / abs(p["E"])),
+    Case.Ellipse: lambda p: 1.0 / (3.0 * p["E"]),
+    Case.F: lambda p: abs(p["g3"]) ** (-1.0 / 3.0),
+    Case.G: lambda p: 1.0,
+}
+
+
+def rescale_to_normal_form(label: CaseLabel) -> tuple[float, CaseLabel]:
+    """Equi-affine rescaling factor lam and the normalized label.
+
+    The rescaling acts as kappa -> lam^2 kappa, s -> s / lam, so
+    g2 -> lam^4 g2 and g3 -> lam^6 g3.  Normal forms: q = 1 (A1), Q = 1
+    (A2), q = -1 (A3), P = -1 (B), P in {1, 0, -1} with tau = 1 when P = 0
+    (C), E = +-1 (D/E), g3 = +-1 (F), kappa = 1 (ellipse); G is scale
+    invariant.
+    """
+    tag = label.tag
+    lam2 = _NORMAL_FORM_LAM2[tag](label.params)
+    if lam2 <= 0:
+        raise DegenerateDiscriminant("cannot normalize a vanishing case parameter")
+    lam = float(np.sqrt(lam2))
+    g2n, g3n = _scaled_invariants(label.g2, label.g3, lam)
+    branch = Branch.closed_branch if tag in _CLOSED_FAMILIES else Branch.open_branch
+    normalized = classify(Invariants(g2n, g3n), branch)
+    return lam, normalized

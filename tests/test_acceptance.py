@@ -13,15 +13,23 @@ from affine_elastica import curvature as cv
 from affine_elastica import elliptic as el
 from affine_elastica import fullaffine as fa
 from affine_elastica import synthesis as sy
-from affine_elastica._numerics import integrate_samples
 from affine_elastica.classifier import Branch, Case, CaseLabel, classify
 from conftest import (
     convex_support_curve,
+    ellipse_samples,
     hyperbola_samples,
     hypotrochoid_points,
     log_spiral_samples,
     random_invertible,
     random_unimodular,
+)
+from oracles import (
+    a3_nonperiodicity,
+    congruence_arclength,
+    curve_from_full_affine_curvature,
+    functionals,
+    integrate_samples,
+    sl2_geodesic,
 )
 
 TABLE = [
@@ -188,12 +196,12 @@ def test_criterion_05_unimodularity(closed_curves):
 
 
 def test_criterion_06_isoperimetric_equalities(closed_curves, solutions):
-    e = cv.ellipse_samples(2.0, 0.5, 4096)
-    f = cv.functionals(e)
+    e = ellipse_samples(2.0, 0.5, 4096)
+    f = functionals(e)
     assert abs(f.total_curvature * f.length - 4 * np.pi**2) < 1e-6
     assert abs(f.full_affine_length - 2 * np.pi) < 1e-6
     c34 = closed_curves[(3, 4)]
-    f34 = cv.functionals(c34)
+    f34 = functionals(c34)
     arcs = 2 * solutions[(3, 4)].m
     per_arc = (f34.total_curvature / arcs) * (f34.length / arcs)
     # the multi-winding closed curve stays strictly below the ellipse
@@ -203,7 +211,7 @@ def test_criterion_06_isoperimetric_equalities(closed_curves, solutions):
 
 
 def test_criterion_07_full_affine_suite(rng):
-    e = cv.ellipse_samples(1.5, 0.8, 4096)
+    e = ellipse_samples(1.5, 0.8, 4096)
     curves = [e] + [
         cv.reparametrize_equiaffine(convex_support_curve(rng), closed=True) for _ in range(3)
     ]
@@ -218,7 +226,7 @@ def test_criterion_07_full_affine_suite(rng):
     res23 = fa.el_residual_full_affine_form(fa.FullAffineData(sF, kF))
     assert res23 < 1e-6
 
-    curve = fa.curve_from_full_affine_curvature(
+    curve = curve_from_full_affine_curvature(
         lambda s: (3.0 / np.sqrt(2.0)) * np.tanh(np.sqrt(2.0) * s), s_range=(-0.7, 0.7), n=6001
     )
     cert = fa.linear_position_certificate(curve)
@@ -239,12 +247,12 @@ def test_criterion_08_congruence_arclength():
         "log-spiral arc": log_spiral_samples(0.15, 0.0, 12.0, 4000),
     }
     for name, c in checks.items():
-        val = fa.congruence_arclength(c)
+        val = congruence_arclength(c)
         kappa = cv.frame_and_curvature(c).kappa
         sel = c.interior()
         ref = integrate_samples(np.sqrt(np.abs(kappa[sel])), c.h)
         assert abs(val - ref) / ref < 1e-4, f"{name}: {abs(val - ref) / ref:.2e}"
-    g = fa.sl2_geodesic("e3", 2 * np.pi)
+    g = sl2_geodesic("e3", 2 * np.pi)
     assert np.max(np.abs(g.as_matrix() - np.eye(2))) < 1e-10
     _report(8, "congruence arc-length matches curvature integral to 1e-4 on three arcs; "
                "rotation geodesic closes at 2 pi to 1e-10")
@@ -277,7 +285,7 @@ def test_criterion_09_case_specific_closed_forms():
     factor = moved.y[j] + t * (moved.y[j + 1] - moved.y[j])
     assert abs(factor - 1.0319) < 1e-3, f"double-point factor {factor:.5f}"
 
-    scan = [sy.a3_nonperiodicity(Q) for Q in np.linspace(2.25, 20.0, 12)]
+    scan = [a3_nonperiodicity(Q) for Q in np.linspace(2.25, 20.0, 12)]
     assert min(abs(v) for v in scan) > 1e-3
     _report(9, f"power-law family invariants to 1e-6; double-point factor {factor:.4f}; "
                "non-periodicity bracket bounded away from zero")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from affine_elastica.classifier import Branch, Case, CaseLabel, classify, rescale_to_normal_form
+from affine_elastica.classifier import Branch, Case, classify
 from affine_elastica.elliptic import (
     Invariants,
     cubic_roots,
@@ -12,6 +12,7 @@ from affine_elastica.elliptic import (
     invariants_from_qQ,
 )
 from affine_elastica.errors import BranchUnavailable, DegenerateDiscriminant
+from oracles import rescale_to_normal_form
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from affine_elastica.classifier import Branch, classify
 from affine_elastica.cli import _conic_points, _svg_polyline, _verify_curve, main
 from affine_elastica.elliptic import invariants_from_qQ
 from affine_elastica.errors import DomainError
-from conftest import hypotrochoid_points, scaled_curve
+from conftest import convex_support_curve, ellipse_samples, hypotrochoid_points, scaled_curve
 
 
 @lru_cache(maxsize=None)
@@ -321,9 +321,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("lam", [1e-2, 1e-1, 1.0, 1e1, 1e2])
     def test_sqrt_verdict_scale_free_on_the_ellipse(self, lam):
-        report, ok = _verify_curve(scaled_curve(cv.ellipse_samples(2.0, 0.5, 4096), lam), "sqrt", 1e-5)
+        report, ok = _verify_curve(scaled_curve(ellipse_samples(2.0, 0.5, 4096), lam), "sqrt", 1e-5)
         assert ok
         assert report["checks"]["sqrt_el_residual"]["relative"] < 1e-10  # 1.7e-12
+
+    def test_closed_full_affine_total_wraps(self):
+        """Over one period the total full-affine curvature is the periodic sum
+        h sum(kappa_F sqrt(kappa)), 1.5e-16 on this curve; one-sided ends at
+        the seam read 1.7e-8."""
+        curve = cv.reparametrize_equiaffine(convex_support_curve(np.random.default_rng(0)), closed=True)
+        report, _ = _verify_curve(curve, "fullaffine", 1e-5)
+        assert abs(report["checks"]["total_full_affine_curvature"]["value"]) < 1e-12
 
     @pytest.mark.parametrize("flag", ["--csv", "--json"])
     def test_all_suite_fails_a_nonconvex_arc(self, flag, tmp_path, capsys):
@@ -381,7 +389,7 @@ class TestVerify:
         assert len(seen) == calls
 
     def test_ellipse_all_suites(self, tmp_path, capsys):
-        e = cv.ellipse_samples(2.0, 0.5, 4096)
+        e = ellipse_samples(2.0, 0.5, 4096)
         p = tmp_path / "e.json"
         cv.curve_to_json(e, str(p))
         code, out, _ = run(["verify", str(p), "--suite", "all"], capsys)
@@ -424,7 +432,7 @@ class TestVerify:
             assert run(["verify", str(short), "--closed", "--suite", "closure"], capsys)[0] == code, drop
 
     def test_tol_env_override(self, tmp_path, capsys, monkeypatch):
-        e = cv.ellipse_samples(2.0, 0.5, 2048)
+        e = ellipse_samples(2.0, 0.5, 2048)
         p = tmp_path / "e.csv"
         cv.curve_to_csv(e, str(p))
         monkeypatch.setenv("AFFINE_ELASTICA_TOL", "1e-30")
@@ -436,7 +444,7 @@ class TestVerify:
         # a passing curve: nan and -1 used to fail it (exit 1), inf to pass it
         # with "tol": Infinity, which is not JSON
         p = tmp_path / "e.csv"
-        cv.curve_to_csv(cv.ellipse_samples(2.0, 0.5, 2048), str(p))
+        cv.curve_to_csv(ellipse_samples(2.0, 0.5, 2048), str(p))
         monkeypatch.setenv("AFFINE_ELASTICA_TOL", tol)
         code, out, err = run(["verify", str(p), "--closed", "--suite", "el"], capsys)
         assert (code, out) == (2, "")
@@ -506,7 +514,7 @@ class TestConfig:
     def test_tolerance_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("tol = 1e-30\n")
-        e = cv.ellipse_samples(1.0, 1.0, 2048)
+        e = ellipse_samples(1.0, 1.0, 2048)
         p = tmp_path / "e.csv"
         cv.curve_to_csv(e, str(p))
         code, _, _ = run(["--config", str(cfg), "verify", str(p), "--closed", "--suite", "el"], capsys)
@@ -575,8 +583,10 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
         ({}, ["synth", "--closure", "3", "4", "--grid", "0", "1"], "--grid does not apply to --closure"),
         ({}, ["synth", "--case", "A1"], "generic tags need invariants"),
         *(({"s.cfg": f"samples = {k}\n"}, ["--config", "{tmp}/s.cfg", "synth", *how],
-           "at least 7 samples")
+           "at least 7 samples" if k else "config line 1: samples must be a positive integer, got 0")
           for how in (["--q", "1", "--Q", "3"], ["--closure", "3", "4"]) for k in (0, 1)),
+        *(({"s.cfg": f"samples = {k}\n"}, ["--config", "{tmp}/s.cfg", "synth", "--closure", "3", "4"],
+           f"config line 1: samples must be a positive integer, got {k}") for k in ("-3", "2.5", "1e3")),
         # 8 samples clear the curve minimum, 1 per kappa-period does not
         ({"s.cfg": "samples = 1\n"}, ["--config", "{tmp}/s.cfg", "synth", "--closure", "4", "5"],
          "at least 2 samples per period"),
@@ -603,7 +613,8 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
          "E-E-overflows", "ellipse-E-overflows", "Dc-E-overflows", "g2-cube-overflows",
          "table-zero-pair", "closure-zero-pair", "grid-empty", "grid-zero", "grid-reversed",
          "closure-grid", "generic-tag-without-invariants",
-         "samples-0-open", "samples-1-open", "samples-0-closed", "samples-1-closed", "samples-1-per-period",
+         "samples-0-open", "samples-1-open", "samples-0-closed", "samples-1-closed",
+         "samples-negative", "samples-fraction", "samples-exponent", "samples-1-per-period",
          *(f"fd-window-{w}" for w in _BAD_WINDOWS), "meta-not-object", *_BAD_JSON_FIELDS,
          *(f"config-{key}-{val}" for key in ("tol", "svg_size") for val in ("nan", "-1", "0", "inf")),
          "scan-qmax-inf", "scan-qmin-nan", "scan-qmin-negative", "scan-steps-negative", "scan-degenerate-q",

@@ -11,24 +11,33 @@ from affine_elastica import fullaffine as fa
 from affine_elastica import synthesis as sy
 from affine_elastica.classifier import Branch, classify
 from affine_elastica.elliptic import invariants_from_Ptau
-from affine_elastica._numerics import cumulative_uniform, diff_samples, integrate_samples
-from affine_elastica.errors import BlowUp, NonConvex
+from affine_elastica._numerics import cumulative_uniform, diff_samples
+from affine_elastica.errors import NonConvex
 from conftest import (
     convex_support_curve,
+    ellipse_samples,
     hyperbola_samples,
     log_spiral_samples,
     random_invertible,
+)
+from oracles import (
+    BlowUp,
+    congruence_arclength,
+    curve_from_full_affine_curvature,
+    functionals,
+    integrate_samples,
+    sl2_geodesic,
 )
 
 
 @pytest.fixture(scope="module")
 def circle():
-    return cv.ellipse_samples(1.0, 1.0, 4096)
+    return ellipse_samples(1.0, 1.0, 4096)
 
 
 @pytest.fixture(scope="module")
 def ellipse():
-    return cv.ellipse_samples(2.0, 0.5, 4096)
+    return ellipse_samples(2.0, 0.5, 4096)
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +53,7 @@ def example_curve():
     the range stays inside the existence window.
     """
     kF = lambda sF: (3.0 / np.sqrt(2.0)) * np.tanh(np.sqrt(2.0) * sF)
-    return fa.curve_from_full_affine_curvature(kF, s_range=(-0.7, 0.7), n=6001)
+    return curve_from_full_affine_curvature(kF, s_range=(-0.7, 0.7), n=6001)
 
 
 class TestInvariants:
@@ -61,7 +70,7 @@ class TestInvariants:
         assert np.mean(fd.kappa_F[sel]) == pytest.approx(-0.09987523, abs=1e-6)
 
     def test_ellipse_total_length(self, ellipse):
-        f = cv.functionals(ellipse)
+        f = functionals(ellipse)
         assert f.full_affine_length == pytest.approx(2 * np.pi, abs=1e-6)
 
     def test_nonconvex_raises(self):
@@ -169,7 +178,7 @@ class TestFullAffineForm:
 
 class TestReconstruction:
     def test_zero_curvature_gives_conic(self):
-        c = fa.curve_from_full_affine_curvature(lambda sF: 0.0 * sF, s_range=(-2, 2), n=3001)
+        c = curve_from_full_affine_curvature(lambda sF: 0.0 * sF, s_range=(-2, 2), n=3001)
         kappa = cv.frame_and_curvature(c).kappa
         sel = c.interior()
         assert np.ptp(kappa[sel]) < 1e-6  # constant curvature: an ellipse arc
@@ -183,7 +192,7 @@ class TestReconstruction:
         assert np.max(np.abs(fd.kappa_F[sel] - kF_expect[sel])) < 1e-4
 
     def test_constant_curvature_w_curve(self):
-        c = fa.curve_from_full_affine_curvature(lambda sF: 0.2 + 0.0 * sF,
+        c = curve_from_full_affine_curvature(lambda sF: 0.2 + 0.0 * sF,
                                                 s_range=(-1.5, 1.5), n=3001)
         fd = fa.full_affine_invariants(c)
         sel = c.interior()
@@ -195,7 +204,7 @@ class TestReconstruction:
 
     def test_blow_up_reported(self):
         with pytest.raises(BlowUp):
-            fa.curve_from_full_affine_curvature(
+            curve_from_full_affine_curvature(
                 lambda sF: 3.0 + 0.0 * sF, s_range=(-8.0, 8.0), n=2001, kappa_cap=1e4
             )
 
@@ -229,7 +238,7 @@ class TestFitsMatchDirectLstsq:
     """Both fits of this module equal a direct lstsq over their columns, bit for bit."""
 
     def test_constrained_residuals(self):
-        c = cv.ellipse_samples(2.0, 0.5, 800)
+        c = ellipse_samples(2.0, 0.5, 800)
         kF = fa.full_affine_invariants(c).kappa_F
         R_area = cumulative_uniform(cv.support_function(c).rho, c.h)
         R_tot = cumulative_uniform(cv.frame_and_curvature(c).kappa, c.h)
@@ -242,7 +251,7 @@ class TestFitsMatchDirectLstsq:
 
     def test_linear_position_certificate(self, example_curve):
         # an ellipse's kappa_F is constant, so its certificate returns before fitting
-        c = cv.ellipse_samples(2.0, 0.5, 800)
+        c = ellipse_samples(2.0, 0.5, 800)
         assert fa.linear_position_certificate(c).is_w_curve
         sel = example_curve.interior()
         kF = fa.full_affine_invariants(example_curve).kappa_F[sel]
@@ -284,11 +293,11 @@ class TestArcWithNonpositiveEnds:
 
 class TestSL2:
     def test_rotation_direction_closes(self):
-        g = fa.sl2_geodesic("e3", 2 * np.pi)
+        g = sl2_geodesic("e3", 2 * np.pi)
         assert np.max(np.abs(g.as_matrix() - np.eye(2))) < 1e-10
 
     def test_diagonal_direction(self):
-        g = fa.sl2_geodesic("e1", 0.83)
+        g = sl2_geodesic("e1", 0.83)
         assert g.a == pytest.approx(np.exp(0.83), rel=1e-14)
         assert g.d == pytest.approx(np.exp(-0.83), rel=1e-14)
         assert g.b == g.c == 0.0
@@ -298,33 +307,33 @@ class TestSL2:
             v = rng.normal(size=(2, 2))
             v[1, 1] = -v[0, 0]
             t = rng.normal()
-            assert fa.sl2_geodesic(v, t).det == pytest.approx(1.0, abs=1e-10)
+            assert sl2_geodesic(v, t).det == pytest.approx(1.0, abs=1e-10)
 
     def test_speed_constant_along_geodesic(self, rng):
         v = rng.normal(size=(2, 2))
         v[1, 1] = -v[0, 0]
         h = 1e-6
         for t in (0.0, 0.4, 1.1):
-            dP = (fa.sl2_geodesic(v, t + h).as_matrix() - fa.sl2_geodesic(v, t - h).as_matrix()) / (2 * h)
+            dP = (sl2_geodesic(v, t + h).as_matrix() - sl2_geodesic(v, t - h).as_matrix()) / (2 * h)
             assert -np.linalg.det(dP) == pytest.approx(-np.linalg.det(v), abs=1e-6)
 
     def test_nilpotent_direction_is_linear(self):
         # det v = 0: exp(t v) = I + t v, with unit determinant and zero speed
         for v in ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [-1.0, -1.0]]):
-            g = fa.sl2_geodesic(np.array(v), 0.7)
+            g = sl2_geodesic(np.array(v), 0.7)
             assert np.array_equal(g.as_matrix(), np.eye(2) + 0.7 * np.array(v))
             assert g.det == pytest.approx(1.0, abs=1e-15)
 
     def test_traceful_rejected(self):
         with pytest.raises(ValueError):
-            fa.sl2_geodesic(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
+            sl2_geodesic(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
 
     def test_bi_invariance(self, rng):
         # left translation by a group element preserves the metric
         for _ in range(10):
             v = rng.normal(size=(2, 2))
             v[1, 1] = -v[0, 0]
-            u = fa.sl2_geodesic("e2", rng.normal()).as_matrix()
+            u = sl2_geodesic("e2", rng.normal()).as_matrix()
             assert -np.linalg.det(u @ v) == pytest.approx(-np.linalg.det(v), abs=1e-8)
 
 
@@ -370,7 +379,7 @@ class TestOsculatingParabola:
 
 class TestCongruenceArclength:
     def test_ellipse_closed(self, ellipse):
-        val = fa.congruence_arclength(ellipse)
+        val = congruence_arclength(ellipse)
         assert val == pytest.approx(2 * np.pi, rel=1e-6)
 
     def test_ellipse_arc(self):
@@ -379,7 +388,7 @@ class TestCongruenceArclength:
         om = 1.0
         s = np.linspace(0.0, np.pi / 2, 3000)
         c = cv.CurveSamples(s, a * np.cos(s), b * np.sin(s), closed=False)
-        val = fa.congruence_arclength(c)
+        val = congruence_arclength(c)
         kappa = cv.frame_and_curvature(c).kappa
         sel = c.interior()
         ref = integrate_samples(np.sqrt(np.abs(kappa[sel])), c.h)
@@ -387,14 +396,14 @@ class TestCongruenceArclength:
 
     def test_hyperbola_arc_spacelike(self):
         c = hyperbola_samples()
-        val = fa.congruence_arclength(c)
+        val = congruence_arclength(c)
         kappa = cv.frame_and_curvature(c).kappa
         sel = c.interior()
         ref = integrate_samples(np.sqrt(np.abs(kappa[sel])), c.h)
         assert abs(val - ref) / ref < 1e-4
 
     def test_spiral_arc(self, spiral):
-        val = fa.congruence_arclength(spiral)
+        val = congruence_arclength(spiral)
         kappa = cv.frame_and_curvature(spiral).kappa
         sel = spiral.interior()
         ref = integrate_samples(np.sqrt(np.abs(kappa[sel])), spiral.h)
@@ -410,7 +419,7 @@ class TestCongruenceArclength:
         kappa = cv.frame_and_curvature(c).kappa
         assert kappa.min() < 0 < kappa.max()
         with pytest.raises(NonConvex):
-            fa.congruence_arclength(c)
+            congruence_arclength(c)
 
 
 class TestGlobalProperties:
@@ -427,12 +436,12 @@ class TestGlobalProperties:
     def test_isoperimetric_battery(self, rng, ellipse):
         # full-affine length of closed convex curves is at most 2 pi,
         # with equality only for ellipses
-        f = cv.functionals(ellipse)
+        f = functionals(ellipse)
         assert f.full_affine_length <= 2 * np.pi + 1e-6
         assert f.full_affine_length == pytest.approx(2 * np.pi, abs=1e-6)
         for _ in range(5):
             c = cv.reparametrize_equiaffine(convex_support_curve(rng), closed=True)
-            fal = cv.functionals(c).full_affine_length
+            fal = functionals(c).full_affine_length
             assert fal <= 2 * np.pi + 1e-6
             assert fal < 2 * np.pi - 1e-4  # strictly below for non-ellipses
 
@@ -442,7 +451,7 @@ class TestGlobalProperties:
         # interpolation and the invariants must match pointwise
         base = spiral
         fd0 = fa.full_affine_invariants(base)
-        f0 = cv.functionals(base, full_affine=True)
+        f0 = functionals(base, full_affine=True)
         for _ in range(4):
             M = random_invertible(rng)
             if np.linalg.det(M) < 0:
@@ -460,19 +469,19 @@ class TestGlobalProperties:
 
     def test_full_affine_invariance_through_resampling(self, rng):
         base = cv.reparametrize_equiaffine(convex_support_curve(rng), closed=True)
-        f0 = cv.functionals(base)
+        f0 = functionals(base)
         for _ in range(2):
             M = random_invertible(rng)
             if np.linalg.det(M) < 0:
                 M = np.diag([1.0, -1.0]) @ M
             pts = base.points() @ M.T + rng.uniform(-1, 1, 2)
             moved = cv.reparametrize_equiaffine(pts, closed=True, n_samples=base.n)
-            f1 = cv.functionals(moved)
+            f1 = functionals(moved)
             assert f1.full_affine_length == pytest.approx(f0.full_affine_length, abs=1e-8)
 
     def test_kappa_f_pointwise_invariance(self, rng):
         # match kappa_F(s_F) pointwise after anchoring at the maximum
-        base = cv.ellipse_samples(1.3, 0.7, 6000)
+        base = ellipse_samples(1.3, 0.7, 6000)
         fd0 = fa.full_affine_invariants(base)
         M = random_invertible(rng)
         pts = base.points() @ M.T
@@ -480,7 +489,7 @@ class TestGlobalProperties:
         fd1 = fa.full_affine_invariants(moved)
         i0 = int(np.argmax(fd0.kappa_F))
         i1 = int(np.argmax(fd1.kappa_F))
-        period_F = cv.functionals(base).full_affine_length
+        period_F = functionals(base).full_affine_length
         from scipy.interpolate import CubicSpline
 
         # periodic interpolation of the moved curvature profile

@@ -273,7 +273,7 @@ def _assert_transforms_match_numpy(n, rng):
     [
         (2 * 577, False),  # one complex transform of prime length: nothing to batch
         (4 * 577, True),
-        (3 * 1999, True),  # odd: a full-length complex transform
+        (3 * 1999, False),  # odd: closed grids are 2m x samples per period long, so none is
         (2 * 11 * 1999, True),
         (2 * 97**2, False),  # pocketfft's generic radix pass handles 97
         (2 * 257**2, True),  # the length-r transforms have the large prime too

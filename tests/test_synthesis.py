@@ -19,7 +19,9 @@ from affine_elastica.errors import (
     NotBracketed,
     SynthesisError,
 )
+from conftest import ellipse_samples
 from lame_oracle import LameSolutionParams, PathThroughZero, lame_phi1, lame_phi1_prime, lame_phi2
+from oracles import a3_nonperiodicity, analytic_kappa, length_constrained_kappa, synthesize_arcs
 
 A1_ROW = dict(m=3, n=4, Q=3.940854279, w1=1.424009578, w2=1.670043233, d=-1.540700057)
 
@@ -401,16 +403,16 @@ class TestClosureCondition:
 
     def test_a3_nonperiodicity_scan(self):
         for Q in (2.25, 3.0, 6.0, 12.0, 20.0):
-            val = sy.a3_nonperiodicity(Q)
+            val = a3_nonperiodicity(Q)
             assert abs(val) > 1e-3
 
     def test_a3_one_theta_evaluation(self, monkeypatch):
         # zeta(w2 + d) and zeta(w2) share one theta evaluation
-        sy.a3_nonperiodicity(6.0)  # the lattice is cached from here on
+        a3_nonperiodicity(6.0)  # the lattice is cached from here on
         calls = []
         bundle = el._theta1_bundle
         monkeypatch.setattr(el, "_theta1_bundle", lambda u, coef: calls.append(u) or bundle(u, coef))
-        sy.a3_nonperiodicity(6.0)
+        a3_nonperiodicity(6.0)
         assert [u.size for u in calls] == [2]
 
     def test_a3_bracket_matches_direct_quantity(self):
@@ -421,13 +423,13 @@ class TestClosureCondition:
         lat = el.half_periods(inv)
         c = sy.lame_parameter_c(inv)
         direct = sy._closure_quantity(lat, c, sy._mu(inv, c))
-        bracket = sy.a3_nonperiodicity(Q)
+        bracket = a3_nonperiodicity(Q)
         assert direct.real == pytest.approx(1.0, abs=1e-8)
         assert direct.imag == pytest.approx(bracket * 2.0 / np.pi, abs=1e-8)
 
 
 def _kappa_check(label, curve, tol=1e-4):
-    kex = sy.analytic_kappa(label, curve.s)
+    kex = analytic_kappa(label, curve.s)
     kappa = cv.frame_and_curvature(curve).kappa
     sel = curve.interior()
     assert np.max(np.abs(kappa[sel] - kex[sel])) < tol
@@ -514,7 +516,7 @@ class TestSynthesizeAllCases:
 class TestCaseSpecificForms:
     def test_a2_multi_arc_output(self):
         label = classify(el.invariants_from_qQ(0.0, 1.0), Branch.closed_branch)
-        arcs = sy.synthesize_arcs(label, n_arcs=3)
+        arcs = synthesize_arcs(label, n_arcs=3)
         assert len(arcs) == 3
         w1 = el.half_periods(el.invariants_from_qQ(0.0, 1.0)).w1
         for ell, arc in enumerate(arcs):
@@ -524,7 +526,7 @@ class TestCaseSpecificForms:
             _kappa_check(label, arc)
             # beta = gamma / sqrt(kappa) stays on one of two parallel lines,
             # alternating with the arc parity
-            kappa = sy.analytic_kappa(label, arc.s)
+            kappa = analytic_kappa(label, arc.s)
             beta_x = arc.x / np.sqrt(kappa)
             expected = (-1.0) ** ell * np.median(np.abs(beta_x))
             assert np.max(np.abs(beta_x - expected)) < 1e-8
@@ -533,7 +535,7 @@ class TestCaseSpecificForms:
         label = classify(el.invariants_from_qQ(0.0, 1.0), Branch.closed_branch)
         c = sy.synthesize(label)
         assert c.meta["sign_flip_at_poles"]
-        kex = sy.analytic_kappa(label, c.s)
+        kex = analytic_kappa(label, c.s)
         # beta = gamma / sqrt(kappa) traces a line: y/x = affine in s
         ratio = c.y / c.x
         fit = np.polyfit(c.s, ratio, 1)
@@ -618,7 +620,7 @@ class TestLengthConstrained:
         c = sy.synthesize_length_constrained(A, g3, c0=c0)
         assert "fd_window" in c.meta and c.meta["c0"] == c0
         assert cv.unimodularity_defect(c) < 1e-6
-        kex = sy.length_constrained_kappa(A, g3, c0, c.s)
+        kex = length_constrained_kappa(A, g3, c0, c.s)
         kappa = cv.frame_and_curvature(c).kappa
         sel = c.interior()
         assert np.max(np.abs(kappa[sel] - kex[sel])) < 1e-4
@@ -630,7 +632,7 @@ class TestLengthConstrained:
     def test_zero_a_reduces_to_zero_g2_family(self):
         # with A = 0 the curvature is -6 wp(s), the g2 = 0 case family
         c = sy.synthesize_length_constrained(0.0, -1.0, c0="0")
-        kex = sy.analytic_kappa(classify(el.Invariants(0.0, -1.0)), c.s)
+        kex = analytic_kappa(classify(el.Invariants(0.0, -1.0)), c.s)
         kappa = cv.frame_and_curvature(c).kappa
         sel = c.interior()
         assert np.max(np.abs(kappa[sel] - kex[sel])) < 1e-4
@@ -640,7 +642,7 @@ class TestLengthConstrained:
         with pytest.raises(DomainError, match="c0 must be '0' or 'w2'"):
             sy.synthesize_length_constrained(1.0, -0.15, c0=c0)
         with pytest.raises(DomainError, match="c0 must be '0' or 'w2'"):
-            sy.length_constrained_kappa(1.0, -0.15, c0, np.linspace(0.5, 1.0, 8))
+            length_constrained_kappa(1.0, -0.15, c0, np.linspace(0.5, 1.0, 8))
 
     def test_degenerate_g3_rejected(self):
         with pytest.raises(ValueError):
@@ -660,7 +662,7 @@ class TestEuclideanDisplay:
         assert np.ptp(r) / np.mean(r) < 1e-5
 
     def test_circle_identity(self):
-        circ = cv.ellipse_samples(1.0, 1.0, 2048)
+        circ = ellipse_samples(1.0, 1.0, 2048)
         out = sy.euclidean_display_transform(circ)
         assert np.max(np.abs(out.x - circ.x)) < 1e-12
 
