@@ -2,16 +2,19 @@
 
 Curve samples are differentiated by ``diff_samples``: filtered Fourier
 symbols for closed curves, long local least-squares stencils for open ones.
-The Fourier transforms are np.fft's, except at even lengths with a prime
-factor above ``_BATCH_PRIME`` (closed grids are 2m x samples per period
-long, so a prime sample count gives one): there ``_rfft``/``_irfft`` run the
-prime factor as one batched transform (four-step), which pocketfft would
-otherwise take by Bluestein over the whole length.  ``resample_uniform``
-moves samples at increasing nodes onto a uniform grid by one spline; it is
-the only kernel here that imports scipy, on first use.  ``carlson_rf``
-(K(m) and the Lame parameter c) and ``brent_root`` (the closure solve)
-spare the CLI any scipy import.  ``format_g17_rows`` writes the text of
-sample rows for the CSV writer.
+The open-arc filter is kept in factors, the window's least-squares
+projector and one derivative matrix per order, each of window x (degree + 1)
+elements: its centre stencils run as one FFT convolution at a 5-smooth
+length and each end as one fit.  The closed-curve transforms are np.fft's,
+except at even lengths with a prime factor above ``_BATCH_PRIME`` (closed
+grids are 2m x samples per period long, so a prime sample count gives one):
+there ``_rfft``/``_irfft`` run the prime factor as one batched transform
+(four-step), which pocketfft would otherwise take by Bluestein over the
+whole length.  ``resample_uniform`` moves samples at increasing nodes onto a
+uniform grid by one spline; it is the only kernel here that imports scipy,
+on first use.  ``carlson_rf`` (K(m) and the Lame parameter c) and
+``brent_root`` (the closure solve) spare the CLI any scipy import.
+``format_g17_rows`` writes the text of sample rows for the CSV writer.
 """
 
 from __future__ import annotations
@@ -157,31 +160,56 @@ def diff_spectral(y: np.ndarray, h: float, order: int | tuple[int, ...]):
 _SMOOTH_DEGREE = 10  # polynomial degree of the open-arc derivative filter
 
 
-@lru_cache(maxsize=512)
-def _smooth_weights(window: int, degree: int, order: int) -> np.ndarray:
-    """Local least-squares derivative weights on a Chebyshev basis.
+def _window_nodes(window: int) -> np.ndarray:
+    half = (window - 1) / 2.0
+    return (np.arange(window) - half) / half
 
-    Returns a (window, window) matrix W; row i holds the stencil that
-    estimates the order-th derivative at node i of the window from all
-    window nodes, in units of the scaled coordinate t in [-1, 1].  In closed
-    form (a Savitzky-Golay filter on a Chebyshev basis)
 
-        W = chebvander(t, degree - order) @ chebder(I, order) @ pinv(chebvander(t, degree)),
+@lru_cache(maxsize=16)
+def _fit_projector(window: int, degree: int) -> np.ndarray:
+    """P = pinv(chebvander(t, degree)), of shape (degree + 1, window).
 
-    where column k of chebder(I, order) holds the coefficients of T_k^(order).
+    P @ y holds the Chebyshev coefficients of the least-squares polynomial
+    through the window's samples y at the nodes t in [-1, 1].
+    """
+    proj = np.linalg.pinv(np.polynomial.chebyshev.chebvander(_window_nodes(window), degree))
+    proj.flags.writeable = False  # every caller shares the cached array
+    return proj
+
+
+@lru_cache(maxsize=48)
+def _fit_derivative(window: int, degree: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(D, centre): the order-th derivative of a window's fit, in units of t.
+
+    D = chebvander(t, degree - order) @ chebder(I, order), of shape
+    (window, degree + 1), takes fit coefficients to the derivative at every
+    node (column k of chebder(I, order) holds the coefficients of
+    T_k^(order)).  ``centre`` = D[half] @ P is the stencil of the middle
+    node, shifted for order >= 1 to sum to zero so that it annihilates
+    constants exactly.  The (window, window) filter D @ P (Savitzky-Golay on
+    a Chebyshev basis) is never formed.
     """
     cheb = np.polynomial.chebyshev
-    half = (window - 1) / 2.0
-    t = (np.arange(window) - half) / half
+    t = _window_nodes(window)
     dvals = cheb.chebvander(t, max(degree - order, 0)) @ cheb.chebder(np.eye(degree + 1), order)
-    # einsum, not a threaded BLAS product: from window ~350 up that product
-    # intermittently took 12-20 ms instead of 0.2 ms once scipy (and its second
-    # OpenBLAS) was loaded; the CLI no longer loads scipy, but library users may
-    rows = np.einsum("ik,kj->ij", dvals, np.linalg.pinv(cheb.chebvander(t, degree)))
+    centre = dvals[(window - 1) // 2] @ _fit_projector(window, degree)
     if order >= 1:
-        # derivatives must annihilate constants exactly, not just to rounding
-        rows -= rows.mean(axis=1, keepdims=True)
-    return rows
+        centre -= centre.mean()
+    dvals.flags.writeable = centre.flags.writeable = False
+    return dvals, centre
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
 
 def effective_window(n: int, window: int | None = None) -> int:
@@ -213,7 +241,7 @@ def trusted_interior(n: int, closed: bool, window: int | None = None) -> slice:
     return slice(skip, n - skip)
 
 
-def diff_smoothed(y: np.ndarray, h: float, order: int, window: int | None = None) -> np.ndarray:
+def diff_smoothed(y: np.ndarray, h: float, order: int | tuple[int, ...], window: int | None = None):
     """Noise-suppressing derivative for open arcs (local polynomial fit).
 
     A least-squares polynomial of degree ``_SMOOTH_DEGREE`` over ``window``
@@ -222,21 +250,41 @@ def diff_smoothed(y: np.ndarray, h: float, order: int, window: int | None = None
     window is n // 16, clamped to [41, 401] and forced odd.  Estimates
     within half a window of the ends come from off-center fits and are
     markedly less accurate; residual norms should exclude them.
+
+    ``order`` is one order or a tuple of orders, as in ``diff_spectral``.
+    The centre stencils run as one FFT convolution of y - y[n // 2] at a
+    5-smooth length >= n, which cannot wrap into the valid outputs.  Each
+    end takes one fit, P @ (y_w - y_w[half]), shared by every order.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
+    orders = (order,) if np.ndim(order) == 0 else tuple(order)
     window = effective_window(n, window)
     degree = min(_SMOOTH_DEGREE, window - 2)
     half = (window - 1) // 2
-    scale = (half * h) ** order
-    W = _smooth_weights(window, degree, order)
-    center = W[half]
-    out = np.empty(n)
-    core = np.convolve(y, center[::-1], mode="valid") / scale
-    out[half : n - half] = core
-    out[:half] = (W[:half] @ y[:window]) / scale
-    out[n - half :] = (W[half + 1 :] @ y[n - window :]) / scale
-    return out
+    fits = [_fit_derivative(window, degree, m) for m in orders]
+    scales = [(half * h) ** m for m in orders]
+
+    size = _fft_length(n)
+    ref = y[n // 2]
+    stencils = np.array([centre[::-1] / scale for (_, centre), scale in zip(fits, scales)])
+    spectra = np.fft.rfft(stencils, size)
+    spectra *= np.fft.rfft(y - ref, size)
+    core = np.fft.irfft(spectra, size)[:, window - 1 : n]
+
+    refs = y[half], y[n - 1 - half]
+    ends = np.column_stack([y[:window] - refs[0], y[n - window :] - refs[1]])
+    coef = _fit_projector(window, degree) @ ends
+    out = []
+    for m, (dvals, _), scale, mid in zip(orders, fits, scales, core):
+        d = np.empty(n)
+        d[half : n - half] = mid
+        d[:half] = dvals[:half] @ (coef[:, 0] / scale)
+        d[n - half :] = dvals[half + 1 :] @ (coef[:, 1] / scale)
+        if m == 0:  # a smoothed value keeps the constants subtracted above
+            d += np.repeat([refs[0], ref, refs[1]], [half, n - 2 * half, half])
+        out.append(d)
+    return out[0] if np.ndim(order) == 0 else tuple(out)
 
 
 def diff_samples(
@@ -248,9 +296,7 @@ def diff_samples(
     """
     if periodic:
         return diff_spectral(y, h, order)
-    if np.ndim(order) == 0:
-        return diff_smoothed(y, h, order, window=window)
-    return tuple(diff_smoothed(y, h, m, window=window) for m in order)
+    return diff_smoothed(y, h, order, window=window)
 
 
 def cumulative_uniform(vals: np.ndarray, h: float) -> np.ndarray:

@@ -31,7 +31,10 @@ _CONFIG_KEYS = {"tol", "samples", "svg_size"}
 
 def _positive(name: str, text) -> float:
     """``text`` as a float, which must be finite and positive (else DomainError naming ``name``)."""
-    val = float(text)
+    try:
+        val = float(text)
+    except ValueError:
+        val = np.nan
     if not (np.isfinite(val) and val > 0.0):
         raise DomainError(f"{name} must be finite and positive, got {text}")
     return val

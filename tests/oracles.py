@@ -6,7 +6,8 @@ the tests make: the case families' closed-form curvature, the non-periodicity
 bracket of the negative-minimum family, the A2 arcs, the canonical origin of
 a critical curve, the integral functionals, the sextactic count, the curve
 rebuilt from its full-affine curvature, the congruence arc-length, the
-SL(2) geodesics and the normal form of a case.
+SL(2) geodesics, the normal form of a case and the open-arc derivative
+filter assembled as one (window, window) matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ import numpy as np
 from affine_elastica import curvature as cv
 from affine_elastica import fullaffine as fa
 from affine_elastica import synthesis as sy
-from affine_elastica._numerics import cumulative_uniform, diff_samples, filter_window
+from affine_elastica._numerics import (
+    _fit_derivative,
+    _fit_projector,
+    cumulative_uniform,
+    diff_samples,
+    filter_window,
+)
 from affine_elastica.classifier import Branch, Case, CaseLabel, classify
 from affine_elastica.elliptic import Invariants, half_periods, invariants_from_qQ, zeta_w
 from affine_elastica.errors import DegenerateDiscriminant, DomainError, NoSuchC, NonConvex, SynthesisError
@@ -368,3 +375,34 @@ def rescale_to_normal_form(label: CaseLabel) -> tuple[float, CaseLabel]:
     branch = Branch.closed_branch if tag in _CLOSED_FAMILIES else Branch.open_branch
     normalized = classify(Invariants(g2n, g3n), branch)
     return lam, normalized
+
+
+# ---------------------------------------------------------------------------
+# open-arc derivative filter
+
+
+def smooth_weights(window: int, degree: int, order: int) -> np.ndarray:
+    """The Savitzky-Golay matrix W = D @ P that ``diff_smoothed`` applies in factors.
+
+    Row i holds the stencil of the order-th derivative at node i of the
+    window, in units of t in [-1, 1]; for order >= 1 each row is shifted to
+    sum to zero, as the package shifts its centre stencil.
+    """
+    dvals, _ = _fit_derivative(window, degree, order)
+    rows = dvals @ _fit_projector(window, degree)
+    if order >= 1:
+        rows -= rows.mean(axis=1, keepdims=True)
+    return rows
+
+
+def rounding_scale(y: np.ndarray, h: float, order: int, window: int) -> np.ndarray:
+    """Per node, |W_i| @ |y| over the node's stencil, in derivative units."""
+    n = len(y)
+    half = (window - 1) // 2
+    aw = np.abs(smooth_weights(window, 10, order))
+    ay = np.abs(y)
+    out = np.empty(n)
+    out[half : n - half] = np.convolve(ay, aw[half][::-1], mode="valid")
+    out[:half] = aw[:half] @ ay[:window]
+    out[n - half :] = aw[half + 1 :] @ ay[n - window :]
+    return out / (half * h) ** order

@@ -439,7 +439,7 @@ class TestVerify:
         code, out, _ = run(["verify", str(p), "--closed", "--suite", "el"], capsys)
         assert code == 1  # impossible tolerance: everything fails
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
     def test_tol_env_must_be_finite_and_positive(self, tol, tmp_path, capsys, monkeypatch):
         # a passing curve: nan and -1 used to fail it (exit 1), inf to pass it
         # with "tol": Infinity, which is not JSON
@@ -598,7 +598,7 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
           for (closed, period, s), reason in _BAD_JSON_FIELDS.values()),
         *(({"c.cfg": f"{key} = {val}\n"}, ["--config", "{tmp}/c.cfg", "classify", "--g2", "0", "--g3", "-1"],
            f"config line 1: {key} must be finite and positive")
-          for key in ("tol", "svg_size") for val in ("nan", "-1", "0", "inf")),
+          for key in ("tol", "svg_size") for val in ("nan", "-1", "0", "inf", "abc", "")),
         ({}, ["scan-closure", "--qmax", "inf"], "--qmax must be finite and positive"),
         ({}, ["scan-closure", "--qmin", "nan"], "--qmin must be finite and positive"),
         ({}, ["scan-closure", "--qmin", "-2", "--qmax", "2"], "--qmin must be finite and positive"),
@@ -616,7 +616,8 @@ _BAD_WINDOWS = ("2.5", "[3]", "0", "1", "true", "2", "3", "null", "99", "403", "
          "samples-0-open", "samples-1-open", "samples-0-closed", "samples-1-closed",
          "samples-negative", "samples-fraction", "samples-exponent", "samples-1-per-period",
          *(f"fd-window-{w}" for w in _BAD_WINDOWS), "meta-not-object", *_BAD_JSON_FIELDS,
-         *(f"config-{key}-{val}" for key in ("tol", "svg_size") for val in ("nan", "-1", "0", "inf")),
+         *(f"config-{key}-{val or 'empty'}" for key in ("tol", "svg_size")
+           for val in ("nan", "-1", "0", "inf", "abc", "")),
          "scan-qmax-inf", "scan-qmin-nan", "scan-qmin-negative", "scan-steps-negative", "scan-degenerate-q",
          "pairs-no-colon", "pairs-not-int", "pairs-empty"],
 )

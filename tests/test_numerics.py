@@ -1,9 +1,11 @@
 """Shared numerics: the open-arc derivative filter (exactness, constant
-annihilation, closed form), the batched real transforms against np.fft,
+annihilation, closed form, FFT centre against direct convolution, cache
+footprint), the batched real transforms against np.fft,
 Carlson's R_F against scipy.special, the Brent solver against
 scipy.optimize.brentq and the "%.17g" row writer against "%" itself."""
 
 import cmath
+import gc
 import math
 from math import gcd
 
@@ -16,13 +18,16 @@ from numpy.polynomial import chebyshev as C
 from scipy.optimize import brentq
 from scipy.special import ellipk, elliprf
 
+from affine_elastica import _numerics as nm
 from affine_elastica import elliptic as el
 from affine_elastica import synthesis as sy
 from affine_elastica._numerics import (
     _batch_plan,
+    _fft_length,
+    _fit_derivative,
+    _fit_projector,
     _irfft,
     _rfft,
-    _smooth_weights,
     brent_root,
     carlson_rf,
     diff_samples,
@@ -31,6 +36,7 @@ from affine_elastica._numerics import (
     format_g17_rows,
 )
 from affine_elastica.errors import NoSuchC
+from oracles import rounding_scale, smooth_weights
 
 EPS = np.finfo(float).eps
 
@@ -49,39 +55,102 @@ def _per_node_weights(window, degree, order):
     return rows
 
 
-def _rounding_scale(y, h, order, window):
-    """Per node, |W_i| @ |y| over the node's stencil, in derivative units."""
-    n = len(y)
-    half = (window - 1) // 2
-    aw = np.abs(_smooth_weights(window, 10, order))
-    ay = np.abs(y)
-    out = np.empty(n)
-    out[half : n - half] = np.convolve(ay, aw[half][::-1], mode="valid")
-    out[:half] = aw[:half] @ ay[:window]
-    out[n - half :] = aw[half + 1 :] @ ay[n - window :]
-    return out / (half * h) ** order
+def _assert_within_rounding(got, want, y, h, order, window, nodes=slice(None)):
+    bound = 128 * EPS * (rounding_scale(y, h, order, window) + np.abs(want))[nodes]
+    assert np.all(np.abs(got - want)[nodes] <= bound)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
 @pytest.mark.parametrize("window", [41, 101, 201, 401])
 def test_polynomials_differentiated_to_rounding(window, order, rng):
-    """Degree <= 10 is inside the fit, so every node, edges included, is exact."""
+    """Degree <= 10 is inside the fit, so every node, edges included, is exact
+    (order 0 smooths, and must give the constants subtracted for the fit back)."""
     n = window + 60
     x = np.linspace(-1.0, 1.0, n)
     for _ in range(4):
         p = Polynomial(rng.uniform(-1.0, 1.0, rng.integers(1, 12)))
         y = p(x)
-        want = p.deriv(order)(x)
         got = diff_smoothed(y, x[1] - x[0], order, window=window)
-        bound = 128 * EPS * (_rounding_scale(y, x[1] - x[0], order, window) + np.abs(want))
-        assert np.all(np.abs(got - want) <= bound)
+        _assert_within_rounding(got, p.deriv(order)(x), y, x[1] - x[0], order, window)
+
+
+@pytest.mark.parametrize("window", [101, 219, 401])
+def test_offset_polynomial_differentiated_to_rounding(window, rng):
+    """An offset of 1e6 leaves every order of a degree <= 10 polynomial exact."""
+    x = np.linspace(-1.0, 1.0, 3517)
+    h = x[1] - x[0]
+    p = Polynomial(rng.uniform(-1.0, 1.0, 11))
+    y = p(x) + 1e6
+    for order, got in zip((1, 2, 3), diff_smoothed(y, h, (1, 2, 3), window=window)):
+        _assert_within_rounding(got, p.deriv(order)(x), y, h, order, window)
+
+
+@pytest.mark.parametrize("n", [3517, 6007, 3000, 6000])  # two primes, two 5-smooth lengths
+@pytest.mark.parametrize("window", [101, 219, 401])
+def test_fft_centre_matches_direct_convolution(n, window, rng):
+    x = np.linspace(0.0, 3.0, n)
+    h = x[1] - x[0]
+    y = np.exp(np.sin(2.0 * x)) + x**2 + 1e-9 * rng.standard_normal(n)
+    half = (window - 1) // 2
+    inner = slice(half, n - half)
+    for order, got in zip((1, 2, 3), diff_smoothed(y, h, (1, 2, 3), window=window)):
+        centre = _fit_derivative(window, 10, order)[1]
+        want = np.zeros(n)
+        want[inner] = np.convolve(y, centre[::-1], mode="valid") / (half * h) ** order
+        _assert_within_rounding(got, want, y, h, order, window, inner)
+
+
+@pytest.mark.parametrize("n,window", [(5, None), (461, 401), (3517, 101), (6000, 219)])
+def test_constants_give_exact_zeros(n, window):
+    for value in (0.3, -7.1e5):
+        for d in diff_smoothed(np.full(n, value), 0.01, (1, 2, 3), window=window):
+            assert np.all(d == 0.0)
+
+
+def test_fft_length_is_the_next_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 3000):
+        assert _fft_length(n) == next(m for m in range(n, 2 * n + 1) if smooth(m))
+
+
+def _cached_arrays(fn):
+    """The arrays held by an lru_cache'd function's entries (CPython's cache traverses them)."""
+    found, todo = [], gc.get_referents(fn)
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, tuple):
+            todo.extend(obj)
+    return found
+
+
+def test_filter_caches_hold_no_window_square_arrays():
+    caches = [f for f in vars(nm).values() if callable(getattr(f, "cache_clear", None))]
+    for f in caches:
+        f.cache_clear()
+    y = np.sin(np.linspace(0.0, 3.0, 3517))
+    windows = range(101, 402, 50)
+    for window in windows:
+        diff_smoothed(y, 0.001, (1, 2, 3), window=window)
+    held = [a for f in caches for a in _cached_arrays(f)]
+    assert len(held) >= 4 * len(windows)  # a projector and three derivatives per window at least
+    assert max(a.size for a in held) < 101**2
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("window", [41, 101, 401])
 def test_derivative_rows_sum_to_zero(window, order):
-    W = _smooth_weights(window, 10, order)
-    assert np.all(np.abs(W.sum(axis=1)) <= 4 * EPS * np.abs(W).sum(axis=1))
+    """The centre stencil is shifted to sum to zero; the edges fit y - y[half],
+    and no edge row reads the fit's constant term."""
+    dvals, centre = _fit_derivative(window, 10, order)
+    assert abs(centre.sum()) <= 4 * EPS * np.abs(centre).sum()
+    assert np.all(dvals[:, 0] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -90,16 +159,19 @@ def test_derivative_rows_sum_to_zero(window, order):
 )
 def test_closed_form_matches_per_node_construction(window, degree, order):
     want = _per_node_weights(window, degree, order)
-    got = _smooth_weights.__wrapped__(window, degree, order)
+    got = smooth_weights(window, degree, order)
     assert got.shape == (window, window)
     assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+    centre = _fit_derivative.__wrapped__(window, degree, order)[1]
+    assert np.max(np.abs(centre - want[(window - 1) // 2])) <= 2e-15 * np.max(np.abs(want))
 
 
 def test_cold_build_evaluates_no_polynomial(monkeypatch):
     calls = []
     chebval = C.chebval
     monkeypatch.setattr(C, "chebval", lambda *a, **k: calls.append(1) or chebval(*a, **k))
-    _smooth_weights.__wrapped__(201, 10, 3)
+    _fit_projector.__wrapped__(201, 10)
+    _fit_derivative.__wrapped__(201, 10, 3)
     assert calls == []
 
 
