@@ -258,11 +258,9 @@ def _unimodularity(curve, probes, tol):
 
 
 def _sqrt_el_residual(curve, probes, tol):
-    # the absolute rms scales as lambda^-3 under s -> lambda s, as does
-    # max(rms(kappa^2), L^-4)^(3/4), the scale of the relative one
-    res = [fa.el_residual_sqrt(p) for p in probes]
-    relative = min(r / cv._kappa2_scale(p) ** 0.75 for r, p in zip(res, probes))
-    return {"sqrt_el_residual": {"value": min(res), "relative": relative, "pass": relative < tol}}
+    # the rms of kappa_F's fit: kappa_F is dimensionless, so it is unit-free
+    best = min(fa.el_residual_sqrt(p) for p in probes)
+    return {"sqrt_el_residual": {"value": best, "pass": best < tol}}
 
 
 def _closure_gap(curve, probes, tol):
@@ -275,13 +273,20 @@ def _closure_gap(curve, probes, tol):
     return {"closure_gap_rel": {"value": ratio, "pass": ratio < 1.5}}
 
 
+#: the full-affine functionals, in the order of the fits that _full_affine makes
+_FULL_AFFINE_FUNCTIONALS = ("free", "area", "length", "total_curvature")
+
+
 def _full_affine(curve, probes, tol):
-    fdat = fa.full_affine_invariants(curve)
-    if not curve.closed:
-        return {}
-    # d s_F = sqrt(kappa) ds, and over one period the periodic trapezoid is spectrally accurate
-    total = float(curve.h * np.sum(fdat.kappa_F * np.sqrt(cv.frame_and_curvature(curve).kappa)))
-    return {"total_full_affine_curvature": {"value": total, "pass": abs(total) < max(tol, 1e-4)}}
+    # per functional, the smallest rms over the probes of kappa_F's fit:
+    # A x + B y + C when free, plus Q R under each constraint
+    def fits(p):
+        r = fa.constrained_sqrt_residuals(p)
+        return fa.el_residual_sqrt(p), r.area_residual, r.length_residual, r.total_curv_residual
+
+    rms = np.min([fits(p) for p in probes], axis=0)
+    critical_for = [name for name, r in zip(_FULL_AFFINE_FUNCTIONALS, rms) if r < tol]
+    return {"full_affine": {"value": float(rms.min()), "critical_for": critical_for, "pass": bool(critical_for)}}
 
 
 #: the checks in report order: name, the suites that run it, the suites where
@@ -291,7 +296,7 @@ def _full_affine(curve, probes, tol):
 _CHECKS = (
     ("el_residual", ("el", "all"), ("el", "all"), _el_residual),
     ("unimodularity", ("el", "all"), ("el", "all"), _unimodularity),
-    ("sqrt_el_residual", ("sqrt", "fullaffine", "all"), ("sqrt", "all"), _sqrt_el_residual),
+    ("sqrt_el_residual", ("sqrt", "all"), ("sqrt", "all"), _sqrt_el_residual),
     ("closure_gap_rel", ("closure", "all"), ("closure",), _closure_gap),
     ("full_affine", ("fullaffine", "all"), ("fullaffine", "all"), _full_affine),
 )
@@ -450,13 +455,12 @@ def _emit(curve, args, cfg) -> int:
         L, tr = fa.osculating_parabola(curve, i)
         t = np.linspace(-1.5, 1.5, 200)
         std = np.column_stack([t, t * t / 2.0])
-        overlays.append((std @ L.as_matrix().T + tr, "parabola"))
+        overlays.append((std @ L.T + tr, "parabola"))
         overlays.append((_conic_points(fa.osculating_conic(curve, i), curve, i), "conic"))
         # Frenet frame ticks: short segments along the tangent and normal
-        M = L.as_matrix()
         span = 0.15 * max(np.ptp(curve.x), np.ptp(curve.y))
         for col in (0, 1):
-            v = M[:, col] / np.linalg.norm(M[:, col])
+            v = L[:, col] / np.linalg.norm(L[:, col])
             overlays.append((np.array([tr, tr + span * v]), "frame"))
     if getattr(args, "congruence_json", None):
         path = fa.congruence_path(curve)

@@ -2,7 +2,10 @@
 
 The full-affine arc-length element is sqrt(kappa) ds and the full-affine
 curvature is kappa' / (2 kappa^(3/2)); both are invariant under all
-invertible linear maps plus translations.  A curve's pointed osculating
+invertible linear maps plus translations.  A curve is critical for the
+full-affine length iff kappa_F = A x + B y + C, and for its constrained
+forms iff kappa_F = A x + B y + C + Q R: ``el_residual_sqrt`` and
+``constrained_sqrt_residuals`` fit these.  A curve's pointed osculating
 parabolas trace a path in the equi-affine group (``congruence_path``) whose
 SL(2) part carries the bi-invariant metric g(v, v) = -det(v) of Lorentzian
 signature; the pseudo-arc-length of that path reproduces the full-affine
@@ -16,33 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import (
-    cumulative_uniform,
-    diff_samples,
-    resample_uniform,
-    trusted_interior,
-)
+from ._numerics import cumulative_uniform
 from .curvature import CurveSamples, _derivs, _kappa_derivs, _lstsq_fit, frame_and_curvature, support_function
 from .errors import NonConvex
 
 __all__ = [
     "FullAffineData",
-    "SL2Point",
     "PointedParabolaPath",
-    "LinearPositionCertificate",
     "ConstrainedSqrtResiduals",
     "full_affine_invariants",
     "el_residual_sqrt",
-    "linear_position_certificate",
-    "el_residual_full_affine_form",
     "constrained_sqrt_residuals",
     "osculating_parabola",
     "congruence_path",
     "osculating_conic",
 ]
-
-
-_W_RTOL = 1e-4  # relative size of kappa_F's variation below which a curve is a W-curve
 
 
 @dataclass
@@ -59,23 +50,6 @@ class FullAffineData:
     period: float | None = None
 
 
-@dataclass(frozen=True)
-class SL2Point:
-    """Element of SL(2): [[a, b], [c, d]] with unit determinant."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-
 @dataclass
 class PointedParabolaPath:
     """Osculating parabolic congruence: SL(2) parts plus special points."""
@@ -90,17 +64,6 @@ class PointedParabolaPath:
             "mats": [[[float(x) for x in row] for row in m] for m in self.mats],
             "translations": [[float(x) for x in p] for p in self.translations],
         }
-
-
-@dataclass
-class LinearPositionCertificate:
-    """Least-squares certificate kappa_F ~ A x + B y + C."""
-
-    is_w_curve: bool
-    A: float
-    B: float
-    C: float
-    fit_residual: float
 
 
 @dataclass
@@ -139,59 +102,18 @@ def full_affine_invariants(c: CurveSamples) -> FullAffineData:
 
 
 def el_residual_sqrt(c: CurveSamples) -> float:
-    """RMS of (kappa_F)''' + kappa (kappa_F)'; zero iff critical for full-affine length.
+    """RMS misfit of kappa_F ~ A x + B y + C on the trusted interior; zero iff
+    the curve is critical for the full-affine length.
 
-    Raises NonConvex unless kappa > 0 on every node: the filter reads an open arc's ends too.
-    """
-    kappa, kF = _convex_kappa_F(c, slice(None))
-    win = c.meta.get("fd_window")
-    kF1, kF3 = diff_samples(kF, c.h, (1, 3), periodic=c.closed, window=win)
-    res = kF3 + kappa * kF1
-    return float(np.sqrt(np.mean(res[c.interior()] ** 2)))
-
-
-def linear_position_certificate(c: CurveSamples) -> LinearPositionCertificate:
-    """Fit kappa_F against an affine function of position.
-
-    A critical curve of the full-affine length either has constant
-    full-affine curvature (W-curve branch) or kappa_F is a non-zero linear
-    function of position for a suitable origin.  The W-curve verdict holds
-    when the spread of kappa_F, or else the fitted A and B, are below
-    ``_W_RTOL`` of its scale.
+    The Euler-Lagrange equation (kappa_F)''' + kappa (kappa_F)' = 0 integrates
+    once exactly: gamma''' = -kappa gamma' makes 1, x and y a basis of its
+    solutions.  kappa_F is dimensionless, so the rms does not depend on the
+    units of the input.  Raises NonConvex unless kappa > 0 on the trusted
+    interior, the only nodes where kappa_F is taken.
     """
     sel = c.interior()
     _, kF = _convex_kappa_F(c, sel)
-    spread = float(np.std(kF[sel]))
-    scale = max(float(np.max(np.abs(kF[sel]))), 1e-300)
-    if spread < _W_RTOL * max(scale, 1.0):
-        return LinearPositionCertificate(True, 0.0, 0.0, float(np.mean(kF[sel])), spread)
-    coef, rms, _ = _lstsq_fit(kF, [c.x, c.y, np.ones_like(c.x)], sel)
-    A, B, C = (float(v) for v in coef)
-    is_w = abs(A) < _W_RTOL * scale and abs(B) < _W_RTOL * scale
-    return LinearPositionCertificate(is_w, A, B, C, rms)
-
-
-def el_residual_full_affine_form(fd: FullAffineData, window: int | None = None) -> float:
-    """RMS residual of the criticality equation written in full-affine data.
-
-    The equation is d3k/dsF3 + 3 k d2k/dsF2 + (dk/dsF)^2 + (2 k^2 + 1)
-    dk/dsF = 0 with k = kappa_F and derivatives taken with respect to the
-    full-affine arc-length.  A non-uniform s_F grid is first resampled to
-    as many uniform nodes by ``resample_uniform``: over [s_F[0], s_F[-1]],
-    or periodically over one period when closed.
-    """
-    sF = np.asarray(fd.s_F, float)
-    kF = np.asarray(fd.kappa_F, float)
-    hs = np.diff(sF)
-    if not np.allclose(hs, hs[0], rtol=1e-9, atol=1e-12 * max(abs(hs[0]), 1e-300)):
-        if fd.closed and fd.period is None:
-            raise ValueError("a closed non-uniform s_F grid needs its period")
-        nodes = np.append(sF, sF[0] + fd.period) if fd.closed else sF
-        sF, kF = resample_uniform(nodes, kF, len(kF), periodic=fd.closed)
-    d1, d2, d3 = diff_samples(kF, float(sF[1] - sF[0]), (1, 2, 3), periodic=fd.closed, window=window)
-    res = d3 + 3.0 * kF * d2 + d1**2 + (2.0 * kF**2 + 1.0) * d1
-    sel = trusted_interior(len(kF), fd.closed, window)
-    return float(np.sqrt(np.mean(res[sel] ** 2)))
+    return _lstsq_fit(kF, [c.x, c.y, np.ones_like(c.x)], sel)[1]
 
 
 def constrained_sqrt_residuals(c: CurveSamples) -> ConstrainedSqrtResiduals:
@@ -220,7 +142,7 @@ def constrained_sqrt_residuals(c: CurveSamples) -> ConstrainedSqrtResiduals:
     return ConstrainedSqrtResiduals(*out)
 
 
-def osculating_parabola(c: CurveSamples, i: int) -> tuple[SL2Point, np.ndarray]:
+def osculating_parabola(c: CurveSamples, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Equi-affine map sending the standard pointed parabola to the osculating one.
 
     The standard pointed parabola is t -> (t, t^2 / 2) with special point
@@ -228,8 +150,7 @@ def osculating_parabola(c: CurveSamples, i: int) -> tuple[SL2Point, np.ndarray]:
     determinant), the translation is gamma(s_i).
     """
     fr = frame_and_curvature(c)
-    L = np.column_stack([fr.T[i], fr.N[i]])
-    return SL2Point(L[0, 0], L[0, 1], L[1, 0], L[1, 1]), np.array([c.x[i], c.y[i]])
+    return np.column_stack([fr.T[i], fr.N[i]]), np.array([c.x[i], c.y[i]])
 
 
 def congruence_path(c: CurveSamples) -> PointedParabolaPath:

@@ -7,15 +7,14 @@ from affine_elastica import _numerics
 from affine_elastica import curvature as cv
 
 
-def convex_support_curve(rng, n=6000, n_modes=4, amp=0.06):
-    """Random smooth strictly convex closed curve via a Euclidean support function."""
+def support_curve_points(modes, n=6000):
+    """Closed curve whose Euclidean support function is 1 + sum a cos(k t) + b sin(k t)
+    over the (k, a, b) of ``modes``, at n uniform normal angles t."""
     th = np.linspace(0, 2 * np.pi, n, endpoint=False)
     h = np.ones_like(th)
     hp = np.zeros_like(th)
     hpp = np.zeros_like(th)
-    for k in range(2, 2 + n_modes):
-        a = amp * rng.uniform(-1, 1) / k**2
-        b = amp * rng.uniform(-1, 1) / k**2
+    for k, a, b in modes:
         h += a * np.cos(k * th) + b * np.sin(k * th)
         hp += -a * k * np.sin(k * th) + b * k * np.cos(k * th)
         hpp += -a * k * k * np.cos(k * th) - b * k * k * np.sin(k * th)
@@ -23,6 +22,12 @@ def convex_support_curve(rng, n=6000, n_modes=4, amp=0.06):
     x = h * np.cos(th) - hp * np.sin(th)
     y = h * np.sin(th) + hp * np.cos(th)
     return np.column_stack([x, y])
+
+
+def convex_support_curve(rng, n=6000, n_modes=4, amp=0.06):
+    """Random smooth strictly convex closed curve via a Euclidean support function."""
+    modes = [(k, amp * rng.uniform(-1, 1) / k**2, amp * rng.uniform(-1, 1) / k**2) for k in range(2, 2 + n_modes)]
+    return support_curve_points(modes, n)
 
 
 def ellipse_samples(a: float, b: float, n: int = 4096) -> cv.CurveSamples:
@@ -47,6 +52,11 @@ def hyperbola_samples(s_lo=-2.0, s_hi=2.0, n=6000):
     a = 2.0 ** (-1.0 / 3.0)
     s = np.linspace(s_lo, s_hi, n)
     return cv.CurveSamples(s, np.exp(a * s), np.exp(-a * s), closed=False)
+
+
+def tanh_kappa_F(sF):
+    """(3/sqrt2) tanh(sqrt2 s_F): the full-affine curvature of a critical curve."""
+    return (3.0 / np.sqrt(2.0)) * np.tanh(np.sqrt(2.0) * sF)
 
 
 def scaled_curve(c, lam: float):

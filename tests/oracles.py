@@ -5,9 +5,10 @@ No command or library path needs these; each is the reference for a claim
 the tests make: the case families' closed-form curvature, the non-periodicity
 bracket of the negative-minimum family, the A2 arcs, the canonical origin of
 a critical curve, the integral functionals, the sextactic count, the curve
-rebuilt from its full-affine curvature, the congruence arc-length, the
-SL(2) geodesics, the normal form of a case and the open-arc derivative
-filter assembled as one (window, window) matrix.
+rebuilt from its full-affine curvature, the two differential forms of the
+full-affine Euler-Lagrange equation, the congruence arc-length, the SL(2)
+geodesics, the normal form of a case and the open-arc derivative filter
+assembled as one (window, window) matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from affine_elastica._numerics import (
     cumulative_uniform,
     diff_samples,
     filter_window,
+    resample_uniform,
+    trusted_interior,
 )
 from affine_elastica.classifier import Branch, Case, CaseLabel, classify
 from affine_elastica.elliptic import Invariants, half_periods, invariants_from_qQ, zeta_w
@@ -272,6 +275,44 @@ def curve_from_full_affine_curvature(
     return cs
 
 
+def el_residual_sqrt_differential(c: cv.CurveSamples) -> float:
+    """RMS of (kappa_F)''' + kappa (kappa_F)' on the trusted interior.
+
+    The differential form of the equation whose exact first integral
+    ``fa.el_residual_sqrt`` fits; kappa_F''' is four filtered derivative
+    orders deep.  Raises NonConvex unless kappa > 0 on every node, since the
+    filter reads an open arc's ends too.
+    """
+    kappa, kF = fa._convex_kappa_F(c, slice(None))
+    win = c.meta.get("fd_window")
+    kF1, kF3 = diff_samples(kF, c.h, (1, 3), periodic=c.closed, window=win)
+    res = kF3 + kappa * kF1
+    return float(np.sqrt(np.mean(res[c.interior()] ** 2)))
+
+
+def el_residual_full_affine_form(fd: fa.FullAffineData, window: int | None = None) -> float:
+    """RMS residual of the criticality equation written in full-affine data.
+
+    The equation is d3k/dsF3 + 3 k d2k/dsF2 + (dk/dsF)^2 + (2 k^2 + 1)
+    dk/dsF = 0 with k = kappa_F and derivatives taken with respect to the
+    full-affine arc-length.  A non-uniform s_F grid is first resampled to
+    as many uniform nodes by ``resample_uniform``: over [s_F[0], s_F[-1]],
+    or periodically over one period when closed.
+    """
+    sF = np.asarray(fd.s_F, float)
+    kF = np.asarray(fd.kappa_F, float)
+    hs = np.diff(sF)
+    if not np.allclose(hs, hs[0], rtol=1e-9, atol=1e-12 * max(abs(hs[0]), 1e-300)):
+        if fd.closed and fd.period is None:
+            raise ValueError("a closed non-uniform s_F grid needs its period")
+        nodes = np.append(sF, sF[0] + fd.period) if fd.closed else sF
+        sF, kF = resample_uniform(nodes, kF, len(kF), periodic=fd.closed)
+    d1, d2, d3 = diff_samples(kF, float(sF[1] - sF[0]), (1, 2, 3), periodic=fd.closed, window=window)
+    res = d3 + 3.0 * kF * d2 + d1**2 + (2.0 * kF**2 + 1.0) * d1
+    sel = trusted_interior(len(kF), fd.closed, window)
+    return float(np.sqrt(np.mean(res[sel] ** 2)))
+
+
 def congruence_arclength(c: cv.CurveSamples) -> float:
     """Pseudo-Riemannian length of the SL(2) part of the parabola congruence.
 
@@ -305,7 +346,7 @@ _SL2_DIRS = {
 }
 
 
-def sl2_geodesic(v, t: float) -> fa.SL2Point:
+def sl2_geodesic(v, t: float) -> np.ndarray:
     """Geodesic exp(t v) of the -det metric from the identity.
 
     ``v`` is "e1", "e2", "e3" or any traceless 2x2 array.  The closed-form
@@ -321,13 +362,11 @@ def sl2_geodesic(v, t: float) -> fa.SL2Point:
     D = float(np.linalg.det(v))
     if D < 0:
         th = np.sqrt(-D)
-        M = np.cosh(th * t) * np.eye(2) + np.sinh(th * t) / th * v
-    elif D > 0:
+        return np.cosh(th * t) * np.eye(2) + np.sinh(th * t) / th * v
+    if D > 0:
         th = np.sqrt(D)
-        M = np.cos(th * t) * np.eye(2) + (np.sin(th * t) / th if th else t) * v
-    else:
-        M = np.eye(2) + t * v
-    return fa.SL2Point(M[0, 0], M[0, 1], M[1, 0], M[1, 1])
+        return np.cos(th * t) * np.eye(2) + (np.sin(th * t) / th if th else t) * v
+    return np.eye(2) + t * v
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,7 @@ _NO_CALLER_YET = {
     "sigma_w": 6,
     "log_sigma_w": 6,
     "el_residual_general": 6,
-    # item 11: the full-affine verdicts may call these
-    "linear_position_certificate": 11,
-    "constrained_sqrt_residuals": 11,
-    "el_residual_full_affine_form": 11,
+    "full_affine_invariants": 6,
 }
 
 
