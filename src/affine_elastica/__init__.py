@@ -2,11 +2,11 @@
 
 Subpackages:
 
-- ``elliptic``   Weierstrass kernel (wp, wp', zeta, sigma, half-periods)
+- ``elliptic``   Weierstrass kernel (weierstrass, wp, zeta_w, half-periods)
 - ``curvature``  equi-affine geometry of sampled curves and residuals
 - ``classifier`` case taxonomy of the phase-plane cubic
 - ``synthesis``  curve construction for every case, closure solving
-- ``fullaffine`` full-affine invariants, SL(2) congruence machinery
+- ``fullaffine`` full-affine criticality fits, SL(2) congruence machinery
 - ``cli``        command-line interface
 """
 

@@ -158,6 +158,8 @@ def diff_spectral(y: np.ndarray, h: float, order: int | tuple[int, ...]):
 
 
 _SMOOTH_DEGREE = 10  # polynomial degree of the open-arc derivative filter
+#: the windows that filter_window writes; the upper one also caps effective_window
+FILTER_WINDOW_BOUNDS = (101, 401)
 
 
 def _window_nodes(window: int) -> np.ndarray:
@@ -216,18 +218,18 @@ def effective_window(n: int, window: int | None = None) -> int:
     """Smoothing-stencil length used by diff_smoothed for n samples."""
     if window is None:
         window = max(41, n // 16)
-    window = min(window, 401, n if n % 2 else n - 1)
+    window = min(window, FILTER_WINDOW_BOUNDS[1], n if n % 2 else n - 1)
     if window % 2 == 0:
         window += 1
     return window
 
 
 def filter_window(rho: float, h: float) -> int:
-    """Odd smoothing window of 0.2 rho / h nodes, clipped to [101, 401].
+    """Odd smoothing window of 0.2 rho / h nodes, clipped to ``FILTER_WINDOW_BOUNDS``.
 
     rho is the distance to the nearest singularity; the bias grows like (window / rho)^(degree+1).
     """
-    win = int(np.clip(0.2 * rho / h, 101, 401))
+    win = int(np.clip(0.2 * rho / h, *FILTER_WINDOW_BOUNDS))
     return win if win % 2 else win + 1
 
 

@@ -86,13 +86,13 @@ def curve_svg(c: cv.CurveSamples, size: float = 720.0, overlays: list | None = N
     """Deterministic standalone SVG of the curve with optional overlays.
 
     Overlays are (points, class) pairs; stroke classes: curve solid,
-    parabola dashed, conic dotted, frame plain thin.
+    parabola dashed, conic dotted, frame plain thin.  The view is fitted to
+    the curve alone, with a 5 % margin, so overlays do not move the curve's
+    polyline; the viewBox clips what they draw past the margin.
     """
     pts = c.points()
-    all_pts = [pts] + [p for p, _ in (overlays or [])]
-    stack = np.vstack(all_pts)
-    lo = stack.min(axis=0)
-    hi = stack.max(axis=0)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
     span = max(float(np.max(hi - lo)), 1e-12)
     margin = 0.05 * span
     lo -= margin

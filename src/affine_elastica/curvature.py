@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._numerics import (
+    FILTER_WINDOW_BOUNDS,
     cumulative_uniform,
     diff_samples,
     format_g17_rows,
@@ -33,9 +34,9 @@ __all__ = [
     "SupportData",
     "ELFit",
     "reparametrize_equiaffine",
+    "unimodularity_defect",
     "frame_and_curvature",
     "support_function",
-    "el_residual_general",
     "el_residual_area_constrained",
     "el_residual_area_and_length",
     "curve_to_csv",
@@ -233,14 +234,14 @@ def reparametrize_equiaffine(
     return out
 
 
-def support_function(c: CurveSamples, origin=(0.0, 0.0)) -> SupportData:
-    """Support decomposition P = -rho N + phi T relative to ``origin``.
+def support_function(c: CurveSamples) -> SupportData:
+    """Support decomposition P = -rho N + phi T of the position P relative to the origin.
 
     Sign conventions: rho = |P, T| and phi = |P, N|; only rho enters any
     residual used elsewhere.
     """
     fr = frame_and_curvature(c)
-    P = c.points() - np.asarray(origin, dtype=float)
+    P = c.points()
     rho = P[:, 0] * fr.T[:, 1] - P[:, 1] * fr.T[:, 0]
     phi = P[:, 0] * fr.N[:, 1] - P[:, 1] * fr.N[:, 0]
     return SupportData(rho=rho, phi=phi)
@@ -256,35 +257,6 @@ def _lstsq_fit(target: np.ndarray, columns: list[np.ndarray], sel: slice):
         len(svals) == len(columns) and svals[-1] < 1e-10 * max(svals[0], 1e-300)
     )
     return coef, rms, under
-
-
-def el_residual_general(c: CurveSamples, F, dF=None, d2F=None, d3F=None):
-    """Criticality residual for the functional integral of F(kappa) ds.
-
-    Computes G = F'''(kappa) kappa'^2 + F''(kappa) kappa'' + 4 F'(kappa) kappa
-    - 2 F(kappa) and fits G ~ A x' + B y'.  Returns (A, B, rms residual);
-    the residual vanishes exactly on critical curves.
-
-    Each derivative of F not given is a central difference of F.
-    """
-    kappa, k1, k2 = _kappa_derivs(c)
-    step = 1e-4 * max(1.0, float(np.max(np.abs(kappa))))
-
-    def _num(fun, k, m):
-        if m == 1:
-            return (fun(k + step) - fun(k - step)) / (2 * step)
-        if m == 2:
-            return (fun(k + step) - 2 * fun(k) + fun(k - step)) / step**2
-        return (
-            fun(k + 2 * step) - 2 * fun(k + step) + 2 * fun(k - step) - fun(k - 2 * step)
-        ) / (2 * step**3)
-
-    dFv, d2Fv, d3Fv = (_num(F, kappa, m) if fn is None else fn(kappa)
-                       for m, fn in ((1, dF), (2, d2F), (3, d3F)))
-    G = d3Fv * k1**2 + d2Fv * k2 + 4.0 * dFv * kappa - 2.0 * F(kappa)
-    d = _derivs(c)
-    coef, rms, _ = _lstsq_fit(G, [d[1][:, 0], d[1][:, 1]], c.interior())
-    return float(coef[0]), float(coef[1]), rms
 
 
 def _kappa2_scale(c: CurveSamples) -> float:
@@ -377,9 +349,10 @@ def curve_from_json(path) -> CurveSamples:
     meta = payload.get("meta", {})
     if not isinstance(meta, dict):
         raise ValueError("expected meta to be a JSON object")
-    win = meta.get("fd_window", 101)
-    if type(win) is not int or not 101 <= win <= 401 or win % 2 == 0:  # what filter_window writes
-        raise ValueError(f"meta.fd_window must be an odd integer in [101, 401], got {win!r}")
+    lo, hi = FILTER_WINDOW_BOUNDS  # what filter_window writes
+    win = meta.get("fd_window", lo)
+    if type(win) is not int or not lo <= win <= hi or win % 2 == 0:
+        raise ValueError(f"meta.fd_window must be an odd integer in [{lo}, {hi}], got {win!r}")
     closed, period = payload["closed"], payload["period"]
     if type(closed) is not bool:
         raise ValueError(f"closed must be true or false, got {closed!r}")

@@ -2,8 +2,8 @@
 
 Strategy: pick a half-period frame (W1, W3) for the period lattice such that
 the nome q = exp(i*pi*W3/W1) satisfies |q| <= exp(-pi/2), reduce arguments to
-the fundamental cell, and evaluate wp, wp', zeta and sigma through the first
-Jacobi theta function and its first three derivatives.  Half-periods come
+the fundamental cell, and evaluate wp, wp', zeta and log sigma through the
+first Jacobi theta function and its first three derivatives.  Half-periods come
 from the cubic roots of 4t^3 - g2 t - g3 and the complete elliptic integral
 K(m) = R_F(0, 1 - m, 1) (DLMF 19.25(i)), from the in-package Carlson R_F.
 Everything is double precision; lattices with vanishing discriminant are
@@ -13,8 +13,8 @@ After reduction |Im u| <= pi Im(tau)/2, so term n of the theta series and
 of its first three derivatives is at most (2n+1)^3 |q|^(n^2 - 1/4).  The
 series stops after 7 terms (``_THETA_TERMS``): the first dropped one, n = 7,
 is below 1e-29.  ``weierstrass`` returns (wp, wp', zeta, log sigma) from one
-theta evaluation per argument; the single-function kernels compute the
-same values from the same evaluation.
+theta evaluation per argument; ``wp`` and ``zeta_w`` compute the same
+values from the same evaluation.
 
 A theta evaluation takes e^(iu) once and gets every e^(+-i(2n+1)u) from it
 by the rotation recurrence, multiplying by e^(+-2iu); no sin or cos is
@@ -62,10 +62,7 @@ __all__ = [
     "half_periods",
     "weierstrass",
     "wp",
-    "wp_prime",
     "zeta_w",
-    "sigma_w",
-    "log_sigma_w",
     "invariants_from_qQ",
     "invariants_from_Ptau",
     "cubic_roots",
@@ -470,8 +467,8 @@ def _evaluate(formula, z, inv: Invariants, what: str | None):
 
 
 def weierstrass(z, inv: Invariants):
-    """(wp, wp', zeta, log sigma) at z from one theta evaluation; each equals its
-    single-function kernel exactly, and a scalar z gives Python complexes."""
+    """(wp, wp', zeta, log sigma) at z from one theta evaluation; wp and zeta
+    equal ``wp`` and ``zeta_w`` exactly, and a scalar z gives Python complexes."""
     st, scalar = _theta_state(z, _frame(inv), "weierstrass")
     vals = tuple(f(*st) for f in (_wp, _wp_prime, _zeta, _log_sigma))
     return tuple(complex(v[0]) for v in vals) if scalar else vals
@@ -482,28 +479,9 @@ def wp(z, inv: Invariants):
     return _evaluate(_wp, z, inv, "wp")
 
 
-def wp_prime(z, inv: Invariants):
-    """Derivative wp'(z; g2, g3)."""
-    return _evaluate(_wp_prime, z, inv, "wp_prime")
-
-
 def zeta_w(z, inv: Invariants):
     """Weierstrass zeta(z; g2, g3) with the quasi-period of this lattice."""
     return _evaluate(_zeta, z, inv, "zeta_w")
-
-
-def log_sigma_w(z, inv: Invariants):
-    """A logarithm of sigma(z); exp of differences of this is branch-safe.
-
-    Useful because sigma itself overflows for moderately large |z| while
-    ratios of sigmas stay bounded.
-    """
-    return _evaluate(_log_sigma, z, inv, None)
-
-
-def sigma_w(z, inv: Invariants):
-    """Weierstrass sigma(z; g2, g3).  Entire; may overflow for large |z|."""
-    return _evaluate(lambda *st: np.exp(_log_sigma(*st)), z, inv, None)
 
 
 def half_periods(inv: Invariants) -> LatticeData:

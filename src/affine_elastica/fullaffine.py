@@ -1,4 +1,4 @@
-"""Full-affine invariants of positively curved curves and SL(2) machinery.
+"""Full-affine criticality of positively curved curves and SL(2) machinery.
 
 The full-affine arc-length element is sqrt(kappa) ds and the full-affine
 curvature is kappa' / (2 kappa^(3/2)); both are invariant under all
@@ -24,30 +24,14 @@ from .curvature import CurveSamples, _derivs, _kappa_derivs, _lstsq_fit, frame_a
 from .errors import NonConvex
 
 __all__ = [
-    "FullAffineData",
     "PointedParabolaPath",
     "ConstrainedSqrtResiduals",
-    "full_affine_invariants",
     "el_residual_sqrt",
     "constrained_sqrt_residuals",
     "osculating_parabola",
     "congruence_path",
     "osculating_conic",
 ]
-
-
-@dataclass
-class FullAffineData:
-    """Full-affine arc-length grid and curvature along a convex curve.
-
-    A closed curve's s_F holds no wrap node; ``period`` is the s_F length of
-    one turn, which a non-uniform closed grid needs to be resampled.
-    """
-
-    s_F: np.ndarray
-    kappa_F: np.ndarray
-    closed: bool = False
-    period: float | None = None
 
 
 @dataclass
@@ -87,18 +71,6 @@ def _convex_kappa_F(c: CurveSamples, sel) -> tuple[np.ndarray, np.ndarray]:
     kappa_F = np.full_like(kappa, np.nan)
     kappa_F[sel] = k1[sel] / (2.0 * kappa[sel] ** 1.5)
     return kappa, kappa_F
-
-
-def full_affine_invariants(c: CurveSamples) -> FullAffineData:
-    """Cumulative full-affine arc-length and pointwise full-affine curvature."""
-    kappa, kappa_F = _convex_kappa_F(c, slice(None))
-    root = np.sqrt(kappa)
-    if not c.closed:
-        return FullAffineData(s_F=cumulative_uniform(root, c.h), kappa_F=kappa_F)
-    # over the periodic extension the 4-point rule sums to the periodic
-    # trapezoid h sum(sqrt(kappa)), the s_F of the wrap node
-    s_F = cumulative_uniform(np.concatenate([root, root[:3]]), c.h)[: c.n + 1]
-    return FullAffineData(s_F=s_F[:-1], kappa_F=kappa_F, closed=True, period=float(s_F[-1]))
 
 
 def el_residual_sqrt(c: CurveSamples) -> float:

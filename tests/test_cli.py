@@ -33,7 +33,7 @@ from conftest import (
     support_curve_points,
     tanh_kappa_F,
 )
-from oracles import curve_from_full_affine_curvature
+from oracles import curve_from_full_affine_curvature, full_affine_invariants
 
 
 @lru_cache(maxsize=None)
@@ -247,6 +247,16 @@ class TestSynth:
         assert 'class="conic"' in text
         assert 'class="frame"' in text
 
+    def test_mark_overlays_leave_the_curve_polyline_alone(self, tmp_path, capsys):
+        """The view is fitted to the curve alone; overlays past its margin are clipped."""
+        curves = []
+        for extra in ([], ["--mark", "2000"]):
+            p = tmp_path / f"c1{len(extra)}.svg"
+            code, _, _ = run(["synth", "--P", "1", "--tau", "2", "--branch", "open", "--svg", str(p), *extra], capsys)
+            assert code == 0
+            curves.append([line for line in p.read_text().splitlines() if 'class="curve"' in line])
+        assert len(curves[0]) == 1 and curves[0] == curves[1]
+
     def test_mark_conic_points_lie_on_conic(self):
         curve = sy.synthesize(classify(invariants_from_qQ(1.0, 3.0), Branch.closed_branch))
         i = 1200 % curve.n
@@ -386,7 +396,7 @@ class TestVerify:
         ends at the seam read 1.7e-8.  The identity holds on every closed
         convex curve, so verify does not check it."""
         curve = cv.reparametrize_equiaffine(convex_support_curve(np.random.default_rng(0)), closed=True)
-        kappa_F = fa.full_affine_invariants(curve).kappa_F
+        kappa_F = full_affine_invariants(curve).kappa_F
         total = curve.h * np.sum(kappa_F * np.sqrt(cv.frame_and_curvature(curve).kappa))
         assert abs(total) < 1e-12
 

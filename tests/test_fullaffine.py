@@ -23,10 +23,12 @@ from conftest import (
 )
 from oracles import (
     BlowUp,
+    FullAffineData,
     congruence_arclength,
     curve_from_full_affine_curvature,
     el_residual_full_affine_form,
     el_residual_sqrt_differential,
+    full_affine_invariants,
     functionals,
     integrate_samples,
     sl2_geodesic,
@@ -60,12 +62,12 @@ def example_curve():
 
 class TestInvariants:
     def test_circle(self, circle):
-        fd = fa.full_affine_invariants(circle)
+        fd = full_affine_invariants(circle)
         assert np.max(np.abs(fd.s_F - circle.s)) < 1e-10
         assert np.max(np.abs(fd.kappa_F)) < 1e-10
 
     def test_spiral_constant(self, spiral):
-        fd = fa.full_affine_invariants(spiral)
+        fd = full_affine_invariants(spiral)
         sel = spiral.interior()
         assert np.std(fd.kappa_F[sel]) < 1e-8
         # frozen regression value for b = 0.15
@@ -77,7 +79,7 @@ class TestInvariants:
 
     def test_nonconvex_raises(self):
         with pytest.raises(NonConvex):
-            fa.full_affine_invariants(hyperbola_samples())
+            full_affine_invariants(hyperbola_samples())
 
 
 class TestSqrtResidual:
@@ -104,30 +106,30 @@ class TestFullAffineForm:
 
     def test_analytic_example(self):
         sF = np.linspace(-3, 3, 4001)
-        assert el_residual_full_affine_form(fa.FullAffineData(sF, tanh_kappa_F(sF))) < 1e-6
+        assert el_residual_full_affine_form(FullAffineData(sF, tanh_kappa_F(sF))) < 1e-6
 
     def test_constant_curvature(self):
         sF = np.linspace(-3, 3, 2001)
-        res = el_residual_full_affine_form(fa.FullAffineData(sF, np.full_like(sF, 0.7)))
+        res = el_residual_full_affine_form(FullAffineData(sF, np.full_like(sF, 0.7)))
         assert res < 1e-10
 
     def test_linear_negative_control(self):
         sF = np.linspace(-3, 3, 2001)
-        res = el_residual_full_affine_form(fa.FullAffineData(sF, sF.copy()))
+        res = el_residual_full_affine_form(FullAffineData(sF, sF.copy()))
         # pointwise residual is 2 sF^2 + 1, so the rms exceeds 1
         assert res > 1.0
 
     def test_nonuniform_grid_resampled(self):
         u = np.linspace(-1.2, 1.2, 3001)
         sF = u + 0.05 * np.sin(u)  # monotone, non-uniform
-        assert el_residual_full_affine_form(fa.FullAffineData(sF, tanh_kappa_F(sF))) < 1e-3
+        assert el_residual_full_affine_form(FullAffineData(sF, tanh_kappa_F(sF))) < 1e-3
 
     def test_nonuniform_grid_as_accurate_as_uniform(self):
         u = np.linspace(-1.2, 1.2, 3001)
         sF = u + 0.05 * np.sin(u)
-        uneven = el_residual_full_affine_form(fa.FullAffineData(sF, tanh_kappa_F(sF)))
+        uneven = el_residual_full_affine_form(FullAffineData(sF, tanh_kappa_F(sF)))
         sF = np.linspace(sF[0], sF[-1], len(sF))
-        even = el_residual_full_affine_form(fa.FullAffineData(sF, tanh_kappa_F(sF)))
+        even = el_residual_full_affine_form(FullAffineData(sF, tanh_kappa_F(sF)))
         assert uneven < 1e-9 and uneven < 2.0 * even  # 4.1e-10 and 4.0e-10
 
     def test_consistency_with_arc_length_form(self, ellipse, spiral, example_curve, rng):
@@ -135,7 +137,7 @@ class TestFullAffineForm:
         # vanish together on critical curves and all exceed 1e-2 on a generic one
         def forms(c):
             return (fa.el_residual_sqrt(c), el_residual_sqrt_differential(c),
-                    el_residual_full_affine_form(fa.full_affine_invariants(c)))
+                    el_residual_full_affine_form(full_affine_invariants(c)))
 
         assert max(forms(ellipse)) < 1e-5  # 1.0e-14, 1.7e-12, 1.7e-12
         assert max(forms(spiral)) < 1e-5  # 7.0e-11, 8.3e-7, 2.3e-6
@@ -144,7 +146,7 @@ class TestFullAffineForm:
         # read 32 and 0.07 there): its s_F form is taken on the exact profile
         sF = np.linspace(-3, 3, 4001)
         assert fa.el_residual_sqrt(example_curve) < 1e-5  # 2.6e-7
-        assert el_residual_full_affine_form(fa.FullAffineData(sF, tanh_kappa_F(sF))) < 1e-5
+        assert el_residual_full_affine_form(FullAffineData(sF, tanh_kappa_F(sF))) < 1e-5
         c = cv.reparametrize_equiaffine(convex_support_curve(rng), closed=True)
         assert min(forms(c)) > 1e-2  # 3.5, 1.3e5, 2.6e6
 
@@ -154,7 +156,7 @@ class TestFullAffineForm:
         # Reference: the chain rule d/ds_F = kappa^(-1/2) d/ds on the uniform s
         # grid, the rms weighted by ds_F / ds = sqrt(kappa)
         c = cv.reparametrize_equiaffine(convex_support_curve(np.random.default_rng(0)), closed=True)
-        fd = fa.full_affine_invariants(c)
+        fd = full_affine_invariants(c)
         root = np.sqrt(cv.frame_and_curvature(c).kappa)
         assert fd.period == pytest.approx(c.h * np.sum(root), rel=1e-12)
         k = fd.kappa_F
@@ -165,7 +167,7 @@ class TestFullAffineForm:
         reference = np.sqrt(np.sum(res**2 * root) / np.sum(root))  # 3270
         assert el_residual_full_affine_form(fd) == pytest.approx(reference, rel=1e-8)
         with pytest.raises(ValueError, match="period"):
-            el_residual_full_affine_form(fa.FullAffineData(fd.s_F, k, closed=True))
+            el_residual_full_affine_form(FullAffineData(fd.s_F, k, closed=True))
 
 
 class TestReconstruction:
@@ -176,7 +178,7 @@ class TestReconstruction:
         assert np.ptp(kappa[sel]) < 1e-6  # constant curvature: an ellipse arc
 
     def test_example_roundtrip(self, example_curve):
-        fd = fa.full_affine_invariants(example_curve)
+        fd = full_affine_invariants(example_curve)
         # the gauge puts s = 0 mid-grid; anchor s_F there before comparing
         sF = fd.s_F - fd.s_F[example_curve.n // 2]
         kF_expect = (3.0 / np.sqrt(2.0)) * np.tanh(np.sqrt(2.0) * sF)
@@ -186,7 +188,7 @@ class TestReconstruction:
     def test_constant_curvature_w_curve(self):
         c = curve_from_full_affine_curvature(lambda sF: 0.2 + 0.0 * sF,
                                                 s_range=(-1.5, 1.5), n=3001)
-        fd = fa.full_affine_invariants(c)
+        fd = full_affine_invariants(c)
         sel = c.interior()
         assert np.std(fd.kappa_F[sel]) < 1e-5
         assert np.mean(fd.kappa_F[sel]) == pytest.approx(0.2, abs=1e-6)
@@ -231,7 +233,7 @@ class TestFitsMatchDirectLstsq:
 
     def test_constrained_residuals(self):
         c = ellipse_samples(2.0, 0.5, 800)
-        kF = fa.full_affine_invariants(c).kappa_F
+        kF = full_affine_invariants(c).kappa_F
         R_area = cumulative_uniform(cv.support_function(c).rho, c.h)
         R_tot = cumulative_uniform(cv.frame_and_curvature(c).kappa, c.h)
         want = []
@@ -243,7 +245,7 @@ class TestFitsMatchDirectLstsq:
 
     def test_el_residual_sqrt(self, example_curve):
         sel = example_curve.interior()
-        kF = fa.full_affine_invariants(example_curve).kappa_F[sel]
+        kF = full_affine_invariants(example_curve).kappa_F[sel]
         x, y = example_curve.x[sel], example_curve.y[sel]
         assert fa.el_residual_sqrt(example_curve) == _direct_lstsq([x, y, np.ones(len(x))], kF)[1]
 
@@ -414,7 +416,7 @@ class TestGlobalProperties:
         for _ in range(3):
             curves.append(cv.reparametrize_equiaffine(convex_support_curve(rng), closed=True))
         for c in curves:
-            fd = fa.full_affine_invariants(c)
+            fd = full_affine_invariants(c)
             total = integrate_samples(fd.kappa_F * np.sqrt(cv.frame_and_curvature(c).kappa),
                                       c.h, periodic=True)
             assert abs(total) < 1e-6
@@ -436,7 +438,7 @@ class TestGlobalProperties:
         # det(M)^(1/3), so the mapped samples stay uniform with no
         # interpolation and the invariants must match pointwise
         base = spiral
-        fd0 = fa.full_affine_invariants(base)
+        fd0 = full_affine_invariants(base)
         f0 = functionals(base, full_affine=True)
         for _ in range(4):
             M = random_invertible(rng)
@@ -448,7 +450,7 @@ class TestGlobalProperties:
                 s_new, *(base.points() @ M.T + rng.uniform(-1, 1, 2)).T, closed=False
             )
             assert cv.unimodularity_defect(moved) < 1e-8
-            fd1 = fa.full_affine_invariants(moved)
+            fd1 = full_affine_invariants(moved)
             sel = base.interior()
             assert np.max(np.abs(fd1.kappa_F[sel] - fd0.kappa_F[sel])) < 1e-8
             assert fd1.s_F[-1] == pytest.approx(fd0.s_F[-1], abs=1e-8)
@@ -468,11 +470,11 @@ class TestGlobalProperties:
     def test_kappa_f_pointwise_invariance(self, rng):
         # match kappa_F(s_F) pointwise after anchoring at the maximum
         base = ellipse_samples(1.3, 0.7, 6000)
-        fd0 = fa.full_affine_invariants(base)
+        fd0 = full_affine_invariants(base)
         M = random_invertible(rng)
         pts = base.points() @ M.T
         moved = cv.reparametrize_equiaffine(pts, closed=True, n_samples=6000)
-        fd1 = fa.full_affine_invariants(moved)
+        fd1 = full_affine_invariants(moved)
         i0 = int(np.argmax(fd0.kappa_F))
         i1 = int(np.argmax(fd1.kappa_F))
         period_F = functionals(base).full_affine_length

@@ -17,25 +17,27 @@ from affine_elastica.errors import DomainError, EllipseFitFailed
 from oracles import a3_nonperiodicity, curve_from_full_affine_curvature, sextactic_sign_changes, synthesize_arcs
 
 
-@pytest.mark.parametrize("name", ["elliptic", "curvature", "classifier", "synthesis", "fullaffine"])
+_LIBRARY = ["elliptic", "curvature", "classifier", "synthesis", "fullaffine"]
+
+
+@pytest.mark.parametrize("name", _LIBRARY)
 def test_all_names_resolve(name):
     module = importlib.import_module(f"affine_elastica.{name}")
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
     exec(f"from affine_elastica.{name} import *", {})
 
 
+@pytest.mark.parametrize("name", _LIBRARY)
+def test_all_is_the_public_functions_and_classes(name):
+    """Each library module exports exactly its public top-level functions and classes."""
+    module = importlib.import_module(f"affine_elastica.{name}")
+    public = {node.name for node in ast.parse(Path(module.__file__).read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    assert sorted(module.__all__) == sorted(public)
+
+
 _ROOT = Path(__file__).resolve().parents[1]
 _SOURCES = sorted((_ROOT / "src" / "affine_elastica").glob("*.py"))
-
-#: public names that only tests call, each kept for the ROADMAP item that decides it
-_NO_CALLER_YET = {
-    # item 6: perfbench/tracer.py reports on these by name
-    "wp_prime": 6,
-    "sigma_w": 6,
-    "log_sigma_w": 6,
-    "el_residual_general": 6,
-    "full_affine_invariants": 6,
-}
 
 
 def _referenced_names(tree) -> set:
@@ -56,7 +58,7 @@ def test_every_public_name_has_a_program_caller():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         and node.name not in perfbench and not any(node.name in r for j, r in enumerate(refs) if j != k)
     }
-    assert uncalled == set(_NO_CALLER_YET)
+    assert uncalled == set()
 
 
 def test_scipy_is_imported_only_to_resample():
