@@ -13,8 +13,10 @@ there ``_rfft``/``_irfft`` run the prime factor as one batched transform
 whole length.  ``resample_uniform`` moves samples at increasing nodes onto a
 uniform grid by one spline; it is the only kernel here that imports scipy,
 on first use.  ``carlson_rf`` (K(m) and the Lame parameter c) and
-``brent_root`` (the closure solve) spare the CLI any scipy import.
-``format_g17_rows`` writes the text of sample rows for the CSV writer.
+``brent_root`` (the closure solve) spare the CLI any scipy import, and
+``median`` the numpy.ma import of np.median.  ``format_numbers`` writes
+the numbers of curve files from one digit-slot kernel: "%.17g" for CSV
+rows, "%.6f" for SVG points and repr for JSON sample lists.
 """
 
 from __future__ import annotations
@@ -201,6 +203,7 @@ def _fit_derivative(window: int, degree: int, order: int) -> tuple[np.ndarray, n
     return dvals, centre
 
 
+@lru_cache(maxsize=64)
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n."""
     m = n
@@ -428,25 +431,38 @@ def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
     raise RuntimeError("no convergence in 100 iterations")
 
 
-# ---------------------------------------------------------------------------
-# "%.17g" text of sample rows
+def median(a) -> float:
+    """np.median of the values of a: NaN if any is NaN, (a + b) / 2 of the middle two for even n.
 
-_BLOCK_ROWS = 2048  # rows formatted at a time; keeps the temporaries near 1 MB
+    One np.partition, as np.median makes, without the import of numpy.ma
+    that np.median's first call costs a process.
+    """
+    a = np.ravel(a)
+    k = len(a) // 2
+    part = np.partition(a, (k - 1, k, -1) if len(a) % 2 == 0 else (k, -1))
+    if np.isnan(part[-1]):  # partition sorts NaN last
+        return math.nan
+    return float((part[k - 1] + part[k]) / 2 if len(a) % 2 == 0 else part[k])
+
+
+# ---------------------------------------------------------------------------
+# number text: "%.17g", "%.6f" and repr from one digit-slot kernel
+
+_BLOCK = 6144  # values formatted at a time; keeps the temporaries near 1 MB
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for binary64
 _SLOT = 40  # bytes per value: "-0.000", then 17 digits, each but the last followed by "."
 _SEP = 39  # slot byte of the separator, after the last digit
 
 
 @lru_cache(maxsize=1)
-def _g17_tables():
-    """Tables of ``format_g17_rows``, built on first use.
+def _slot_tables():
+    """Tables of the slots of ``format_numbers``, built on first use.
 
     ``heads`` holds the first word of a slot, "-0.000d.", for d = 0..9,
     ``quads`` holds "d.d.d.d." for 0000..9999 as uint64 words and ``trail``
     the trailing zeros of each (4 for 0000).  ``keep`` holds the byte mask of
     a slot, as 5 uint64 words, for each (sign, exponent + 4, significant
-    digits - 1).  ``p10`` holds 10^q, q <= 20, exact in binary64, with its
-    Veltkamp halves.
+    digits - 1).
     """
     quads = np.arange(10000)
     text = np.full((10000, 8), ord("."), np.uint8)
@@ -461,75 +477,177 @@ def _g17_tables():
     keep |= inside & (b % 2 == 0) & ((digit < nd) | (digit <= x))
     keep |= inside & (b % 2 == 1) & (digit == x) & (nd > x + 1)
     keep |= b == _SEP
+    heads = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+    return heads, text.view(np.uint64).ravel(), trail, keep.view(np.uint64)
+
+
+@lru_cache(maxsize=1)
+def _powers_of_ten():
+    """10^q, q <= 20, exact in binary64, with its Veltkamp halves, and 10^k, k <= 17, as int64."""
     p10 = np.array([float(10**q) for q in range(21)])
     split = _SPLIT * p10
     p10_hi = split - (split - p10)
-    heads = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
-    return heads, text.view(np.uint64).ravel(), trail, keep.view(np.uint64), p10, p10_hi, p10 - p10_hi
+    return p10, p10_hi, p10 - p10_hi, 10 ** np.arange(18, dtype=np.int64)
 
 
-def _g17_slots(v: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slots of "%.17g" text for the values v, and the mask of their bytes to keep.
+def _times_p10(a: np.ndarray, q) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi = fl(a 10^q) and hi + lo = a 10^q exactly, for q <= 20.
 
-    A value with 1e-4 <= |v| < 1e16 prints in fixed notation.  Its 17
-    digits are those of N = round_half_even(|v| 10^q), q = 16 - floor(log10
-    |v|) <= 20.  10^q is exact, so Dekker's two-product (Numer. Math. 18,
-    1971) gives |v| 10^q = hi + lo with no error; hi is an even integer
-    above 2^53, so N = hi + rint(lo) is exact, ties included.  N never
-    rounds up to 10^17: below each power of ten, the largest double lies
-    8.7 or more units of the 17th digit under it.  With X = floor(log10
-    |v|), the mask keeps the sign, "0." and -X - 1 zeros when X < 0, the
-    digits, and the point after digit X when a digit after it is not a
-    trailing zero.  Every other value, and any whose log10 missed its
-    decade, is formatted by "%" in its slot.
+    10^q is exact there, so Dekker's two-product (Numer. Math. 18, 1971)
+    leaves no error.
     """
-    heads, quads, trail, keep_table, p10, p10_hi, p10_lo = _g17_tables()
-    a = np.abs(v)
-    ok = (a >= 1e-4) & (a < 1e16)
-    a = np.where(ok, a, 1.0)
-    e = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)  # a clip only moves e towards the decade
-    b, b_hi, b_lo = p10[16 - e], p10_hi[16 - e], p10_lo[16 - e]
+    p10, p10_hi, p10_lo, _ = _powers_of_ten()
+    b, b_hi, b_lo = p10[q], p10_hi[q], p10_lo[q]
     hi = a * b
     split = _SPLIT * a
     a_hi = split - (split - a)
     a_lo = a - a_hi
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    ok &= ((hi > 1e16) | ((hi == 1e16) & (lo >= 0.0))) & ((hi < 1e17) | ((hi == 1e17) & (lo < 0.0)))
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    lead, rest = np.divmod(n, 10**16)
-    g1, rest = np.divmod(rest, 10**12)
-    g2, rest = np.divmod(rest, 10**8)
-    g3, g4 = np.divmod(rest, 10**4)
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _decade(a: np.ndarray):
+    """(X, hi, lo, ok): X = floor(log10 a), a 10^(16 - X) = hi + lo, ok where that lies in [1e16, 1e17).
+
+    hi is then an even integer above 2^53.  ok is False where log10 missed
+    the decade (a clip only moves X towards it).
+    """
+    x = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.intp)
+    hi, lo = _times_p10(a, 16 - x)
+    ok = ((hi > 1e16) | ((hi == 1e16) & (lo >= 0.0))) & ((hi < 1e17) | ((hi == 1e17) & (lo < 0.0)))
+    return x, hi, lo, ok
+
+
+def _g17_digits(a: np.ndarray):
+    """The 17 digits of "%.17g": N = round_half_even(a 10^(16 - X)).
+
+    N = hi + rint(lo) is exact, ties included.  N never rounds up to 10^17:
+    below each power of ten, the largest double lies 8.7 or more units of
+    the 17th digit under it.  Trailing zeros are dropped.
+    """
+    x, hi, lo, ok = _decade(a)
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), x, 1, ok
+
+
+def _f6_digits(a: np.ndarray):
+    """The digits of "%.6f": N = round_half_even(a 10^6), all X + 7 of them.
+
+    With a 10^6 = hi + lo and r = rint(hi), f = hi - r is exact and a tie
+    of hi + lo is f = +-0.5, which lo decides by its sign.  Where hi >= 2^52
+    f is 0 and N = hi + rint(lo), as for "%.17g".  The point goes after
+    digit X = floor(log10 N) - 6, taken exactly from N.
+    """
+    p10_int = _powers_of_ten()[3]
+    hi, lo = _times_p10(a, 6)
+    r = np.rint(hi)
+    f = hi - r
+    n = r.astype(np.int64) + np.rint(lo).astype(np.int64)
+    n += ((np.abs(f) == 0.5) & (f * lo > 0.0)) * np.sign(f).astype(np.int64)
+    digits = np.searchsorted(p10_int, n, side="right")  # of n
+    return n * p10_int[17 - digits], digits - 7, digits, True
+
+
+def _divmod(n: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod(n, p) by one floor division, which numpy runs several times faster for a scalar p."""
+    q = n // p
+    return q, n - q * p
+
+
+def _shortest_digits(a: np.ndarray):
+    """The digits of float.__repr__: the shortest that read back as a (Steele & White 1990).
+
+    Scaled like C = a 10^(16 - X) = hi + lo, the values that read back as a
+    fill [C - w, C + w], w = ulp(a) 10^(16 - X) / 2, exact as 5^(16 - X) <
+    2^53.  In this range lo +- w is a multiple of 2^-48 under 20, so exact,
+    and the ends need no care: they are multiples of ten only from 2^53 up,
+    where C itself is one, and the halved gap below a power of two changes
+    none of the 68 in range (the tests check each).  The digits are the
+    multiple of 10^j nearest C for the largest j with a multiple of 10^j
+    inside, a tie going to the even digit, as Gay's dtoa mode 0 (which repr
+    uses) picks them.  The interval spans at most 22 units, so it holds at
+    most one multiple of 100, which is then the one multiple of 10^j inside
+    for every larger j; as it is symmetric, it holds the multiple of ten
+    nearest C if it holds any.  A multiple at 10^17 would move up a decade
+    and goes to repr; none is inside, as the largest double under a power
+    of ten lies a whole ulp below it.  Integral values keep one zero after
+    the point.
+    """
+    p10 = _powers_of_ten()[0]
+    x, hi, lo, ok = _decade(a)
+    w = np.ldexp(p10[16 - x], np.frexp(a)[1] - 54)
+    top = hi.astype(np.int64)
+    lower = top + np.ceil(lo - w).astype(np.int64)
+    upper = top + np.floor(lo + w).astype(np.int64)
+    rint = np.rint(lo)
+    frac = lo - rint
+    n = top + rint.astype(np.int64)  # round(C) = C - frac, always inside
+    tens, ones = _divmod(n, 10)
+    tens += (ones > 5) | ((ones == 5) & ((frac > 0.0) | ((frac == 0.0) & (tens % 2 == 1))))
+    n = np.where(upper // 10 * 10 >= lower, 10 * tens, n)
+    hundreds = upper // 100 * 100
+    n = np.where(hundreds >= lower, hundreds, n)
+    return n, x, x + 2, ok & (n < 10**17)
+
+
+_DIGITS = {"%.17g": (_g17_digits, 1e16), "%.6f": (_f6_digits, 1e10), "%r": (_shortest_digits, 1e16)}
+
+
+def _format_block(v: np.ndarray, seps: np.ndarray, fmt: str) -> bytes:
+    """The text ``fmt % x`` of each value x of v, each followed by its separator byte.
+
+    Each value fills a slot: a value with 1e-4 <= |v| below the rule's bound
+    gets its digits from the rule, as a 17-digit integer, the exponent X of
+    its first digit and the fewest digits to print.  The slot's mask keeps
+    the sign, "0." and -X - 1 zeros when X < 0, the digits without trailing
+    zeros but at least that many, and the point after digit X when a digit
+    follows it.  Every other value, and any the rule could not place, is
+    formatted by "%", in its slot or, when wider, spliced in after the
+    compress.
+    """
+    heads, quads, trail, keep_table = _slot_tables()
+    rule, bound = _DIGITS[fmt]
+    a = np.abs(v)
+    ok = (a >= 1e-4) & (a < bound)
+    digits, x, fewest, placed = rule(np.where(ok, a, 1.0))
+    ok &= placed
+    lead, rest = _divmod(digits, 10**16)
+    g1, rest = _divmod(rest, 10**12)
+    g2, rest = _divmod(rest, 10**8)
+    g3, g4 = _divmod(rest, 10**4)
     slots = np.empty((len(v), _SLOT // 8), np.uint64)
     text = slots.view(np.uint8)
     for col, (table, i) in enumerate(((heads, lead), (quads, g1), (quads, g2), (quads, g3), (quads, g4))):
         np.take(table, i, out=slots[:, col], mode="clip")  # lead > 9 only where ~ok
     text[:, _SEP] = seps
     zeros = trail[g4] + (g4 == 0) * (trail[g3] + (g3 == 0) * (trail[g2] + (g2 == 0) * trail[g1]))
-    key = (np.signbit(v) * 20 + (e + 4)) * 17 + (16 - zeros)
+    key = (np.signbit(v) * 20 + (x + 4)) * 17 + (np.maximum(17 - zeros, fewest) - 1)
     key[~ok] = 0
     keep = np.take(keep_table, key, axis=0).view(bool)
     fall = np.flatnonzero(~ok)
-    if len(fall):  # "%" text, NUL-padded to 24 bytes, in front of the separator
-        other = np.array(["%.17g" % x for x in v[fall].tolist()], dtype="S24").view(np.uint8)
-        text[fall, :24] = other.reshape(-1, 24)
-        keep[fall, :24] = text[fall, :24] != 0
-        keep[fall, 24:_SEP] = False
-    return text, keep
+    if not len(fall):
+        return np.compress(keep.ravel(), text.ravel()).tobytes()
+    other = [(fmt % u).encode() for u in v[fall].tolist()]
+    wide = np.array([len(t) > _SEP for t in other], bool)
+    slot = np.array([b"" if w else t for t, w in zip(other, wide)], dtype=f"S{_SEP}")
+    text[fall, :_SEP] = slot.view(np.uint8).reshape(-1, _SEP)  # NUL-padded
+    keep[fall, :_SEP] = text[fall, :_SEP] != 0
+    out = np.compress(keep.ravel(), text.ravel())
+    if wide.any():  # in front of the separator, the one byte its slot kept
+        at = (np.cumsum(keep.sum(axis=1)) - 1)[fall[wide]]
+        spliced = [t for t, w in zip(other, wide) if w]
+        out = np.insert(out, np.repeat(at, [len(t) for t in spliced]), np.frombuffer(b"".join(spliced), np.uint8))
+    return out.tobytes()
 
 
-def format_g17_rows(values: np.ndarray) -> bytes:
-    r"""ASCII text of the rows of a 2-d array: "%.17g" per value, "," between, "\n" after each row.
+def format_numbers(values, fmt: str, seps: bytes) -> bytes:
+    r"""ASCII bytes of ``fmt % x`` for each value x in C order, each followed by its separator.
 
-    The bytes are those of ``"%.17g,...,%.17g\n" % tuple(row)`` for each row.
+    ``fmt`` is "%.17g", "%.6f" or "%r" (float.__repr__); ``seps`` holds one
+    separator byte per value and repeats, so b",,\n" over an (n, 3) array
+    gives CSV rows.
     """
-    values = np.asarray(values, dtype=float)
-    rows, cols = values.shape
-    seps = np.full((_BLOCK_ROWS, cols), ord(","), np.uint8)
-    seps[:, -1] = ord("\n")
-    out = []
-    for start in range(0, rows, _BLOCK_ROWS):
-        block = values[start : start + _BLOCK_ROWS]
-        text, keep = _g17_slots(block.ravel(), seps[: len(block)].ravel())
-        out.append(np.compress(keep.ravel(), text.ravel()).tobytes())
-    return b"".join(out)
+    v = np.ravel(np.asarray(values, dtype=float))
+    seps = np.tile(np.frombuffer(seps, np.uint8), -(-len(v) // len(seps)))[: len(v)]
+    return b"".join(
+        _format_block(v[start : start + _BLOCK], seps[start : start + _BLOCK], fmt)
+        for start in range(0, len(v), _BLOCK)
+    )

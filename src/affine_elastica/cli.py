@@ -20,6 +20,7 @@ import numpy as np
 from . import curvature as cv
 from . import fullaffine as fa
 from . import synthesis as sy
+from ._numerics import format_numbers
 from .classifier import Branch, Case, CaseLabel, classify
 from .elliptic import Invariants, invariants_from_Ptau, invariants_from_qQ
 from .errors import DomainError, SynthesisError
@@ -78,7 +79,7 @@ _SVG_COMMENT = "<!-- affine-elastica curve plot -->"
 
 
 def _svg_polyline(points: np.ndarray, cls: str) -> str:
-    coords = " ".join(["%.6f,%.6f"] * len(points)) % tuple(np.ravel(points).tolist())
+    coords = format_numbers(points, "%.6f", b", ")[:-1].decode()
     return f'<polyline class="{cls}" fill="none" points="{coords}"/>'
 
 

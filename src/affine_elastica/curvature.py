@@ -22,7 +22,8 @@ from ._numerics import (
     FILTER_WINDOW_BOUNDS,
     cumulative_uniform,
     diff_samples,
-    format_g17_rows,
+    format_numbers,
+    median,
     resample_uniform,
     trusted_interior,
 )
@@ -215,8 +216,8 @@ def reparametrize_equiaffine(
 
     (x1, x2), (y1, y2) = (diff_samples(pts[:, k], ht, (1, 2), periodic=closed) for k in (0, 1))
     w = x1 * y2 - y1 * x2
-    wmed = np.median(np.abs(w))
-    orient = np.sign(np.median(w))
+    wmed = median(np.abs(w))
+    orient = np.sign(median(w))
     if wmed == 0.0 or np.any(w * orient < 1e-8 * wmed):
         raise InflectionPoint("|dgamma, d2gamma| changes sign or nearly vanishes")
     if orient < 0:
@@ -292,7 +293,7 @@ def el_residual_area_and_length(c: CurveSamples) -> ELFit:
 
 def curve_to_csv(c: CurveSamples, path=None) -> str:
     """CSV text: the header s,x,y, then one row "%.17g,%.17g,%.17g" per sample, LF endings."""
-    data = b"s,x,y\n" + format_g17_rows(np.column_stack((c.s, c.x, c.y)))
+    data = b"s,x,y\n" + format_numbers(np.column_stack((c.s, c.x, c.y)), "%.17g", b",,\n")
     if path is not None:
         with open(path, "wb") as f:
             f.write(data)
@@ -323,7 +324,8 @@ def curve_to_json(c: CurveSamples, path=None) -> str:
     """The text of ``json.dumps(payload, indent=1)``; payload holds closed, period, meta, s, x and y.
 
     indent sends json to its pure-Python encoder; the sample lists are
-    joined here in the same layout, from the ``float.__repr__`` json uses.
+    written here in the same layout, in the ``float.__repr__`` text json
+    uses, by the digit-slot kernel ``format_numbers``.
     """
     head = {
         "closed": c.closed,
@@ -331,7 +333,9 @@ def curve_to_json(c: CurveSamples, path=None) -> str:
         "meta": {k: v for k, v in c.meta.items() if isinstance(v, (str, int, float, bool, type(None)))},
     }
     lists = "".join(
-        f',\n "{key}": [\n  ' + ",\n  ".join(map(float.__repr__, getattr(c, key).tolist())) + "\n ]"
+        f',\n "{key}": [\n  '
+        + format_numbers(getattr(c, key), "%r", b"\n")[:-1].replace(b"\n", b",\n  ").decode()
+        + "\n ]"
         for key in "sxy"
     )
     text = json.dumps(head, indent=1)[: -len("\n}")] + lists + "\n}"

@@ -35,7 +35,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._numerics import brent_root, carlson_rf, filter_window
+from ._numerics import brent_root, carlson_rf, filter_window, median
 from .classifier import Branch, Case, CaseLabel, classify
 from .curvature import CurveSamples, frame_and_curvature
 from .elliptic import (
@@ -384,8 +384,8 @@ def _constant_wronskian(w: np.ndarray, scale: float) -> float:
     Raises UnimodularizationFailed when the median is below 1e-12 ``scale``
     or the median deviation from it exceeds 1e-6 of it.
     """
-    det0 = float(np.median(w))
-    spread = float(np.median(np.abs(w - det0)))
+    det0 = median(w)
+    spread = median(np.abs(w - det0))
     if abs(det0) < 1e-12 * scale or spread > 1e-6 * abs(det0):
         raise UnimodularizationFailed("Wronskian of the solution pair is not constant")
     return det0
@@ -406,7 +406,7 @@ def _unimodular_pair(rows, rows_p, rows_pp):
     funcs = funcs - funcs.mean(axis=1, keepdims=True)
     u, up, upp = _solution_pair(funcs, parts(rows_p), parts(rows_pp))
     w = up[0] * upp[1] - up[1] * upp[0]
-    det0 = _constant_wronskian(w, float(np.median(np.abs(up[0] * upp[1]))))
+    det0 = _constant_wronskian(w, median(np.abs(up[0] * upp[1])))
     return _unimodular_scale(u[0], u[1], det0)
 
 
@@ -462,8 +462,8 @@ def _lame_route(f: _FamilySpec, s: np.ndarray):
     H, P1, P1p = _lame_values(z, f.inv, c, mu, at_z)
     # the tiles are copies of this period up to |rho| = 1, so their medians are its medians
     wri = np.imag(np.conj(P1) * P1p)
-    scale = np.median(np.abs(P1) * np.abs(P1p)) + 1e-300
-    independent = np.median(np.abs(wri)) > _DEPENDENCE_RTOL * scale
+    scale = median(np.abs(P1) * np.abs(P1p)) + 1e-300
+    independent = median(np.abs(wri)) > _DEPENDENCE_RTOL * scale
 
     if independent:
         # Wronskian of the (Re phi1, Im phi1) pair is Im(conj(phi1) phi1')

@@ -719,7 +719,7 @@ def test_wrong_wp_at_half_period_exits_2(monkeypatch, capsys):
 def test_cli_loads_no_scipy(tmp_path):
     """Every subcommand, closed self-checks (one at a length whose transforms
     are batched over a large prime, with the marked overlays) and every verify
-    suite on an open arc's CSV and JSON run without importing scipy."""
+    suite on an open arc's CSV and JSON run without importing scipy or numpy.ma."""
     src = os.path.dirname(os.path.dirname(affine_elastica.__file__))
     csv, js = str(tmp_path / "b1.csv"), str(tmp_path / "b1.json")
     cfg, svg = tmp_path / "cfg", str(tmp_path / "m.svg")
@@ -739,7 +739,8 @@ def test_cli_loads_no_scipy(tmp_path):
         "from affine_elastica.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rcs = [main(argv) for argv in {runs!r}]\n"
-        "print(rcs, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(rcs, sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

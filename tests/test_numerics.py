@@ -2,7 +2,8 @@
 annihilation, closed form, FFT centre against direct convolution, cache
 footprint), the batched real transforms against np.fft,
 Carlson's R_F against scipy.special, the Brent solver against
-scipy.optimize.brentq and the "%.17g" row writer against "%" itself."""
+scipy.optimize.brentq, the median against np.median and the number writer
+("%.17g", "%.6f" and repr) against "%" itself."""
 
 import cmath
 import gc
@@ -33,7 +34,8 @@ from affine_elastica._numerics import (
     diff_samples,
     diff_smoothed,
     diff_spectral,
-    format_g17_rows,
+    format_numbers,
+    median,
 )
 from affine_elastica.errors import NoSuchC
 from oracles import rounding_scale, smooth_weights
@@ -365,8 +367,13 @@ def test_transforms_match_numpy_at_any_length(p, r, seed):
     _assert_transforms_match_numpy(r * p, np.random.default_rng(seed))
 
 
+def _g17_rows(values: np.ndarray) -> bytes:
+    """CSV rows: "%.17g" per value, "," between, "\n" after each row."""
+    return format_numbers(values, "%.17g", b"," * (values.shape[1] - 1) + b"\n")
+
+
 def _percent_rows(values: np.ndarray) -> bytes:
-    """The reference format_g17_rows keeps: "%.17g" by "%" over every value."""
+    """The reference _g17_rows keeps: "%.17g" by "%" over every value."""
     rows, cols = values.shape
     return ((",".join(["%.17g"] * cols) + "\n") * rows % tuple(values.ravel().tolist())).encode()
 
@@ -382,7 +389,7 @@ def _first_difference(got: bytes, want: bytes) -> str:
 @given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3), min_size=1, max_size=50))
 def test_g17_rows_are_percent_format(rows):
     values = np.array(rows).reshape(-1, 3)
-    got, want = format_g17_rows(values), _percent_rows(values)
+    got, want = _g17_rows(values), _percent_rows(values)
     assert got == want, _first_difference(got, want)
 
 
@@ -420,7 +427,7 @@ def test_g17_corpus_is_percent_format(rng):
     values = _g17_corpus(rng)
     assert len(values) >= 1_000_000
     rows = rng.permutation(np.concatenate([values, np.zeros(-len(values) % 3)])).reshape(-1, 3)
-    got, want = format_g17_rows(rows), _percent_rows(rows)
+    got, want = _g17_rows(rows), _percent_rows(rows)
     assert got == want, _first_difference(got, want)
 
 
@@ -438,11 +445,88 @@ def test_g17_corpus_is_percent_format(rng):
     ],
 )
 def test_g17_ties_and_carries(value, text):
-    assert format_g17_rows(np.array([[value]])) == (text + "\n").encode()
+    assert _g17_rows(np.array([[value]])) == (text + "\n").encode()
 
 
 @pytest.mark.parametrize("cols", [1, 2, 5])
 def test_g17_any_number_of_columns(cols, rng):
     values = rng.standard_normal((4100, cols)) * 10.0 ** rng.uniform(-6.0, 18.0, (4100, cols))
-    got, want = format_g17_rows(values), _percent_rows(values)
+    got, want = _g17_rows(values), _percent_rows(values)
     assert got == want, _first_difference(got, want)
+
+
+def _percent_values(values: np.ndarray, fmt: str) -> bytes:
+    """The reference format_numbers keeps: ``fmt % x`` by "%" for every value, "\\n" after each."""
+    return ((fmt + "\n") * len(values) % tuple(values.tolist())).encode()
+
+
+@pytest.mark.parametrize("fmt", ["%r", "%.6f"])
+def test_number_corpus_is_percent_format(fmt, rng):
+    """The corpus of the "%.17g" test through the repr and "%.6f" rules."""
+    values = rng.permutation(_g17_corpus(rng))
+    assert len(values) >= 1_000_000
+    got, want = format_numbers(values, fmt, b"\n"), _percent_values(values, fmt)
+    assert got == want, _first_difference(got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=150),
+       st.sampled_from(["%r", "%.6f"]))
+def test_numbers_are_percent_format(values, fmt):
+    values = np.array(values)
+    got, want = format_numbers(values, fmt, b"\n"), _percent_values(values, fmt)
+    assert got == want, _first_difference(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-4, 1e10), min_size=1, max_size=150), st.integers(0, 6))
+def test_f6_values_at_every_decimal(values, places):
+    """Values near short decimals and ties of the sixth decimal, where "%.6f" rounds."""
+    values = np.round(np.array(values), places) + np.array([0.0, 5e-7, -5e-7])[np.arange(len(values)) % 3]
+    for fmt in ("%r", "%.6f"):
+        got, want = format_numbers(values, fmt, b"\n"), _percent_values(values, fmt)
+        assert got == want, _first_difference(got, want)
+
+
+def test_repr_of_powers_of_two():
+    """Every power of two in the fixed-notation range, where the gap below is half the gap above, and its neighbours."""
+    powers = np.ldexp(1.0, np.arange(-14, 54))
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    got, want = format_numbers(values, "%r", b"\n"), _percent_values(values, "%r")
+    assert got == want, _first_difference(got, want)
+
+
+@pytest.mark.parametrize(
+    "value,fmt,text",
+    [
+        (608656095433.09375, "%r", "608656095433.0938"),
+        (756417430827089.75, "%r", "756417430827089.8"),
+        (0.09999999999999999, "%r", "0.09999999999999999"),
+        (9.999999999999999e-05, "%r", "9.999999999999999e-05"),
+        (1e16, "%r", "1e+16"),
+        (1500.0, "%r", "1500.0"),
+        (-0.0, "%r", "-0.0"),
+        (-0.0, "%.6f", "-0.000000"),
+        (-1e-9, "%.6f", "-0.000000"),
+        (0.0078125, "%.6f", "0.007812"),
+        (5e-324, "%r", "5e-324"),
+        (5e-324, "%.6f", "0.000000"),
+        (0.0001, "%.6f", "0.000100"),
+        (9999999999.9999981, "%.6f", "9999999999.999998"),
+        (1e22, "%.6f", "10000000000000000000000.000000"),
+        (-(2.0**128), "%.6f", "-340282366920938463463374607431768211456.000000"),
+    ],
+)
+def test_number_ties_and_fallbacks(value, fmt, text):
+    assert format_numbers(np.array([value]), fmt, b"\n") == (text + "\n").encode()
+    assert fmt % value == text
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 101, 1000])
+def test_median_is_numpy_median(n, rng):
+    """The same value as np.median, for odd and even n, and NaN when any value is NaN."""
+    for scale in (1e-300, 1.0, 1e300):
+        values = rng.standard_normal(n) * scale
+        assert median(values) == np.median(values)
+        values[rng.integers(n)] = np.nan
+        assert math.isnan(median(values))
