@@ -12,7 +12,8 @@ there ``_rfft``/``_irfft`` run the prime factor as one batched transform
 (four-step), which pocketfft would otherwise take by Bluestein over the
 whole length.  ``resample_uniform`` moves samples at increasing nodes onto a
 uniform grid by one spline; it is the only kernel here that imports scipy,
-on first use.  ``carlson_rf`` (K(m) and the Lame parameter c) and
+on first use.  ``carlson_rf`` (K(m) and the Lame parameter c; for a batch
+of lattices ``carlson_rf_array``, with the same bits) and
 ``brent_root`` (the closure solve) spare the CLI any scipy import, and
 ``median`` the numpy.ma import of np.median.  ``format_numbers`` writes
 the numbers of curve files from one digit-slot kernel: "%.17g" for CSV
@@ -384,6 +385,48 @@ def carlson_rf(x, y, z):
     Z = -(X + Y)
     e2, e3 = X * Y - Z * Z, X * Y * Z
     return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(a)
+
+
+def carlson_rf_array(x, y, z) -> np.ndarray:
+    """``carlson_rf`` of real arrays x, y and z, broadcast together, entry by entry.
+
+    One duplication loop serves every entry: an entry leaves it at the step
+    where its scalar call stops, and each step is IEEE +, -, x, / and sqrt,
+    so every entry has the bits of ``carlson_rf`` at its triple, the NaN,
+    negative, infinite and two-zero rules included.
+    """
+    v = np.empty((3,) + np.broadcast(x, y, z).shape)
+    v[0], v[1], v[2] = x, y, z
+    shape, v = v.shape[1:], v.reshape(3, -1)
+    nan = ~np.logical_and.reduce(v >= 0.0)  # a NaN or negative argument
+    inf = np.logical_or.reduce(np.isinf(v))
+    edge = nan | inf | (np.add.reduce(v == 0.0) >= 2)  # the rules' entries, else two zeros
+    if np.count_nonzero(edge):
+        v = np.where(edge, 1.0, v)  # a regular stand-in, so the loop below ends
+    a0 = (v[0] + v[1] + v[2]) / 3.0
+    spread = np.maximum.reduce(np.abs(a0 - v))
+    q = np.concatenate((v, a0[None]))  # x, y, z and a
+    # every entry duplicates until the last one stops; each keeps its a at every step
+    steps, stops, scale = [a0], [], 1.0
+    for _ in range(100):
+        stops.append(spread * scale < _RF_ROOT6 * q[3])  # a > 0, so |a| = a
+        if np.count_nonzero(stops[-1]) == len(a0):
+            break
+        r = np.sqrt(q[:3])
+        q = (q + (r[0] * (r[1] + r[2]) + r[1] * r[2])) / 4.0
+        steps.append(q[3])
+        scale /= 4.0
+    else:  # as in carlson_rf, an entry still duplicating after 100 steps takes the series there
+        stops.append(np.ones_like(a0, dtype=bool))
+    n = np.argmax(stops, axis=0)  # each entry's first stop
+    A, S = np.array(steps)[n, np.arange(len(n))], np.ldexp(1.0, -2 * n)
+    X, Y = (a0 - v[:2]) * S / A
+    Z = -(X + Y)
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    out = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(A)
+    if np.count_nonzero(edge):
+        out = np.where(nan, math.nan, np.where(inf, 0.0, np.where(edge, math.inf, out)))
+    return out.reshape(shape)
 
 
 def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:

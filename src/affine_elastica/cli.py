@@ -10,6 +10,7 @@ of ``key = value`` lines.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -240,8 +241,11 @@ def _probe_curves(curve: cv.CurveSamples) -> list[cv.CurveSamples]:
     wins = [w for w in (101, 151, 201, 301, 401) if w < curve.n // 2]
     if curve.closed or "fd_window" in curve.meta or not wins:
         return [curve]
-    return [cv.CurveSamples(curve.s, curve.x, curve.y, curve.closed, curve.period, {"fd_window": w})
-            for w in wins]
+    # copies share the curve's arrays, which its construction has validated
+    probes = [copy.copy(curve) for _ in wins]
+    for p, w in zip(probes, wins):
+        p.meta, p._cache = {"fd_window": w}, {}
+    return probes
 
 
 def _el_residual(curve, probes, tol):
@@ -453,11 +457,14 @@ def _emit(curve, args, cfg) -> int:
         curve = sy.euclidean_display_transform(curve)
     if args.mark is not None:
         i = int(args.mark) % curve.n
+        # the conic first: it asks for derivative orders 1-4 in one transform per
+        # coordinate, and the parabola's frame then reads orders 1-3 from the cache
+        conic = _conic_points(fa.osculating_conic(curve, i), curve, i)
         L, tr = fa.osculating_parabola(curve, i)
         t = np.linspace(-1.5, 1.5, 200)
         std = np.column_stack([t, t * t / 2.0])
         overlays.append((std @ L.T + tr, "parabola"))
-        overlays.append((_conic_points(fa.osculating_conic(curve, i), curve, i), "conic"))
+        overlays.append((conic, "conic"))
         # Frenet frame ticks: short segments along the tangent and normal
         span = 0.15 * max(np.ptp(curve.x), np.ptp(curve.y))
         for col in (0, 1):

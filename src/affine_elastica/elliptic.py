@@ -26,20 +26,31 @@ through the same array loops as an array, so it gets the same bits.
 
 One builder, ``_build_frames``, makes the frames of a batch of lattices
 at once, every field on a leading lattice axis: the cubic roots (in closed
-form, lattice by lattice, see ``cubic_roots``), K and K', the theta
-coefficients, the quasi-periods, the cell basis and the check of wp(w1)
-and zeta(w1) on the roots' own scale, with one theta evaluation for the
-whole batch.  Constants that the formulas combine from per-lattice
-scalars are computed per lattice in scalar arithmetic, since numpy's array
-loops round complex products and quotients differently from Python's; so
-a lattice gets the same bits alone and in a batch.  A single lattice is a
-batch of one, whose frame serves any number of points; it is cached per
-(g2, g3) with its checked ``LatticeData``, so ``half_periods`` and the
-first kernel call on a lattice both run the check.  An ``Invariants`` of
-1-d arrays is a batch: ``half_periods`` then returns arrays, and the
-kernels take one point per lattice.  A batch is not cached per (g2, g3);
-its frames are kept on its ``Invariants``.  When lattices of a batch fail,
-the batch raises the error that the first of them raises alone.
+form, see ``cubic_roots``), K and K', the theta coefficients, the
+quasi-periods, the cell basis and the check of wp(w1) and zeta(w1) on the
+roots' own scale, with one theta evaluation for the whole batch.  A batch
+of at least ``_ARRAY_LATTICES`` lattices, all rectangular, computes its
+per-lattice constants in array passes: the trigonometric roots and their
+Newton steps, K and K' from one R_F duplication loop
+(``_numerics.carlson_rf_array``), the frame choice, tau and the two
+checks; ``synthesis.lame_parameter_c`` does the same for such a batch.
+Smaller batches, and batches with a rhombic lattice, take the scalar
+formulas lattice by lattice: below the crossover (measured between 16
+and 18 lattices) the fixed cost of the array passes outweighs the
+per-lattice Python they save.  Both paths make the same IEEE operations
+in the same order, with math.acos, math.cos and the float power per
+entry, so a lattice gets the same bits alone and in a batch.  The
+remaining frame constants, which combine complex products and quotients,
+are computed per lattice in Python arithmetic on both paths, since
+numpy's array loops round complex products and quotients differently.
+A single lattice is a batch of one, whose frame serves any number of
+points; it is cached per (g2, g3) with its checked ``LatticeData``, so
+``half_periods`` and the first kernel call on a lattice both run the
+check.  An ``Invariants`` of 1-d arrays is a batch: ``half_periods``
+then returns arrays, and the kernels take one point per lattice.  A
+batch is not cached per (g2, g3); its frames are kept on its
+``Invariants``.  When lattices of a batch fail, the batch raises the
+error that the first of them raises alone.
 
 All functions are pure and accept scalars or ndarrays for the argument z;
 they are safe for concurrent use.
@@ -53,7 +64,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._numerics import carlson_rf
+from ._numerics import carlson_rf, carlson_rf_array
 from .errors import DegenerateDiscriminant, DomainError, NearPole, first_failure
 
 __all__ = [
@@ -76,6 +87,7 @@ POLE_RTOL = 1e-6
 
 _THETA_TERMS = 7  # the first dropped term is below 1e-29; see the module docstring
 _BLOCK = 2048  # points per block of the theta series; its powers table is 460 kB
+_ARRAY_LATTICES = 18  # batches from this size compute their constants on arrays; see _array_batch
 
 
 @dataclass(frozen=True)
@@ -126,6 +138,13 @@ class Invariants:
         return fr, LatticeData(w1=np.array(w1), w2_im=np.array(w2_im), roots=np.array(roots), eta1=np.array(eta1))
 
 
+def _array_batch(disc) -> bool:
+    """Whether lattices with these discriminants take the array formulas for
+    their constants: a batch of at least ``_ARRAY_LATTICES``, all rectangular.
+    Smaller batches are faster on the scalar formulas (see the module docstring)."""
+    return len(disc) >= _ARRAY_LATTICES and np.min(disc) > 0.0
+
+
 def _discriminant(g2, g3):
     return g2**3 - 27.0 * g3**2
 
@@ -159,10 +178,11 @@ def cubic_roots(g2: float, g3: float) -> np.ndarray:
     For g2^3 > 27 g3^2 the three real roots, descending; otherwise
     (-r/2 + ib, r, -r/2 - ib) with r the real root and b > 0 (b = 0 only at
     a repeated root).  A complex array of 3, for one (g2, g3) pair; a batch
-    of lattices maps ``_cubic_roots`` over its pairs.  Closed forms,
-    trigonometric for three real roots and Cardano's for one (W. Kahan, "To
-    solve a real cubic equation", 1986; Numerical Recipes 5.6), each
-    polished by two Newton steps.
+    of lattices maps ``_cubic_roots`` over its pairs, or, when it takes the
+    array formulas, gets the same bits from ``_real_cubic_roots``.  Closed
+    forms, trigonometric for three real roots and Cardano's for one (W.
+    Kahan, "To solve a real cubic equation", 1986; Numerical Recipes 5.6),
+    each polished by two Newton steps.
     """
     return np.array(_cubic_roots(float(g2), float(g3)))
 
@@ -180,6 +200,23 @@ def _cubic_roots(g2: float, g3: float) -> tuple[complex, complex, complex]:
     r = _newton(A + B, g2, g3)
     b = abs(_newton(complex(-0.5 * r, 0.5 * math.sqrt(3.0) * abs(A - B)), g2, g3).imag)
     return complex(-0.5 * r, b), complex(r), complex(-0.5 * r, -b)
+
+
+def _real_cubic_roots(g2: np.ndarray, g3: np.ndarray) -> np.ndarray:
+    """The roots of a batch of cubics with g2^3 > 27 g3^2, shape (n, 3), each
+    row with the bits of ``_cubic_roots``: the same trigonometric form, with
+    math.acos and math.cos per entry, and the same Newton steps on arrays."""
+    rad = np.sqrt(g2 / 3.0)
+    phi = np.array(list(map(math.acos, np.clip(3.0 * g3 / (g2 * rad), -1.0, 1.0).tolist()))) / 3.0
+    angles = phi[:, None] - np.array([0.0, 1.0, -1.0]) * math.tau / 3.0
+    t = rad[:, None] * np.array(list(map(math.cos, angles.ravel().tolist()))).reshape(-1, 3)
+    g2, g3 = g2[:, None], g3[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):  # _newton's steps
+            tt = t * t
+            fp = 12.0 * tt - g2
+            t = np.where(fp != 0.0, t - ((4.0 * tt - g2) * t - g3) / fp, t)
+    return t.astype(complex)
 
 
 def _newton(t, g2: float, g3: float):
@@ -336,9 +373,27 @@ def _frame_scalars(W1, W3, th1p0, th1ppp0):
     return (W1, p1, p2, th1p0, eta1f, eta3f, du, du**2, du**3, -eta1f / W1, 2.0 * W1 / np.pi, *basis_inv)
 
 
+def _rect_half_periods(roots: np.ndarray):
+    """``_half_period_scalars`` of a batch of rectangular lattices, on arrays:
+    w1, w2_im, W1 and W3, and tau = W3 / W1 as Python's complex quotient
+    rounds it (W1 is real or imaginary, so that is one real quotient)."""
+    e1, e2, e3 = roots.real.T
+    m = (e2 - e3) / (e1 - e3)
+    w1, w2_im = carlson_rf_array(0.0, np.array([1.0 - m, m]), 1.0) / np.sqrt(e1 - e3)  # K(m), K(1 - m)
+    tall = w2_im >= w1  # theta frame with Im(tau) >= 1/2 so the nome stays small
+    W1, W3, tau = (np.empty(len(w1), dtype=complex) for _ in range(3))
+    # Python's 1j * w has the real part 0.0 * w: 0.0, or NaN where w is not finite
+    W1.real, W1.imag = np.where(tall, w1, 0.0 * w2_im), np.where(tall, 0.0, w2_im)
+    W3.real, W3.imag = np.where(tall, 0.0 * w2_im, -w1), np.where(tall, w2_im, 0.0)
+    ratio = np.where(tall, w2_im / w1, w1 / w2_im)
+    tau.real, tau.imag = 0.0 * ratio, ratio
+    return w1, w2_im, W1, W3, tau
+
+
 def _build_frames(g2: np.ndarray, g3: np.ndarray):
-    """The frames of the lattices (g2[i], g3[i]) and lists of their checked
-    w1, w2_im, roots and eta1.
+    """The frames of the lattices (g2[i], g3[i]) and their checked w1,
+    w2_im, roots and eta1: lists, or arrays when the batch takes the array
+    formulas (see ``_array_batch``).
 
     Raises DegenerateDiscriminant for a repeated root to tolerance and
     DomainError when wp(w1) or zeta(w1) fails its check, each for the first
@@ -349,9 +404,16 @@ def _build_frames(g2: np.ndarray, g3: np.ndarray):
     for p, q, disc in zip(g2l, g3l, discs):
         if _is_degenerate(p, q, disc):
             raise DegenerateDiscriminant(f"discriminant {disc:.3e} is degenerate relative to g2^3")
-    root_rows = list(map(_cubic_roots, g2l, g3l))
-    w1, w2_im, W1s, W3s = zip(*[_half_period_scalars(r, disc < 0.0) for r, disc in zip(root_rows, discs)])
-    coef = _theta_coefficients(np.array([t3 / t1 for t1, t3 in zip(W1s, W3s)]))
+    arrays = _array_batch(discs)
+    if arrays:
+        roots = _real_cubic_roots(g2, g3)
+        w1, w2_im, W1s, W3s, tau = _rect_half_periods(roots)
+        W1s, W3s = W1s.tolist(), W3s.tolist()
+    else:
+        roots = list(map(_cubic_roots, g2l, g3l))
+        w1, w2_im, W1s, W3s = zip(*[_half_period_scalars(r, disc < 0.0) for r, disc in zip(roots, discs)])
+        tau = np.array([t3 / t1 for t1, t3 in zip(W1s, W3s)])
+    coef = _theta_coefficients(tau)
     # theta1'(0) and theta1'''(0): every e^(+-i(2n+1)u) is 1 at u = 0
     derivs_at_0 = zip(*coef[:, 1::2].sum(axis=-1).tolist())
     W1, P1, P3, th1p0, eta1f, eta3f, du, du2, du3, wp_shift, log_arg, *basis_inv = np.array(
@@ -361,16 +423,24 @@ def _build_frames(g2: np.ndarray, g3: np.ndarray):
                 du=du, du2=du2, du3=du3, wp_shift=wp_shift, log_scale=np.log(log_arg),
                 basis_inv=tuple(b.real for b in basis_inv), pole_tol=POLE_RTOL * w1_arr)
     st, _ = _theta_state(w1_arr, fr, None)  # w1 is a half-period, far from every pole
-    e_half, eta1 = _wp(*st).tolist(), _zeta(*st).tolist()
-    for w, r, e, z in zip(w1, root_rows, e_half, eta1):
-        # both checks are relative to the lattice's own scale: (l^4 g2, l^6 g3) gets the same verdict
-        if abs(z.imag) > 1e-9 * (abs(z) + 1.0 / w):
+    e_half, eta1 = _wp(*st), _zeta(*st)
+    # both checks are relative to the lattice's own scale, so (l^4 g2, l^6 g3) gets the
+    # same verdict; wp at the real half-period must equal the largest real root
+    if arrays:
+        odd_zeta = np.abs(eta1.imag) > 1e-9 * (np.hypot(eta1.real, eta1.imag) + 1.0 / w1)
+        odd_wp = np.abs(e_half.real - roots.real.max(axis=1)) > 1e-8 * np.abs(roots.real).max(axis=1)
+        odd_zeta, odd_wp, eta1 = odd_zeta.tolist(), odd_wp.tolist(), eta1.real
+    else:
+        odd_zeta = [abs(z.imag) > 1e-9 * (abs(z) + 1.0 / w) for w, z in zip(w1, eta1.tolist())]
+        odd_wp = [abs(e.real - max(x.real for x in r if x.imag == 0.0)) > 1e-8 * max(abs(x) for x in r)
+                  for r, e in zip(roots, e_half.tolist())]
+        eta1 = [z.real for z in eta1.tolist()]
+    for bad_zeta, bad_wp in zip(odd_zeta, odd_wp):
+        if bad_zeta:
             raise DomainError("zeta(w1) should be real for real invariants")
-        # consistency: wp at the real half-period equals the largest real root
-        e_ref = max(x.real for x in r if x.imag == 0.0)
-        if abs(e.real - e_ref) > 1e-8 * max(abs(x) for x in r):
+        if bad_wp:
             raise DomainError("wp(w1) does not match the largest real root")
-    return fr, (w1, w2_im, root_rows, [z.real for z in eta1])
+    return fr, (w1, w2_im, roots, eta1)
 
 
 @lru_cache(maxsize=256)

@@ -81,11 +81,14 @@ def el_residual_sqrt(c: CurveSamples) -> float:
     once exactly: gamma''' = -kappa gamma' makes 1, x and y a basis of its
     solutions.  kappa_F is dimensionless, so the rms does not depend on the
     units of the input.  Raises NonConvex unless kappa > 0 on the trusted
-    interior, the only nodes where kappa_F is taken.
+    interior, the only nodes where kappa_F is taken.  The fit is made once
+    per curve.
     """
-    sel = c.interior()
-    _, kF = _convex_kappa_F(c, sel)
-    return _lstsq_fit(kF, [c.x, c.y, np.ones_like(c.x)], sel)[1]
+    if "el_residual_sqrt" not in c._cache:
+        sel = c.interior()
+        _, kF = _convex_kappa_F(c, sel)
+        c._cache["el_residual_sqrt"] = _lstsq_fit(kF, [c.x, c.y, np.ones_like(c.x)], sel)[1]
+    return c._cache["el_residual_sqrt"]
 
 
 def constrained_sqrt_residuals(c: CurveSamples) -> ConstrainedSqrtResiduals:

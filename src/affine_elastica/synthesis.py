@@ -35,12 +35,13 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._numerics import brent_root, carlson_rf, filter_window, median
+from ._numerics import brent_root, carlson_rf, carlson_rf_array, filter_window, median
 from .classifier import Branch, Case, CaseLabel, classify
 from .curvature import CurveSamples, frame_and_curvature
 from .elliptic import (
     Invariants,
     LatticeData,
+    _array_batch,
     half_periods,
     invariants_from_qQ,
     weierstrass,
@@ -128,16 +129,42 @@ def lame_parameter_c(inv: Invariants, prefer_negative_imag: bool = False) -> com
     nears 0.  Either representative of the pair +-c works;
     ``prefer_negative_imag`` picks the one with Im(c) <= 0 for
     reproducibility.  Raises NoSuchC when R_F is not finite.  A batch of
-    invariants gives an array of c, one per lattice, each from the scalar
-    formula.
+    invariants gives an array of c, one per lattice, each with the bits of
+    the scalar formula: from arrays when the batch takes the array formulas
+    (see ``elliptic``), else lattice by lattice.
     """
     lat = half_periods(inv)
     sign = -1.0 if prefer_negative_imag else 1.0
     if not getattr(inv.g2, "ndim", 0):
         return _lame_c(inv.g2, inv.g3, inv.discriminant, lat.roots, lat.w1, lat.w2_im, sign)
-    cols = (inv.g2.tolist(), inv.g3.tolist(), inv.discriminant.tolist(), lat.roots.tolist(),
-            lat.w1.tolist(), lat.w2_im.tolist())
+    disc = inv.discriminant
+    if _array_batch(disc):
+        return _rect_lame_c(inv.g2, inv.g3, lat.roots.real, lat.w1, lat.w2_im, sign)
+    cols = (inv.g2.tolist(), inv.g3.tolist(), disc.tolist(), lat.roots.tolist(), lat.w1.tolist(),
+            lat.w2_im.tolist())
     return np.array([_lame_c(*row, sign) for row in zip(*cols)])
+
+
+def _rect_lame_c(g2, g3, roots, w1, w2_im, sign) -> np.ndarray:
+    """``_lame_c`` of a batch of rectangular lattices, from their real roots:
+    one R_F call on arrays; e^3 is taken per entry, as Python's float power
+    rounds it, and the rest in the same IEEE operations as ``_lame_c``."""
+    v = -g3 / g2
+    e1, e2, e3 = roots.T
+    d1, d2, d3 = -4.0 * np.array([e**3 for e in roots.T.ravel().tolist()]).reshape(3, -1) / g2
+    up = g3 >= 0  # c on the vertical line through w1, else on the horizontal one through w2
+    rf = carlson_rf_array(
+        np.where(up, (e1 - e2) * (e1 - e3), -(e1 - e3) * d2),
+        np.where(up, (e1 - e2) * d3, -(e2 - e3) * d1),
+        np.where(up, (e1 - e3) * d2, (e1 - e3) * (e2 - e3)))
+    with np.errstate(invalid="ignore"):
+        part = np.where(up, np.sqrt(-d1), np.sqrt(d3)) * rf
+    c = np.empty(len(v), dtype=complex)
+    c.real, c.imag = np.where(up, w1, part), sign * np.where(up, part, w2_im)
+    bad = ~(np.isfinite(c.real) & np.isfinite(c.imag))
+    if np.count_nonzero(bad):
+        raise NoSuchC(f"level {v[np.argmax(bad)]:.6g} is within rounding of a root of the cubic")
+    return c
 
 
 def _lame_c(g2, g3, disc, roots, w1, w2_im, sign) -> complex:

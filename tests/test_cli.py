@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affine_elastica
+from affine_elastica import _numerics as nm
 from affine_elastica import cli
 from affine_elastica import curvature as cv
 from affine_elastica import elliptic as el
@@ -285,6 +286,40 @@ class TestSynth:
         code, _, err = run(["synth", "--closure", "1", "2", "--csv", str(tmp_path / "x.csv")], capsys)
         assert code == 3
         assert "synthesis error" in err
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record the first argument's length of every call of module.name."""
+    calls, f = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(len(a[0])) or f(*a, **k))
+    return calls
+
+
+class TestWorkCounts:
+    """Work the CLI does once, counted at the call that does it."""
+
+    def test_marked_closed_synth_transforms_each_signal_once(self, tmp_path, capsys, monkeypatch):
+        calls = _count_calls(monkeypatch, nm, "_rfft")
+        code, _, _ = run(["synth", "--closure", "3", "4", "--mark", "77", "--svg", str(tmp_path / "c.svg"),
+                          "--csv", str(tmp_path / "c.csv"), "--self-check"], capsys)
+        assert code == 0
+        assert calls == [12000] * 3  # x and y for orders 1-4 (the conic asks first), then kappa
+
+    def test_bare_csv_verify_checks_the_grid_once(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "a1.csv"
+        assert run(["synth", "--q", "1", "--Q", "3.0", "--branch", "closed", "--csv", str(p)], capsys)[0] == 0
+        calls = _count_calls(monkeypatch, np, "allclose")
+        assert run(["verify", str(p), "--suite", "el"], capsys)[0] == 0
+        assert len(calls) == 1  # the file's own curve; its five probes share its checked arrays
+
+    def test_suite_all_fits_the_free_model_once_per_probe(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "a1.csv"
+        assert run(["synth", "--q", "1", "--Q", "3.0", "--branch", "closed", "--csv", str(p)], capsys)[0] == 0
+        calls = _count_calls(monkeypatch, np.linalg, "lstsq")
+        run(["verify", str(p), "--suite", "all"], capsys)
+        # per probe of 5: the free fit once (sqrt_el_residual and full_affine share it),
+        # the 3 constrained fits and the area-and-length EL fit
+        assert len(calls) == 5 * (1 + 3 + 1)
 
 
 class TestVerify:

@@ -410,15 +410,19 @@ def test_batch_lattices_equal_single_lattices():
     """Both discriminant signs and a g3 = 0 lattice in one batch: the
     half-periods and the kernels at one point per lattice have the bits of
     each lattice alone."""
-    invs = [*FAMILIES.values(), el.invariants_from_Ptau(0.0, 1.0)]
-    batch = el.Invariants(np.array([i.g2 for i in invs]), np.array([i.g3 for i in invs]))
-    lat = el.half_periods(batch)
-    z = 0.37 * lat.w1 + 0.21j * lat.w2_im
-    values = el.weierstrass(z, batch)
-    for k, inv in enumerate(invs):
-        one = el.half_periods(inv)
-        assert (lat.w1[k], lat.w2_im[k], tuple(lat.roots[k]), lat.eta1[k]) == (one.w1, one.w2_im, one.roots, one.eta1)
-        assert tuple(v[k] for v in values) == el.weierstrass(complex(z[k]), inv)
+    mixed = [*FAMILIES.values(), el.invariants_from_Ptau(0.0, 1.0)]
+    # rectangular only and long enough for the array formulas
+    rect = [el.invariants_from_qQ(q, 9.0 / q) for q in np.linspace(0.1, 2.9, el._ARRAY_LATTICES + 2)]
+    for invs in (mixed, rect):
+        batch = el.Invariants(np.array([i.g2 for i in invs]), np.array([i.g3 for i in invs]))
+        lat = el.half_periods(batch)
+        z = 0.37 * lat.w1 + 0.21j * lat.w2_im
+        values = el.weierstrass(z, batch)
+        for k, inv in enumerate(invs):
+            one = el.half_periods(inv)
+            assert (lat.w1[k], lat.w2_im[k], tuple(lat.roots[k]), lat.eta1[k]) == (
+                one.w1, one.w2_im, one.roots, one.eta1)
+            assert tuple(v[k] for v in values) == el.weierstrass(complex(z[k]), inv)
     with pytest.raises(DomainError, match="1-d g2 and g3 of one length"):
         el.Invariants(np.ones(2), np.ones(3))
     with pytest.raises(DegenerateDiscriminant):  # the first degenerate lattice of a batch
@@ -505,6 +509,15 @@ def test_cubic_roots_against_decimal_oracle(rng):
         row = el.cubic_roots(p, q)
         errors.append(_root_error(row, _decimal_roots(p, q, row)))
     assert max(errors) <= 1e-13
+
+
+def test_array_roots_have_the_scalar_bits(rng):
+    """The array form of the trigonometric roots, on the oracle's draws with
+    three real roots: near-degenerate lattices, g3 = 0 and both signs of g3."""
+    g2, g3 = (np.array(v) for v in zip(*[(p, q) for p, q in _cubic_draws(rng) if el._discriminant(p, q) > 0.0]))
+    assert np.count_nonzero(g3 > 0) > 50 and np.count_nonzero(g3 < 0) > 50 and np.count_nonzero(g3 == 0) > 20
+    want = np.array([el.cubic_roots(p, q) for p, q in zip(g2, g3)])
+    assert el._real_cubic_roots(g2, g3).tobytes() == want.tobytes()
 
 
 def test_cubic_roots_scale_covariant(rng):

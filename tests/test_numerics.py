@@ -31,6 +31,7 @@ from affine_elastica._numerics import (
     _rfft,
     brent_root,
     carlson_rf,
+    carlson_rf_array,
     diff_samples,
     diff_smoothed,
     diff_spectral,
@@ -229,6 +230,20 @@ def test_rf_edge_values_match_scipy(args):
         assert got == want
     else:
         assert abs(got - want) <= 2e-15 * abs(want)
+
+
+_RF_SPREAD = st.floats(min_value=1e-12, max_value=1e12)
+_RF_EDGE = st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples=st.lists(st.tuples(*[st.one_of(_RF_SPREAD, _RF_SPREAD, _RF_SPREAD, _RF_EDGE)] * 3),
+                        min_size=1, max_size=40))
+def test_rf_array_has_the_scalar_bits(triples):
+    """Real triples with zeros, spreads of 1e-12 to 1e12 and the NaN, negative,
+    infinite and two-zero rules: every entry has the bits of carlson_rf."""
+    got = carlson_rf_array(*np.array(triples).T)
+    assert got.tobytes() == np.array([carlson_rf(*t) for t in triples]).tobytes()
 
 
 @pytest.mark.parametrize(

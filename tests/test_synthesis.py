@@ -178,7 +178,9 @@ def _count_closure_calls(monkeypatch) -> dict:
 
 class TestClosureCondition:
     @settings(max_examples=30, deadline=None)
-    @given(qs=st.lists(st.floats(min_value=1.001, max_value=1e8), min_size=1, max_size=12))
+    @given(qs=st.lists(st.floats(min_value=1.001, max_value=1e8), min_size=1, max_size=300))
+    @example(qs=np.geomspace(1.001, 1e8, 2 * el._ARRAY_LATTICES).tolist()).via("the array formulas")
+    @example(qs=np.geomspace(1.001, 1e8, el._ARRAY_LATTICES - 1).tolist()).via("the scalar formulas")
     def test_batch_bits_equal_scalar_bits(self, qs):
         lhs, d = sy.closure_lhs_with_d(np.array(qs))
         one = np.array([sy.closure_lhs_with_d(q) for q in qs])
@@ -195,6 +197,8 @@ class TestClosureCondition:
         ([2.0, 0.5, 1.0 + 1e-10], ValueError),
         ([3.0, np.nan], ValueError),
         ([3.0, np.inf, 0.5], DomainError),
+        ([*np.linspace(2.0, 9.0, el._ARRAY_LATTICES), 1.0 + 1e-10, 0.5], DegenerateDiscriminant),
+        ([*np.linspace(2.0, 9.0, el._ARRAY_LATTICES), 1e200], DomainError),  # g2 overflows
     ])
     def test_batch_raises_first_scalar_error(self, qs, error):
         with pytest.raises(error) as batch:
@@ -203,6 +207,20 @@ class TestClosureCondition:
             for q in qs:
                 sy.closure_lhs_with_d(q)
         assert str(batch.value) == str(first.value)
+
+    def test_array_batch_calls_no_scalar_constants(self, monkeypatch):
+        calls = {}
+        for module, name in [(el, "carlson_rf"), (sy, "carlson_rf"), (el, "_cubic_roots"),
+                             (el, "_half_period_scalars"), (sy, "_lame_c")]:
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.update({name: calls.get(name, 0) + 1})
+                                or f(*a))
+        n = el._ARRAY_LATTICES
+        sy.closure_lhs_with_d(np.geomspace(1.01, 50.0, n))
+        assert calls == {}
+        sy.closure_lhs_with_d(np.geomspace(1.01, 50.0, n - 1))  # one lattice short: per lattice
+        assert calls == {"_cubic_roots": n - 1, "_half_period_scalars": n - 1, "carlson_rf": 3 * (n - 1),
+                         "_lame_c": n - 1}
 
     @pytest.mark.parametrize("m,n,Q,w1,w2,d", TABLE)
     def test_lhs_at_tabulated_q(self, m, n, Q, w1, w2, d):
