@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``elliptic``   Weierstrass kernel (weierstrass, wp, zeta_w, half-periods)
+- ``elliptic``   Weierstrass kernel (weierstrass, wp, half-periods)
 - ``curvature``  equi-affine geometry of sampled curves and residuals
 - ``classifier`` case taxonomy of the phase-plane cubic
 - ``synthesis``  curve construction for every case, closure solving

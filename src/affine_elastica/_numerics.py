@@ -1,4 +1,4 @@
-"""Shared numerical kernels: derivatives, quadrature, resampling, R_F and a root solver.
+"""Shared numerical kernels: derivatives, quadrature, resampling, R_F, R_D and a root solver.
 
 Curve samples are differentiated by ``diff_samples``: filtered Fourier
 symbols for closed curves, long local least-squares stencils for open ones.
@@ -12,9 +12,10 @@ there ``_rfft``/``_irfft`` run the prime factor as one batched transform
 (four-step), which pocketfft would otherwise take by Bluestein over the
 whole length.  ``resample_uniform`` moves samples at increasing nodes onto a
 uniform grid by one spline; it is the only kernel here that imports scipy,
-on first use.  ``carlson_rf`` (K(m) and the Lame parameter c; for a batch
-of lattices ``carlson_rf_array``, with the same bits) and
-``brent_root`` (the closure solve) spare the CLI any scipy import, and
+on first use.  Carlson's ``carlson_rf`` (K(m) and the Lame parameter c)
+and ``carlson_rd`` (the closure quantity), with their array forms
+of the same bits for closure scans, and ``brent_root`` (the closure solve)
+spare the CLI any scipy import, and
 ``median`` the numpy.ma import of np.median.  ``format_numbers`` writes
 the numbers of curve files from one digit-slot kernel: "%.17g" for CSV
 rows, "%.6f" for SVG points and repr for JSON sample lists.
@@ -347,9 +348,26 @@ def resample_uniform(nodes: np.ndarray, values: np.ndarray, n: int, periodic: bo
     return grid, spline(grid)
 
 
-# Carlson's bound r on the truncation error of the fifth-order series;
-# duplication stops once 4^-n max|A0 - x_k| < (3 r)^(1/6) |A_n|
+# Carlson's bounds r on the truncation errors of the series: R_F's duplication
+# stops once 4^-n max|A0 - x_k| < (3 r)^(1/6) |A_n|, R_D's once it is below (r/4)^(1/6) |A_n|
 _RF_ROOT6 = (3.0 * 2.0**-53) ** (1.0 / 6.0)
+_RD_ROOT6 = (2.0**-53 / 4.0) ** (1.0 / 6.0)
+
+
+def _rf_series(X, Y):
+    """R_F's fifth-order series in X, Y and Z = -(X + Y), times sqrt(A_n)."""
+    Z = -(X + Y)
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    return 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
+
+
+def _rd_series(X, Y):
+    """R_D's fifth-order series in X, Y and Z = -(X + Y)/3, times 4^n A_n^(3/2)."""
+    Z = -(X + Y) / 3.0
+    xy, zz = X * Y, Z * Z
+    e2, e3, e4, e5 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * Z, 3.0 * (xy - zz) * zz, xy * zz * Z
+    return (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0
+            + 3.0 * e5 / 26.0)
 
 
 def carlson_rf(x, y, z):
@@ -381,51 +399,112 @@ def carlson_rf(x, y, z):
         lam = sx * (sy + sz) + sy * sz
         x, y, z, a = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (a + lam) / 4.0
         scale /= 4.0
-    X, Y = ((a0 - v) * scale / a for v in args[:2])
-    Z = -(X + Y)
-    e2, e3 = X * Y - Z * Z, X * Y * Z
-    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / sqrt(a)
+    return _rf_series(*((a0 - v) * scale / a for v in args[:2])) / sqrt(a)
+
+
+def carlson_rd(x, y, z):
+    """Carlson's symmetric elliptic integral R_D(x, y, z) = R_J(x, y, z, z) of one real triple.
+
+    Duplication with the fifth-order series, as for ``carlson_rf``; the
+    terms 4^-k / (sqrt(z_k) (z_k + lambda_k)) of the steps add up to the
+    rest (Carlson 1995; DLMF 19.36(i)).  K(m) - E(m) = (m/3) R_D(0, 1 - m, 1)
+    and E(m) - (1 - m) K(m) = (m (1 - m)/3) R_D(0, 1, 1 - m) (DLMF 19.25.1).
+    As scipy.special.elliprd does, a NaN or negative argument gives nan, z =
+    0 gives inf, an infinite argument 0, and x = y = 0 inf, in that order.
+    """
+    args = x, y, z = float(x), float(y), float(z)
+    for a in args:
+        if not a >= 0.0:
+            return math.nan
+    if z == 0.0 or (math.inf not in args and x == y == 0.0):
+        return math.inf
+    if math.inf in args:
+        return 0.0
+    a0 = a = (x + y + 3.0 * z) / 5.0
+    spread = max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
+    scale, tail = 1.0, 0.0  # 4^-n and the sum of the steps' terms
+    for _ in range(100):
+        if spread * scale < _RD_ROOT6 * a:
+            break
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        tail += scale / (sz * (z + lam))
+        x, y, z, a = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (a + lam) / 4.0
+        scale /= 4.0
+    return scale * _rd_series(*((a0 - v) * scale / a for v in args[:2])) / (a * math.sqrt(a)) + 3.0 * tail
+
+
+def _duplicate(v: np.ndarray, a0: np.ndarray, root6: float, tail: bool):
+    """Carlson's duplication of the triples in the columns of v, from A0 = a0,
+    on arrays: each column leaves the loop at the step where its scalar call
+    stops.  Returns that step's X, Y, A and 4^-n, and the sum of R_D's step
+    terms when ``tail``.  Each step is IEEE +, -, x, / and sqrt, so every
+    column has the bits of its scalar loop."""
+    spread = np.maximum.reduce(np.abs(a0 - v))
+    q = np.concatenate((v, a0[None]))  # x, y, z and a
+    # every column duplicates until the last one stops; each keeps its a and sum at every step
+    steps, sums, stops, scale = [a0], [np.zeros_like(a0)], [], 1.0
+    for _ in range(100):
+        stops.append(spread * scale < root6 * q[3])  # a > 0, so |a| = a
+        if np.count_nonzero(stops[-1]) == len(a0):
+            break
+        r = np.sqrt(q[:3])
+        lam = r[0] * (r[1] + r[2]) + r[1] * r[2]
+        if tail:
+            sums.append(sums[-1] + scale / (r[2] * (q[2] + lam)))
+        q = (q + lam) / 4.0
+        steps.append(q[3])
+        scale /= 4.0
+    else:  # as in the scalar loops, a column still duplicating after 100 steps takes the series there
+        stops.append(np.ones_like(a0, dtype=bool))
+    n = np.argmax(stops, axis=0)  # each column's first stop
+    cols = np.arange(len(n))
+    A, S = np.array(steps)[n, cols], np.ldexp(1.0, -2 * n)
+    X, Y = (a0 - v[:2]) * S / A
+    return X, Y, A, S, np.array(sums)[n, cols] if tail else None
+
+
+def _triples(x, y, z):
+    """x, y and z broadcast together as the rows of one (3, n) array, and their shape."""
+    v = np.empty((3,) + np.broadcast(x, y, z).shape)
+    v[0], v[1], v[2] = x, y, z
+    return v.reshape(3, -1), v.shape[1:]
 
 
 def carlson_rf_array(x, y, z) -> np.ndarray:
     """``carlson_rf`` of real arrays x, y and z, broadcast together, entry by entry.
 
-    One duplication loop serves every entry: an entry leaves it at the step
-    where its scalar call stops, and each step is IEEE +, -, x, / and sqrt,
-    so every entry has the bits of ``carlson_rf`` at its triple, the NaN,
-    negative, infinite and two-zero rules included.
+    One duplication loop (``_duplicate``) serves every entry, so every entry
+    has the bits of ``carlson_rf`` at its triple, the NaN, negative,
+    infinite and two-zero rules included.
     """
-    v = np.empty((3,) + np.broadcast(x, y, z).shape)
-    v[0], v[1], v[2] = x, y, z
-    shape, v = v.shape[1:], v.reshape(3, -1)
+    v, shape = _triples(x, y, z)
     nan = ~np.logical_and.reduce(v >= 0.0)  # a NaN or negative argument
     inf = np.logical_or.reduce(np.isinf(v))
     edge = nan | inf | (np.add.reduce(v == 0.0) >= 2)  # the rules' entries, else two zeros
     if np.count_nonzero(edge):
-        v = np.where(edge, 1.0, v)  # a regular stand-in, so the loop below ends
-    a0 = (v[0] + v[1] + v[2]) / 3.0
-    spread = np.maximum.reduce(np.abs(a0 - v))
-    q = np.concatenate((v, a0[None]))  # x, y, z and a
-    # every entry duplicates until the last one stops; each keeps its a at every step
-    steps, stops, scale = [a0], [], 1.0
-    for _ in range(100):
-        stops.append(spread * scale < _RF_ROOT6 * q[3])  # a > 0, so |a| = a
-        if np.count_nonzero(stops[-1]) == len(a0):
-            break
-        r = np.sqrt(q[:3])
-        q = (q + (r[0] * (r[1] + r[2]) + r[1] * r[2])) / 4.0
-        steps.append(q[3])
-        scale /= 4.0
-    else:  # as in carlson_rf, an entry still duplicating after 100 steps takes the series there
-        stops.append(np.ones_like(a0, dtype=bool))
-    n = np.argmax(stops, axis=0)  # each entry's first stop
-    A, S = np.array(steps)[n, np.arange(len(n))], np.ldexp(1.0, -2 * n)
-    X, Y = (a0 - v[:2]) * S / A
-    Z = -(X + Y)
-    e2, e3 = X * Y - Z * Z, X * Y * Z
-    out = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(A)
+        v = np.where(edge, 1.0, v)  # a regular stand-in, so the loop ends
+    X, Y, A, _, _ = _duplicate(v, (v[0] + v[1] + v[2]) / 3.0, _RF_ROOT6, tail=False)
+    out = _rf_series(X, Y) / np.sqrt(A)
     if np.count_nonzero(edge):
         out = np.where(nan, math.nan, np.where(inf, 0.0, np.where(edge, math.inf, out)))
+    return out.reshape(shape)
+
+
+def carlson_rd_array(x, y, z) -> np.ndarray:
+    """``carlson_rd`` of real arrays x, y and z, broadcast together, entry by
+    entry, each with the bits of its scalar call, the edge rules included."""
+    v, shape = _triples(x, y, z)
+    nan = ~np.logical_and.reduce(v >= 0.0)
+    inf = np.logical_or.reduce(np.isinf(v))
+    pole = (v[2] == 0.0) | (~inf & (v[0] == 0.0) & (v[1] == 0.0))
+    edge = nan | inf | pole
+    if np.count_nonzero(edge):
+        v = np.where(edge, 1.0, v)
+    X, Y, A, S, tail = _duplicate(v, (v[0] + v[1] + 3.0 * v[2]) / 5.0, _RD_ROOT6, tail=True)
+    out = S * _rd_series(X, Y) / (A * np.sqrt(A)) + 3.0 * tail
+    if np.count_nonzero(edge):
+        out = np.where(nan, math.nan, np.where(pole, math.inf, np.where(inf, 0.0, out)))
     return out.reshape(shape)
 
 

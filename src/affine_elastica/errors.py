@@ -2,8 +2,7 @@
 
 Two broad groups matter for the CLI exit codes: ``DomainError`` covers bad
 inputs or out-of-domain evaluations (exit code 2), ``SynthesisError`` covers
-failures while constructing a curve (exit code 3).  ``first_failure`` is
-the error rule of batched calls.
+failures while constructing a curve (exit code 3).
 """
 
 
@@ -57,18 +56,3 @@ class NotBracketed(SynthesisError):
 
 class EllipseFitFailed(SynthesisError):
     """Conic fit through curvature maxima did not produce an ellipse."""
-
-
-def first_failure(batch, one, rows):
-    """``batch()``, whose rows each ``one(*row)`` computes alone.
-
-    When the batch raises a package error or ValueError, the rows go
-    through ``one`` in order, so the call raises the error of the first row
-    that fails alone; a batch has no error of its own.
-    """
-    try:
-        return batch()
-    except (AffineElasticaError, ValueError):
-        for row in rows:
-            one(*row)
-        raise

@@ -9,8 +9,9 @@ curve, the integral functionals, the criticality residual of a general
 integral of F(kappa), the sextactic count, the full-affine arc-length and
 curvature of a curve and the curve rebuilt from its full-affine curvature,
 the two differential forms of the full-affine Euler-Lagrange equation, the
-congruence arc-length, the SL(2) geodesics, the normal form of a case and
-the open-arc derivative filter assembled as one (window, window) matrix.
+congruence arc-length, the SL(2) geodesics, the normal form of a case,
+the open-arc derivative filter assembled as one (window, window) matrix
+and 50-digit values of the closure quantity.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from affine_elastica._numerics import (
     trusted_interior,
 )
 from affine_elastica.classifier import Branch, Case, CaseLabel, classify
-from affine_elastica.elliptic import Invariants, half_periods, invariants_from_qQ, zeta_w
+from affine_elastica.elliptic import Invariants, half_periods, invariants_from_qQ
 from affine_elastica.errors import DegenerateDiscriminant, DomainError, NoSuchC, NonConvex, SynthesisError
 
 
@@ -62,6 +63,11 @@ def integrate_samples(vals: np.ndarray, h: float, periodic: bool = False) -> flo
 
 # ---------------------------------------------------------------------------
 # elliptic: the single kernels, by the formulas and theta evaluation of ``weierstrass``
+
+
+def zeta_w(z, inv: Invariants):
+    """Weierstrass zeta(z; g2, g3) with the quasi-period of this lattice."""
+    return el._evaluate(el._zeta, z, inv, "zeta_w")
 
 
 def wp_prime(z, inv: Invariants):
@@ -122,6 +128,65 @@ def a3_nonperiodicity(Q: float) -> float:
     if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
         raise NoSuchC("non-periodicity bracket is not real to rounding")
     return float(val.real)
+
+
+#: (Q, closure_lhs(Q)) to 50 digits at the 36 geometric Q of np.geomspace(1.9,
+#: 1e8, 36) and at Q = 1.001, for q = 1 and the exact invariants of the double
+#: Q.  Made with mpmath 1.3 at 60 digits, from the trigonometric roots (its
+#: polyroots does not converge above Q ~ 1e4) and theta functions:
+#:
+#:     g2, g3 = (1 + Q + Q * Q) / 9, (Q + Q * Q) / 54
+#:     rad = mp.sqrt(g2 / 3)
+#:     phi = mp.acos(3 * g3 / (g2 * rad)) / 3
+#:     e1, e2, e3 = (rad * mp.cos(phi - k * 2 * mp.pi / 3) for k in (0, 1, -1))
+#:     m, r = (e2 - e3) / (e1 - e3), mp.sqrt(e1 - e3)
+#:     w1, w3 = mp.ellipk(m) / r, 1j * mp.ellipk(1 - m) / r
+#:     theta = lambda z, k=0: mp.jtheta(1, z, mp.exp(1j * mp.pi * w3 / w1), k)
+#:     eta1 = -mp.pi**2 * theta(0, 3) / (12 * w1 * theta(0, 1))
+#:     v = -g3 / g2
+#:     c = w1 + 1j * mp.sqrt(e1 - v) * mp.elliprf((e1 - e2) * (e1 - e3), (e1 - e2) * (v - e3), (e1 - e3) * (v - e2))
+#:     u = mp.pi * c / (2 * w1)
+#:     mu = mp.sqrt(mp.mpc(v)) - eta1 * c / w1 - mp.pi * theta(u, 1) / (2 * w1 * theta(u))
+#:     lhs = (2j / mp.pi * (-mu * w1 - eta1 * c)).real
+CLOSURE_LHS_REFERENCE = [
+    (1.9, "1.3938620793971167191837582461835979800694346133772"),
+    (3.1576256475735964, "1.3544168244973331341125138883460955504158000897498"),
+    (5.247684068533986, "1.3044108934041953064671143841708741098002811548077"),
+    (8.721169371140146, "1.2525526661977806126614804678096211806499897302832"),
+    (14.493783201655482, "1.2045234543717890043414949510126810543594204372081"),
+    (24.08733766732564, "1.1629876069584876062902760736337707437507057737374"),
+    (40.030944842164736, "1.128553632236795011559051559466072846904425465664"),
+    (66.52775691064386, "1.1007404169806883733953448443458784851037449029613"),
+    (110.56302710346878, "1.0786299511489657142944984135641629372054753306374"),
+    (183.74560529225676, "1.0612225693165572503950656437762824361755051376644"),
+    (305.3683346840868, "1.0475982136080186904029737475002607213729267238846"),
+    (507.4941502922682, "1.0369725754808766155113247734899274518024635029819"),
+    (843.4087078718085, "1.0287033919168115528719916587368172259065009028902"),
+    (1401.6678775594369, "1.0222763846969779920283288441818024901254621972981"),
+    (2329.443389243012, "1.0172850494501587255470295326411796530733881350677"),
+    (3871.321152865527, "1.0134105013347019816529799774776114852471788709268"),
+    (6433.780506464408, "1.0104037134097166207267494990085611759275756037217"),
+    (10692.352809511087, "1.0080707347775510019822365280979072112217957067232"),
+    (17769.70919169359, "1.0062607524837874689969639572150053046633445486802"),
+    (29531.62604927157, "1.0048566100176559125587404521406267610369117997293"),
+    (49078.85254091182, "1.0037673490422611521319797603702321351589092267152"),
+    (81564.54922982394, "1.0029223756358126504953821987960149705638299197033"),
+    (135552.79609519546, "1.0022669124331590898379788001238540084558317819345"),
+    (225276.30818447546, "1.0017584602835943597784845253554512154464349518354"),
+    (374388.55184947036, "1.0013640486176399731383093774498681662865696154726"),
+    (622199.417619908, "1.0010581002445336377193400200664408701098347142636"),
+    (1034038.3363063039, "1.0008207739922798874654832643910624288707035953212"),
+    (1718476.8269974305, "1.0006366785846656907405063362920058470537843743949"),
+    (2855950.791414722, "1.0004938747556720130224216292872878040715799932031"),
+    (4746328.140620653, "1.0003831010756945725258863568181491654530042468699"),
+    (7887961.825591619, "1.0002971733702848826073234316064821591748244844011"),
+    (13109068.719773449, "1.0002305188226065371427144596164697300008693627864"),
+    (21786069.2659797, "1.0001788145633751211483138146786042889340535464912"),
+    (36206447.93372232, "1.0001387073181589328725358253168074633340368837548"),
+    (60171794.00161035, "1.0001075959340260083020445807217832452303632306114"),
+    (100000000.0, "1.0000834626832913358253675667064666020216225446419"),
+    (1.001, "1.4142135108647437082304322558984119635099577004482"),
+]
 
 
 def synthesize_arcs(label: CaseLabel, n_arcs: int = 3) -> list[cv.CurveSamples]:

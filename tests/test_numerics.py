@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as C
 from scipy.optimize import brentq
-from scipy.special import ellipk, elliprf
+from scipy.special import ellipe, ellipk, elliprd, elliprf
 
 from affine_elastica import _numerics as nm
 from affine_elastica import elliptic as el
@@ -30,6 +30,8 @@ from affine_elastica._numerics import (
     _irfft,
     _rfft,
     brent_root,
+    carlson_rd,
+    carlson_rd_array,
     carlson_rf,
     carlson_rf_array,
     diff_samples,
@@ -179,7 +181,7 @@ def test_cold_build_evaluates_no_polynomial(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Carlson R_F
+# Carlson R_F and R_D
 
 
 def test_rf_matches_scipy_on_real_arguments(rng):
@@ -244,6 +246,60 @@ def test_rf_array_has_the_scalar_bits(triples):
     infinite and two-zero rules: every entry has the bits of carlson_rf."""
     got = carlson_rf_array(*np.array(triples).T)
     assert got.tobytes() == np.array([carlson_rf(*t) for t in triples]).tobytes()
+
+
+def test_rd_matches_scipy_on_real_arguments(rng):
+    worst = 0.0
+    for _ in range(4000):
+        x, y, z = 10.0 ** rng.uniform(-8.0, 8.0, 3)
+        if rng.random() < 0.25:
+            x = 0.0  # one zero of x and y is allowed: E(m) has one
+        got, want = carlson_rd(x, y, z), elliprd(x, y, z)
+        assert isinstance(got, float)
+        worst = max(worst, abs(got - want) / want)
+    assert worst <= 2e-15
+
+
+def test_complete_integrals_match_ellipe(rng):
+    """E(m) by the two R_D identities of DLMF 19.25.1 that the closure quantity
+    rests on: k'^2 K + (m k'^2/3) R_D(0, 1, k'^2), a sum of positive terms,
+    for every m, and K - (m/3) R_D(0, k'^2, 1) for m <= 1/2, where the
+    difference loses no digit (the closure's lattices have m < 1/2)."""
+    near = 10.0 ** rng.uniform(-15.0, -1.0, 200)
+    ms = np.concatenate([rng.uniform(0.0, 1.0, 2000), near, 1.0 - near, [0.0, 0.5, 1.0 - 2.0**-53]])
+    for m in ms:
+        K, want = carlson_rf(0.0, 1.0 - m, 1.0), ellipe(m)
+        positive = (1.0 - m) * K + m * (1.0 - m) / 3.0 * carlson_rd(0.0, 1.0, 1.0 - m)
+        assert abs(positive - want) <= 2e-15 * want
+        if m <= 0.5:
+            assert abs(K - m / 3.0 * carlson_rd(0.0, 1.0 - m, 1.0) - want) <= 2e-15 * want
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 1.0), (math.nan, 1.0, 1.0),
+     (1.0, 1.0, math.nan), (-1.0, 1.0, 1.0), (1.0, 1.0, -1e-300), (math.inf, 1.0, 1.0), (1.0, 1.0, math.inf),
+     (math.inf, 1.0, 0.0), (0.0, 0.0, math.inf), (-0.0, 1.0, 1.0), (1e-300, 1.0, 1e300)],
+)
+def test_rd_edge_values_match_scipy(args):
+    """Zeros, NaN, negative and infinite arguments give scipy's value and never raise."""
+    got, want = carlson_rd(*args), elliprd(*args)
+    if math.isnan(want):
+        assert math.isnan(got)
+    elif math.isinf(want) or want == 0.0:
+        assert got == want
+    else:
+        assert abs(got - want) <= 2e-15 * abs(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples=st.lists(st.tuples(*[st.one_of(_RF_SPREAD, _RF_SPREAD, _RF_SPREAD, _RF_EDGE)] * 3),
+                        min_size=1, max_size=40))
+def test_rd_array_has_the_scalar_bits(triples):
+    """As for R_F: zeros, wide spreads and the NaN, negative, zero and
+    infinite rules; every entry has the bits of carlson_rd."""
+    got = carlson_rd_array(*np.array(triples).T)
+    assert got.tobytes() == np.array([carlson_rd(*t) for t in triples]).tobytes()
 
 
 @pytest.mark.parametrize(
