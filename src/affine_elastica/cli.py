@@ -337,9 +337,7 @@ def cmd_scan_closure(args, cfg) -> int:
         raise DomainError(f"--steps must be at least 0, got {args.steps}")
     qs = np.geomspace(args.qmin, args.qmax, args.steps)
     lhs, d = sy.closure_lhs_with_d(qs)
-    lines = ["Q,lhs,d"]
-    lines += [f"{q:.17g},{v:.17g},{w:.17g}" for q, v, w in zip(qs.tolist(), lhs.tolist(), d.tolist())]
-    text = "\n".join(lines) + "\n"
+    text = "Q,lhs,d\n" + format_numbers(np.column_stack((qs, lhs, d)), "%.17g", b",,\n").decode()
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
