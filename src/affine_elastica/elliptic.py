@@ -31,8 +31,8 @@ coefficients, the quasi-periods, the cell basis and the check of wp(w1)
 and zeta(w1) on the roots' own scale.  It is cached per (g2, g3) with the
 checked ``LatticeData``, so ``half_periods`` and the first kernel call on
 a lattice both run the check, once.  The closure quantity of
-``synthesis`` needs no frame: it comes from the roots and Carlson's
-R_F and R_D.
+``synthesis`` needs no frame and no root solve: it comes from the exact
+roots of q = 1 and Carlson's R_F and R_D.
 
 All functions are pure and accept scalars or ndarrays for the argument z;
 they are safe for concurrent use.
@@ -84,9 +84,11 @@ class Invariants:
     def __post_init__(self):
         if np.ndim(self.g2) or np.ndim(self.g3):
             raise DomainError("invariants are one lattice: g2 and g3 must be scalars")
-        with np.errstate(over="ignore", invalid="ignore"):
-            disc = np.float64(self.g2) ** 3 - 27.0 * np.float64(self.g3) ** 2
-        if not np.isfinite(disc):  # also when g2^3 or 27 g3^2 overflows a double
+        try:
+            disc = float(self.g2) ** 3 - 27.0 * float(self.g3) ** 2
+        except OverflowError:  # g2^3 or 27 g3^2 overflows a double
+            disc = math.inf
+        if not math.isfinite(disc):
             raise DomainError(f"g2, g3 and g2^3 - 27 g3^2 must be finite, got g2={self.g2}, g3={self.g3}")
 
     @property
@@ -139,11 +141,11 @@ def cubic_roots(g2: float, g3: float) -> np.ndarray:
 
     For g2^3 > 27 g3^2 the three real roots, descending; otherwise
     (-r/2 + ib, r, -r/2 - ib) with r the real root and b > 0 (b = 0 only at
-    a repeated root).  A complex array of 3, for one (g2, g3) pair;
-    ``_real_cubic_roots`` gives the same bits for arrays of pairs with three
-    real roots.  Closed forms, trigonometric for three real roots and Cardano's for one (W.
+    a repeated root).  A complex array of 3, for one (g2, g3) pair.  Closed
+    forms, trigonometric for three real roots and Cardano's for one (W.
     Kahan, "To solve a real cubic equation", 1986; Numerical Recipes 5.6),
-    each polished by two Newton steps.
+    each polished by two Newton steps.  The closure quantity of q = 1 needs
+    none of this: its roots are (1 + Q)/6, -1/6 and -Q/6 exactly.
     """
     return np.array(_cubic_roots(float(g2), float(g3)))
 
@@ -161,23 +163,6 @@ def _cubic_roots(g2: float, g3: float) -> tuple[complex, complex, complex]:
     r = _newton(A + B, g2, g3)
     b = abs(_newton(complex(-0.5 * r, 0.5 * math.sqrt(3.0) * abs(A - B)), g2, g3).imag)
     return complex(-0.5 * r, b), complex(r), complex(-0.5 * r, -b)
-
-
-def _real_cubic_roots(g2: np.ndarray, g3: np.ndarray) -> np.ndarray:
-    """The real roots of the cubics with g2^3 > 27 g3^2, shape (n, 3), each
-    row with the bits of ``_cubic_roots``: the same trigonometric form, with
-    math.acos and math.cos per entry, and the same Newton steps on arrays."""
-    rad = np.sqrt(g2 / 3.0)
-    phi = np.array(list(map(math.acos, np.clip(3.0 * g3 / (g2 * rad), -1.0, 1.0).tolist()))) / 3.0
-    angles = phi[:, None] - np.array([0.0, 1.0, -1.0]) * math.tau / 3.0
-    t = rad[:, None] * np.array(list(map(math.cos, angles.ravel().tolist()))).reshape(-1, 3)
-    g2, g3 = g2[:, None], g3[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(2):  # _newton's steps
-            tt = t * t
-            fp = 12.0 * tt - g2
-            t = np.where(fp != 0.0, t - ((4.0 * tt - g2) * t - g3) / fp, t)
-    return t
 
 
 def _newton(t, g2: float, g3: float):

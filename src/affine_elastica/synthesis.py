@@ -42,10 +42,8 @@ from .elliptic import (
     DEGENERACY_RTOL,
     Invariants,
     LatticeData,
-    _cubic_roots,
     _nondegenerate,
     _qQ_invariants,
-    _real_cubic_roots,
     half_periods,
     invariants_from_qQ,
     weierstrass,
@@ -189,35 +187,38 @@ def _lame_values(z, inv: Invariants, c: complex, mu: complex, at_z=None):
 # closure condition
 
 
-def _closure_form(g2, g3, e, cubes, kit):
-    """The closure quantity and d of the lattice (g2, g3) of q = 1, from its
-    roots e = (e1, e2, e3), descending, and their cubes: floats, or 1-d
-    arrays, one entry per lattice.  ``kit`` holds sqrt, R_F and R_D of
-    their kind (``_SCALAR_KIT`` or ``_ARRAY_KIT``); R_F and R_D take
-    several triples at once.  The IEEE operations are the same either way.
+def _closure_form(Q, kit):
+    """The closure quantity and d for q = 1 at the maximum curvature Q, a
+    float or a 1-d array.  ``kit`` holds sqrt, R_F and R_D of its kind
+    (``_SCALAR_KIT`` or ``_ARRAY_KIT``); R_F and R_D take several triples
+    at once.  Both kinds run the same IEEE operations, so an array entry
+    gets the bits of its float.
 
-    With v = -g3/g2, d_k = v - e_k = -4 e_k^3/g2 (Vieta), m = (e2 - e3)/(e1
-    - e3) and k'^2 = 1 - m, the quantity is 1 + (2/pi) [K sqrt(-v)/sqrt(e1 -
-    e3) - (m k'^2/3) (F R_D(0, 1, k'^2) + K x^(3/2) R_D(c'^2, 1, d'^2))]: K =
-    R_F(0, k'^2, 1), and F = sqrt(x) R_F(c'^2, d'^2, 1) is the incomplete
-    integral of parameter k'^2 at sin^2 = x, cos^2 = c'^2 and Delta^2 = d'^2
-    (see ``closure_lhs_with_d``).  For q = 1 and Q > 1, e1 > 0 > e2 > e3,
-    g3 > 0 and m < 1/2: every factor is positive and a product or quotient
-    of root differences and d_k, and the subtracted term is at most 0.122
-    of the first, so no step cancels.
+    The phase-plane cubic of q = 1 meets kappa' = 0 at kappa = 1, Q and
+    -(1 + Q), so the roots e = -kappa/6 of 4 t^3 - g2 t - g3 are exactly e1
+    = (1 + Q)/6 > e2 = -1/6 > e3 = -Q/6 (DLMF 23.3(i)).  With s = 1 + Q +
+    Q^2, each factor is a positive-term expression in Q: e1 - e2 = (2 +
+    Q)/6, e1 - e3 = (1 + 2Q)/6, e2 - e3 = (Q - 1)/6, d_k = v - e_k = -(1 +
+    Q)^3/(6 s), 1/(6 s) and Q^3/(6 s) for v = -g3/g2, and g3/g2 = Q (1 +
+    Q)/(6 s), with the cubes as products.  With m = (e2 - e3)/(e1 - e3) <
+    1/2 and k'^2 = 1 - m = (e1 - e2)/(e1 - e3), the quantity is 1 + (2/pi)
+    [K sqrt(-v)/sqrt(e1 - e3) - (m k'^2/3) (F R_D(0, 1, k'^2) + K x^(3/2)
+    R_D(c'^2, 1, d'^2))]: K = R_F(0, k'^2, 1), and F = sqrt(x) R_F(c'^2,
+    d'^2, 1) is the incomplete integral of parameter k'^2 at sin^2 = x,
+    cos^2 = c'^2 and Delta^2 = d'^2 (see ``closure_lhs_with_d``).  The
+    subtracted term is at most 0.122 of the first, so no step cancels.
     """
     sqrt, rf, rd = kit
-    e1, e2, e3 = e
-    d1, d2, d3 = (-4.0 * c / g2 for c in cubes)
-    e12, e13 = e1 - e2, e1 - e3
-    m = (e2 - e3) / e13
-    k2 = 1.0 - m
+    p, s6 = 1.0 + Q, 6.0 * (1.0 + Q + Q * Q)
+    e12, e13 = (2.0 + Q) / 6.0, (1.0 + 2.0 * Q) / 6.0
+    d1, d2, d3 = -(p * p * p) / s6, 1.0 / s6, Q * Q * Q / s6
+    m, k2 = (Q - 1.0) / 6.0 / e13, e12 / e13
     x, c2, dd2 = d2 * e13 / (e12 * d3), m * -d1 * e13 / (e12 * d3), m * e13 / d3
     # c = w1 + i y, with y as lame_parameter_c has it
     ry, K, rF = rf((e12 * e13, e12 * d3, e13 * d2), (0.0, k2, 1.0), (c2, dd2, 1.0))
     rd0, rdx = rd((0.0, 1.0, k2), (c2, 1.0, dd2))
     sx = sqrt(x)
-    rest = K * sqrt(g3 / g2) / sqrt(e13) - m * k2 / 3.0 * (sx * rF * rd0 + K * x * sx * rdx)
+    rest = K * sqrt(Q * p / s6) / sqrt(e13) - m * k2 / 3.0 * (sx * rF * rd0 + K * x * sx * rdx)
     return 1.0 + 2.0 / math.pi * rest, -(sqrt(-d1) * ry)
 
 
@@ -238,13 +239,9 @@ _ARRAY_KIT = (np.sqrt, _rows(carlson_rf_array), _rows(carlson_rd_array))
 def _closure_scalar(Q: float) -> tuple[float, float]:
     if not Q > 1.0:
         raise ValueError("normalization requires Q > 1")
-    inv = invariants_from_qQ(1.0, Q)
+    inv = invariants_from_qQ(1.0, Q)  # for the errors: overflow and a degenerate lattice
     _nondegenerate(inv.g2, inv.g3)
-    e = [r.real for r in _cubic_roots(inv.g2, inv.g3)]
-    lhs, d = _closure_form(inv.g2, inv.g3, e, [r**3 for r in e], _SCALAR_KIT)
-    if not (math.isfinite(lhs) and math.isfinite(d)):
-        raise NoSuchC(f"level {-inv.g3 / inv.g2:.6g} is within rounding of a root of the cubic")
-    return lhs, d
+    return _closure_form(Q, _SCALAR_KIT)
 
 
 def closure_lhs_with_d(Q: float | np.ndarray):
@@ -263,10 +260,12 @@ def closure_lhs_with_d(Q: float | np.ndarray):
     E(phi|k'^2) - (K - E) F(phi|k'^2)] less the algebraic term, takes the
     positive-term R_D forms of K - E and of E(phi|k'^2) - k'^2 sin phi cos
     phi / Delta (DLMF 19.25.1, 19.25.10), so it is R_F, R_D and algebraic
-    factors that cancel nowhere (``_closure_form``).  Against 50-digit references it errs by at
-    most 1.4e-16 for Q from 1.9 to 1e8, and by the 1.5e-14 error of c at
-    Q = 1.001.  d = -y is the R_F of ``lame_parameter_c``.  No theta frame
-    is built.
+    factors that cancel nowhere, built from the exact roots of q = 1
+    (``_closure_form``).  Against 50-digit references it errs by at most
+    1.2e-16 for Q from 1.9 to 1e8, and by 3e-16 at Q = 1.001.  d = -y is
+    the R_F of ``lame_parameter_c``, taken on the exact roots rather than
+    on the solved ones, so it need not have that function's bits.  No theta
+    frame is built and no cubic is solved.
 
     Q is a float, or a 1-d array of them, which gives two arrays, each
     entry with the bits of the scalar call at its Q.  When Qs of an array
@@ -283,11 +282,7 @@ def closure_lhs_with_d(Q: float | np.ndarray):
         # Qs the scalar call may refuse, by a margin: Q <= 1, overflow and near-degenerate lattices
         scale = np.maximum(np.abs(g2) ** 3, 27.0 * g3**2)
         doubt = ~(Q > 1.0) | ~(np.abs(g2**3 - 27.0 * g3**2) > 2.0 * DEGENERACY_RTOL * scale)
-        if np.count_nonzero(doubt):
-            g2, g3 = _qQ_invariants(1.0, np.where(doubt, 2.0, Q))  # a regular stand-in
-        e = _real_cubic_roots(g2, g3).T
-        cubes = np.array([r**3 for r in e.ravel().tolist()]).reshape(e.shape)  # as Python's float power rounds them
-        lhs, d = _closure_form(g2, g3, e, cubes, _ARRAY_KIT)
+        lhs, d = _closure_form(np.where(doubt, 2.0, Q), _ARRAY_KIT)  # 2: a regular stand-in
     redo = doubt | ~np.isfinite(lhs) | ~np.isfinite(d)
     if np.count_nonzero(redo):  # the scalar call decides: the first failing Q raises its error
         lhs[redo], d[redo] = np.array([_closure_scalar(q) for q in Q[redo].tolist()]).reshape(-1, 2).T
@@ -314,17 +309,16 @@ def _prescan() -> tuple:
 
 def _inverse_guess(Q, lhs, target: float) -> float:
     """The Q where the quantity is ``target``, by inverse cubic interpolation
-    through the 4 grid nodes (Q, lhs).
+    through the 4 grid nodes (Q, lhs), in Lagrange form.
 
     The quantity leaves sqrt 2 like (Q - 1)^2 / Q and tends to 1 like
     Q^(-1/2), so v = log(sqrt 2 - lhs)/2 - log(lhs - 1) follows u =
     log(sqrt Q - 1/sqrt Q) up to a constant at both ends of the window, and
     the cubic u(v) fits every grid cell.
     """
-    Q, lhs = np.array(Q), np.array([*lhs, target])
-    u = np.log(Q - 1.0) - 0.5 * np.log(Q)
-    v = 0.5 * np.log(np.sqrt(2.0) - lhs) - np.log(lhs - 1.0)
-    t = math.exp(np.polyval(np.polyfit(v[:-1], u, 3), v[-1]))
+    u = [math.log(q - 1.0) - 0.5 * math.log(q) for q in Q]
+    *v, w = (0.5 * math.log(math.sqrt(2.0) - y) - math.log(y - 1.0) for y in (*lhs, target))
+    t = math.exp(sum(u[i] * math.prod((w - v[j]) / (v[i] - v[j]) for j in range(4) if j != i) for i in range(4)))
     return (0.5 * (t + math.sqrt(t * t + 4.0))) ** 2
 
 

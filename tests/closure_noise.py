@@ -1,8 +1,12 @@
-"""Rounding noise of the closure quantity and the cost of the closure solve.
+"""Accuracy and rounding noise of the closure quantity and the cost of the
+closure solve.
 
-Prints two things for the ``affine_elastica`` package in the given source
+Prints three things for the ``affine_elastica`` package in the given source
 directory (default: ``src`` beside this file's directory):
 
+- The largest error of ``closure_lhs`` against the 50-digit values of
+  ``oracles.CLOSURE_LHS_REFERENCE`` over Q >= 1.9, and its error at
+  Q = 1.001.
 - For each of five closing ratios n/m, the rms scatter of ``closure_lhs``
   about its least-squares line over 121 Q within +-3e-14 (relative) of the
   solved root, in units of the spacing of doubles at n/m.
@@ -24,11 +28,20 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 
 #: the ratios whose root windows are measured
 ROOTS = ((12, 13), (13, 14), (3, 4), (7, 9), (29, 37))
 SPAN, POINTS = 3e-14, 121
+
+
+def reference_errors(sy) -> tuple[float, float]:
+    """The largest error against the 50-digit references over Q >= 1.9, and the error at Q = 1.001."""
+    from oracles import CLOSURE_LHS_REFERENCE  # beside this file; it imports the package under test
+
+    err = {Q: abs(float(Decimal(ref) - Decimal(sy.closure_lhs(Q)))) for Q, ref in CLOSURE_LHS_REFERENCE}
+    return max(e for Q, e in err.items() if Q >= 1.9), err[1.001]
 
 
 def scatter_ulp(sy, np, m: int, n: int) -> float:
@@ -73,6 +86,8 @@ def main(argv: list[str]) -> int:
 
     from affine_elastica import synthesis as sy
 
+    high, low = reference_errors(sy)
+    print(f"reference error: {high:.3g} largest over Q >= 1.9, {low:.3g} at Q = 1.001")
     for m, n in ROOTS:
         print(f"scatter {m}:{n}: {scatter_ulp(sy, np, m, n):.2f} ulp rms")
     counts, high = evaluations(sy, np)

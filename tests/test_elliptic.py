@@ -486,16 +486,6 @@ def test_cubic_roots_against_decimal_oracle(rng):
     assert max(errors) <= 1e-13
 
 
-def test_array_roots_have_the_scalar_bits(rng):
-    """The array form of the trigonometric roots, on the oracle's draws with
-    three real roots: near-degenerate lattices, g3 = 0 and both signs of g3."""
-    g2, g3 = (np.array(v) for v in zip(*[(p, q) for p, q in _cubic_draws(rng) if el._discriminant(p, q) > 0.0]))
-    assert np.count_nonzero(g3 > 0) > 50 and np.count_nonzero(g3 < 0) > 50 and np.count_nonzero(g3 == 0) > 20
-    want = np.array([el.cubic_roots(p, q) for p, q in zip(g2, g3)])
-    assert np.count_nonzero(want.imag) == 0
-    assert el._real_cubic_roots(g2, g3).tobytes() == want.real.tobytes()
-
-
 def test_cubic_roots_scale_covariant(rng):
     """(l^4 g2, l^6 g3) has the roots l^2 e_k: to twice the oracle bound,
     one for each side, since the scaled invariants are rounded too."""

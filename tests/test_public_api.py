@@ -99,11 +99,15 @@ _OPEN_ARC = (_T, _T + _T**2, _T**4)  # kappa = 48 t varies
          "gauge point s = 0"),
         (lambda: cumulative_uniform(np.ones(3), 0.1), ValueError, "at least 4 samples"),
         (lambda: el.Invariants(np.nan, 0.0), DomainError, "got g2=nan, g3=0.0"),
+        (lambda: el.Invariants(1e103, 0.0), DomainError, "must be finite, got g2=1e"),  # g2^3 overflows
+        (lambda: el.Invariants(0.0, 1e154), DomainError, "must be finite, got g2=0.0"),  # g3^2 overflows
+        (lambda: el.Invariants(np.float64(1e103), 0.0), DomainError, "must be finite, got g2=1e"),
         (lambda: el.Invariants(np.ones(2), np.zeros(2)), DomainError, "one lattice"),
     ],
     ids=["curve-2d", "reparametrize-3-columns", "reparametrize-nonuniform-t", "sextactic-open", "arcs-not-A2",
          "display-open", "a3-Q-2", "closure-2d-Q", "full-affine-range-without-0", "cumulative-3-samples",
-         "invariants-nonfinite", "invariants-batch"],
+         "invariants-nonfinite", "invariants-g2-cube-overflows", "invariants-g3-square-overflows",
+         "invariants-numpy-g2-overflows", "invariants-batch"],
 )
 def test_documented_errors(call, error, match):
     with pytest.raises(error, match=match):

@@ -204,18 +204,22 @@ class TestClosureCondition:
         assert str(batch.value) == str(first.value)
 
     def test_array_batch_calls_no_scalar_constants(self, monkeypatch):
-        """An array of Q is computed on arrays, with no theta frame; only a Q
-        near the degeneracy threshold is left to the scalar call."""
+        """An array of Q is computed on arrays, with no theta frame and no
+        root solve; only a Q near the degeneracy threshold is left to the
+        scalar call, which solves no cubic either."""
         calls = {}
-        for module, name in [(sy, "carlson_rf"), (sy, "carlson_rd"), (sy, "_cubic_roots"),
-                             (sy, "_closure_scalar"), (el, "_frame_cached"), (el, "_theta1_bundle")]:
+        for module, name in [(sy, "carlson_rf"), (sy, "carlson_rd"), (sy, "_closure_scalar"), (el, "_cubic_roots"),
+                             (el, "_frame_cached"), (el, "_theta1_bundle")]:
             f = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.update({name: calls.get(name, 0) + 1})
                                 or f(*a))
         sy.closure_lhs_with_d(np.geomspace(1.001, 1e8, 2))
         assert calls == {}
         sy.closure_lhs_with_d(np.array([2.0, 1.0 + 1.4e-6, 3.0]))
-        assert calls == {"_closure_scalar": 1, "_cubic_roots": 1, "carlson_rf": 3, "carlson_rd": 2}
+        assert calls == {"_closure_scalar": 1, "carlson_rf": 3, "carlson_rd": 2}
+        calls.clear()
+        sy.closure_lhs_with_d(2.5)
+        assert calls == {"_closure_scalar": 1, "carlson_rf": 3, "carlson_rd": 2}
 
     @pytest.mark.parametrize("m,n,Q,w1,w2,d", TABLE)
     def test_lhs_at_tabulated_q(self, m, n, Q, w1, w2, d):
@@ -304,11 +308,10 @@ class TestClosureCondition:
         assert abs(dv - d) <= 1e-12
 
     def test_lhs_against_50_digit_references(self):
-        """Within 6.7e-16 over Q in [1.9, 1e8]; at Q = 1.001 the error of c,
-        up to 1.5e-14 there, dominates."""
-        err = {Q: abs(float(Decimal(ref) - Decimal(sy.closure_lhs(Q)))) for Q, ref in CLOSURE_LHS_REFERENCE}
-        assert max(e for Q, e in err.items() if Q >= 1.9) <= 6.7e-16
-        assert err[1.001] <= 2e-14
+        """Within 6.7e-16 at every reference Q, from 1.001 to 1e8: every factor
+        is exact in Q up to its own rounding, the roots included."""
+        err = [abs(float(Decimal(ref) - Decimal(sy.closure_lhs(Q)))) for Q, ref in CLOSURE_LHS_REFERENCE]
+        assert len(err) == 37 and max(err) <= 6.7e-16
 
     def test_lame_values_one_theta_evaluation_per_argument(self, monkeypatch):
         inv = el.invariants_from_qQ(1.0, 2.7)
