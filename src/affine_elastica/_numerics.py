@@ -13,12 +13,13 @@ there ``_rfft``/``_irfft`` run the prime factor as one batched transform
 whole length.  ``resample_uniform`` moves samples at increasing nodes onto a
 uniform grid by one spline; it is the only kernel here that imports scipy,
 on first use.  Carlson's ``carlson_rf`` (K(m) and the Lame parameter c)
-and ``carlson_rd`` (the closure quantity), with their array forms
-of the same bits for closure scans, and ``brent_root`` (the closure solve)
-spare the CLI any scipy import, and
-``median`` the numpy.ma import of np.median.  ``format_numbers`` writes
-the numbers of curve files from one digit-slot kernel: "%.17g" for CSV
-rows, "%.6f" for SVG points and repr for JSON sample lists.
+and ``carlson_rd`` (the closure quantity), with ``carlson_arrays``, which
+takes all the integrals of a closure scan in one duplication loop of the
+same bits, and ``brent_root`` (the closure solve) spare the CLI any scipy
+import, and ``median`` the numpy.ma import of np.median.
+``format_numbers`` writes the numbers of curve files from one digit-slot
+kernel: "%.17g" for CSV rows, "%.6f" for SVG points and repr for JSON
+sample lists.
 """
 
 from __future__ import annotations
@@ -434,12 +435,12 @@ def carlson_rd(x, y, z):
     return scale * _rd_series(*((a0 - v) * scale / a for v in args[:2])) / (a * math.sqrt(a)) + 3.0 * tail
 
 
-def _duplicate(v: np.ndarray, a0: np.ndarray, root6: float, tail: bool):
+def _duplicate(v: np.ndarray, a0: np.ndarray, root6: np.ndarray):
     """Carlson's duplication of the triples in the columns of v, from A0 = a0,
     on arrays: each column leaves the loop at the step where its scalar call
-    stops.  Returns that step's X, Y, A and 4^-n, and the sum of R_D's step
-    terms when ``tail``.  Each step is IEEE +, -, x, / and sqrt, so every
-    column has the bits of its scalar loop."""
+    with stop constant ``root6`` stops.  Returns that step's X, Y, A and
+    4^-n, and the sum of R_D's step terms.  Each step is IEEE +, -, x, / and
+    sqrt, so every column has the bits of its scalar loop."""
     spread = np.maximum.reduce(np.abs(a0 - v))
     q = np.concatenate((v, a0[None]))  # x, y, z and a
     # every column duplicates until the last one stops; each keeps its a and sum at every step
@@ -450,8 +451,7 @@ def _duplicate(v: np.ndarray, a0: np.ndarray, root6: float, tail: bool):
             break
         r = np.sqrt(q[:3])
         lam = r[0] * (r[1] + r[2]) + r[1] * r[2]
-        if tail:
-            sums.append(sums[-1] + scale / (r[2] * (q[2] + lam)))
+        sums.append(sums[-1] + scale / (r[2] * (q[2] + lam)))
         q = (q + lam) / 4.0
         steps.append(q[3])
         scale /= 4.0
@@ -461,51 +461,33 @@ def _duplicate(v: np.ndarray, a0: np.ndarray, root6: float, tail: bool):
     cols = np.arange(len(n))
     A, S = np.array(steps)[n, cols], np.ldexp(1.0, -2 * n)
     X, Y = (a0 - v[:2]) * S / A
-    return X, Y, A, S, np.array(sums)[n, cols] if tail else None
+    return X, Y, A, S, np.array(sums)[n, cols]
 
 
-def _triples(x, y, z):
-    """x, y and z broadcast together as the rows of one (3, n) array, and their shape."""
-    v = np.empty((3,) + np.broadcast(x, y, z).shape)
-    v[0], v[1], v[2] = x, y, z
-    return v.reshape(3, -1), v.shape[1:]
+def carlson_arrays(rf_triples, rd_triples):
+    """``carlson_rf`` of each triple of ``rf_triples`` and ``carlson_rd`` of
+    each of ``rd_triples``, their entries real arrays broadcast together:
+    an array of R_F rows and one of R_D rows, each of the broadcast shape.
 
-
-def carlson_rf_array(x, y, z) -> np.ndarray:
-    """``carlson_rf`` of real arrays x, y and z, broadcast together, entry by entry.
-
-    One duplication loop (``_duplicate``) serves every entry, so every entry
-    has the bits of ``carlson_rf`` at its triple, the NaN, negative,
-    infinite and two-zero rules included.
+    All the triples run as the columns of one duplication loop
+    (``_duplicate``), each with its own A0, (x + y + z)/3 or (x + y + 3z)/5,
+    and stop constant, so every entry has the bits of its scalar call.  The
+    entries must be finite with x >= 0, y > 0 and z > 0; the scalar edge
+    rules are not repeated here.
     """
-    v, shape = _triples(x, y, z)
-    nan = ~np.logical_and.reduce(v >= 0.0)  # a NaN or negative argument
-    inf = np.logical_or.reduce(np.isinf(v))
-    edge = nan | inf | (np.add.reduce(v == 0.0) >= 2)  # the rules' entries, else two zeros
-    if np.count_nonzero(edge):
-        v = np.where(edge, 1.0, v)  # a regular stand-in, so the loop ends
-    X, Y, A, _, _ = _duplicate(v, (v[0] + v[1] + v[2]) / 3.0, _RF_ROOT6, tail=False)
-    out = _rf_series(X, Y) / np.sqrt(A)
-    if np.count_nonzero(edge):
-        out = np.where(nan, math.nan, np.where(inf, 0.0, np.where(edge, math.inf, out)))
-    return out.reshape(shape)
-
-
-def carlson_rd_array(x, y, z) -> np.ndarray:
-    """``carlson_rd`` of real arrays x, y and z, broadcast together, entry by
-    entry, each with the bits of its scalar call, the edge rules included."""
-    v, shape = _triples(x, y, z)
-    nan = ~np.logical_and.reduce(v >= 0.0)
-    inf = np.logical_or.reduce(np.isinf(v))
-    pole = (v[2] == 0.0) | (~inf & (v[0] == 0.0) & (v[1] == 0.0))
-    edge = nan | inf | pole
-    if np.count_nonzero(edge):
-        v = np.where(edge, 1.0, v)
-    X, Y, A, S, tail = _duplicate(v, (v[0] + v[1] + 3.0 * v[2]) / 5.0, _RD_ROOT6, tail=True)
-    out = S * _rd_series(X, Y) / (A * np.sqrt(A)) + 3.0 * tail
-    if np.count_nonzero(edge):
-        out = np.where(nan, math.nan, np.where(pole, math.inf, np.where(inf, 0.0, out)))
-    return out.reshape(shape)
+    triples = (*rf_triples, *rd_triples)
+    shape = np.broadcast(*(a for t in triples for a in t)).shape
+    v = np.empty((3, len(triples)) + shape)
+    for k, t in enumerate(triples):
+        v[0, k], v[1, k], v[2, k] = t
+    v = v.reshape(3, -1)  # the triples side by side
+    nf = len(rf_triples) * math.prod(shape)
+    w, den, root6 = np.repeat([[1.0, 3.0], [3.0, 5.0], [_RF_ROOT6, _RD_ROOT6]], [nf, v.shape[1] - nf], axis=1)
+    X, Y, A, S, tail = _duplicate(v, (v[0] + v[1] + w * v[2]) / den, root6)  # 1.0 * z is z
+    f, d = slice(None, nf), slice(nf, None)
+    rf = _rf_series(X[f], Y[f]) / np.sqrt(A[f])
+    rd = S[d] * _rd_series(X[d], Y[d]) / (A[d] * np.sqrt(A[d])) + 3.0 * tail[d]
+    return rf.reshape(len(rf_triples), *shape), rd.reshape(len(rd_triples), *shape)
 
 
 def brent_root(f, a: float, b: float, xtol: float, rtol: float) -> float:

@@ -43,11 +43,7 @@ class PointedParabolaPath:
     t: np.ndarray
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": [float(v) for v in self.t],
-            "mats": [[[float(x) for x in row] for row in m] for m in self.mats],
-            "translations": [[float(x) for x in p] for p in self.translations],
-        }
+        return {"t": self.t.tolist(), "mats": self.mats.tolist(), "translations": self.translations.tolist()}
 
 
 @dataclass

@@ -35,7 +35,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ._numerics import brent_root, carlson_rd, carlson_rd_array, carlson_rf, carlson_rf_array, filter_window, median
+from ._numerics import brent_root, carlson_arrays, carlson_rd, carlson_rf, filter_window, median
 from .classifier import Branch, Case, CaseLabel, classify
 from .curvature import CurveSamples, frame_and_curvature
 from .elliptic import (
@@ -189,10 +189,12 @@ def _lame_values(z, inv: Invariants, c: complex, mu: complex, at_z=None):
 
 def _closure_form(Q, kit):
     """The closure quantity and d for q = 1 at the maximum curvature Q, a
-    float or a 1-d array.  ``kit`` holds sqrt, R_F and R_D of its kind
-    (``_SCALAR_KIT`` or ``_ARRAY_KIT``); R_F and R_D take several triples
-    at once.  Both kinds run the same IEEE operations, so an array entry
-    gets the bits of its float.
+    float or a 1-d array.  ``kit`` holds sqrt and the integrals of its kind
+    (``_SCALAR_KIT`` or ``_ARRAY_KIT``), which map the R_F and the R_D
+    triples to their values, the array kind in one duplication loop
+    (``carlson_arrays``; at a Q > 1 that overflows nothing, each triple is
+    finite with x = 0 or x > 0, and y, z > 0).  Both kinds run the same
+    IEEE operations, so an array entry gets the bits of its float.
 
     The phase-plane cubic of q = 1 meets kappa' = 0 at kappa = 1, Q and
     -(1 + Q), so the roots e = -kappa/6 of 4 t^3 - g2 t - g3 are exactly e1
@@ -208,32 +210,22 @@ def _closure_form(Q, kit):
     cos^2 = c'^2 and Delta^2 = d'^2 (see ``closure_lhs_with_d``).  The
     subtracted term is at most 0.122 of the first, so no step cancels.
     """
-    sqrt, rf, rd = kit
+    sqrt, integrals = kit
     p, s6 = 1.0 + Q, 6.0 * (1.0 + Q + Q * Q)
     e12, e13 = (2.0 + Q) / 6.0, (1.0 + 2.0 * Q) / 6.0
     d1, d2, d3 = -(p * p * p) / s6, 1.0 / s6, Q * Q * Q / s6
     m, k2 = (Q - 1.0) / 6.0 / e13, e12 / e13
     x, c2, dd2 = d2 * e13 / (e12 * d3), m * -d1 * e13 / (e12 * d3), m * e13 / d3
     # c = w1 + i y, with y as lame_parameter_c has it
-    ry, K, rF = rf((e12 * e13, e12 * d3, e13 * d2), (0.0, k2, 1.0), (c2, dd2, 1.0))
-    rd0, rdx = rd((0.0, 1.0, k2), (c2, 1.0, dd2))
+    (ry, K, rF), (rd0, rdx) = integrals(((e12 * e13, e12 * d3, e13 * d2), (0.0, k2, 1.0), (c2, dd2, 1.0)),
+                                        ((0.0, 1.0, k2), (c2, 1.0, dd2)))
     sx = sqrt(x)
     rest = K * sqrt(Q * p / s6) / sqrt(e13) - m * k2 / 3.0 * (sx * rF * rd0 + K * x * sx * rdx)
     return 1.0 + 2.0 / math.pi * rest, -(sqrt(-d1) * ry)
 
 
-def _rows(f):
-    """The array form f of R_F or R_D on several triples at once: one duplication loop for all."""
-
-    def rows(*triples):
-        v = np.array(np.broadcast_arrays(*(a for t in triples for a in t)))
-        return f(*v.reshape(len(triples), 3, -1).swapaxes(0, 1))
-
-    return rows
-
-
-_SCALAR_KIT = (math.sqrt, lambda *t: [carlson_rf(*a) for a in t], lambda *t: [carlson_rd(*a) for a in t])
-_ARRAY_KIT = (np.sqrt, _rows(carlson_rf_array), _rows(carlson_rd_array))
+_SCALAR_KIT = (math.sqrt, lambda rf, rd: ([carlson_rf(*t) for t in rf], [carlson_rd(*t) for t in rd]))
+_ARRAY_KIT = (np.sqrt, carlson_arrays)
 
 
 def _closure_scalar(Q: float) -> tuple[float, float]:

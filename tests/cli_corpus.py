@@ -73,6 +73,7 @@ def corpus() -> list[list[str]]:
         ["synth", "--case", "ellipse", "--euclidean-display", "--svg", "ellipse_euclid.svg"],
         ["synth", "--length-constrained", "--csv", "length.csv", "--self-check"],
         ["synth", "--closure", "3", "4", "--csv", "c34.csv", "--svg", "c34.svg"],
+        ["synth", "--closure", "3", "4", "--congruence-json", "c34_path.json"],
         ["synth", "--closure", "29", "37", "--json", "c2937.json", "--self-check"],
         ["synth", "--closure", "11", "15", "--mark", "777", "--svg", "c1115.svg", "--csv", "c1115.csv",
          "--self-check"],

@@ -1,7 +1,7 @@
 """Accuracy and rounding noise of the closure quantity and the cost of the
-closure solve.
+closure solve and of array evaluations.
 
-Prints three things for the ``affine_elastica`` package in the given source
+Prints four things for the ``affine_elastica`` package in the given source
 directory (default: ``src`` beside this file's directory):
 
 - The largest error of ``closure_lhs`` against the 50-digit values of
@@ -14,19 +14,22 @@ directory (default: ``src`` beside this file's directory):
   makes per pair, over every coprime pair with m <= 200 whose ratio lies in
   the solver's window (4,749 pairs): the distribution, the largest count,
   the total, and the largest count for roots above Q = 25.
+- The best of 7 timeit repeats of one array ``closure_lhs_with_d`` call on
+  ``np.geomspace(1.01, 100, n)`` for n = 2, 20, 50 and 80, in us per call.
 
 Run it on two trees to compare them:
 
     python tests/closure_noise.py path/to/old/src
     python tests/closure_noise.py path/to/new/src
 
-pytest does not collect this file; a run takes a few seconds.
+pytest does not collect this file; a run takes about ten seconds.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import timeit
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
@@ -34,6 +37,8 @@ from pathlib import Path
 #: the ratios whose root windows are measured
 ROOTS = ((12, 13), (13, 14), (3, 4), (7, 9), (29, 37))
 SPAN, POINTS = 3e-14, 121
+#: the array lengths whose evaluation cost is timed
+ARRAY_SIZES = (2, 20, 50, 80)
 
 
 def reference_errors(sy) -> tuple[float, float]:
@@ -79,6 +84,15 @@ def evaluations(sy, np) -> tuple[Counter, int]:
     return counts, high
 
 
+def array_costs(sy, np) -> list[float]:
+    """Best-of-7 cost of one array evaluation at each of ``ARRAY_SIZES``, in us."""
+    costs = []
+    for n in ARRAY_SIZES:
+        Q = np.geomspace(1.01, 100.0, n)
+        costs.append(1e6 * min(timeit.repeat(lambda: sy.closure_lhs_with_d(Q), number=200, repeat=7)) / 200)
+    return costs
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
     sys.path.insert(0, str(src.resolve()))
@@ -94,6 +108,7 @@ def main(argv: list[str]) -> int:
     print(f"evaluations per solve over {sum(counts.values())} pairs: "
           + ", ".join(f"{k}: {counts[k]}" for k in sorted(counts)))
     print(f"largest {max(counts)}, total {sum(k * v for k, v in counts.items())}, largest above Q = 25: {high}")
+    print("array cost: " + ", ".join(f"{n} Q {c:.0f} us" for n, c in zip(ARRAY_SIZES, array_costs(sy, np))))
     return 0
 
 

@@ -24,7 +24,7 @@ from affine_elastica import synthesis as sy
 from affine_elastica.classifier import Branch, classify
 from affine_elastica.cli import _conic_points, _svg_polyline, _verify_curve, main
 from affine_elastica.elliptic import invariants_from_qQ
-from affine_elastica.errors import DomainError
+from affine_elastica.errors import DomainError, SynthesisError
 from conftest import (
     convex_support_curve,
     ellipse_samples,
@@ -34,6 +34,7 @@ from conftest import (
     support_curve_points,
     tanh_kappa_F,
 )
+from family_sweep import sweep
 from oracles import curve_from_full_affine_curvature, full_affine_invariants
 
 
@@ -749,6 +750,16 @@ def test_wrong_wp_at_half_period_exits_2(monkeypatch, capsys):
         el._frame_cached.cache_clear()
     assert code == 2
     assert err.startswith("error:") and "largest real root" in err
+
+
+def test_family_sweep_raises_only_package_errors():
+    """A fixed 300-draw slice of tests/family_sweep.py: every draw passes,
+    fails its el check or raises a DomainError (exit 2) or a SynthesisError
+    (exit 3), and none raises a warning.  Failure counts are not pinned."""
+    rows = sweep(19, 300)
+    raised = [row for row in rows if not isinstance(row[4], str)]
+    assert [row for row in raised if not issubclass(row[4], (DomainError, SynthesisError))] == []
+    assert len(rows) - len(raised) > 100  # the slice reaches synthesis and verify
 
 
 def test_cli_loads_no_scipy(tmp_path):

@@ -1,7 +1,8 @@
 """Shared numerics: the open-arc derivative filter (exactness, constant
 annihilation, closed form, FFT centre against direct convolution, cache
 footprint), the batched real transforms against np.fft,
-Carlson's R_F against scipy.special, the Brent solver against
+Carlson's R_F and R_D against scipy.special and their array kernel against
+the scalar calls, the Brent solver against
 scipy.optimize.brentq, the median against np.median and the number writer
 ("%.17g", "%.6f" and repr) against "%" itself."""
 
@@ -30,10 +31,9 @@ from affine_elastica._numerics import (
     _irfft,
     _rfft,
     brent_root,
+    carlson_arrays,
     carlson_rd,
-    carlson_rd_array,
     carlson_rf,
-    carlson_rf_array,
     diff_samples,
     diff_smoothed,
     diff_spectral,
@@ -234,20 +234,6 @@ def test_rf_edge_values_match_scipy(args):
         assert abs(got - want) <= 2e-15 * abs(want)
 
 
-_RF_SPREAD = st.floats(min_value=1e-12, max_value=1e12)
-_RF_EDGE = st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf])
-
-
-@settings(max_examples=200, deadline=None)
-@given(triples=st.lists(st.tuples(*[st.one_of(_RF_SPREAD, _RF_SPREAD, _RF_SPREAD, _RF_EDGE)] * 3),
-                        min_size=1, max_size=40))
-def test_rf_array_has_the_scalar_bits(triples):
-    """Real triples with zeros, spreads of 1e-12 to 1e12 and the NaN, negative,
-    infinite and two-zero rules: every entry has the bits of carlson_rf."""
-    got = carlson_rf_array(*np.array(triples).T)
-    assert got.tobytes() == np.array([carlson_rf(*t) for t in triples]).tobytes()
-
-
 def test_rd_matches_scipy_on_real_arguments(rng):
     worst = 0.0
     for _ in range(4000):
@@ -292,14 +278,44 @@ def test_rd_edge_values_match_scipy(args):
         assert abs(got - want) <= 2e-15 * abs(want)
 
 
+_SPREAD = st.floats(min_value=1e-12, max_value=1e12)
+
+
+@st.composite
+def _integral_rows(draw):
+    """R_F and R_D rows of triples inside ``carlson_arrays``'s contract, x = 0
+    allowed, spreads of 1e-12 to 1e12, all rows of one length, one row at least."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.tuples(st.one_of(st.just(0.0), _SPREAD), _SPREAD, _SPREAD), min_size=n, max_size=n)
+    rf = draw(st.lists(row.map(lambda r: tuple(np.array(r).T)), max_size=3))
+    return rf, draw(st.lists(row.map(lambda r: tuple(np.array(r).T)), min_size=not rf, max_size=3))
+
+
 @settings(max_examples=200, deadline=None)
-@given(triples=st.lists(st.tuples(*[st.one_of(_RF_SPREAD, _RF_SPREAD, _RF_SPREAD, _RF_EDGE)] * 3),
-                        min_size=1, max_size=40))
-def test_rd_array_has_the_scalar_bits(triples):
-    """As for R_F: zeros, wide spreads and the NaN, negative, zero and
-    infinite rules; every entry has the bits of carlson_rd."""
-    got = carlson_rd_array(*np.array(triples).T)
-    assert got.tobytes() == np.array([carlson_rd(*t) for t in triples]).tobytes()
+@given(rows=_integral_rows())
+def test_array_integrals_have_the_scalar_bits(rows):
+    """R_F and R_D triples mixed in one duplication loop: every entry has the
+    bits of its scalar carlson_rf or carlson_rd call."""
+    rf, rd = rows
+    got_rf, got_rd = carlson_arrays(rf, rd)
+    for got, kind, f in ((got_rf, rf, carlson_rf), (got_rd, rd, carlson_rd)):
+        want = np.array([[f(*t) for t in zip(*row)] for row in kind]).reshape(got.shape)
+        assert len(got) == len(kind) and got.tobytes() == want.tobytes()
+
+
+def test_empty_arrays_give_empty_integrals():
+    rf, rd = carlson_arrays([(np.empty(0), 1.0, 2.0)] * 3, [(0.0, np.empty(0), 2.0)] * 2)
+    assert rf.shape == (3, 0) and rd.shape == (2, 0)
+    lhs, d = sy.closure_lhs_with_d(np.empty(0))  # scan-closure --steps 0
+    assert lhs.shape == d.shape == (0,)
+
+
+def test_array_closure_runs_one_duplication_loop(monkeypatch):
+    """The three R_F and two R_D of every Q of an array share one loop."""
+    duplicate, calls = nm._duplicate, []
+    monkeypatch.setattr(nm, "_duplicate", lambda *a: calls.append(1) or duplicate(*a))
+    sy.closure_lhs_with_d(np.geomspace(1.01, 100.0, 50))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

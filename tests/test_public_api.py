@@ -1,5 +1,6 @@
 """Every public name of each module resolves and has a caller outside the
-tests, so no export is left stale, and each documented input error is raised."""
+tests, so no export is left stale, every private helper has a caller in the
+package, and each documented input error is raised."""
 
 import ast
 import importlib
@@ -46,19 +47,31 @@ def _referenced_names(tree) -> set:
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def _unreferenced_tops(elsewhere: frozenset = frozenset()) -> set:
+    """Names of the package's top-level functions and classes that are
+    referenced neither in the package outside their own definition nor in
+    ``elsewhere``."""
+    tops = [node for path in _SOURCES for node in ast.parse(path.read_text()).body]
+    refs = [_referenced_names(node) for node in tops]
+    return {
+        node.name for k, node in enumerate(tops)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in elsewhere
+        and not any(node.name in r for j, r in enumerate(refs) if j != k)
+    }
+
+
 def test_every_public_name_has_a_program_caller():
     """Each public top-level function and class of the package is referenced
     in the package outside its own definition, or in perfbench."""
-    tops = [node for path in _SOURCES for node in ast.parse(path.read_text()).body]
-    refs = [_referenced_names(node) for node in tops]
-    perfbench = set().union(*(_referenced_names(ast.parse(path.read_text()))
-                              for path in (_ROOT / "perfbench").glob("*.py")))
-    uncalled = {
-        node.name for k, node in enumerate(tops)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        and node.name not in perfbench and not any(node.name in r for j, r in enumerate(refs) if j != k)
-    }
-    assert uncalled == set()
+    perfbench = frozenset().union(*(_referenced_names(ast.parse(path.read_text()))
+                                    for path in (_ROOT / "perfbench").glob("*.py")))
+    assert {name for name in _unreferenced_tops(perfbench) if not name.startswith("_")} == set()
+
+
+def test_every_private_helper_has_a_program_caller():
+    """Each private top-level function and class of the package is referenced
+    in the package outside its own definition, so no dead helper is left."""
+    assert {name for name in _unreferenced_tops() if name.startswith("_")} == set()
 
 
 def test_scipy_is_imported_only_to_resample():
