@@ -291,16 +291,30 @@ def _integral_rows(draw):
     return rf, draw(st.lists(row.map(lambda r: tuple(np.array(r).T)), min_size=not rf, max_size=3))
 
 
+def _assert_scalar_bits(rows, kind):
+    """Run the R_F and R_D rows through one ``carlson_arrays`` call and check
+    that every entry of one kind (0: R_F, 1: R_D) has the bits of its scalar
+    carlson_rf or carlson_rd call."""
+    got = carlson_arrays(*rows)[kind]
+    f = (carlson_rf, carlson_rd)[kind]
+    want = np.array([[f(*t) for t in zip(*row)] for row in rows[kind]]).reshape(got.shape)
+    assert len(got) == len(rows[kind]) and got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=_integral_rows())
-def test_array_integrals_have_the_scalar_bits(rows):
-    """R_F and R_D triples mixed in one duplication loop: every entry has the
-    bits of its scalar carlson_rf or carlson_rd call."""
-    rf, rd = rows
-    got_rf, got_rd = carlson_arrays(rf, rd)
-    for got, kind, f in ((got_rf, rf, carlson_rf), (got_rd, rd, carlson_rd)):
-        want = np.array([[f(*t) for t in zip(*row)] for row in kind]).reshape(got.shape)
-        assert len(got) == len(kind) and got.tobytes() == want.tobytes()
+def test_rf_array_has_the_scalar_bits(rows):
+    """R_F triples mixed with R_D triples in one duplication loop: every R_F
+    entry has the bits of its scalar carlson_rf call."""
+    _assert_scalar_bits(rows, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_integral_rows())
+def test_rd_array_has_the_scalar_bits(rows):
+    """As for R_F: every R_D entry of the mixed loop has the bits of its
+    scalar carlson_rd call."""
+    _assert_scalar_bits(rows, 1)
 
 
 def test_empty_arrays_give_empty_integrals():
